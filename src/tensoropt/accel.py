@@ -24,8 +24,8 @@ from .linalg import NormOperator
 from .model import TensorModel
 from .problems import Composite, ProblemInstance, SmoothOracle
 from .methods import SolverConfig, SolverRun, _Runner
-from .policies import power
-from .subsolvers import SubsolverStall, monotone_step, residual_bound
+from .policies import power, precision_floor
+from .subsolvers import SubsolverStall, model_solver, monotone_step, residual_bound
 
 
 class PowerProx:
@@ -187,6 +187,9 @@ def accelerated(problem: ProblemInstance, x0, config: SolverConfig) -> SolverRun
         raise ValueError("the accelerated scheme needs a known Lipschitz constant L_p "
                          "or a fixed surrogate for it")
     zeta_policy = config.zeta_policy or power(1.0, p + 2)
+    if zeta_policy.kind == "adaptive":
+        raise ValueError("accelerated does not support an adaptive zeta_policy: "
+                         "the outer loop keeps no monotone objective history")
     inner_policy = config.inner_policy or power(1.0, 1.0)
 
     x = run.x0.copy()
@@ -212,7 +215,7 @@ def accelerated(problem: ProblemInstance, x0, config: SolverConfig) -> SolverRun
         H_in = p * (a ** (p + 1) / A_next**p) * L
         w = v.copy()
         h_w = sub.value(w)
-        floor = 1e-14 * max(1.0, abs(h_w))
+        floor = precision_floor(h_w)
         h_values = [h_w]
         inner_total = 0
         cert = math.inf
@@ -220,14 +223,14 @@ def accelerated(problem: ProblemInstance, x0, config: SolverConfig) -> SolverRun
         stalled = False
         for j in range(1, inner_cap + 1):
             if inner_policy.kind == "adaptive":
-                delta_in = inner_policy.delta(j, _history(h_values, j))
+                delta_in = inner_policy.delta(j, h_values)
             else:
                 delta_in = inner_policy.delta(k + 1)
             model = TensorModel(sub.smooth, sub.composite, w, H_in, p=p,
                                 want_hessian=(inner_kind == "exact" and p == 2))
             try:
-                res = monotone_step(sub.value, model, max(delta_in, floor), floor,
-                                    kind=inner_kind, stop="bound")
+                res = monotone_step(h_w, model_solver(model, sub.value, kind=inner_kind),
+                                    max(delta_in, floor), floor)
             except SubsolverStall:
                 stalled = True
                 break
@@ -254,9 +257,3 @@ def accelerated(problem: ProblemInstance, x0, config: SolverConfig) -> SolverRun
             status = "target_reached"
             break
     return run.finish(status, x, f_x)
-
-
-def _history(values, j):
-    if j >= 2:
-        return values[j - 2], values[j - 1]
-    return None

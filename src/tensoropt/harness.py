@@ -197,7 +197,6 @@ def solver_config(cfg: ExperimentConfig) -> SolverConfig:
         max_iters=cfg.max_iters,
         target_gap=cfg.target_gap,
         measure_time=cfg.measure_time,
-        seed=cfg.seed,
         zeta_policy=AccuracyPolicy.parse(cfg.zeta_policy) if cfg.zeta_policy else None,
         inner_policy=AccuracyPolicy.parse(cfg.inner_policy) if cfg.inner_policy else None,
     )
@@ -267,8 +266,10 @@ def summarize(run: SolverRun, cfg: ExperimentConfig, fstar_source: str | None) -
 # ---------------------------------------------------------------------------
 
 def _reference_key(cfg: ExperimentConfig) -> str:
+    # every field the reference solve below reads
     payload = json.dumps(
-        {"problem": cfg.problem, "composite": cfg.composite, "seed": cfg.seed},
+        {"problem": cfg.problem, "composite": cfg.composite, "seed": cfg.seed,
+         "p": cfg.p, "x0": cfg.x0, "max_iters": cfg.max_iters},
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

@@ -6,7 +6,8 @@ Three non-accelerated drivers share the same machinery:
   decrease the objective; rejected candidates are kept as warm starts and the
   next tolerance is capped at half the rejected one.
 * ``monotone2`` -- every iteration produces a strictly decreasing point by
-  refining the tolerance in place (see ``subsolvers.monotone_step``).
+  refining the tolerance in place under every H mode (see
+  ``subsolvers.monotone_step``).
 * ``averaging`` -- steps are taken from a convex combination of the current
   iterate and the starting point; no monotonicity is enforced.
 
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import TensorModel
-from .policies import AccuracyPolicy, power
-from .subsolvers import SubsolverStall, monotone_step, solve_model
+from .policies import AccuracyPolicy, power, precision_floor
+from .subsolvers import SubsolverStall, model_solver, monotone_step, solve_model
 
 TRACE_COLUMNS = (
     "k", "F", "gap", "delta_requested", "delta_certified",
@@ -47,9 +48,7 @@ class SolverConfig:
     max_iters: int = 100
     target_gap: float | None = None
     grad_tol: float | None = None
-    delta_floor: float | None = None
     measure_time: bool = False
-    seed: int = 0
     zeta_policy: AccuracyPolicy | None = None   # accelerated only
     inner_policy: AccuracyPolicy | None = None  # accelerated only
 
@@ -146,11 +145,6 @@ class SolverRun:
     radius_proxy: float | None = None
     wall_time_s: float = 0.0
 
-    def gaps(self):
-        if self.fstar is None:
-            return None
-        return [r.F - self.fstar for r in self.records]
-
     def objective_series(self):
         return [r.F for r in self.records]
 
@@ -176,6 +170,7 @@ class _Runner:
         self.points: list[np.ndarray] = []
         self.t0 = time.perf_counter()
         self.H_state = config.h_value if config.h_value else 1.0
+        self.H_used = None  # weight of the last step
 
     # -- objective and models ------------------------------------------------
 
@@ -185,11 +180,6 @@ class _Runner:
     def build_model(self, center, H) -> TensorModel:
         return TensorModel(self.oracle, self.composite, center, H, p=self.config.p,
                            want_hessian=self.want_hessian)
-
-    def floor(self, f0: float) -> float:
-        if self.config.delta_floor is not None:
-            return self.config.delta_floor
-        return 1e-14 * max(1.0, abs(f0))
 
     def fixed_H(self) -> float:
         cfg = self.config
@@ -206,7 +196,7 @@ class _Runner:
         raise ValueError("line-search mode has no fixed H")
 
     def line_search(self, center, delta, warm=None):
-        """Double H until F(T) <= model(T); returns (result, H_used).
+        """Double H until F(T) <= model(T); the accepted weight lands in H_used.
 
         H_state holds the starting weight for the next search: the first
         search starts at the configured value, later ones at half the weight
@@ -221,8 +211,9 @@ class _Runner:
             fT = self.F(res.point)
             if fT <= res.model_value + 1e-12 * max(1.0, abs(res.model_value)):
                 self.H_state = H / 2.0
+                self.H_used = H
                 res.objective_value = fT
-                return res, H
+                return res
             warm = res.point
             H *= 2.0
             if H > 2.0**60 * H_start:
@@ -230,15 +221,17 @@ class _Runner:
                     "line search exceeded 2^60 doublings; derivative order likely not Lipschitz"
                 )
 
-    def solve_at(self, center, delta, warm=None):
-        """One inexact step at the configured H mode; returns (result, H_used)."""
+    def solver(self, center):
+        """``solve(delta, warm)`` at a center under the configured H mode.
+
+        Each step comes back with ``objective_value`` set. A fixed or
+        Lipschitz weight builds the model once, here, for every call.
+        """
         if self.config.h_mode == "linesearch":
-            return self.line_search(center, delta, warm=warm)
-        H = self.fixed_H()
-        model = self.build_model(center, H)
-        res = solve_model(model, delta, warm_start=warm,
-                          kind=self.config.subsolver, stop=self.config.stop)
-        return res, H
+            return lambda delta, warm=None: self.line_search(center, delta, warm)
+        self.H_used = self.fixed_H()
+        return model_solver(self.build_model(center, self.H_used), self.F,
+                            kind=self.config.subsolver, stop=self.config.stop)
 
     # -- tracing ---------------------------------------------------------------
 
@@ -287,17 +280,12 @@ class _Runner:
         )
 
 
-def _policy_history(values, k):
-    if k >= 2:
-        return values[k - 2], values[k - 1]
-    return None
-
-
 def monotone1(problem, x0, config: SolverConfig) -> SolverRun:
     """Correction scheme: keep the previous point unless the candidate improves."""
     run = _Runner(problem, config, x0, "monotone1")
     x = run.x0.copy()
     f_x = run.F(x)
+    floor = precision_floor(f_x)
     values = [f_x]
     run.record(0, f_x, x)
     if run.hit_target(f_x):
@@ -306,16 +294,14 @@ def monotone1(problem, x0, config: SolverConfig) -> SolverRun:
     delta_cap = np.inf
     status = "max_iters"
     for k in range(1, config.max_iters + 1):
-        delta_req = config.policy.delta(k, _policy_history(values, k))
-        delta = min(delta_req, delta_cap)
+        delta = min(config.policy.delta(k, values), delta_cap)
         try:
-            res, H = run.solve_at(x, max(delta, run.floor(values[0])), warm=warm)
+            res = run.solver(x)(max(delta, floor), warm)
         except SubsolverStall:
             status = "stalled"
             break
-        f_T = res.objective_value if res.objective_value is not None else run.F(res.point)
-        if f_T < f_x:
-            x, f_x = res.point, f_T
+        if res.objective_value < f_x:
+            x, f_x = res.point, res.objective_value
             warm = None
             delta_cap = np.inf
         else:
@@ -323,13 +309,13 @@ def monotone1(problem, x0, config: SolverConfig) -> SolverRun:
             warm = res.point
             delta_cap = delta / 2.0
             if res.certified_residual <= 0.0:
-                run.record(k, f_x, x, delta, res.certified_residual, H,
+                run.record(k, f_x, x, delta, res.certified_residual, run.H_used,
                            res.inner_iterations, res.grad_dual_norm)
                 values.append(f_x)
                 status = "stationary"
                 break
         values.append(f_x)
-        run.record(k, f_x, x, delta, res.certified_residual, H,
+        run.record(k, f_x, x, delta, res.certified_residual, run.H_used,
                    res.inner_iterations, res.grad_dual_norm)
         if run.hit_target(f_x) or run.grad_converged(x):
             status = "target_reached"
@@ -342,16 +328,16 @@ def monotone2(problem, x0, config: SolverConfig) -> SolverRun:
     run = _Runner(problem, config, x0, "monotone2")
     x = run.x0.copy()
     f_x = run.F(x)
-    floor = run.floor(f_x)
+    floor = precision_floor(f_x)
     values = [f_x]
     run.record(0, f_x, x)
     if run.hit_target(f_x):
         return run.finish("target_reached", x, f_x)
     status = "max_iters"
     for k in range(1, config.max_iters + 1):
-        delta_req = config.policy.delta(k, _policy_history(values, k))
+        delta_req = config.policy.delta(k, values)
         try:
-            res, H = _monotone_solve(run, x, delta_req, floor)
+            res = monotone_step(f_x, run.solver(x), delta_req, floor)
         except SubsolverStall:
             status = "stalled"
             break
@@ -360,7 +346,7 @@ def monotone2(problem, x0, config: SolverConfig) -> SolverRun:
             break
         x, f_x = res.point, res.objective_value
         values.append(f_x)
-        run.record(k, f_x, x, delta_req, res.certified_residual, H,
+        run.record(k, f_x, x, delta_req, res.certified_residual, run.H_used,
                    res.inner_iterations, res.grad_dual_norm)
         if run.hit_target(f_x) or run.grad_converged(x):
             status = "target_reached"
@@ -368,41 +354,11 @@ def monotone2(problem, x0, config: SolverConfig) -> SolverRun:
     return run.finish(status, x, f_x)
 
 
-def _monotone_solve(run: _Runner, x, delta, floor):
-    """Strictly decreasing step under the configured H mode."""
-    cfg = run.config
-    if cfg.h_mode != "linesearch":
-        H = run.fixed_H()
-        model = run.build_model(x, H)
-        res = monotone_step(run.F, model, delta, floor,
-                            kind=cfg.subsolver, stop=cfg.stop)
-        return res, H
-    # line-searched variant of the same refinement loop
-    f_x = run.F(x)
-    delta_eff = max(float(delta), floor)
-    warm = None
-    total_inner = 0
-    while True:
-        res, H = run.line_search(x, delta_eff, warm=warm)
-        total_inner += res.inner_iterations
-        if res.objective_value < f_x:
-            res.inner_iterations = total_inner
-            res.delta_used = delta_eff
-            return res, H
-        if res.certified_residual <= 0.0:
-            res.inner_iterations = total_inner
-            res.stationary = True
-            return res, H
-        warm = res.point
-        delta_eff *= 0.5
-        if delta_eff < floor:
-            res.inner_iterations = total_inner
-            res.stationary = True
-            return res, H
-
-
 def averaging(problem, x0, config: SolverConfig) -> SolverRun:
     """Steps taken from lambda_k x_k + (1 - lambda_k) x_0 with lambda_k = (k/(k+1))^{p+1}."""
+    if config.policy.kind == "adaptive":
+        raise ValueError("averaging does not support an adaptive policy: "
+                         "it keeps no monotone objective history")
     run = _Runner(problem, config, x0, "averaging")
     x = run.x0.copy()
     f_x = run.F(x)
@@ -410,19 +366,18 @@ def averaging(problem, x0, config: SolverConfig) -> SolverRun:
     if run.hit_target(f_x):
         return run.finish("target_reached", x, f_x)
     status = "max_iters"
-    floor = run.floor(f_x)
+    floor = precision_floor(f_x)
     for k in range(config.max_iters):
         lam = (k / (k + 1.0)) ** (config.p + 1)
         y = lam * x + (1.0 - lam) * run.x0
         delta = max(config.policy.delta(k + 1), floor)
         try:
-            res, H = run.solve_at(y, delta)
+            res = run.solver(y)(delta)
         except SubsolverStall:
             status = "stalled"
             break
-        x = res.point
-        f_x = res.objective_value if res.objective_value is not None else run.F(x)
-        run.record(k + 1, f_x, x, delta, res.certified_residual, H,
+        x, f_x = res.point, res.objective_value
+        run.record(k + 1, f_x, x, delta, res.certified_residual, run.H_used,
                    res.inner_iterations, res.grad_dual_norm)
         if run.hit_target(f_x) or run.grad_converged(x):
             status = "target_reached"

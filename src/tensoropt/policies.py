@@ -25,6 +25,11 @@ def condition_number(p: int, lipschitz: float, sigma: float) -> float:
     return max((p + 1) ** 2 * lipschitz / (math.factorial(p) * sigma), 1.0)
 
 
+def precision_floor(f: float) -> float:
+    """Smallest inner tolerance worth requesting around objective value f."""
+    return 1e-14 * max(1.0, abs(f))
+
+
 def strong_convexity_c_bound(p: int, omega: float) -> tuple[float, float]:
     """(supremum, recommended value) of c for a linear rate at condition number omega."""
     if omega < 1:
@@ -57,8 +62,9 @@ class AccuracyPolicy:
     def delta(self, k: int, history=None) -> float:
         """Tolerance for iteration k >= 1.
 
-        ``history`` is the pair (F(x_{k-2}), F(x_{k-1})), required by the
-        adaptive kind for k >= 2.
+        ``history`` is a sequence of objective values ending in
+        (..., F(x_{k-2}), F(x_{k-1})); the adaptive kind reads its last two
+        entries for k >= 2.
         """
         if k < 1:
             raise ValueError("iteration counter starts at 1")
@@ -70,7 +76,7 @@ class AccuracyPolicy:
             return self.delta1
         if history is None or len(history) < 2:
             raise ValueError("adaptive policy needs the last two objective values")
-        progress = float(history[0]) - float(history[1])
+        progress = float(history[-2]) - float(history[-1])
         if progress < 0:
             raise ValueError("adaptive policy requires a monotone driver (negative progress)")
         if progress == 0.0:

@@ -334,12 +334,6 @@ class QuadraticComposite(PowerComposite):
     def __init__(self, mu: float, center, norm: NormOperator):
         super().__init__(mu, 2.0, center, norm)
 
-    @staticmethod
-    def ball_uniform_convexity(mu: float, degree: int, radius: float) -> float:
-        """Uniform-convexity parameter of a quadratic on a ball of given radius."""
-        p = degree - 1
-        return degree * mu / (2.0**p * radius ** (p - 1))
-
 
 # ---------------------------------------------------------------------------
 # datasets and problem instances

@@ -330,43 +330,42 @@ def solve_model(model: TensorModel, delta: float, warm_start=None,
     return fgm_step(model, delta, warm_start=warm_start, stop=stop, model_min=model_min)
 
 
-def monotone_step(objective, model: TensorModel, delta: float, floor: float,
-                  kind: str = "fgm", stop: str = "bound", warm_start=None) -> StepResult:
+def model_solver(model: TensorModel, objective, kind: str = "fgm", stop: str = "bound"):
+    """``monotone_step``'s ``solve`` callable for one frozen model and objective F."""
+    def solve(delta, warm=None):
+        res = solve_model(model, delta, warm_start=warm, kind=kind, stop=stop)
+        res.objective_value = objective(res.point)
+        return res
+    return solve
+
+
+def monotone_step(f_center: float, solve, delta: float, floor: float) -> StepResult:
     """Inexact step with enforced strict decrease of the true objective.
 
-    If the candidate does not decrease F, the tolerance is halved and the
-    subsolver resumes from the previous candidate, until either a decrease is
-    found or the tolerance reaches the floor. Hitting the floor without any
-    decrease is reported as stationarity (the center is floor-optimal for the
-    model, hence nearly stationary for F).
+    ``solve(delta, warm)`` returns a step at tolerance delta started from
+    ``warm`` (None, on the first call: the center) with ``objective_value`` set to F at its
+    point. If that value does not decrease F below ``f_center``, the tolerance
+    is halved and ``solve`` resumes from the rejected point; inner iterations
+    are summed across the retries. A step that does not decrease F is
+    reported as stationary when its certificate is zero (it minimizes the
+    model, so halving cannot help) or when the halved tolerance would fall
+    below the floor (the center is floor-optimal for the model, hence nearly
+    stationary for F).
     """
     if floor <= 0:
         raise ValueError("floor must be positive")
-    f_center = model.f0 + model.composite.value(model.center)
     delta_eff = max(float(delta), floor)
     total_inner = 0
-    warm = warm_start
+    warm = None
     while True:
-        res = solve_model(model, delta_eff, warm_start=warm, kind=kind, stop=stop)
+        res = solve(delta_eff, warm)
         total_inner += res.inner_iterations
-        f_new = objective(res.point)
-        if f_new < f_center:
-            res.inner_iterations = total_inner
-            res.delta_used = delta_eff
-            res.objective_value = f_new
+        res.inner_iterations = total_inner
+        res.delta_used = delta_eff
+        if res.objective_value < f_center:
             return res
-        if res.certified_residual <= 0.0 and res.certification in ("exact_oracle", "closed_form"):
-            # an exact step that cannot strictly decrease: center is optimal
-            res.inner_iterations = total_inner
-            res.delta_used = delta_eff
-            res.objective_value = f_new
+        if res.certified_residual <= 0.0 or 0.5 * delta_eff < floor:
             res.stationary = True
             return res
         delta_eff *= 0.5
         warm = res.point
-        if delta_eff < floor:
-            res.inner_iterations = total_inner
-            res.delta_used = delta_eff
-            res.objective_value = f_new
-            res.stationary = True
-            return res

@@ -75,3 +75,11 @@ def brute_force_model_min(model, rng, n_starts=8):
         v = model.value(model.center + d)
         best = v if best is None else min(best, v)
     return best
+
+
+def forbid_oracle_calls(monkeypatch, oracle):
+    """Make every oracle call on ``oracle`` fail the test."""
+    def fail(*args):
+        raise AssertionError("oracle called")
+    for attr in ("value", "gradient", "hessian_vec", "hessian"):
+        monkeypatch.setattr(oracle, attr, fail)

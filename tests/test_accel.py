@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import forbid_oracle_calls
+
 from tensoropt.accel import (
     BregmanComposite,
     PowerProx,
@@ -188,6 +190,14 @@ class TestAccelerated:
                           inner_policy=adaptive(1.0, 1.0, delta1=0.5))
         run = accelerated(chain, np.ones(6), cfg)
         assert run.records[-1].gap < run.records[0].gap
+
+    def test_rejects_adaptive_zeta_policy_before_any_oracle_call(self, monkeypatch):
+        prob = generate_shifted_logsumexp(10, 60, 1.0, 0)
+        forbid_oracle_calls(monkeypatch, prob.smooth)
+        cfg = SolverConfig(p=2, h_mode="fixed", h_value=1.0, max_iters=5,
+                           zeta_policy=adaptive(1, 1))
+        with pytest.raises(ValueError, match="accelerated .*adaptive zeta_policy"):
+            accelerated(prob, np.ones(10), cfg)
 
     def test_needs_lipschitz_or_surrogate(self):
         chain = powered_chain_oracle(5, 4.0, 1.0)  # no known constant for q=4

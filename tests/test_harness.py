@@ -207,6 +207,14 @@ class TestReferenceOptimum:
         assert f1 == f2
         assert src1 == "reference-run" and src2 == "reference-cached"
 
+    @pytest.mark.parametrize("field, value", [("p", 1), ("x0", "ones"), ("max_iters", 30)])
+    def test_every_field_the_solve_reads_is_in_the_key(self, tmp_path, field, value):
+        problem = {"name": "logistic-synth", "n": 6, "m": 30, "l2": 0.1, "scale": 0.5}
+        reference_fstar(small_cfg(problem=problem), cache_dir=str(tmp_path))
+        _, src = reference_fstar(small_cfg(problem=problem, **{field: value}),
+                                 cache_dir=str(tmp_path))
+        assert src == "reference-run"
+
 
 class TestCli:
     def test_run_with_flags(self, tmp_path, capsys):

@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import forbid_oracle_calls
+
 from tensoropt.linalg import NormOperator
 from tensoropt.methods import (
     DivergenceError,
@@ -162,6 +164,15 @@ class TestAveraging:
         run = averaging(prob, np.ones(6), cfg)
         assert run.status in ("max_iters", "target_reached")
         assert run.records[-1].gap < run.records[0].gap
+
+
+    def test_rejects_adaptive_policy_before_any_oracle_call(self, monkeypatch):
+        # the schedule needs the objective history, which averaging does not keep
+        prob = generate_shifted_logsumexp(10, 60, 1.0, 0)
+        forbid_oracle_calls(monkeypatch, prob.smooth)
+        cfg = SolverConfig(p=2, h_mode="lipschitz", policy=adaptive(1, 1), max_iters=5)
+        with pytest.raises(ValueError, match="averaging .*adaptive policy"):
+            averaging(prob, np.ones(10), cfg)
 
 
 class TestOrderOne:

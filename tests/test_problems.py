@@ -228,11 +228,6 @@ class TestComposites:
         for _ in range(20):
             assert psi.value(rng.normal(size=3)) >= 0.0
 
-    def test_quadratic_ball_parameter(self):
-        # degree p+1 on a radius-D ball: (p+1) mu / (2^p D^{p-1})
-        assert QuadraticComposite.ball_uniform_convexity(2.0, 3, 4.0) == pytest.approx(
-            3 * 2.0 / (4.0 * 4.0))
-
     def test_quadratic_coeff_detection(self):
         norm = NormOperator.identity(2)
         quad = QuadraticComposite(0.7, np.zeros(2), norm)

@@ -15,10 +15,12 @@ from tensoropt.problems import (
     generate_shifted_logsumexp,
 )
 from tensoropt.subsolvers import (
+    StepResult,
     SubsolverStall,
     exact_cubic_step,
     fgm_step,
     gradient_step,
+    model_solver,
     monotone_step,
     residual_bound,
     solve_model,
@@ -246,10 +248,15 @@ class TestMonotoneStep:
         model = TensorModel(prob.smooth, prob.composite, x, H=H, p=2, want_hessian=True)
         return prob, model
 
+    @staticmethod
+    def _step(prob, model, delta, floor, kind):
+        return monotone_step(prob.value(model.center), model_solver(model, prob.value, kind=kind),
+                             delta=delta, floor=floor)
+
     def test_strict_decrease_away_from_optimum(self):
         prob, model = self._lse_model()
         f_x = prob.value(model.center)
-        res = monotone_step(prob.value, model, delta=1e-3, floor=1e-12, kind="exact")
+        res = self._step(prob, model, delta=1e-3, floor=1e-12, kind="exact")
         assert res.objective_value < f_x
         assert not res.stationary
 
@@ -258,14 +265,14 @@ class TestMonotoneStep:
         x_star = prob.known_optimum[0]
         model = TensorModel(prob.smooth, prob.composite, x_star, H=4.0, p=2,
                             want_hessian=True)
-        res = monotone_step(prob.value, model, delta=1e-3, floor=1e-10, kind="exact")
+        res = self._step(prob, model, delta=1e-3, floor=1e-10, kind="exact")
         assert res.stationary
 
     def test_refinement_triggers_on_loose_tolerance(self):
         # a huge tolerance certifies the center itself; the loop must tighten
         # it until a strictly better point appears
         prob, model = self._lse_model()
-        res = monotone_step(prob.value, model, delta=1e6, floor=1e-12, kind="fgm")
+        res = self._step(prob, model, delta=1e6, floor=1e-12, kind="fgm")
         assert res.objective_value < prob.value(model.center)
         assert res.delta_used < 1e6
 
@@ -273,10 +280,64 @@ class TestMonotoneStep:
         # with H = p L_p: F(T) <= F(y) + (p+1) L_p ||y-x||^{p+1} / (p+1)! + delta
         prob, model = self._lse_model(H=4.0)
         delta = 1e-4
-        res = monotone_step(prob.value, model, delta=delta, floor=1e-12, kind="fgm")
+        res = self._step(prob, model, delta=delta, floor=1e-12, kind="fgm")
         rng = np.random.default_rng(16)
         L = prob.smooth.lipschitz[2]
         for _ in range(20):
             y = model.center + rng.normal(size=6)
             rhs = prob.value(y) + (2 + 1) * L * prob.norm.primal(y - model.center) ** 3 / 6.0 + delta
             assert prob.value(res.point) <= rhs + 1e-10
+
+
+class ScriptedSolve:
+    """Stub ``solve``: call i returns objective values[i] and certificate certs[i]."""
+
+    def __init__(self, values, certs=None):
+        self.values = values
+        self.certs = certs or [1.0] * len(values)
+        self.calls = []
+
+    def __call__(self, delta, warm):
+        i = len(self.calls)
+        self.calls.append((delta, warm))
+        return StepResult(point=np.full(2, float(i)), certified_residual=self.certs[i],
+                          inner_iterations=i + 1, certification="bound", model_value=0.0,
+                          objective_value=self.values[i])
+
+
+class TestMonotoneStepLoop:
+    def test_halves_delta_and_warm_starts_from_the_rejected_point(self):
+        solve = ScriptedSolve([2.0, 2.0, 2.0, 0.5])
+        res = monotone_step(1.0, solve, delta=0.8, floor=1e-3)
+        assert [d for d, _ in solve.calls] == [0.8, 0.4, 0.2, 0.1]
+        warms = [w for _, w in solve.calls]
+        assert warms[0] is None
+        for i in range(1, 4):
+            np.testing.assert_array_equal(warms[i], np.full(2, float(i - 1)))
+        np.testing.assert_array_equal(res.point, np.full(2, 3.0))
+        assert res.objective_value == 0.5 and not res.stationary
+        assert res.delta_used == 0.1
+        assert res.inner_iterations == 1 + 2 + 3 + 4
+
+    def test_delta_is_raised_to_the_floor(self):
+        solve = ScriptedSolve([0.5])
+        monotone_step(1.0, solve, delta=1e-6, floor=1e-3)
+        assert solve.calls[0][0] == 1e-3
+
+    def test_zero_certificate_without_decrease_is_stationary(self):
+        solve = ScriptedSolve([1.0], certs=[0.0])
+        res = monotone_step(1.0, solve, delta=0.8, floor=1e-3)
+        assert res.stationary and len(solve.calls) == 1
+
+    def test_stationary_once_the_halved_delta_would_pass_the_floor(self):
+        solve = ScriptedSolve([2.0, 2.0, 2.0])
+        res = monotone_step(1.0, solve, delta=1.0, floor=0.3)
+        assert [d for d, _ in solve.calls] == [1.0, 0.5]
+        assert res.stationary and res.inner_iterations == 1 + 2
+
+    def test_rejects_nonpositive_floor(self):
+        solve = ScriptedSolve([0.5])
+        for floor in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                monotone_step(1.0, solve, delta=1.0, floor=floor)
+        assert solve.calls == []
