@@ -434,7 +434,10 @@ def compare(configs, out_root=None) -> dict:
         fstar, _ = reference_fstar(configs[0], cache_dir=out_root)
     fstar = min([fstar] + [min(r.F for r in run.records) for _, run, _ in runs])
 
+    # method/policy names a run unless another config shares it; then every
+    # sharer gets its config index, so no run overwrites another in the tables
     labels = [f"{cfg.method}/{cfg.policy}" for cfg, _, _ in runs]
+    labels = [f"{lab}#{i}" if labels.count(lab) > 1 else lab for i, lab in enumerate(labels)]
     report = {"schema": SCHEMA_VERSION, "fstar": fstar, "labels": labels, "targets": {}}
     for target in (1e-4, 1e-6, 1e-8):
         entry = {"iterations": {}, "hvp_count": {}, "time_s": {}}

@@ -195,9 +195,10 @@ class _Runner:
             return cfg.p * L
         raise ValueError("line-search mode has no fixed H")
 
-    def line_search(self, center, delta, warm=None):
+    def line_search(self, model, delta, warm=None):
         """Double H until F(T) <= model(T); the accepted weight lands in H_used.
 
+        Every trial weight reweights the one model frozen at the center.
         H_state holds the starting weight for the next search: the first
         search starts at the configured value, later ones at half the weight
         last accepted.
@@ -205,8 +206,7 @@ class _Runner:
         H = max(self.H_state, 1e-12)
         H_start = H
         while True:
-            model = self.build_model(center, H)
-            res = solve_model(model, delta, warm_start=warm,
+            res = solve_model(model.with_weight(H), delta, warm_start=warm,
                               kind=self.config.subsolver, stop=self.config.stop)
             fT = self.F(res.point)
             if fT <= res.model_value + 1e-12 * max(1.0, abs(res.model_value)):
@@ -224,11 +224,12 @@ class _Runner:
     def solver(self, center):
         """``solve(delta, warm)`` at a center under the configured H mode.
 
-        Each step comes back with ``objective_value`` set. A fixed or
-        Lipschitz weight builds the model once, here, for every call.
+        Each step comes back with ``objective_value`` set. The model is built
+        once, here, for every call; a line search reweights it per trial.
         """
         if self.config.h_mode == "linesearch":
-            return lambda delta, warm=None: self.line_search(center, delta, warm)
+            model = self.build_model(center, max(self.H_state, 1e-12))
+            return lambda delta, warm=None: self.line_search(model, delta, warm)
         self.H_used = self.fixed_H()
         return model_solver(self.build_model(center, self.H_used), self.F,
                             kind=self.config.subsolver, stop=self.config.stop)

@@ -11,6 +11,7 @@ wrong; a dedicated unit test pins it.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -53,28 +54,40 @@ class TensorModel:
             return self.hess @ np.asarray(d, dtype=float)
         return self.oracle.hessian_vec(self.center, d)
 
-    def taylor_value(self, y) -> float:
+    def taylor_value(self, y, hd=None) -> float:
         """Value of the order-p Taylor polynomial of f alone."""
         d = np.asarray(y, dtype=float) - self.center
         t = self.f0 + float(self.g0 @ d)
         if self.p == 2:
-            t += 0.5 * float(self.hess_action(d) @ d)
+            t += 0.5 * float((self.hess_action(d) if hd is None else hd) @ d)
         return t
 
-    def value(self, y) -> float:
+    def value(self, y, hd=None) -> float:
+        """Model value at y; ``hd``, if given, is the curvature product H·(y − center)."""
         d = np.asarray(y, dtype=float) - self.center
         r = self.norm.primal(d)
-        return self.taylor_value(y) + self._reg_scale * r ** (self.p + 1) + self.composite.value(y)
+        return (self.taylor_value(y, hd) + self._reg_scale * r ** (self.p + 1)
+                + self.composite.value(y))
 
-    def gradient(self, y) -> np.ndarray:
+    def gradient(self, y, hd=None) -> np.ndarray:
+        """Model gradient at y; ``hd`` as in ``value``, computed here when omitted."""
         y = np.asarray(y, dtype=float)
         d = y - self.center
         g = self.g0.copy()
         if self.p == 2:
-            g = g + self.hess_action(d)
+            g = g + (self.hess_action(d) if hd is None else hd)
         r = self.norm.primal(d)
         g = g + (self.H / math.factorial(self.p)) * r ** (self.p - 1) * self.norm.apply(d)
         return g + self.composite.gradient(y)
+
+    def with_weight(self, H: float) -> "TensorModel":
+        """The same frozen model under another regularization weight (no oracle call)."""
+        if H <= 0:
+            raise ValueError("regularization weight H must be positive")
+        other = copy.copy(self)
+        other.H = float(H)
+        other._reg_scale = other.H / math.factorial(self.p + 1)
+        return other
 
     def uniform_convexity(self) -> float:
         """Degree-(p+1) uniform convexity available from the regularizer and psi.

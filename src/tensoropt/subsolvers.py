@@ -8,7 +8,10 @@ Three ways to produce a step:
   quadratic composite folded in (zero residual).
 * ``fgm_step``          -- accelerated gradient loop with backtracking step
   sizes and function-increase restarts, stopped by a computable residual
-  certificate or by comparison against the exact model minimum.
+  certificate or by comparison against the exact model minimum. It carries
+  the curvature products H·(x − center) next to its iterates, so an iteration
+  costs one Hessian-vector product and one norm solve; every certificate it
+  returns is recomputed from a fresh product.
 
 The certificate comes from uniform convexity of the model: a function that is
 uniformly convex of degree q with parameter sigma satisfies
@@ -205,13 +208,14 @@ def exact_cubic_step(model: TensorModel) -> StepResult:
 
     d = norm.inv_sqrt_apply(V @ u)
     T = model.center + d
+    hd = model.hess_action(T - model.center)
     return StepResult(
         point=T,
         certified_residual=0.0,
         inner_iterations=1,
         certification="exact_oracle",
-        model_value=model.value(T),
-        grad_dual_norm=model.norm.dual(model.gradient(T)),
+        model_value=model.value(T, hd),
+        grad_dual_norm=model.norm.dual(model.gradient(T, hd)),
         delta_used=0.0,
     )
 
@@ -235,6 +239,16 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None, stop: str = "bou
     is within delta of ``model_min`` (the caller supplies the exact minimum).
     Momentum restarts whenever the model value fails to improve on the best
     seen, which keeps the recorded best value non-increasing.
+
+    The curvature part of the model is linear, so the products H·(x − center)
+    are carried next to the iterates and updated the way the iterates are:
+    each iteration spends one Hessian-vector product, on the step direction
+    B⁻¹∇m(y), and one norm solve, which also gives the dual norm. Backtracking
+    probes and restarts cost none. A certificate that passes on a carried
+    product is recomputed from a fresh one before it is returned, so rounding
+    drift in the carried products can steer the path but never the reported
+    certificate, model value or gradient norm; the stall path does the same.
+    A cold start uses the zero product at the center; a warm start costs one.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -243,72 +257,78 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None, stop: str = "bou
     if stop == "exact" and model_min is None:
         raise ValueError("stop='exact' needs the exact model minimum")
     cap = _default_cap(delta) if max_iters is None else max_iters
-
     norm = model.norm
-    x = np.asarray(warm_start, dtype=float).copy() if warm_start is not None else model.center.copy()
-    x_prev = x.copy()
-    f_x = model.value(x)
-    best_x, best_f = x.copy(), f_x
+    center = model.center
+    sigma = model.uniform_convexity()
 
-    def finish(point, cert, gn, iters):
+    def probe(y, hy):
+        """(step direction, dual gradient norm, model value, certificate) at y."""
+        grad = model.gradient(y, hy)
+        step_dir = norm.solve(grad)
+        gn = math.sqrt(max(0.0, float(grad @ step_dir)))
+        f = model.value(y, hy)
+        cert = (f - model_min) if stop == "exact" else residual_bound(gn, sigma, model.p + 1)
+        return step_dir, gn, f, cert
+
+    def finish(point, gn, f, cert, iters):
         return StepResult(
             point=point.copy(),
             certified_residual=max(0.0, float(cert)),
             inner_iterations=iters,
             certification="exact_oracle" if stop == "exact" else "bound",
-            model_value=model.value(point),
+            model_value=f,
             grad_dual_norm=gn,
             delta_used=delta,
         )
 
-    grad0 = model.gradient(x)
-    gn0 = norm.dual(grad0)
-    cert0 = (f_x - model_min) if stop == "exact" else residual_bound(
-        gn0, model.uniform_convexity(), model.p + 1)
-    if cert0 <= delta:
-        return finish(x, cert0, gn0, 0)
+    # arrays are never updated in place, so iterates and products may alias
+    if warm_start is None:
+        x, hx = center, np.zeros_like(center)
+    else:
+        x = np.asarray(warm_start, dtype=float)
+        hx = model.hess_action(x - center)
+    step_dir, gn, f_y, cert = probe(x, hx)
+    if cert <= delta:
+        return finish(x, gn, f_y, cert, 0)
 
+    y, hy = x, hx
+    best_x, best_hx, best_f = x, hx, f_y
     L = 1.0
     t_prev, t_acc = 1.0, 1.0
     for it in range(1, cap + 1):
-        beta = (t_prev - 1.0) / t_acc
-        y = x + beta * (x - x_prev)
-        grad_y = model.gradient(y)
-        gn = norm.dual(grad_y)
-        if stop == "bound":
-            cert = residual_bound(gn, model.uniform_convexity(), model.p + 1)
-            if cert <= delta:
-                return finish(y, cert, gn, it)
-            f_y = model.value(y)
-        else:
-            f_y = model.value(y)
-            cert = f_y - model_min
-            if cert <= delta:
-                return finish(y, cert, gn, it)
-
-        step_dir = norm.solve(grad_y)
-        gn2 = float(grad_y @ step_dir)
+        hs = model.hess_action(step_dir)
         L = max(L * 0.5, 1e-12)
         for _ in range(120):
             x_new = y - step_dir / L
-            f_new = model.value(x_new)
-            if f_new <= f_y - 0.5 * gn2 / L + 1e-15 * abs(f_y):
+            hx_new = hy - hs / L
+            f_new = model.value(x_new, hx_new)
+            if f_new <= f_y - 0.5 * gn * gn / L + 1e-15 * abs(f_y):
                 break
             L *= 2.0
-        x_prev, x = x, x_new
+        x_prev, x, hx_prev, hx = x, x_new, hx, hx_new
         t_prev, t_acc = t_acc, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc**2))
         if f_new > best_f:
             # overshoot: restart the momentum from the best point
-            x_prev, x = best_x.copy(), best_x.copy()
+            x_prev, x, hx_prev, hx = best_x, best_x, best_hx, best_hx
             t_prev, t_acc = 1.0, 1.0
         else:
-            best_x, best_f = x_new.copy(), f_new
+            best_x, best_hx, best_f = x_new, hx_new, f_new
+        # iteration it + 1 begins by certifying its extrapolated point (the
+        # first iteration's point is the start, certified above)
+        if it == cap:
+            break
+        beta = (t_prev - 1.0) / t_acc
+        y = x + beta * (x - x_prev)
+        hy = hx + beta * (hx - hx_prev)
+        step_dir, gn, f_y, cert = probe(y, hy)
+        if cert <= delta:
+            hy = model.hess_action(y - center)
+            step_dir, gn, f_y, cert = probe(y, hy)
+            if cert <= delta:
+                return finish(y, gn, f_y, cert, it + 1)
 
-    grad_b = model.gradient(best_x)
-    gn_b = norm.dual(grad_b)
-    cert_b = (best_f - model_min) if stop == "exact" else residual_bound(
-        gn_b, model.uniform_convexity(), model.p + 1)
-    best = finish(best_x, cert_b, gn_b, cap)
+    _, gn_b, f_b, cert_b = probe(best_x, model.hess_action(best_x - center))
+    best = finish(best_x, gn_b, f_b, cert_b, cap)
     raise SubsolverStall(f"no certificate <= {delta:g} within {cap} iterations", best)
 
 

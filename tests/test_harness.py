@@ -187,6 +187,20 @@ class TestCompare:
         assert "winners" in text
         assert os.path.exists(tmp_path / "comparison.json")
 
+    def test_configs_sharing_method_and_policy_keep_separate_entries(self):
+        a = small_cfg(method="monotone2", H="fixed:1", max_iters=40, target_gap=1e-8)
+        b = small_cfg(method="monotone2", H="fixed:8", max_iters=40, target_gap=1e-8)
+        c = small_cfg(method="monotone2", policy="power:1:2", max_iters=40, target_gap=1e-8)
+        report = compare([a, b, c])
+        labels = report["labels"]
+        assert labels == ["monotone2/power:1:3#0", "monotone2/power:1:3#1",
+                          "monotone2/power:1:2"]
+        for entry in report["targets"].values():
+            assert list(entry["hvp_count"]) == labels
+        gaps = report["gap_by_iteration"]
+        assert list(gaps) == labels
+        assert gaps[labels[0]] != gaps[labels[1]]    # the two weights are two runs
+
     def test_mismatched_instances_rejected(self):
         a = small_cfg(seed=1)
         b = small_cfg(seed=2)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import forbid_oracle_calls
 
+from tensoropt.harness import ExperimentConfig, execute
 from tensoropt.linalg import NormOperator
 from tensoropt.methods import (
     DivergenceError,
@@ -249,6 +250,19 @@ class TestLineSearch:
             run = monotone2(prob, np.ones(8), cfg)
         assert all(rec.H_used is not None and rec.H_used > 0 for rec in run.records[1:])
 
+    @pytest.mark.parametrize("subsolver", ["fgm", "exact"])
+    def test_one_model_per_center_across_doublings(self, subsolver):
+        prob = powered_chain_oracle(8, 3.0, 1.0)
+        cfg = SolverConfig(p=2, h_mode="linesearch", h_value=1e-4,
+                          policy=constant(1e-3), subsolver=subsolver, max_iters=6)
+        run = monotone2(prob, np.ones(8), cfg)
+        centers = len(run.records) - 1
+        assert run.status == "max_iters"
+        assert run.records[2].H_used > 1e3 * cfg.h_value   # the second search doubled
+        # one gradient (and, for exact steps, one dense Hessian) per center
+        assert run.counts["gradient"] == centers
+        assert run.counts["hessian"] == (centers if subsolver == "exact" else 0)
+
     def test_divergence_error_on_inconsistent_objective(self):
         class LiarOracle(SmoothOracle):
             dim = 1
@@ -331,6 +345,25 @@ class TestAccounting:
         assert run.records[0].delta_requested is None
         assert run.records[0].H_used is None
         assert run.records[0].time_s is None
+
+
+class TestInnerWork:
+    def test_gate_ten_instance_spends_about_one_product_per_inner_iteration(self):
+        # the acceptance policy study's adaptive:1:1 run; the bound allows one
+        # product per inner iteration plus two per outer iteration (a warm
+        # start and a fresh certificate)
+        cfg = ExperimentConfig(
+            problem={"name": "logsumexp", "n": 100, "m": 600, "mu": 1.0},
+            method="monotone2", p=2, H="fixed:1", policy="adaptive:1:1", x0="e1",
+            subsolver="fgm", stop="bound", max_iters=2000, target_gap=1e-8, seed=1,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run = execute(cfg)
+        assert run.status == "target_reached"
+        steps = run.records[1:]
+        inner = sum(rec.inner_iters for rec in steps)
+        assert run.records[-1].hvp_count <= inner + 2 * len(steps)
 
 
 class TestConfigValidation:

@@ -3,6 +3,7 @@ import pytest
 import scipy.optimize
 
 from tensoropt.linalg import NormOperator
+from tensoropt.methods import CountingOracle
 from tensoropt.model import TensorModel, model_upper_bound_check
 from tensoropt.problems import (
     QuadraticOracle,
@@ -127,3 +128,35 @@ class TestModelConvexity:
         assert model.uniform_convexity() == pytest.approx(2.0)
         model1 = _simple_quadratic_model(H=8.0, p=1)
         assert model1.uniform_convexity() == pytest.approx(8.0)
+
+
+class TestCurvatureProduct:
+    def _model(self, seed=6, H=2.0):
+        prob = generate_shifted_logsumexp(6, 36, 1.0, seed=seed)
+        oracle = CountingOracle(prob.smooth)
+        center = np.random.default_rng(seed).normal(size=6)
+        return TensorModel(oracle, prob.composite, center, H=H, p=2), oracle
+
+    def test_supplied_product_gives_the_same_value_and_gradient(self):
+        model, oracle = self._model()
+        y = model.center + np.random.default_rng(7).normal(size=6)
+        hd = model.hess_action(y - model.center)
+        before = oracle.n_hvp
+        assert model.value(y, hd) == model.value(y)
+        assert np.array_equal(model.gradient(y, hd), model.gradient(y))
+        # the calls with the product spend none; the two without spend one each
+        assert oracle.n_hvp - before == 2
+
+    def test_with_weight_matches_a_fresh_build_without_oracle_calls(self):
+        model, oracle = self._model(H=2.0)
+        y = model.center + np.random.default_rng(8).normal(size=6)
+        counts = oracle.counts()
+        heavier = model.with_weight(16.0)
+        assert oracle.counts() == counts
+        fresh, _ = self._model(H=16.0)
+        assert heavier.H == 16.0 and model.H == 2.0
+        assert heavier.value(y) == pytest.approx(fresh.value(y), rel=1e-14)
+        assert np.allclose(heavier.gradient(y), fresh.gradient(y), rtol=1e-14, atol=0)
+        assert heavier.uniform_convexity() == pytest.approx(fresh.uniform_convexity())
+        with pytest.raises(ValueError):
+            model.with_weight(0.0)

@@ -6,8 +6,10 @@ import pytest
 from conftest import brute_force_model_min, random_cubic_model
 
 from tensoropt.linalg import NormOperator
+from tensoropt.methods import CountingOracle
 from tensoropt.model import TensorModel
 from tensoropt.problems import (
+    LogSumExpOracle,
     PowerComposite,
     QuadraticComposite,
     QuadraticOracle,
@@ -239,6 +241,84 @@ class TestFgmStep:
         model = random_cubic_model(rng, n=2)
         with pytest.raises(ValueError):
             fgm_step(model, delta=0.0)
+
+
+def _counted_lse_model(p=2, norm_kind="dense", want_hessian=False, seed=21, n=6, m=30):
+    """Smoothed-max model away from its minimizer, on an HVP-counting oracle."""
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, n))
+    norm = NormOperator.gram(A) if norm_kind == "dense" else NormOperator.identity(n)
+    oracle = CountingOracle(LogSumExpOracle(A, b=rng.normal(size=m), mu=1.0, norm=norm))
+    return TensorModel(oracle, ZeroComposite(n), rng.normal(size=n), 2.0, p=p,
+                       want_hessian=want_hessian)
+
+
+def _assert_fresh_certificate(model, res, stop, model_min=None):
+    """The step's certificate, value and gradient norm equal a fresh recomputation."""
+    grad = model.gradient(res.point)
+    gn = model.norm.dual(grad)
+    f = model.value(res.point)
+    cert = (f - model_min) if stop == "exact" else residual_bound(
+        gn, model.uniform_convexity(), model.p + 1)
+    assert res.model_value == pytest.approx(f, rel=1e-12, abs=0)
+    assert res.grad_dual_norm == pytest.approx(gn, rel=1e-12, abs=0)
+    assert res.certified_residual == pytest.approx(max(0.0, cert), rel=1e-12, abs=0)
+
+
+class TestFgmCurvatureProducts:
+    def test_cold_start_spends_no_product_before_the_first_iteration(self):
+        model = _counted_lse_model()
+        before = model.oracle.n_hvp
+        res = fgm_step(model, delta=1e12)
+        assert res.inner_iterations == 0
+        assert model.oracle.n_hvp == before
+
+    def test_warm_start_spends_exactly_one_product(self):
+        model = _counted_lse_model()
+        before = model.oracle.n_hvp
+        res = fgm_step(model, delta=1e12, warm_start=model.center + 0.1)
+        assert res.inner_iterations == 0
+        assert model.oracle.n_hvp - before == 1
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_one_product_per_iteration_and_one_for_the_stall_certificate(self, warm):
+        model = _counted_lse_model()
+        start = model.center + 0.1 if warm else None
+        before = model.oracle.n_hvp
+        with pytest.raises(SubsolverStall):
+            fgm_step(model, delta=1e-14, warm_start=start, max_iters=7)
+        assert model.oracle.n_hvp - before == 7 + 1 + int(warm)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("norm_kind", ["dense", "identity"])
+    @pytest.mark.parametrize("stop", ["bound", "exact"])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_returned_certificate_comes_from_a_fresh_product(self, p, norm_kind, stop, warm):
+        model = _counted_lse_model(p, norm_kind, want_hessian=(stop == "exact"))
+        model_min = None
+        if stop == "exact":
+            model_min = (gradient_step(model) if p == 1 else exact_cubic_step(model)).model_value
+        start = model.center + 0.3 * np.random.default_rng(22).normal(size=6) if warm else None
+        res = fgm_step(model, 1e-9, warm_start=start, stop=stop, model_min=model_min)
+        assert res.inner_iterations > 0
+        assert res.certified_residual <= 1e-9
+        _assert_fresh_certificate(model, res, stop, model_min)
+
+    # 20 iterations let the carried products drift past the tolerance; the
+    # exact stop certifies this model by then, so it stalls earlier
+    @pytest.mark.parametrize("stop, cap", [("bound", 20), ("exact", 5)])
+    def test_stall_certificate_comes_from_a_fresh_product(self, stop, cap):
+        model = _counted_lse_model(want_hessian=(stop == "exact"))
+        model_min = exact_cubic_step(model).model_value if stop == "exact" else None
+        with pytest.raises(SubsolverStall) as exc:
+            fgm_step(model, delta=1e-14, stop=stop, model_min=model_min, max_iters=cap)
+        _assert_fresh_certificate(model, exc.value.best, stop, model_min)
+
+    def test_exact_step_spends_one_product(self):
+        model = _counted_lse_model(want_hessian=True)
+        before = model.oracle.n_hvp
+        exact_cubic_step(model)
+        assert model.oracle.n_hvp - before == 1
 
 
 class TestMonotoneStep:
