@@ -265,11 +265,16 @@ def summarize(run: SolverRun, cfg: ExperimentConfig, fstar_source: str | None) -
 # reference optimum cache
 # ---------------------------------------------------------------------------
 
+# A line-searched H fits the local curvature; H = p·L from a global Lipschitz
+# bound can be far larger and slow the reference solve by an order of magnitude.
+REFERENCE_H = "linesearch:1"
+
+
 def _reference_key(cfg: ExperimentConfig) -> str:
     # every field the reference solve below reads
     payload = json.dumps(
         {"problem": cfg.problem, "composite": cfg.composite, "seed": cfg.seed,
-         "p": cfg.p, "x0": cfg.x0, "max_iters": cfg.max_iters},
+         "p": cfg.p, "x0": cfg.x0, "max_iters": cfg.max_iters, "H": REFERENCE_H},
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -286,10 +291,11 @@ def reference_fstar(cfg: ExperimentConfig, cache_dir=None) -> tuple[float, str]:
                 return json.load(fh)["fstar"], "reference-cached"
     problem = attach_composite(build_problem(cfg.problem, cfg.seed), cfg.composite)
     x0 = starting_point(cfg.x0, problem.dim, cfg.seed)
+    h_mode, h_value = parse_h_mode(REFERENCE_H)
     ref_cfg = SolverConfig(
         p=cfg.p,
-        h_mode="linesearch" if problem.smooth.lipschitz.get(cfg.p) is None else "lipschitz",
-        h_value=1.0,
+        h_mode=h_mode,
+        h_value=h_value,
         policy=AccuracyPolicy.parse("adaptive:1:2"),
         subsolver="exact",
         stop="bound",

@@ -309,7 +309,7 @@ def monotone1(problem, x0, config: SolverConfig) -> SolverRun:
             # rejected: warm-start the next subsolve, demand at least twice the accuracy
             warm = res.point
             delta_cap = delta / 2.0
-            if res.certified_residual <= 0.0:
+            if res.certified_residual <= 0.0 or res.at_floor:
                 run.record(k, f_x, x, delta, res.certified_residual, run.H_used,
                            res.inner_iterations, res.grad_dual_norm)
                 values.append(f_x)

@@ -11,7 +11,9 @@ Three ways to produce a step:
   certificate or by comparison against the exact model minimum. It carries
   the curvature products H·(x − center) next to its iterates, so an iteration
   costs one Hessian-vector product and one norm solve; every certificate it
-  returns is recomputed from a fresh product.
+  returns is recomputed from a fresh product. When its best model value stops
+  decreasing, the tolerance is below what double precision can certify, and
+  it returns its best iterate flagged ``at_floor``.
 
 The certificate comes from uniform convexity of the model: a function that is
 uniformly convex of degree q with parameter sigma satisfies
@@ -30,6 +32,12 @@ from .model import TensorModel
 
 SECULAR_REL_TOL = 1e-12
 
+# Consecutive FGM iterations without a strict decrease of the best model value
+# that end a solve at the precision floor. Windows of 3 and 5 also fired in
+# healthy logistic solves near the floor and changed their traces; 8 was the
+# shortest tried that did not, so 10 leaves a margin.
+FLOOR_WINDOW = 10
+
 
 @dataclass
 class StepResult:
@@ -44,6 +52,7 @@ class StepResult:
     delta_used: float | None = None
     objective_value: float | None = None  # F at point, when the caller measured it
     stationary: bool = False
+    at_floor: bool = False        # FGM stopped making progress before certifying delta
 
 
 class SubsolverStall(RuntimeError):
@@ -249,6 +258,14 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None, stop: str = "bou
     drift in the carried products can steer the path but never the reported
     certificate, model value or gradient norm; the stall path does the same.
     A cold start uses the zero product at the center; a warm start costs one.
+
+    After a restart the next probe starts at the best point, where
+    backtracking guarantees a decrease of gn²/(2L) up to rounding. So when the
+    best model value has not strictly decreased for ``FLOOR_WINDOW``
+    consecutive iterations, that decrease is at rounding level and delta
+    cannot be certified in double precision: the loop returns its best
+    iterate, certified on a fresh product like the stall path, with
+    ``at_floor`` set. ``SubsolverStall`` is raised only at the cap.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -281,6 +298,13 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None, stop: str = "bou
             delta_used=delta,
         )
 
+    def finish_best(iters, at_floor):
+        """The best iterate so far, certified on a fresh product."""
+        _, gn_b, f_b, cert_b = probe(best_x, model.hess_action(best_x - center))
+        res = finish(best_x, gn_b, f_b, cert_b, iters)
+        res.at_floor = at_floor
+        return res
+
     # arrays are never updated in place, so iterates and products may alias
     if warm_start is None:
         x, hx = center, np.zeros_like(center)
@@ -295,6 +319,7 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None, stop: str = "bou
     best_x, best_hx, best_f = x, hx, f_y
     L = 1.0
     t_prev, t_acc = 1.0, 1.0
+    stale = 0  # consecutive iterations without a strict decrease of best_f
     for it in range(1, cap + 1):
         hs = model.hess_action(step_dir)
         L = max(L * 0.5, 1e-12)
@@ -307,12 +332,15 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None, stop: str = "bou
             L *= 2.0
         x_prev, x, hx_prev, hx = x, x_new, hx, hx_new
         t_prev, t_acc = t_acc, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc**2))
+        stale = 0 if f_new < best_f else stale + 1
         if f_new > best_f:
             # overshoot: restart the momentum from the best point
             x_prev, x, hx_prev, hx = best_x, best_x, best_hx, best_hx
             t_prev, t_acc = 1.0, 1.0
         else:
             best_x, best_hx, best_f = x_new, hx_new, f_new
+        if stale == FLOOR_WINDOW:
+            return finish_best(it, at_floor=True)
         # iteration it + 1 begins by certifying its extrapolated point (the
         # first iteration's point is the start, certified above)
         if it == cap:
@@ -327,9 +355,8 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None, stop: str = "bou
             if cert <= delta:
                 return finish(y, gn, f_y, cert, it + 1)
 
-    _, gn_b, f_b, cert_b = probe(best_x, model.hess_action(best_x - center))
-    best = finish(best_x, gn_b, f_b, cert_b, cap)
-    raise SubsolverStall(f"no certificate <= {delta:g} within {cap} iterations", best)
+    raise SubsolverStall(f"no certificate <= {delta:g} within {cap} iterations",
+                         finish_best(cap, at_floor=False))
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +395,10 @@ def monotone_step(f_center: float, solve, delta: float, floor: float) -> StepRes
     is halved and ``solve`` resumes from the rejected point; inner iterations
     are summed across the retries. A step that does not decrease F is
     reported as stationary when its certificate is zero (it minimizes the
-    model, so halving cannot help) or when the halved tolerance would fall
-    below the floor (the center is floor-optimal for the model, hence nearly
-    stationary for F).
+    model, so halving cannot help), when the subsolver stopped at the
+    precision floor (``at_floor``: a tighter solve would stop at the same
+    floor) or when the halved tolerance would fall below the floor (the
+    center is floor-optimal for the model, hence nearly stationary for F).
     """
     if floor <= 0:
         raise ValueError("floor must be positive")
@@ -384,7 +412,7 @@ def monotone_step(f_center: float, solve, delta: float, floor: float) -> StepRes
         res.delta_used = delta_eff
         if res.objective_value < f_center:
             return res
-        if res.certified_residual <= 0.0 or 0.5 * delta_eff < floor:
+        if res.certified_residual <= 0.0 or res.at_floor or 0.5 * delta_eff < floor:
             res.stationary = True
             return res
         delta_eff *= 0.5

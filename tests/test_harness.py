@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from tensoropt import harness
 from tensoropt.cli import main, parse_problem
 from tensoropt.harness import (
     ExperimentConfig,
@@ -18,7 +19,7 @@ from tensoropt.harness import (
     run_experiment,
     starting_point,
 )
-from tensoropt.methods import TRACE_COLUMNS
+from tensoropt.methods import TRACE_COLUMNS, monotone2
 
 
 def small_cfg(**kw):
@@ -228,6 +229,26 @@ class TestReferenceOptimum:
         _, src = reference_fstar(small_cfg(problem=problem, **{field: value}),
                                  cache_dir=str(tmp_path))
         assert src == "reference-run"
+
+    def test_reference_h_is_in_the_key(self, tmp_path, monkeypatch):
+        problem = {"name": "logistic-synth", "n": 6, "m": 30, "l2": 0.1, "scale": 0.5}
+        reference_fstar(small_cfg(problem=problem), cache_dir=str(tmp_path))
+        monkeypatch.setattr(harness, "REFERENCE_H", "linesearch:2")
+        _, src = reference_fstar(small_cfg(problem=problem), cache_dir=str(tmp_path))
+        assert src == "reference-run"
+
+    def test_line_searched_even_with_a_known_lipschitz_constant(self, monkeypatch):
+        configs = []
+
+        def spy(problem, x0, config):
+            configs.append(config)
+            return monotone2(problem, x0, config)
+
+        monkeypatch.setattr(harness, "monotone2", spy)
+        cfg = small_cfg()
+        assert build_problem(cfg.problem, cfg.seed).smooth.lipschitz.get(cfg.p) is not None
+        reference_fstar(cfg)
+        assert [(c.h_mode, c.h_value) for c in configs] == [("linesearch", 1.0)]
 
 
 class TestCli:

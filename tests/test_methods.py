@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 
 from conftest import forbid_oracle_calls
 
-from tensoropt.harness import ExperimentConfig, execute
+from tensoropt.cli import main
+from tensoropt.harness import ExperimentConfig, execute, reference_fstar
 from tensoropt.linalg import NormOperator
 from tensoropt.methods import (
+    CountingOracle,
     DivergenceError,
     SolverConfig,
     TRACE_COLUMNS,
@@ -364,6 +367,48 @@ class TestInnerWork:
         steps = run.records[1:]
         inner = sum(rec.inner_iters for rec in steps)
         assert run.records[-1].hvp_count <= inner + 2 * len(steps)
+
+
+# Without the FGM floor exit the repro below spends 1.32 M products and stalls.
+HVP_LIMIT = 5000
+
+
+@pytest.fixture
+def hvp_limit(monkeypatch):
+    """Every solve raises past HVP_LIMIT products, so a stall fails fast."""
+    counted = CountingOracle.hessian_vec
+
+    def limited(self, x, h):
+        if self.n_hvp >= HVP_LIMIT:
+            raise RuntimeError(f"more than {HVP_LIMIT} Hessian-vector products")
+        return counted(self, x, h)
+
+    monkeypatch.setattr(CountingOracle, "hessian_vec", limited)
+
+
+class TestPrecisionFloor:
+    # The adaptive policy asks for delta at the precision floor once F is
+    # optimal, which no certificate reaches in double precision.
+    REPRO = dict(problem={"name": "logistic-synth", "n": 50, "m": 300, "l2": 1e-3},
+                 method="monotone2", p=2, H="linesearch:1", policy="adaptive:0.005:1",
+                 subsolver="fgm", stop="bound", x0="zeros", max_iters=100, seed=0)
+
+    @pytest.mark.parametrize("method, status", [("monotone2", "monotone_floor"),
+                                                ("monotone1", "stationary")])
+    def test_adaptive_policy_ends_at_the_floor_within_a_bounded_cost(self, hvp_limit,
+                                                                     method, status):
+        cfg = ExperimentConfig(**{**self.REPRO, "method": method})
+        run = execute(cfg)
+        fstar, _ = reference_fstar(cfg)
+        assert run.status == status
+        assert abs(run.f_final - fstar) <= 1e-8
+        assert run.counts["hessian_vec"] <= 1000
+
+    def test_cli_run_exits_zero(self, hvp_limit, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        ExperimentConfig(**self.REPRO).save(path)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "monotone_floor"
 
 
 class TestConfigValidation:

@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import brute_force_model_min, random_cubic_model
 
+from tensoropt import subsolvers
+from tensoropt.harness import ExperimentConfig, execute
 from tensoropt.linalg import NormOperator
 from tensoropt.methods import CountingOracle
 from tensoropt.model import TensorModel
@@ -321,6 +324,43 @@ class TestFgmCurvatureProducts:
         assert model.oracle.n_hvp - before == 1
 
 
+class TestFgmFloorExit:
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("norm_kind", ["dense", "identity"])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_uncertifiable_delta_returns_the_flagged_best_point_far_below_the_cap(
+            self, p, norm_kind, warm):
+        model = _counted_lse_model(p, norm_kind)
+        start = model.center + 0.3 * np.random.default_rng(22).normal(size=6) if warm else None
+        cap = 2000
+        res = fgm_step(model, 1e-300, warm_start=start, max_iters=cap)
+        assert res.at_floor
+        assert 0 < res.inner_iterations <= cap // 20
+        assert res.certified_residual > 1e-300
+        _assert_fresh_certificate(model, res, "bound")
+
+    def test_never_fires_on_the_gate_ten_instance(self, monkeypatch):
+        # the acceptance policy study's adaptive:1:1 run, as in TestInnerWork
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(fgm_step(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(subsolvers, "fgm_step", spy)
+        cfg = ExperimentConfig(
+            problem={"name": "logsumexp", "n": 100, "m": 600, "mu": 1.0},
+            method="monotone2", p=2, H="fixed:1", policy="adaptive:1:1", x0="e1",
+            subsolver="fgm", stop="bound", max_iters=2000, target_gap=1e-8, seed=1,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run = execute(cfg)
+        assert run.status == "target_reached"
+        assert results and not any(r.at_floor for r in results)
+        assert run.records[-1].hvp_count == 874
+
+
 class TestMonotoneStep:
     def _lse_model(self, seed=14, H=4.0):
         prob = generate_shifted_logsumexp(6, 36, 1.0, seed=seed)
@@ -370,11 +410,13 @@ class TestMonotoneStep:
 
 
 class ScriptedSolve:
-    """Stub ``solve``: call i returns objective values[i] and certificate certs[i]."""
+    """Stub ``solve``: call i returns objective values[i], certificate certs[i]
+    and the precision-floor flag floors[i]."""
 
-    def __init__(self, values, certs=None):
+    def __init__(self, values, certs=None, floors=None):
         self.values = values
         self.certs = certs or [1.0] * len(values)
+        self.floors = floors or [False] * len(values)
         self.calls = []
 
     def __call__(self, delta, warm):
@@ -382,7 +424,7 @@ class ScriptedSolve:
         self.calls.append((delta, warm))
         return StepResult(point=np.full(2, float(i)), certified_residual=self.certs[i],
                           inner_iterations=i + 1, certification="bound", model_value=0.0,
-                          objective_value=self.values[i])
+                          objective_value=self.values[i], at_floor=self.floors[i])
 
 
 class TestMonotoneStepLoop:
@@ -406,6 +448,18 @@ class TestMonotoneStepLoop:
 
     def test_zero_certificate_without_decrease_is_stationary(self):
         solve = ScriptedSolve([1.0], certs=[0.0])
+        res = monotone_step(1.0, solve, delta=0.8, floor=1e-3)
+        assert res.stationary and len(solve.calls) == 1
+
+    def test_floor_exit_that_decreases_F_is_accepted(self):
+        solve = ScriptedSolve([0.5], floors=[True])
+        res = monotone_step(1.0, solve, delta=0.8, floor=1e-3)
+        assert res.objective_value == 0.5 and not res.stationary
+        assert len(solve.calls) == 1
+
+    def test_floor_exit_without_decrease_is_stationary(self):
+        # a tighter solve would stop at the same floor, so delta is not halved
+        solve = ScriptedSolve([1.0, 0.5], floors=[True, False])
         res = monotone_step(1.0, solve, delta=0.8, floor=1e-3)
         assert res.stationary and len(solve.calls) == 1
 
