@@ -61,9 +61,10 @@ class BregmanComposite(Composite):
         self.prox = prox
         self.v = np.asarray(v, dtype=float).copy()
         self._grad_v = prox.gradient(self.v)
+        self._value_v = prox.value(self.v)
 
     def value(self, x):
-        return self.prox.value(x) - self.prox.value(self.v) - float(
+        return self.prox.value(x) - self._value_v - float(
             self._grad_v @ (np.asarray(x, dtype=float) - self.v))
 
     def gradient(self, x):

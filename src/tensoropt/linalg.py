@@ -8,6 +8,8 @@ cache a Cholesky factor at construction and an eigendecomposition on first use
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -99,7 +101,8 @@ class NormOperator:
     def primal(self, x) -> float:
         x = self._check_dim(x)
         if self.kind == "identity":
-            return float(np.linalg.norm(x))
+            # np.linalg.norm computes exactly this, behind a costly dispatch
+            return math.sqrt(x.dot(x))
         if self.kind == "diagonal":
             return float(np.sqrt(np.dot(self._diag * x, x)))
         return float(np.sqrt(max(0.0, float(np.dot(self._matrix @ x, x)))))
@@ -107,7 +110,7 @@ class NormOperator:
     def dual(self, s) -> float:
         s = self._check_dim(s)
         if self.kind == "identity":
-            return float(np.linalg.norm(s))
+            return math.sqrt(s.dot(s))
         if self.kind == "diagonal":
             return float(np.sqrt(np.dot(s / self._diag, s)))
         return float(np.sqrt(max(0.0, float(np.dot(self.solve(s), s)))))

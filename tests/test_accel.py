@@ -59,6 +59,16 @@ class TestBregman:
         fd = fd_gradient(comp.value, x)
         np.testing.assert_allclose(comp.gradient(x), fd, rtol=1e-6, atol=1e-7)
 
+    def test_composite_value_is_the_bregman_gap(self):
+        v = self.rng.normal(size=4)
+        comp = BregmanComposite(self.prox, v)
+        for _ in range(10):
+            x = self.rng.normal(size=4)
+            gap = (self.prox.value(x) - self.prox.value(v)
+                   - float(self.prox.gradient(v) @ (x - v)))
+            assert comp.value(x) == gap
+            assert comp.value(x) == self.prox.bregman(v, x)
+
     def test_uniform_convexity_parameter(self):
         comp = BregmanComposite(self.prox, self.rng.normal(size=4))
         assert comp.uniform_convexity(3) == pytest.approx(0.5)

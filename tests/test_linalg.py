@@ -10,6 +10,15 @@ class TestPrimalDualNorms:
         assert B.primal(np.array([3.0, 4.0])) == pytest.approx(5.0)
         assert B.dual(np.array([3.0, 4.0])) == pytest.approx(5.0)
 
+    def test_identity_norms_equal_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        B = NormOperator.identity(150)
+        for scale in (1e-200, 1e-8, 1.0, 1e8, 1e150):
+            x = scale * rng.normal(size=150)
+            assert B.primal(x) == float(np.linalg.norm(x))
+            assert B.dual(x) == float(np.linalg.norm(x))
+        assert type(B.primal(x)) is float and type(B.dual(x)) is float
+
     def test_diagonal(self):
         B = NormOperator.diagonal([4.0, 1.0])
         assert B.primal(np.array([1.0, 0.0])) == pytest.approx(2.0)
