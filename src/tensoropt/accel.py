@@ -137,8 +137,11 @@ class ContractedOracle(SmoothOracle):
     def gradient(self, x):
         return self.scale * self.theta * self.base.gradient(self._arg(x))
 
-    def hessian_vec(self, x, h):
-        return self.scale * self.theta**2 * self.base.hessian_vec(self._arg(x), h)
+    def hessian_state(self, x):
+        return self.base.hessian_state(self._arg(x))
+
+    def hessian_vec(self, x, h, state=None):
+        return self.scale * self.theta**2 * self.base.hessian_vec(self._arg(x), h, state)
 
     def hessian(self, x):
         return self.scale * self.theta**2 * self.base.hessian(self._arg(x))

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrs
 
 SYM_TOL = 1e-10
 
@@ -61,7 +62,7 @@ class NormOperator:
             raise ValueError("operator matrix must be symmetric")
         B = 0.5 * (B + B.T)
         try:
-            chol = scipy.linalg.cho_factor(B, lower=True)
+            chol = scipy.linalg.cho_factor(B, lower=True)[0]
         except scipy.linalg.LinAlgError as exc:
             raise FactorizationError(
                 "operator is not positive definite; regularize or reduce dimension"
@@ -96,7 +97,14 @@ class NormOperator:
             return s.copy()
         if self.kind == "diagonal":
             return s / self._diag
-        return scipy.linalg.cho_solve(self._chol, s)
+        # the LAPACK routine scipy.linalg.cho_solve runs, without its per-call
+        # dispatch and finiteness checks on the (finite) factor
+        if not np.isfinite(s).all():
+            raise ValueError("right-hand side must not contain infs or NaNs")
+        x, info = dpotrs(self._chol, s, lower=1)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of dpotrs")
+        return x
 
     def primal(self, x) -> float:
         x = self._check_dim(x)

@@ -110,9 +110,16 @@ class CountingOracle:
         self.n_grad += 1
         return self.inner.gradient(x)
 
-    def hessian_vec(self, x, h):
+    def hessian_state(self, x):
+        # not an oracle call: the products that use the state are counted
+        state = getattr(self.inner, "hessian_state", None)
+        return None if state is None else state(x)
+
+    def hessian_vec(self, x, h, state=None):
         self.n_hvp += 1
-        return self.inner.hessian_vec(x, h)
+        if state is None:
+            return self.inner.hessian_vec(x, h)
+        return self.inner.hessian_vec(x, h, state)
 
     def hessian(self, x):
         self.n_hess += 1

@@ -23,7 +23,9 @@ class TensorModel:
 
     When ``want_hessian`` is set (exact subsolver, or an exact stopping rule),
     the dense Hessian at the center is materialized; otherwise curvature is
-    applied through the oracle's Hessian-vector product.
+    applied through the oracle's Hessian-vector product, with the oracle's
+    center state (``hessian_state``) fetched once here and reused by every
+    product.
     """
 
     def __init__(self, oracle, composite, center, H: float, p: int = 2,
@@ -41,6 +43,8 @@ class TensorModel:
         self.f0 = oracle.value(self.center)
         self.g0 = oracle.gradient(self.center)
         self.hess = oracle.hessian(self.center) if (p == 2 and want_hessian) else None
+        self._hess_state = (oracle.hessian_state(self.center)
+                            if p == 2 and self.hess is None else None)
         self._reg_scale = self.H / math.factorial(self.p + 1)
 
     def hess_action(self, d) -> np.ndarray:
@@ -52,33 +56,55 @@ class TensorModel:
             if note is not None:
                 note()
             return self.hess @ np.asarray(d, dtype=float)
-        return self.oracle.hessian_vec(self.center, d)
+        return self.oracle.hessian_vec(self.center, d, self._hess_state)
+
+    def _at(self, y, hd):
+        """(y, d = y − center, hd), with the curvature product computed when omitted."""
+        y = np.asarray(y, dtype=float)
+        d = y - self.center
+        if self.p == 2 and hd is None:
+            hd = self.hess_action(d)
+        return y, d, hd
+
+    def _b_and_norm(self, d):
+        """(B d, ||d||) from one application of B; ||d|| equals ``norm.primal(d)``."""
+        bd = self.norm.apply(d)
+        return bd, math.sqrt(max(0.0, float(bd.dot(d))))
+
+    def _taylor(self, d, hd) -> float:
+        t = self.f0 + float(self.g0 @ d)
+        if self.p == 2:
+            t += 0.5 * float(hd @ d)
+        return t
+
+    def _value(self, y, d, hd, r) -> float:
+        return self._taylor(d, hd) + self._reg_scale * r ** (self.p + 1) + self.composite.value(y)
+
+    def _gradient(self, y, hd, bd, r) -> np.ndarray:
+        g = self.g0 + hd if self.p == 2 else self.g0
+        g = g + (self.H / math.factorial(self.p)) * r ** (self.p - 1) * bd
+        return g + self.composite.gradient(y)
 
     def taylor_value(self, y, hd=None) -> float:
         """Value of the order-p Taylor polynomial of f alone."""
-        d = np.asarray(y, dtype=float) - self.center
-        t = self.f0 + float(self.g0 @ d)
-        if self.p == 2:
-            t += 0.5 * float((self.hess_action(d) if hd is None else hd) @ d)
-        return t
+        _, d, hd = self._at(y, hd)
+        return self._taylor(d, hd)
 
     def value(self, y, hd=None) -> float:
         """Model value at y; ``hd``, if given, is the curvature product H·(y − center)."""
-        d = np.asarray(y, dtype=float) - self.center
-        r = self.norm.primal(d)
-        return (self.taylor_value(y, hd) + self._reg_scale * r ** (self.p + 1)
-                + self.composite.value(y))
+        y, d, hd = self._at(y, hd)
+        return self._value(y, d, hd, self.norm.primal(d))
 
     def gradient(self, y, hd=None) -> np.ndarray:
         """Model gradient at y; ``hd`` as in ``value``, computed here when omitted."""
-        y = np.asarray(y, dtype=float)
-        d = y - self.center
-        g = self.g0.copy()
-        if self.p == 2:
-            g = g + (self.hess_action(d) if hd is None else hd)
-        r = self.norm.primal(d)
-        g = g + (self.H / math.factorial(self.p)) * r ** (self.p - 1) * self.norm.apply(d)
-        return g + self.composite.gradient(y)
+        y, d, hd = self._at(y, hd)
+        return self._gradient(y, hd, *self._b_and_norm(d))
+
+    def value_and_gradient(self, y, hd=None):
+        """``(value(y, hd), gradient(y, hd))``, sharing one curvature product and one B·d."""
+        y, d, hd = self._at(y, hd)
+        bd, r = self._b_and_norm(d)
+        return self._value(y, d, hd, r), self._gradient(y, hd, bd, r)
 
     def with_weight(self, H: float) -> "TensorModel":
         """The same frozen model under another regularization weight (no oracle call)."""

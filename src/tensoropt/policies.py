@@ -100,11 +100,10 @@ class AccuracyPolicy:
             warnings.warn(note, RuntimeWarning, stacklevel=2)
 
     def spec_string(self) -> str:
-        if self.kind == "constant":
-            return f"constant:{self.c:g}"
-        if self.kind == "power":
-            return f"power:{self.c:g}:{self.alpha:g}"
-        return f"adaptive:{self.c:g}:{self.alpha:g}:{self.delta1:g}"
+        """The spec that ``parse`` reads back to an equal policy (floats by repr)."""
+        fields = {"constant": (self.c,), "power": (self.c, self.alpha)}.get(
+            self.kind, (self.c, self.alpha, self.delta1))
+        return ":".join([self.kind] + [repr(float(v)) for v in fields])
 
     @staticmethod
     def parse(spec: str) -> "AccuracyPolicy":

@@ -1,8 +1,11 @@
 """Problem oracles: smooth objectives, simple composite terms, data handling.
 
 Each smooth oracle exposes value / gradient / hessian_vec / hessian together
-with the norm operator its Lipschitz constants refer to. Composite terms are
-differentiable and report their uniform-convexity parameters where known.
+with the norm operator its Lipschitz constants refer to. ``hessian_state(x)``
+returns what every Hessian-vector product at x recomputes (softmax or
+curvature weights), so a caller that applies the Hessian at one fixed point
+many times computes it once and passes it to ``hessian_vec``. Composite terms
+are differentiable and report their uniform-convexity parameters where known.
 """
 
 from __future__ import annotations
@@ -38,7 +41,12 @@ class SmoothOracle:
     def gradient(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def hessian_vec(self, x, h) -> np.ndarray:
+    def hessian_state(self, x):
+        """State a Hessian-vector product at x reuses, or None when there is none."""
+        return None
+
+    def hessian_vec(self, x, h, state=None) -> np.ndarray:
+        """Hessian at x applied to h; ``state``, if given, is ``hessian_state(x)``."""
         raise NotImplementedError
 
     def hessian(self, x) -> np.ndarray:
@@ -64,7 +72,7 @@ class QuadraticOracle(SmoothOracle):
         d = np.asarray(x, dtype=float) - self.center
         return self.A @ d + self.b
 
-    def hessian_vec(self, x, h):
+    def hessian_vec(self, x, h, state=None):
         return self.A @ np.asarray(h, dtype=float)
 
     def hessian(self, x):
@@ -123,20 +131,20 @@ class LogisticOracle(SmoothOracle):
         g = -(self.X.T @ (self.y * s)) / self.m
         return np.asarray(g).ravel() + self.l2 * x
 
-    def _curvature_weights(self, x):
-        # sigma(t) * sigma(-t), overflow-free
+    def hessian_state(self, x):
+        """Curvature weights sigma(t) * sigma(-t) of the margins, overflow-free."""
         t = self._margins(x)
         return np.exp(-np.logaddexp(0.0, t) - np.logaddexp(0.0, -t))
 
-    def hessian_vec(self, x, h):
+    def hessian_vec(self, x, h, state=None):
         h = np.asarray(h, dtype=float)
-        w = self._curvature_weights(x)
+        w = self.hessian_state(x) if state is None else state
         v = self.X @ h
         out = (self.X.T @ (w * v)) / self.m
         return np.asarray(out).ravel() + self.l2 * h
 
     def hessian(self, x):
-        w = self._curvature_weights(x)
+        w = self.hessian_state(x)
         Xw = self.X.multiply(w[:, None])
         H = (Xw.T @ self.X).toarray() / self.m
         return H + self.l2 * np.eye(self.dim)
@@ -183,9 +191,13 @@ class LogSumExpOracle(SmoothOracle):
         pi, _ = self._weights(x)
         return self.A.T @ pi
 
-    def hessian_vec(self, x, h):
+    def hessian_state(self, x):
+        """Softmax weights at x."""
+        return self._weights(x)[0]
+
+    def hessian_vec(self, x, h, state=None):
         h = np.asarray(h, dtype=float)
-        pi, _ = self._weights(x)
+        pi = self.hessian_state(x) if state is None else state
         u = self.A @ h
         mean_u = float(pi @ u)
         return (self.A.T @ (pi * (u - mean_u))) / self.mu
@@ -238,14 +250,16 @@ class PoweredChainOracle(SmoothOracle):
         phi1 = self.q * np.sign(u) * np.abs(u) ** (self.q - 1.0)
         return self.M.T @ phi1
 
-    def hessian_vec(self, x, h):
-        u = self._u(x)
-        phi2 = self.q * (self.q - 1.0) * np.abs(u) ** (self.q - 2.0)
+    def hessian_state(self, x):
+        """Second derivatives phi2 of the powers at the differences u = M x."""
+        return self.q * (self.q - 1.0) * np.abs(self._u(x)) ** (self.q - 2.0)
+
+    def hessian_vec(self, x, h, state=None):
+        phi2 = self.hessian_state(x) if state is None else state
         return self.M.T @ (phi2 * (self.M @ np.asarray(h, dtype=float)))
 
     def hessian(self, x):
-        u = self._u(x)
-        phi2 = self.q * (self.q - 1.0) * np.abs(u) ** (self.q - 2.0)
+        phi2 = self.hessian_state(x)
         return self.M.T @ (phi2[:, None] * self.M)
 
 

@@ -10,7 +10,8 @@ Three ways to produce a step:
   sizes and function-increase restarts, stopped by a computable residual
   certificate or by comparison against the exact model minimum. It carries
   the curvature products H·(x − center) next to its iterates, so an iteration
-  costs one Hessian-vector product and one norm solve; every certificate it
+  costs one Hessian-vector product, one norm solve and, per probe, one B·d
+  shared by the model value and gradient; every certificate it
   returns is recomputed from a fresh product. When its best model value stops
   decreasing, the tolerance is below what double precision can certify, and
   it returns its best iterate flagged ``at_floor``.
@@ -217,14 +218,14 @@ def exact_cubic_step(model: TensorModel) -> StepResult:
 
     d = norm.inv_sqrt_apply(V @ u)
     T = model.center + d
-    hd = model.hess_action(T - model.center)
+    f_T, g_T = model.value_and_gradient(T)
     return StepResult(
         point=T,
         certified_residual=0.0,
         inner_iterations=1,
         certification="exact_oracle",
-        model_value=model.value(T, hd),
-        grad_dual_norm=model.norm.dual(model.gradient(T, hd)),
+        model_value=f_T,
+        grad_dual_norm=model.norm.dual(g_T),
         delta_used=0.0,
     )
 
@@ -280,10 +281,9 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None, stop: str = "bou
 
     def probe(y, hy):
         """(step direction, dual gradient norm, model value, certificate) at y."""
-        grad = model.gradient(y, hy)
+        f, grad = model.value_and_gradient(y, hy)
         step_dir = norm.solve(grad)
         gn = math.sqrt(max(0.0, float(grad @ step_dir)))
-        f = model.value(y, hy)
         cert = (f - model_min) if stop == "exact" else residual_bound(gn, sigma, model.p + 1)
         return step_dir, gn, f, cert
 

@@ -13,7 +13,7 @@ from tensoropt.accel import (
     subproblem_certificate,
 )
 from tensoropt.linalg import NormOperator
-from tensoropt.methods import SolverConfig
+from tensoropt.methods import CountingOracle, SolverConfig
 from tensoropt.policies import adaptive, power
 from tensoropt.problems import (
     check_derivatives,
@@ -104,6 +104,24 @@ class TestSubproblem:
         x = rng.normal(size=6)
         fd = fd_gradient(sub.value, x)
         np.testing.assert_allclose(sub.gradient(x), fd, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("base", ["logsumexp", "chain", "counted-logsumexp"])
+    def test_contracted_product_with_the_state_is_bit_identical(self, base):
+        if base == "chain":
+            prob = powered_chain_oracle(6, 3.0, 2.0)
+        else:
+            prob = generate_shifted_logsumexp(6, 36, 1.0, seed=6)
+        smooth = CountingOracle(prob.smooth) if base.startswith("counted") else prob.smooth
+        rng = np.random.default_rng(7)
+        sub = build_subproblem(prob, smooth, rng.normal(size=6), rng.normal(size=6),
+                               2.0, 5.0, PowerProx(np.ones(6), 2, prob.norm))
+        for _ in range(5):
+            x = rng.normal(size=6)
+            state = sub.smooth.hessian_state(x)
+            assert np.array_equal(state, prob.smooth.hessian_state(sub.smooth._arg(x)))
+            h = rng.normal(size=6)
+            assert np.array_equal(sub.smooth.hessian_vec(x, h, state),
+                                  sub.smooth.hessian_vec(x, h))
 
     def test_contracted_lipschitz_bounded(self):
         prob = generate_shifted_logsumexp(5, 30, 1.0, seed=5)

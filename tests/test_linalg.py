@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tensoropt.linalg import FactorizationError, NormOperator, sym_eig
 
@@ -86,6 +87,33 @@ class TestPrimalDualNorms:
         x = rng.normal(size=5)
         # ||B^{-1/2} s||_2 should equal the dual norm of s
         assert np.linalg.norm(B.inv_sqrt_apply(x)) == pytest.approx(B.dual(x), rel=1e-10)
+
+    def test_dense_solve_equals_cho_solve_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 7, 100):
+            A = rng.uniform(-1.0, 1.0, size=(6 * n, n))
+            B = NormOperator.gram(A)
+            factor = scipy.linalg.cho_factor(B.as_matrix(), lower=True)
+            for scale in (1e-8, 1.0, 1e8):
+                s = scale * rng.normal(size=n)
+                x = B.solve(s)
+                assert x.shape == (n,)
+                assert np.array_equal(x, scipy.linalg.cho_solve(factor, s))
+            s_before = s.copy()
+            B.solve(s)
+            assert np.array_equal(s, s_before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_dense_solve_rejects_non_finite_input(self, bad):
+        B = NormOperator.dense(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        with pytest.raises(ValueError):
+            B.solve(np.array([1.0, bad]))
+
+    def test_dense_solve_rejects_a_wrong_shape(self):
+        B = NormOperator.dense(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        for s in (np.ones(3), np.ones((2, 1)), np.ones((2, 2))):
+            with pytest.raises(ValueError):
+                B.solve(s)
 
 
 class TestSymEig:

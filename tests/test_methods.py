@@ -378,10 +378,10 @@ def hvp_limit(monkeypatch):
     """Every solve raises past HVP_LIMIT products, so a stall fails fast."""
     counted = CountingOracle.hessian_vec
 
-    def limited(self, x, h):
+    def limited(self, x, h, state=None):
         if self.n_hvp >= HVP_LIMIT:
             raise RuntimeError(f"more than {HVP_LIMIT} Hessian-vector products")
-        return counted(self, x, h)
+        return counted(self, x, h, state)
 
     monkeypatch.setattr(CountingOracle, "hessian_vec", limited)
 

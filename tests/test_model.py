@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from tensoropt.accel import PowerProx, build_subproblem
 from tensoropt.linalg import NormOperator
 from tensoropt.methods import CountingOracle
 from tensoropt.model import TensorModel, model_upper_bound_check
 from tensoropt.problems import (
+    LogSumExpOracle,
+    PowerComposite,
+    ProblemInstance,
     QuadraticOracle,
     ZeroComposite,
     fd_gradient,
@@ -160,3 +164,35 @@ class TestCurvatureProduct:
         assert heavier.uniform_convexity() == pytest.approx(fresh.uniform_convexity())
         with pytest.raises(ValueError):
             model.with_weight(0.0)
+
+
+def _norm(kind, A, rng):
+    if kind == "identity":
+        return NormOperator.identity(A.shape[1])
+    if kind == "diagonal":
+        return NormOperator.diagonal(rng.uniform(0.5, 3.0, A.shape[1]))
+    return NormOperator.gram(A)
+
+
+class TestValueAndGradient:
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("norm_kind", ["identity", "diagonal", "dense"])
+    @pytest.mark.parametrize("composite", ["zero", "power", "subproblem"])
+    def test_equals_value_and_gradient_bit_for_bit(self, p, norm_kind, composite):
+        rng = np.random.default_rng(40)
+        A = rng.normal(size=(30, 5))
+        norm = _norm(norm_kind, A, rng)
+        prob = ProblemInstance(LogSumExpOracle(A, b=rng.normal(size=30), norm=norm),
+                               ZeroComposite(5))
+        if composite == "power":
+            prob.composite = PowerComposite(0.7, 3.0, rng.normal(size=5), norm)
+        elif composite == "subproblem":
+            prob = build_subproblem(prob, prob.smooth, rng.normal(size=5), rng.normal(size=5),
+                                    1.0, 3.0, PowerProx(rng.normal(size=5), p, norm))
+        center = rng.normal(size=5)
+        model = TensorModel(prob.smooth, prob.composite, center, H=2.5, p=p)
+        for y in [center] + [center + t * rng.normal(size=5) for t in (1e-8, 0.3, 4.0)]:
+            for hd in (None, model.hess_action(y - center) if p == 2 else None):
+                f, g = model.value_and_gradient(y, hd)
+                assert f == model.value(y, hd)
+                assert np.array_equal(g, model.gradient(y, hd))

@@ -103,6 +103,8 @@ class TestParsing:
         ("constant:1e-8", "constant", 1e-8, 0.0),
         ("power:1:3", "power", 1.0, 3.0),
         ("adaptive:1:1.5", "adaptive", 1.0, 1.5),
+        # a constant that %g would print as 0.00934579
+        (f"adaptive:{adaptive_c_limit(2)!r}:1", "adaptive", adaptive_c_limit(2), 1.0),
     ])
     def test_round_trip(self, spec, kind, c, alpha):
         pol = AccuracyPolicy.parse(spec)

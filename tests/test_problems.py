@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from conftest import forbid_oracle_calls
+
 from tensoropt.linalg import NormOperator
+from tensoropt.methods import CountingOracle
+from tensoropt.model import TensorModel
 from tensoropt.problems import (
     Dataset,
     LogisticOracle,
@@ -13,6 +17,7 @@ from tensoropt.problems import (
     PowerComposite,
     QuadraticComposite,
     QuadraticOracle,
+    ZeroComposite,
     check_derivatives,
     fd_directional_hessian,
     generate_shifted_logsumexp,
@@ -302,3 +307,88 @@ def test_fd_directional_hessian_on_quadratic():
     h = rng.normal(size=4)
     np.testing.assert_allclose(fd_directional_hessian(oracle.gradient, x, h), A @ h,
                                rtol=1e-7, atol=1e-9)
+
+
+def _oracle_family(kind, rng):
+    if kind == "logistic":
+        return logistic_oracle(_dataset(rng, m=50, n=6), l2=0.1)
+    if kind == "logsumexp":
+        return generate_shifted_logsumexp(6, 36, 0.5, seed=5).smooth
+    if kind == "chain-q3":
+        return powered_chain_oracle(6, 3.0, 2.0).smooth
+    if kind == "chain-q2.5":
+        return powered_chain_oracle(6, 2.5, 1.0).smooth
+    M = rng.normal(size=(6, 6))
+    return QuadraticOracle(M @ M.T)
+
+
+FAMILIES = ["logistic", "logsumexp", "chain-q3", "chain-q2.5", "quadratic"]
+
+
+class TestHessianState:
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_product_with_the_state_is_bit_identical(self, kind):
+        rng = np.random.default_rng(30)
+        oracle = _oracle_family(kind, rng)
+        for _ in range(10):
+            x = 2.0 * rng.normal(size=6)
+            state = oracle.hessian_state(x)
+            assert (state is None) == (kind == "quadratic")
+            for _ in range(3):
+                h = rng.normal(size=6)
+                assert np.array_equal(oracle.hessian_vec(x, h, state), oracle.hessian_vec(x, h))
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_counting_oracle_counts_a_stateful_product_as_one(self, kind):
+        rng = np.random.default_rng(31)
+        inner = _oracle_family(kind, rng)
+        oracle = CountingOracle(inner)
+        x, h = rng.normal(size=6), rng.normal(size=6)
+        state = oracle.hessian_state(x)
+        assert oracle.counts() == {"value": 0, "gradient": 0, "hessian_vec": 0, "hessian": 0}
+        assert np.array_equal(oracle.hessian_vec(x, h, state), inner.hessian_vec(x, h))
+        assert oracle.n_hvp == 1
+
+    @staticmethod
+    def _spied(monkeypatch, oracle):
+        calls = []
+        fetch = oracle.hessian_state
+        monkeypatch.setattr(oracle, "hessian_state", lambda x: calls.append(1) or fetch(x))
+        return calls
+
+    @pytest.mark.parametrize("kind", ["logistic", "logsumexp", "chain-q3"])
+    def test_a_model_fetches_the_state_once(self, monkeypatch, kind):
+        rng = np.random.default_rng(32)
+        oracle = _oracle_family(kind, rng)
+        center = rng.normal(size=6)
+        dirs = rng.normal(size=(3, 6))
+        products = [oracle.hessian_vec(center, d) for d in dirs]
+        calls = self._spied(monkeypatch, oracle)
+        model = TensorModel(oracle, ZeroComposite(6), center, H=2.0, p=2)
+        assert len(calls) == 1
+        for d, hd in zip(dirs, products):
+            model.value(center + d)
+            model.gradient(center + d)
+            model.value_and_gradient(center + d)
+            assert np.array_equal(model.hess_action(d), hd)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("p, want_hessian", [(1, False), (1, True), (2, True)])
+    def test_no_state_without_products(self, monkeypatch, p, want_hessian):
+        rng = np.random.default_rng(33)
+        oracle = _oracle_family("logsumexp", rng)
+        calls = self._spied(monkeypatch, oracle)
+        TensorModel(oracle, ZeroComposite(6), rng.normal(size=6), H=2.0, p=p,
+                    want_hessian=want_hessian)
+        assert calls == []
+
+    def test_with_weight_makes_no_oracle_call(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        oracle = _oracle_family("logsumexp", rng)
+        model = TensorModel(oracle, ZeroComposite(6), rng.normal(size=6), H=2.0, p=2)
+        d = rng.normal(size=6)
+        hd = model.hess_action(d)
+        forbid_oracle_calls(monkeypatch, oracle)
+        heavier = model.with_weight(8.0)
+        monkeypatch.undo()
+        assert np.array_equal(heavier.hess_action(d), hd)

@@ -324,6 +324,39 @@ class TestFgmCurvatureProducts:
         assert model.oracle.n_hvp - before == 1
 
 
+class TestFgmProbe:
+    NAMES = {NormOperator: ("apply", "primal", "solve"),
+             TensorModel: ("value", "gradient", "value_and_gradient")}
+
+    def _spy(self, monkeypatch):
+        counts = {}
+        for owner, names in self.NAMES.items():
+            for name in names:
+                counts[name] = 0
+
+                def counted(*args, _name=name, _orig=getattr(owner, name), **kwargs):
+                    counts[_name] += 1
+                    return _orig(*args, **kwargs)
+
+                monkeypatch.setattr(owner, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("norm_kind", ["dense", "identity"])
+    def test_a_probe_spends_one_b_product_and_no_primal_norm(self, monkeypatch, p, norm_kind):
+        model = _counted_lse_model(p, norm_kind)
+        counts = self._spy(monkeypatch)
+        fgm_step(model, delta=1e12)
+        assert counts == {"apply": 1, "primal": 0, "solve": 1, "value": 0, "gradient": 0,
+                          "value_and_gradient": 1}
+        counts = self._spy(monkeypatch)
+        res = fgm_step(model, delta=1e-9)
+        assert res.inner_iterations > 0 and counts["gradient"] == 0
+        # every probe: one B·d and one solve; every backtracking trial: one primal norm
+        assert counts["apply"] == counts["solve"] == counts["value_and_gradient"]
+        assert counts["primal"] == counts["value"] > 0
+
+
 class TestFgmFloorExit:
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("norm_kind", ["dense", "identity"])
