@@ -140,6 +140,10 @@ class ContractedOracle(SmoothOracle):
     def hessian_state(self, x):
         return self.base.hessian_state(self._arg(x))
 
+    def value_gradient_state(self, x, state=True):
+        f, g, hs = self.base.value_gradient_state(self._arg(x), state)
+        return self.scale * f, self.scale * self.theta * g, hs
+
     def hessian_vec(self, x, h, state=None):
         return self.scale * self.theta**2 * self.base.hessian_vec(self._arg(x), h, state)
 

@@ -2,8 +2,11 @@
 
 The primal norm is ``<Bx, x>**0.5`` and the dual norm is ``<s, B^{-1} s>**0.5``.
 Identity and diagonal operators bypass factorization entirely; dense operators
-cache a Cholesky factor at construction and an eigendecomposition on first use
-(needed for similarity transforms in the exact cubic subsolver).
+cache a Cholesky factor B = L Lᵀ at construction. The exact cubic subsolver
+works in coordinates where B is the identity, through ``whiten`` (the
+congruence L⁻¹ A L⁻ᵀ) and ``factor_solve`` (L⁻¹ x and L⁻ᵀ x); identity and
+diagonal operators use the factors I and diag(√d). ``inv_sqrt_apply`` applies
+B^{-1/2} from an eigendecomposition computed on first use and cached.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotrs, dsygst, dtrtrs
 
 SYM_TOL = 1e-10
 
@@ -105,6 +108,44 @@ class NormOperator:
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of dpotrs")
         return x
+
+    def whiten(self, A) -> np.ndarray:
+        """L⁻¹ A L⁻ᵀ for the factor L of B = L Lᵀ, computed over ``A``.
+
+        ``A`` is a symmetric C-ordered matrix the caller owns; it is overwritten.
+        Only the lower triangle of the result is meaningful, so read it with
+        ``np.linalg.eigh(..., UPLO="L")``. Raises ``LinAlgError`` on a
+        non-finite ``A``, which LAPACK would not check.
+        """
+        if not np.isfinite(A).all():
+            raise np.linalg.LinAlgError("matrix must not contain infs or NaNs")
+        if self.kind == "identity":
+            return A
+        if self.kind == "diagonal":
+            root = np.sqrt(self._diag)
+            A /= root[:, None]
+            A /= root
+            return A
+        # A is symmetric, so its transpose is the same matrix in Fortran order,
+        # which LAPACK overwrites instead of copying
+        C, info = dsygst(A.T, self._chol, itype=1, lower=1, overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"illegal value in argument {-info} of dsygst")
+        return C
+
+    def factor_solve(self, x, trans: bool = False) -> np.ndarray:
+        """L⁻¹ x, or L⁻ᵀ x when ``trans``, for the factor L of ``whiten``."""
+        x = self._check_dim(x)
+        if not np.isfinite(x).all():
+            raise np.linalg.LinAlgError("vector must not contain infs or NaNs")
+        if self.kind == "identity":
+            return x.copy()
+        if self.kind == "diagonal":
+            return x / np.sqrt(self._diag)
+        y, info = dtrtrs(self._chol, x, lower=1, trans=int(trans))
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
+        return y
 
     def primal(self, x) -> float:
         x = self._check_dim(x)

@@ -115,6 +115,16 @@ class CountingOracle:
         state = getattr(self.inner, "hessian_state", None)
         return None if state is None else state(x)
 
+    def value_gradient_state(self, x, state=True):
+        # one value and one gradient call, as separate calls would count
+        self.n_value += 1
+        self.n_grad += 1
+        joint = getattr(self.inner, "value_gradient_state", None)
+        if joint is not None:
+            return joint(x, state)
+        return (self.inner.value(x), self.inner.gradient(x),
+                self.hessian_state(x) if state else None)
+
     def hessian_vec(self, x, h, state=None):
         self.n_hvp += 1
         if state is None:

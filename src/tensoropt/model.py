@@ -24,8 +24,8 @@ class TensorModel:
     When ``want_hessian`` is set (exact subsolver, or an exact stopping rule),
     the dense Hessian at the center is materialized; otherwise curvature is
     applied through the oracle's Hessian-vector product, with the oracle's
-    center state (``hessian_state``) fetched once here and reused by every
-    product.
+    center state (``hessian_state``) fetched here, together with the value and
+    gradient, and reused by every product.
     """
 
     def __init__(self, oracle, composite, center, H: float, p: int = 2,
@@ -40,11 +40,9 @@ class TensorModel:
         self.oracle = oracle
         self.composite = composite
         self.norm = oracle.norm
-        self.f0 = oracle.value(self.center)
-        self.g0 = oracle.gradient(self.center)
+        self.f0, self.g0, self._hess_state = oracle.value_gradient_state(
+            self.center, p == 2 and not want_hessian)
         self.hess = oracle.hessian(self.center) if (p == 2 and want_hessian) else None
-        self._hess_state = (oracle.hessian_state(self.center)
-                            if p == 2 and self.hess is None else None)
         self._reg_scale = self.H / math.factorial(self.p + 1)
 
     def hess_action(self, d) -> np.ndarray:

@@ -4,8 +4,10 @@ Each smooth oracle exposes value / gradient / hessian_vec / hessian together
 with the norm operator its Lipschitz constants refer to. ``hessian_state(x)``
 returns what every Hessian-vector product at x recomputes (softmax or
 curvature weights), so a caller that applies the Hessian at one fixed point
-many times computes it once and passes it to ``hessian_vec``. Composite terms
-are differentiable and report their uniform-convexity parameters where known.
+many times computes it once and passes it to ``hessian_vec``.
+``value_gradient_state(x)`` returns value, gradient and that state from one
+evaluation of what they share. Composite terms are differentiable and report
+their uniform-convexity parameters where known.
 """
 
 from __future__ import annotations
@@ -48,6 +50,10 @@ class SmoothOracle:
     def hessian_vec(self, x, h, state=None) -> np.ndarray:
         """Hessian at x applied to h; ``state``, if given, is ``hessian_state(x)``."""
         raise NotImplementedError
+
+    def value_gradient_state(self, x, state: bool = True):
+        """``(value(x), gradient(x), hessian_state(x))``; the state is None unless ``state``."""
+        return self.value(x), self.gradient(x), self.hessian_state(x) if state else None
 
     def hessian(self, x) -> np.ndarray:
         raise NotImplementedError("dense Hessian not available for this oracle")
@@ -118,23 +124,38 @@ class LogisticOracle(SmoothOracle):
     def _margins(self, x):
         return self.y * (self.X @ np.asarray(x, dtype=float))
 
+    def _value(self, x, t):
+        return float(np.mean(_softplus(-t))) + 0.5 * self.l2 * float(x @ x)
+
+    def _gradient(self, x, log_s):
+        # d/dt log(1+e^{-t}) = -sigma(-t) = -exp(-log_s), overflow-free
+        g = -(self.X.T @ (self.y * np.exp(-log_s))) / self.m
+        return np.asarray(g).ravel() + self.l2 * x
+
+    @staticmethod
+    def _state(t, log_s):
+        """Curvature weights sigma(t) * sigma(-t) of the margins, overflow-free."""
+        return np.exp(-log_s - np.logaddexp(0.0, -t))
+
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        t = self._margins(x)
-        return float(np.mean(_softplus(-t))) + 0.5 * self.l2 * float(x @ x)
+        return self._value(x, self._margins(x))
 
     def gradient(self, x):
         x = np.asarray(x, dtype=float)
-        t = self._margins(x)
-        # d/dt log(1+e^{-t}) = -sigma(-t), computed overflow-free
-        s = np.exp(-np.logaddexp(0.0, t))
-        g = -(self.X.T @ (self.y * s)) / self.m
-        return np.asarray(g).ravel() + self.l2 * x
+        return self._gradient(x, np.logaddexp(0.0, self._margins(x)))
 
     def hessian_state(self, x):
         """Curvature weights sigma(t) * sigma(-t) of the margins, overflow-free."""
         t = self._margins(x)
-        return np.exp(-np.logaddexp(0.0, t) - np.logaddexp(0.0, -t))
+        return self._state(t, np.logaddexp(0.0, t))
+
+    def value_gradient_state(self, x, state=True):
+        x = np.asarray(x, dtype=float)
+        t = self._margins(x)
+        log_s = np.logaddexp(0.0, t)
+        return (self._value(x, t), self._gradient(x, log_s),
+                self._state(t, log_s) if state else None)
 
     def hessian_vec(self, x, h, state=None):
         h = np.asarray(h, dtype=float)
@@ -195,6 +216,10 @@ class LogSumExpOracle(SmoothOracle):
         """Softmax weights at x."""
         return self._weights(x)[0]
 
+    def value_gradient_state(self, x, state=True):
+        pi, lse = self._weights(x)
+        return self.mu * lse, self.A.T @ pi, pi if state else None
+
     def hessian_vec(self, x, h, state=None):
         h = np.asarray(h, dtype=float)
         pi = self.hessian_state(x) if state is None else state
@@ -203,10 +228,15 @@ class LogSumExpOracle(SmoothOracle):
         return (self.A.T @ (pi * (u - mean_u))) / self.mu
 
     def hessian(self, x):
+        """(Sᵀ S − g gᵀ) / mu with S = sqrt(pi)·A; numpy sends Sᵀ S to one ``syrk``,
+        which fills one triangle and mirrors it, so the result is exactly symmetric."""
         pi, _ = self._weights(x)
-        Apw = self.A * pi[:, None]
+        S = self.A * np.sqrt(pi)[:, None]
         g = self.A.T @ pi
-        return (Apw.T @ self.A - np.outer(g, g)) / self.mu
+        hess = S.T @ S
+        hess -= np.outer(g, g)
+        hess /= self.mu
+        return hess
 
 
 class PoweredChainOracle(SmoothOracle):

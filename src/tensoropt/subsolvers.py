@@ -3,7 +3,8 @@
 Three ways to produce a step:
 
 * ``exact_cubic_step``  -- global minimizer of the order-2 model through an
-  eigendecomposition and a scalar secular equation (zero residual).
+  eigendecomposition of the Hessian whitened by the norm's Cholesky factor
+  and a scalar secular equation (zero residual).
 * ``gradient_step``     -- closed-form order-1 step, optionally with a
   quadratic composite folded in (zero residual).
 * ``fgm_step``          -- accelerated gradient loop with backtracking step
@@ -109,19 +110,22 @@ def gradient_step(model: TensorModel) -> StepResult:
 # ---------------------------------------------------------------------------
 
 def _fold_quadratic(model: TensorModel):
-    """Effective (gradient, Hessian) with a quadratic composite absorbed."""
+    """(gradient, Hessian copy, mu) with a quadratic composite mu/2 ||x - c0||^2 absorbed.
+
+    The composite's Hessian mu·B whitens to mu·I, so it is returned as the
+    shift mu of the whitened spectrum rather than added to the Hessian.
+    """
     if model.hess is None:
         raise ValueError("exact step needs the dense Hessian on the model")
     comp = model.composite
     if comp.is_zero:
-        return model.g0.copy(), model.hess.copy()
+        return model.g0, model.hess.copy(), 0.0
     quad = comp.quadratic_coeff
     if quad is None:
         raise ValueError("exact step supports only zero or quadratic composites")
     mu, c0 = quad
-    B = model.norm.as_matrix()
     g = model.g0 + mu * model.norm.apply(model.center - c0)
-    return g, model.hess + mu * B
+    return g, model.hess.copy(), float(mu)
 
 
 def _secular_root(lam: np.ndarray, c2: np.ndarray, H: float) -> float:
@@ -169,45 +173,40 @@ def _secular_root(lam: np.ndarray, c2: np.ndarray, H: float) -> float:
 def exact_cubic_step(model: TensorModel) -> StepResult:
     """Global minimizer of the cubic-regularized order-2 model.
 
-    Works in coordinates where the norm operator is the identity, solves the
-    secular equation for the step length, and handles the hard case (gradient
-    orthogonal to the bottom eigenspace, no interior root) by a boundary
-    solution with an eigenvector correction.
+    Works in coordinates where the norm operator is the identity: with the
+    norm's factor B = L Lᵀ, the step d = L⁻ᵀ v turns ||d||_B into ||v|| and the
+    Hessian A into L⁻¹ A L⁻ᵀ, whose eigendecomposition W diag(lam) Wᵀ reduces
+    the model to a scalar secular equation in the step length. A quadratic
+    composite shifts lam by its weight. The hard case (gradient orthogonal to
+    the bottom eigenspace, no interior root) takes a boundary solution with an
+    eigenvector correction. Every step reports its model gradient's dual norm.
     """
     if model.p != 2:
         raise ValueError("exact cubic step requires an order-2 model")
-    g, A = _fold_quadratic(model)
+    g, A, mu = _fold_quadratic(model)
     H = model.H
     norm = model.norm
 
-    A_t = norm.inv_sqrt_apply(norm.inv_sqrt_apply(A).T)
-    A_t = 0.5 * (A_t + A_t.T)
-    g_t = norm.inv_sqrt_apply(g)
-
-    lam, V = np.linalg.eigh(A_t)
-    c = V.T @ g_t
+    c = norm.factor_solve(g)
+    lam, W = np.linalg.eigh(norm.whiten(A), UPLO="L")
+    lam += mu
+    c = W.T @ c
     c2 = c**2
-    scale = max(1.0, float(np.abs(lam).max()), float(np.linalg.norm(c)))
+    c_norm = float(np.linalg.norm(c))
+    scale = max(1.0, float(np.abs(lam).max()), c_norm)
     bottom = lam - lam[0] <= 1e-14 * scale
-
-    if float(np.linalg.norm(c)) == 0.0:
-        u = np.zeros_like(c)
-        if lam[0] < 0:
-            u[0] = -2.0 * lam[0] / H  # boundary solution along the bottom eigenvector
-        d = norm.inv_sqrt_apply(V @ u)
-        T = model.center + d
-        return StepResult(T, 0.0, 1, "exact_oracle", model.value(T), delta_used=0.0)
-
     r_edge = max(0.0, -2.0 * lam[0] / H)
+
     hard = False
     if lam[0] < 0 and float(np.sum(c2[bottom])) <= 1e-28 * float(np.sum(c2)):
         den = lam[~bottom] + 0.5 * H * r_edge
         s_edge = math.sqrt(float(np.sum(c2[~bottom] / den**2))) if np.any(~bottom) else 0.0
-        if s_edge <= r_edge:
-            hard = True
+        hard = s_edge <= r_edge
 
-    if hard:
-        u = np.zeros_like(c)
+    u = np.zeros_like(c)
+    if c_norm == 0.0:
+        u[0] = r_edge  # boundary solution along the bottom eigenvector
+    elif hard:
         den = lam + 0.5 * H * r_edge
         u[~bottom] = -c[~bottom] / den[~bottom]
         slack = r_edge**2 - float(np.sum(u**2))
@@ -216,8 +215,7 @@ def exact_cubic_step(model: TensorModel) -> StepResult:
         r = _secular_root(lam, c2, H)
         u = -c / (lam + 0.5 * H * r)
 
-    d = norm.inv_sqrt_apply(V @ u)
-    T = model.center + d
+    T = model.center + norm.factor_solve(W @ u, trans=True)
     f_T, g_T = model.value_and_gradient(T)
     return StepResult(
         point=T,
@@ -225,7 +223,7 @@ def exact_cubic_step(model: TensorModel) -> StepResult:
         inner_iterations=1,
         certification="exact_oracle",
         model_value=f_T,
-        grad_dual_norm=model.norm.dual(g_T),
+        grad_dual_norm=norm.dual(g_T),
         delta_used=0.0,
     )
 

@@ -8,14 +8,21 @@ from tensoropt.model import TensorModel
 from tensoropt.problems import QuadraticOracle, ZeroComposite
 
 
-def random_norm(rng, n):
-    kind = rng.integers(0, 3)
-    if kind == 0:
+NORM_KINDS = ("identity", "diagonal", "dense")
+
+
+def norm_of_kind(kind, rng, n):
+    """Identity, random diagonal or random dense norm, eigenvalues in [0.5, 3]."""
+    if kind == "identity":
         return NormOperator.identity(n)
-    if kind == 1:
+    if kind == "diagonal":
         return NormOperator.diagonal(rng.uniform(0.5, 3.0, n))
     Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
     return NormOperator.dense(Q @ np.diag(rng.uniform(0.5, 3.0, n)) @ Q.T)
+
+
+def random_norm(rng, n):
+    return norm_of_kind(NORM_KINDS[rng.integers(0, 3)], rng, n)
 
 
 def random_cubic_model(rng, n=None, convex=True):
@@ -81,5 +88,6 @@ def forbid_oracle_calls(monkeypatch, oracle):
     """Make every oracle call on ``oracle`` fail the test."""
     def fail(*args):
         raise AssertionError("oracle called")
-    for attr in ("value", "gradient", "hessian_state", "hessian_vec", "hessian"):
+    for attr in ("value", "gradient", "hessian_state", "value_gradient_state",
+                 "hessian_vec", "hessian"):
         monkeypatch.setattr(oracle, attr, fail)

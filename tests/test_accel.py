@@ -123,6 +123,24 @@ class TestSubproblem:
             assert np.array_equal(sub.smooth.hessian_vec(x, h, state),
                                   sub.smooth.hessian_vec(x, h))
 
+    @pytest.mark.parametrize("base", ["logsumexp", "chain", "counted-logsumexp"])
+    def test_contracted_joint_evaluation_is_bit_identical(self, base):
+        if base == "chain":
+            prob = powered_chain_oracle(6, 3.0, 2.0)
+        else:
+            prob = generate_shifted_logsumexp(6, 36, 1.0, seed=6)
+        smooth = CountingOracle(prob.smooth) if base.startswith("counted") else prob.smooth
+        rng = np.random.default_rng(8)
+        sub = build_subproblem(prob, smooth, rng.normal(size=6), rng.normal(size=6),
+                               2.0, 5.0, PowerProx(np.ones(6), 2, prob.norm))
+        for _ in range(5):
+            x = rng.normal(size=6)
+            f, g, state = sub.smooth.value_gradient_state(x)
+            assert f == sub.smooth.value(x)
+            assert np.array_equal(g, sub.smooth.gradient(x))
+            assert np.array_equal(state, sub.smooth.hessian_state(x))
+            assert sub.smooth.value_gradient_state(x, False)[2] is None
+
     def test_contracted_lipschitz_bounded(self):
         prob = generate_shifted_logsumexp(5, 30, 1.0, seed=5)
         L = prob.smooth.lipschitz[2]

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import NORM_KINDS, norm_of_kind
+
 from tensoropt.linalg import FactorizationError, NormOperator, sym_eig
 
 
@@ -114,6 +116,74 @@ class TestPrimalDualNorms:
         for s in (np.ones(3), np.ones((2, 1)), np.ones((2, 2))):
             with pytest.raises(ValueError):
                 B.solve(s)
+
+
+class TestFactorCoordinates:
+    """``whiten`` and ``factor_solve`` against the Cholesky factor L of B = L Lᵀ."""
+
+    @pytest.mark.parametrize("kind", NORM_KINDS)
+    def test_whiten_is_the_congruence_by_the_factor(self, kind):
+        rng = np.random.default_rng(6)
+        n = 9
+        B = norm_of_kind(kind, rng, n)
+        L = np.linalg.cholesky(B.as_matrix())
+        M = rng.normal(size=(n, n))
+        A = M + M.T
+        ref = scipy.linalg.solve_triangular(L, scipy.linalg.solve_triangular(L, A, lower=True).T,
+                                            lower=True)
+        C = B.whiten(A.copy())
+        assert np.abs(np.tril(C) - np.tril(ref)).max() <= 1e-13 * np.abs(ref).max()
+        w_ref = np.linalg.eigvalsh(0.5 * (ref + ref.T))
+        np.testing.assert_allclose(np.linalg.eigvalsh(C, UPLO="L"), w_ref, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("kind", NORM_KINDS)
+    def test_whiten_works_in_place(self, kind):
+        rng = np.random.default_rng(7)
+        B = norm_of_kind(kind, rng, 6)
+        M = rng.normal(size=(6, 6))
+        A = M @ M.T
+        assert np.shares_memory(B.whiten(A), A)
+
+    @pytest.mark.parametrize("kind", NORM_KINDS)
+    def test_factor_solves(self, kind):
+        rng = np.random.default_rng(8)
+        n = 7
+        B = norm_of_kind(kind, rng, n)
+        L = np.linalg.cholesky(B.as_matrix())
+        for _ in range(5):
+            x = rng.normal(size=n)
+            np.testing.assert_allclose(B.factor_solve(x),
+                                       scipy.linalg.solve_triangular(L, x, lower=True),
+                                       rtol=1e-13, atol=0)
+            np.testing.assert_allclose(B.factor_solve(x, trans=True),
+                                       scipy.linalg.solve_triangular(L, x, lower=True, trans=1),
+                                       rtol=1e-13, atol=0)
+            # ||L^{-1} s|| is the dual norm of s, and ||L^{-T} v||_B = ||v||
+            assert np.linalg.norm(B.factor_solve(x)) == pytest.approx(B.dual(x), rel=1e-12)
+            assert B.primal(B.factor_solve(x, trans=True)) == pytest.approx(
+                np.linalg.norm(x), rel=1e-12)
+            x_before = x.copy()
+            B.factor_solve(x)
+            B.factor_solve(x, trans=True)
+            assert np.array_equal(x, x_before)
+
+    @pytest.mark.parametrize("kind", NORM_KINDS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, kind, bad):
+        B = norm_of_kind(kind, np.random.default_rng(9), 3)
+        A = np.eye(3)
+        A[2, 1] = A[1, 2] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            B.whiten(A)
+        for trans in (False, True):
+            with pytest.raises(np.linalg.LinAlgError):
+                B.factor_solve(np.array([1.0, bad, 0.0]), trans=trans)
+
+    def test_factor_solve_rejects_a_wrong_shape(self):
+        B = NormOperator.dense(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        for x in (np.ones(3), np.ones((2, 1))):
+            with pytest.raises(ValueError):
+                B.factor_solve(x)
 
 
 class TestSymEig:

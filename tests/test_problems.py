@@ -111,6 +111,21 @@ class TestLogSumExp:
         v = oracle.value(np.array([500.0]))
         assert np.isfinite(v) and v == pytest.approx(500.0, rel=1e-9)
 
+    def test_dense_hessian_is_exactly_symmetric_and_matches_the_weighted_formula(self):
+        rng = np.random.default_rng(6)
+        for m, n, mu in ((40, 6, 1.0), (300, 50, 0.3)):
+            A = rng.uniform(-1.0, 1.0, size=(m, n))
+            oracle = LogSumExpOracle(A, b=rng.uniform(-1, 1, m), mu=mu)
+            for _ in range(5):
+                x = rng.normal(size=n)
+                hess = oracle.hessian(x)
+                assert np.array_equal(hess, hess.T)
+                pi = oracle.hessian_state(x)
+                g = A.T @ pi
+                # sum_i pi_i a_i a_i^T - g g^T, the formula without square roots
+                ref = ((A * pi[:, None]).T @ A - np.outer(g, g)) / mu
+                assert np.abs(hess - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+
     def test_hessian_quadratic_form_bounded_by_gram_norm(self):
         rng = np.random.default_rng(5)
         A = rng.uniform(-1.0, 1.0, size=(40, 6))
@@ -349,11 +364,74 @@ class TestHessianState:
         assert np.array_equal(oracle.hessian_vec(x, h, state), inner.hessian_vec(x, h))
         assert oracle.n_hvp == 1
 
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_joint_evaluation_is_bit_identical(self, kind):
+        rng = np.random.default_rng(35)
+        oracle = _oracle_family(kind, rng)
+        for _ in range(5):
+            x = 2.0 * rng.normal(size=6)
+            f, g, state = oracle.value_gradient_state(x)
+            assert type(f) is type(oracle.value(x)) and f == oracle.value(x)
+            assert np.array_equal(g, oracle.gradient(x))
+            if kind == "quadratic":
+                assert state is None
+            else:
+                assert np.array_equal(state, oracle.hessian_state(x))
+            assert oracle.value_gradient_state(x, False)[2] is None
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_counting_oracle_counts_a_joint_evaluation_as_a_value_and_a_gradient(self, kind):
+        rng = np.random.default_rng(36)
+        inner = _oracle_family(kind, rng)
+        oracle = CountingOracle(inner)
+        x = rng.normal(size=6)
+        for state in (True, False):
+            f, g, _ = oracle.value_gradient_state(x, state)
+            assert f == inner.value(x) and np.array_equal(g, inner.gradient(x))
+        assert oracle.counts() == {"value": 2, "gradient": 2, "hessian_vec": 0, "hessian": 0}
+
+    @pytest.mark.parametrize("kind, shared", [("logsumexp", "_weights"),
+                                              ("logistic", "_margins")])
+    @pytest.mark.parametrize("want_hessian", [False, True])
+    def test_a_model_build_evaluates_the_center_once(self, monkeypatch, kind, shared,
+                                                     want_hessian):
+        rng = np.random.default_rng(37)
+        oracle = _oracle_family(kind, rng)
+        calls = []
+        inner = getattr(oracle, shared)
+        monkeypatch.setattr(oracle, shared, lambda x: calls.append(1) or inner(x))
+        model = TensorModel(CountingOracle(oracle), ZeroComposite(6), rng.normal(size=6),
+                            H=2.0, p=2, want_hessian=want_hessian)
+        # the dense Hessian evaluates the center once more
+        assert len(calls) == (2 if want_hessian else 1)
+        assert model.oracle.counts()["value"] == model.oracle.counts()["gradient"] == 1
+
     @staticmethod
     def _spied(monkeypatch, oracle):
-        calls = []
-        fetch = oracle.hessian_state
-        monkeypatch.setattr(oracle, "hessian_state", lambda x: calls.append(1) or fetch(x))
+        """One entry per state fetch, by ``hessian_state`` or ``value_gradient_state``.
+
+        The default ``value_gradient_state`` calls ``hessian_state``; that
+        nested call is the same fetch and is not recorded again.
+        """
+        calls, depth = [], []
+        fetch, joint = oracle.hessian_state, oracle.value_gradient_state
+
+        def spy_fetch(x):
+            if not depth:
+                calls.append(1)
+            return fetch(x)
+
+        def spy_joint(x, state=True):
+            if state:
+                calls.append(1)
+            depth.append(1)
+            try:
+                return joint(x, state)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(oracle, "hessian_state", spy_fetch)
+        monkeypatch.setattr(oracle, "value_gradient_state", spy_joint)
         return calls
 
     @pytest.mark.parametrize("kind", ["logistic", "logsumexp", "chain-q3"])

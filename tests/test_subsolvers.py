@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import brute_force_model_min, random_cubic_model
+from conftest import NORM_KINDS, brute_force_model_min, norm_of_kind, random_cubic_model
 
 from tensoropt import subsolvers
 from tensoropt.harness import ExperimentConfig, execute
@@ -135,6 +135,156 @@ class TestExactCubicStep:
         oracle = QuadraticOracle(np.eye(2), b=np.ones(2))
         model = TensorModel(oracle, ZeroComposite(2), np.zeros(2), H=1.0, p=2)
         with pytest.raises(ValueError):
+            exact_cubic_step(model)
+
+
+def _reference_step(model):
+    """The exact step in the coordinates of B^{-1/2}, from ``inv_sqrt_apply``.
+
+    Returns (eigenvalues, d_rest, d_bottom): the step is d_rest + d_bottom, and
+    d_bottom, nonzero only in the hard case and at a zero gradient, is the
+    part along the bottom eigenvector, whose sign is arbitrary.
+    """
+    norm, H = model.norm, model.H
+    g, A = model.g0, model.hess
+    quad = model.composite.quadratic_coeff
+    if quad is not None:
+        mu, c0 = quad
+        g = g + mu * norm.apply(model.center - c0)
+        A = A + mu * norm.as_matrix()
+    A_t = norm.inv_sqrt_apply(norm.inv_sqrt_apply(A).T)
+    lam, V = np.linalg.eigh(0.5 * (A_t + A_t.T))
+    c = V.T @ norm.inv_sqrt_apply(g)
+    r_edge = max(0.0, -2.0 * lam[0] / H)
+    rest = lam - lam[0] > 1e-8 * max(1.0, np.abs(lam).max())
+    u_rest = np.zeros_like(c)
+    u_rest[rest] = -c[rest] / (lam[rest] + 0.5 * H * r_edge)
+    u_bottom = np.zeros_like(c)
+    if lam[0] < 0 and np.all(np.abs(c[~rest]) <= 1e-13 * max(1.0, np.linalg.norm(c))) and (
+            np.linalg.norm(u_rest) <= r_edge):
+        u_bottom[0] = math.sqrt(r_edge**2 - float(u_rest @ u_rest))
+    else:
+        u_rest = -c / (lam + 0.5 * H * subsolvers._secular_root(lam, c**2, H))
+    return lam, norm.inv_sqrt_apply(V @ u_rest), norm.inv_sqrt_apply(V @ u_bottom)
+
+
+def _assert_matches_reference(model, res):
+    lam_ref, d_rest, d_bottom = _reference_step(model)
+    mu = model.composite.quadratic_coeff[0] if model.composite.quadratic_coeff else 0.0
+    lam = np.linalg.eigvalsh(model.norm.whiten(model.hess.copy()), UPLO="L") + mu
+    np.testing.assert_allclose(lam, lam_ref, rtol=0, atol=1e-12 * np.abs(lam_ref).max())
+    # both steps come from a secular root bracketed to SECULAR_REL_TOL (1e-12)
+    # relative, so they agree within a few of that; most agree to 1e-15
+    d = res.point - model.center
+    scale = np.linalg.norm(d_rest + d_bottom)
+    assert min(np.linalg.norm(d - (d_rest + sign * d_bottom)) for sign in (1.0, -1.0)) <= (
+        4 * subsolvers.SECULAR_REL_TOL * scale)
+    assert res.grad_dual_norm == pytest.approx(model.norm.dual(model.gradient(res.point)),
+                                               rel=1e-12, abs=1e-300)
+
+
+def _whitened_model(kind, rng, lam, c, composite_mu=0.0, H=1.5):
+    """Order-2 quadratic model whose whitened Hessian has spectrum ``lam`` and
+    whose whitened gradient has coordinates ``c`` in its eigenbasis."""
+    n = lam.size
+    norm = norm_of_kind(kind, rng, n)
+    L = np.linalg.cholesky(norm.as_matrix())
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    A = L @ (Q * lam) @ Q.T @ L.T
+    center = rng.normal(size=n)
+    # centred at the model's center, the quadratic's gradient there is b exactly
+    oracle = QuadraticOracle(0.5 * (A + A.T), b=L @ (Q @ c), center=center, norm=norm)
+    comp = (QuadraticComposite(composite_mu, center, norm) if composite_mu
+            else ZeroComposite(n))
+    return TensorModel(oracle, comp, center, H, p=2, want_hessian=True)
+
+
+class TestExactStepInFactorCoordinates:
+    """The step on the norm's Cholesky factor equals the step through B^{-1/2}."""
+
+    @staticmethod
+    def _random_models(kind, composite, convex, gradient_scale=1.0, count=10):
+        rng = np.random.default_rng(40)
+        for _ in range(count):
+            n = int(rng.integers(2, 12))
+            norm = norm_of_kind(kind, rng, n)
+            M = rng.normal(size=(n, n))
+            A = M @ M.T if convex else 0.5 * (M + M.T)
+            oracle = QuadraticOracle(A, b=gradient_scale * rng.normal(size=n), norm=norm)
+            comp = (QuadraticComposite(rng.uniform(0.1, 2.0), rng.normal(size=n), norm)
+                    if composite == "quadratic" else ZeroComposite(n))
+            yield TensorModel(oracle, comp, rng.normal(size=n), rng.uniform(0.5, 5.0),
+                              p=2, want_hessian=True)
+
+    @pytest.mark.parametrize("kind", NORM_KINDS)
+    @pytest.mark.parametrize("composite", ["zero", "quadratic"])
+    @pytest.mark.parametrize("convex", [True, False])
+    def test_random_models(self, kind, composite, convex):
+        # With negative curvature the shift lam_min + H r / 2 can be small, and
+        # the step then amplifies the secular root's tolerance many times; a
+        # strong gradient keeps r, and the shift, well away from that pole.
+        for model in self._random_models(kind, composite, convex, 1.0 if convex else 100.0):
+            _assert_matches_reference(model, exact_cubic_step(model))
+
+    @pytest.mark.parametrize("kind", NORM_KINDS)
+    @pytest.mark.parametrize("composite", ["zero", "quadratic"])
+    def test_model_values_of_indefinite_models(self, kind, composite):
+        for model in self._random_models(kind, composite, convex=False):
+            res = exact_cubic_step(model)
+            _, d_rest, d_bottom = _reference_step(model)
+            ref = model.value(model.center + d_rest + d_bottom)
+            assert res.model_value == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", NORM_KINDS)
+    @pytest.mark.parametrize("composite_mu", [0.0, 0.5])
+    def test_hard_case(self, kind, composite_mu):
+        rng = np.random.default_rng(41)
+        lam = np.array([-2.0, 0.5, 1.0, 3.0]) - composite_mu
+        c = np.array([0.0, 1e-3, -2e-3, 1e-3])
+        model = _whitened_model(kind, rng, lam, c, composite_mu)
+        res = exact_cubic_step(model)
+        _assert_matches_reference(model, res)
+        # the step lies on the boundary radius -2 lam_min / H of the whitened spectrum
+        assert model.norm.primal(res.point - model.center) == pytest.approx(
+            -2.0 * (lam[0] + composite_mu) / model.H, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", NORM_KINDS)
+    def test_zero_gradient(self, kind):
+        rng = np.random.default_rng(42)
+        model = _whitened_model(kind, rng, np.array([-1.0, 0.5, 2.0]), np.zeros(3))
+        _assert_matches_reference(model, exact_cubic_step(model))
+
+    @pytest.mark.parametrize("kind", NORM_KINDS)
+    def test_zero_gradient_branch_reports_the_gradient_norm(self, kind):
+        rng = np.random.default_rng(43)
+        for lam in (np.array([-1.0, 0.5, 2.0]), np.array([0.5, 1.0, 2.0])):
+            model = _whitened_model(kind, rng, lam, np.zeros(3))
+            res = exact_cubic_step(model)
+            f, g = model.value_and_gradient(res.point)
+            assert res.model_value == f
+            assert res.grad_dual_norm == model.norm.dual(g)
+            assert res.grad_dual_norm <= 1e-12
+
+    def test_a_step_leaves_a_fresh_dense_norm_without_eigendecomposition(self):
+        rng = np.random.default_rng(44)
+        A = rng.normal(size=(40, 8))
+        oracle = LogSumExpOracle(A, b=rng.normal(size=40), mu=1.0, norm=NormOperator.gram(A))
+        model = TensorModel(oracle, ZeroComposite(8), rng.normal(size=8), 2.0, p=2,
+                            want_hessian=True)
+        exact_cubic_step(model)
+        assert model.norm._eig is None
+
+    @pytest.mark.parametrize("kind", NORM_KINDS)
+    @pytest.mark.parametrize("where", ["hessian", "gradient"])
+    def test_non_finite_input_raises(self, kind, where):
+        rng = np.random.default_rng(45)
+        model = _whitened_model(kind, rng, np.array([-1.0, 0.5, 2.0]), np.ones(3))
+        if where == "hessian":
+            model.hess[1, 2] = np.nan
+        else:
+            model.g0 = model.g0.copy()
+            model.g0[1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
             exact_cubic_step(model)
 
 
