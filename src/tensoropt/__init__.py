@@ -16,7 +16,6 @@ from .problems import (
     check_derivatives,
     generate_shifted_logsumexp,
     logistic_oracle,
-    logsumexp_oracle,
     parse_libsvm,
     powered_chain_oracle,
     synthetic_logistic,
@@ -32,7 +31,7 @@ from .subsolvers import (
     solve_model,
 )
 from .methods import SolverConfig, SolverRun, TraceRecord, averaging, monotone1, monotone2
-from .accel import accelerated, build_subproblem, PowerProx, subproblem_certificate
+from .accel import accelerated, build_subproblem, subproblem_certificate
 from .harness import ExperimentConfig, compare, fit_rate, run_experiment
 
 __version__ = "0.1.0"

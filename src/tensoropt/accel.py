@@ -6,7 +6,9 @@ Each outer iteration k minimizes
            + bregman(v_k; x)
 
 over x, where the Bregman divergence comes from the power prox-function
-d(x) = ||x - x_0||^{p+1} / (p+1). The subproblem is uniformly convex of degree
+d(x) = ||x - x_0||^{p+1} / (p+1), a ``PowerComposite`` of weight one; the
+composite slot ``ScaledComposite`` holds a * psi and that divergence, with
+d(v) and its gradient cached. The subproblem is uniformly convex of degree
 p+1 with parameter 2^{1-p}, so a computable gradient-based certificate bounds
 its residual; the inner solver is the strictly monotone scheme, warm-started
 at the previous prox-center, and stops once the certificate reaches the outer
@@ -20,93 +22,44 @@ import math
 
 import numpy as np
 
-from .linalg import NormOperator
 from .model import TensorModel
-from .problems import Composite, ProblemInstance, SmoothOracle
+from .problems import Composite, PowerComposite, ProblemInstance, SmoothOracle
 from .methods import SolverConfig, SolverRun, _Runner
 from .policies import power, precision_floor
 from .subsolvers import SubsolverStall, model_solver, monotone_step, residual_bound
 
 
-class PowerProx:
-    """Prox-function d(x) = ||x - anchor||^{p+1} / (p+1) and its Bregman divergence."""
+class ScaledComposite(Composite):
+    """a * psi + beta_d(v; .), the composite slot of the subproblem.
 
-    def __init__(self, anchor, p: int, norm: NormOperator):
-        self.anchor = np.asarray(anchor, dtype=float).copy()
-        self.p = int(p)
-        self.norm = norm
-
-    def value(self, x) -> float:
-        r = self.norm.primal(np.asarray(x, dtype=float) - self.anchor)
-        return r ** (self.p + 1) / (self.p + 1.0)
-
-    def gradient(self, x) -> np.ndarray:
-        d = np.asarray(x, dtype=float) - self.anchor
-        r = self.norm.primal(d)
-        return r ** (self.p - 1) * self.norm.apply(d)
-
-    def bregman(self, v, x) -> float:
-        v = np.asarray(v, dtype=float)
-        x = np.asarray(x, dtype=float)
-        return self.value(x) - self.value(v) - float(self.gradient(v) @ (x - v))
-
-
-class BregmanComposite(Composite):
-    """beta_d(v; .) of a power prox-function, used as a composite term.
-
-    Uniformly convex of degree p+1 with parameter 2^{1-p} (inherited from d).
+    beta_d(v; x) = d(x) - d(v) - <grad d(v), x - v> is the Bregman divergence
+    of the prox-function d at v; d(v) and grad d(v) are cached. The term is
+    uniformly convex with psi's parameter scaled by a plus d's.
     """
 
-    def __init__(self, prox: PowerProx, v):
+    def __init__(self, base: Composite, a: float, prox: PowerComposite, v):
+        self.base = base
+        self.a = float(a)
         self.prox = prox
         self.v = np.asarray(v, dtype=float).copy()
         self._grad_v = prox.gradient(self.v)
         self._value_v = prox.value(self.v)
 
     def value(self, x):
-        return self.prox.value(x) - self._value_v - float(
+        gap = self.prox.value(x) - self._value_v - float(
             self._grad_v @ (np.asarray(x, dtype=float) - self.v))
+        return self.a * self.base.value(x) + gap
 
     def gradient(self, x):
-        return self.prox.gradient(x) - self._grad_v
+        return self.a * self.base.gradient(x) + (self.prox.gradient(x) - self._grad_v)
 
     def uniform_convexity(self, degree):
-        if degree == self.prox.p + 1:
-            return 2.0 ** (1.0 - self.prox.p)
-        return 0.0
+        return self.a * self.base.uniform_convexity(degree) + self.prox.uniform_convexity(degree)
 
     @property
     def quadratic_coeff(self):
-        if self.prox.p == 1:
-            return 1.0, self.v  # degree-2 Bregman gap is 0.5 ||x - v||^2
-        return None
-
-
-class ScaledComposite(Composite):
-    """a * psi plus a Bregman term; the composite slot of the subproblem."""
-
-    def __init__(self, base: Composite, a: float, bregman: BregmanComposite):
-        self.base = base
-        self.a = float(a)
-        self.breg = bregman
-
-    def value(self, x):
-        return self.a * self.base.value(x) + self.breg.value(x)
-
-    def gradient(self, x):
-        return self.a * self.base.gradient(x) + self.breg.gradient(x)
-
-    def uniform_convexity(self, degree):
-        return self.a * self.base.uniform_convexity(degree) + self.breg.uniform_convexity(degree)
-
-    @property
-    def is_zero(self):
-        return False
-
-    @property
-    def quadratic_coeff(self):
-        if self.base.is_zero:
-            return self.breg.quadratic_coeff
+        if self.base.is_zero and self.prox.q == 2.0:
+            return self.prox.mu, self.v  # a degree-2 Bregman gap is mu/2 ||x - v||^2
         return None
 
 
@@ -137,9 +90,6 @@ class ContractedOracle(SmoothOracle):
     def gradient(self, x):
         return self.scale * self.theta * self.base.gradient(self._arg(x))
 
-    def hessian_state(self, x):
-        return self.base.hessian_state(self._arg(x))
-
     def value_gradient_state(self, x, state=True):
         f, g, hs = self.base.value_gradient_state(self._arg(x), state)
         return self.scale * f, self.scale * self.theta * g, hs
@@ -152,7 +102,7 @@ class ContractedOracle(SmoothOracle):
 
 
 def build_subproblem(problem: ProblemInstance, oracle, x_k, v_k, A_k: float,
-                     A_next: float, prox: PowerProx) -> ProblemInstance:
+                     A_next: float, prox: PowerComposite) -> ProblemInstance:
     """Assemble the contracted subproblem around the current outer state.
 
     ``oracle`` is the (possibly counting) view of the problem's smooth part so
@@ -164,7 +114,7 @@ def build_subproblem(problem: ProblemInstance, oracle, x_k, v_k, A_k: float,
     theta = a / A_next
     shift = (A_k / A_next) * np.asarray(x_k, dtype=float)
     smooth = ContractedOracle(oracle, A_next, theta, shift)
-    composite = ScaledComposite(problem.composite, a, BregmanComposite(prox, v_k))
+    composite = ScaledComposite(problem.composite, a, prox, v_k)
     return ProblemInstance(smooth=smooth, composite=composite,
                            name=f"{problem.name}/contracted")
 
@@ -202,7 +152,7 @@ def accelerated(problem: ProblemInstance, x0, config: SolverConfig) -> SolverRun
 
     x = run.x0.copy()
     v = run.x0.copy()
-    prox = PowerProx(run.x0, p, run.norm)
+    prox = PowerComposite(1.0, p + 1, run.x0, run.norm)
     A = 0.0
     f_x = run.F(x)
     run.record(0, f_x, x)
@@ -234,8 +184,7 @@ def accelerated(problem: ProblemInstance, x0, config: SolverConfig) -> SolverRun
                 delta_in = inner_policy.delta(j, h_values)
             else:
                 delta_in = inner_policy.delta(k + 1)
-            model = TensorModel(sub.smooth, sub.composite, w, H_in, p=p,
-                                want_hessian=(inner_kind == "exact" and p == 2))
+            model = TensorModel(sub.smooth, sub.composite, w, H_in, p=p)
             try:
                 res = monotone_step(h_w, model_solver(model, sub.value, kind=inner_kind),
                                     max(delta_in, floor), floor)

@@ -110,20 +110,15 @@ class CountingOracle:
         self.n_grad += 1
         return self.inner.gradient(x)
 
-    def hessian_state(self, x):
-        # not an oracle call: the products that use the state are counted
-        state = getattr(self.inner, "hessian_state", None)
-        return None if state is None else state(x)
-
     def value_gradient_state(self, x, state=True):
-        # one value and one gradient call, as separate calls would count
+        # one value and one gradient call, as separate calls would count; the
+        # state is not an oracle call (the products that use it are counted)
         self.n_value += 1
         self.n_grad += 1
         joint = getattr(self.inner, "value_gradient_state", None)
         if joint is not None:
             return joint(x, state)
-        return (self.inner.value(x), self.inner.gradient(x),
-                self.hessian_state(x) if state else None)
+        return self.inner.value(x), self.inner.gradient(x), None
 
     def hessian_vec(self, x, h, state=None):
         self.n_hvp += 1

@@ -24,8 +24,8 @@ class TensorModel:
     When ``want_hessian`` is set (exact subsolver, or an exact stopping rule),
     the dense Hessian at the center is materialized; otherwise curvature is
     applied through the oracle's Hessian-vector product, with the oracle's
-    center state (``hessian_state``) fetched here, together with the value and
-    gradient, and reused by every product.
+    center state fetched here by ``value_gradient_state``, together with the
+    value and gradient, and reused by every product.
     """
 
     def __init__(self, oracle, composite, center, H: float, p: int = 2,

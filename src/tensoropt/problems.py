@@ -1,13 +1,14 @@
 """Problem oracles: smooth objectives, simple composite terms, data handling.
 
 Each smooth oracle exposes value / gradient / hessian_vec / hessian together
-with the norm operator its Lipschitz constants refer to. ``hessian_state(x)``
-returns what every Hessian-vector product at x recomputes (softmax or
-curvature weights), so a caller that applies the Hessian at one fixed point
-many times computes it once and passes it to ``hessian_vec``.
-``value_gradient_state(x)`` returns value, gradient and that state from one
-evaluation of what they share. Composite terms are differentiable and report
-their uniform-convexity parameters where known.
+with the norm operator its Lipschitz constants refer to.
+``value_gradient_state(x)`` returns value, gradient and the center state:
+what every Hessian-vector product at x recomputes (curvature weights, softmax
+weights, the chain's second derivatives), all from one evaluation of what
+they share. A caller that applies the Hessian at one fixed point many times
+fetches the state once and passes it to ``hessian_vec``. Composite terms are
+differentiable and report their uniform-convexity parameters where known;
+``PowerComposite`` also serves as the accelerated scheme's prox-function.
 """
 
 from __future__ import annotations
@@ -43,17 +44,14 @@ class SmoothOracle:
     def gradient(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def hessian_state(self, x):
-        """State a Hessian-vector product at x reuses, or None when there is none."""
-        return None
-
     def hessian_vec(self, x, h, state=None) -> np.ndarray:
-        """Hessian at x applied to h; ``state``, if given, is ``hessian_state(x)``."""
+        """Hessian at x applied to h; ``state``, if given, is ``value_gradient_state(x)[2]``."""
         raise NotImplementedError
 
     def value_gradient_state(self, x, state: bool = True):
-        """``(value(x), gradient(x), hessian_state(x))``; the state is None unless ``state``."""
-        return self.value(x), self.gradient(x), self.hessian_state(x) if state else None
+        """``(value(x), gradient(x), state)``: the state a Hessian-vector product at x
+        reuses, or None when there is none or ``state`` is false."""
+        return self.value(x), self.gradient(x), None
 
     def hessian(self, x) -> np.ndarray:
         raise NotImplementedError("dense Hessian not available for this oracle")
@@ -137,6 +135,10 @@ class LogisticOracle(SmoothOracle):
         """Curvature weights sigma(t) * sigma(-t) of the margins, overflow-free."""
         return np.exp(-log_s - np.logaddexp(0.0, -t))
 
+    def _curvature(self, x):
+        t = self._margins(x)
+        return self._state(t, np.logaddexp(0.0, t))
+
     def value(self, x):
         x = np.asarray(x, dtype=float)
         return self._value(x, self._margins(x))
@@ -144,11 +146,6 @@ class LogisticOracle(SmoothOracle):
     def gradient(self, x):
         x = np.asarray(x, dtype=float)
         return self._gradient(x, np.logaddexp(0.0, self._margins(x)))
-
-    def hessian_state(self, x):
-        """Curvature weights sigma(t) * sigma(-t) of the margins, overflow-free."""
-        t = self._margins(x)
-        return self._state(t, np.logaddexp(0.0, t))
 
     def value_gradient_state(self, x, state=True):
         x = np.asarray(x, dtype=float)
@@ -159,13 +156,13 @@ class LogisticOracle(SmoothOracle):
 
     def hessian_vec(self, x, h, state=None):
         h = np.asarray(h, dtype=float)
-        w = self.hessian_state(x) if state is None else state
+        w = self._curvature(x) if state is None else state
         v = self.X @ h
         out = (self.X.T @ (w * v)) / self.m
         return np.asarray(out).ravel() + self.l2 * h
 
     def hessian(self, x):
-        w = self.hessian_state(x)
+        w = self._curvature(x)
         Xw = self.X.multiply(w[:, None])
         H = (Xw.T @ self.X).toarray() / self.m
         return H + self.l2 * np.eye(self.dim)
@@ -212,17 +209,13 @@ class LogSumExpOracle(SmoothOracle):
         pi, _ = self._weights(x)
         return self.A.T @ pi
 
-    def hessian_state(self, x):
-        """Softmax weights at x."""
-        return self._weights(x)[0]
-
     def value_gradient_state(self, x, state=True):
         pi, lse = self._weights(x)
         return self.mu * lse, self.A.T @ pi, pi if state else None
 
     def hessian_vec(self, x, h, state=None):
         h = np.asarray(h, dtype=float)
-        pi = self.hessian_state(x) if state is None else state
+        pi = self._weights(x)[0] if state is None else state
         u = self.A @ h
         mean_u = float(pi @ u)
         return (self.A.T @ (pi * (u - mean_u))) / self.mu
@@ -271,25 +264,32 @@ class PoweredChainOracle(SmoothOracle):
     def _u(self, x):
         return self.M @ np.asarray(x, dtype=float)
 
-    def value(self, x):
-        u = self._u(x)
+    def _value(self, u):
         return float(np.sum(np.abs(u) ** self.q))
 
-    def gradient(self, x):
-        u = self._u(x)
-        phi1 = self.q * np.sign(u) * np.abs(u) ** (self.q - 1.0)
-        return self.M.T @ phi1
+    def _gradient(self, u):
+        return self.M.T @ (self.q * np.sign(u) * np.abs(u) ** (self.q - 1.0))
 
-    def hessian_state(self, x):
-        """Second derivatives phi2 of the powers at the differences u = M x."""
-        return self.q * (self.q - 1.0) * np.abs(self._u(x)) ** (self.q - 2.0)
+    def _phi2(self, u):
+        """Second derivatives of the powers at the differences u = M x."""
+        return self.q * (self.q - 1.0) * np.abs(u) ** (self.q - 2.0)
+
+    def value(self, x):
+        return self._value(self._u(x))
+
+    def gradient(self, x):
+        return self._gradient(self._u(x))
+
+    def value_gradient_state(self, x, state=True):
+        u = self._u(x)
+        return self._value(u), self._gradient(u), self._phi2(u) if state else None
 
     def hessian_vec(self, x, h, state=None):
-        phi2 = self.hessian_state(x) if state is None else state
+        phi2 = self._phi2(self._u(x)) if state is None else state
         return self.M.T @ (phi2 * (self.M @ np.asarray(h, dtype=float)))
 
     def hessian(self, x):
-        phi2 = self.hessian_state(x)
+        phi2 = self._phi2(self._u(x))
         return self.M.T @ (phi2[:, None] * self.M)
 
 
@@ -353,7 +353,7 @@ class PowerComposite(Composite):
 
     def value(self, x):
         r = self.norm.primal(np.asarray(x, dtype=float) - self.center)
-        return self.mu / self.q * r**self.q
+        return self.mu * r**self.q / self.q
 
     def gradient(self, x):
         d = np.asarray(x, dtype=float) - self.center
@@ -432,10 +432,6 @@ class ProblemInstance:
 
 def logistic_oracle(data: Dataset, l2: float = 0.0) -> LogisticOracle:
     return LogisticOracle(data.features, data.labels, l2=l2)
-
-
-def logsumexp_oracle(A, b=None, mu: float = 1.0, norm=None) -> LogSumExpOracle:
-    return LogSumExpOracle(A, b=b, mu=mu, norm=norm)
 
 
 def generate_shifted_logsumexp(n: int, m: int, mu: float, seed: int) -> ProblemInstance:

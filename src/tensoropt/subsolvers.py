@@ -79,21 +79,29 @@ def residual_bound(grad_dual_norm: float, sigma: float, q: float) -> float:
 # closed-form order-1 step
 # ---------------------------------------------------------------------------
 
+def _fold_quadratic(model: TensorModel):
+    """(g, mu): the center gradient with a quadratic composite mu/2 ||x - c0||^2
+    folded in, or (g0, 0.0) for a zero composite.
+
+    The composite's Hessian mu·B adds mu to the weight of B in a closed-form
+    step, and shifts the whitened spectrum by mu in the exact one.
+    """
+    comp = model.composite
+    if comp.is_zero:
+        return model.g0, 0.0
+    quad = comp.quadratic_coeff
+    if quad is None:
+        raise ValueError("closed-form steps support only zero or quadratic composites")
+    mu, c0 = quad
+    return model.g0 + mu * model.norm.apply(model.center - c0), float(mu)
+
+
 def gradient_step(model: TensorModel) -> StepResult:
     """Exact minimizer of the order-1 model (preconditioned gradient step)."""
     if model.p != 1:
         raise ValueError("closed-form step requires an order-1 model")
-    comp = model.composite
-    if comp.is_zero:
-        d = -model.norm.solve(model.g0) / model.H
-    else:
-        quad = comp.quadratic_coeff
-        if quad is None:
-            raise ValueError("closed-form step supports only zero or quadratic composites")
-        mu, c0 = quad
-        rhs = model.g0 + mu * model.norm.apply(model.center - c0)
-        d = -model.norm.solve(rhs) / (model.H + mu)
-    T = model.center + d
+    g, mu = _fold_quadratic(model)
+    T = model.center - model.norm.solve(g) / (model.H + mu)
     return StepResult(
         point=T,
         certified_residual=0.0,
@@ -108,25 +116,6 @@ def gradient_step(model: TensorModel) -> StepResult:
 # ---------------------------------------------------------------------------
 # exact order-2 step: eigendecomposition + secular equation
 # ---------------------------------------------------------------------------
-
-def _fold_quadratic(model: TensorModel):
-    """(gradient, Hessian copy, mu) with a quadratic composite mu/2 ||x - c0||^2 absorbed.
-
-    The composite's Hessian mu·B whitens to mu·I, so it is returned as the
-    shift mu of the whitened spectrum rather than added to the Hessian.
-    """
-    if model.hess is None:
-        raise ValueError("exact step needs the dense Hessian on the model")
-    comp = model.composite
-    if comp.is_zero:
-        return model.g0, model.hess.copy(), 0.0
-    quad = comp.quadratic_coeff
-    if quad is None:
-        raise ValueError("exact step supports only zero or quadratic composites")
-    mu, c0 = quad
-    g = model.g0 + mu * model.norm.apply(model.center - c0)
-    return g, model.hess.copy(), float(mu)
-
 
 def _secular_root(lam: np.ndarray, c2: np.ndarray, H: float) -> float:
     """Solve sum_i c_i^2 / (lam_i + H r / 2)^2 = r^2 for the step length r.
@@ -179,16 +168,21 @@ def exact_cubic_step(model: TensorModel) -> StepResult:
     the model to a scalar secular equation in the step length. A quadratic
     composite shifts lam by its weight. The hard case (gradient orthogonal to
     the bottom eigenspace, no interior root) takes a boundary solution with an
-    eigenvector correction. Every step reports its model gradient's dual norm.
+    eigenvector correction, and so does a near-hard case whose root lies
+    within the bracket tolerance of that boundary, where the bottom coordinate
+    -c/(lam_min + H r/2) would divide by rounding. Every step reports its
+    model gradient's dual norm.
     """
     if model.p != 2:
         raise ValueError("exact cubic step requires an order-2 model")
-    g, A, mu = _fold_quadratic(model)
+    if model.hess is None:
+        raise ValueError("exact step needs the dense Hessian on the model")
+    g, mu = _fold_quadratic(model)
     H = model.H
     norm = model.norm
 
     c = norm.factor_solve(g)
-    lam, W = np.linalg.eigh(norm.whiten(A), UPLO="L")
+    lam, W = np.linalg.eigh(norm.whiten(model.hess.copy()), UPLO="L")
     lam += mu
     c = W.T @ c
     c2 = c**2
@@ -206,14 +200,18 @@ def exact_cubic_step(model: TensorModel) -> StepResult:
     u = np.zeros_like(c)
     if c_norm == 0.0:
         u[0] = r_edge  # boundary solution along the bottom eigenvector
-    elif hard:
-        den = lam + 0.5 * H * r_edge
-        u[~bottom] = -c[~bottom] / den[~bottom]
-        slack = r_edge**2 - float(np.sum(u**2))
-        u[np.argmax(bottom)] = math.sqrt(max(0.0, slack))
     else:
-        r = _secular_root(lam, c2, H)
-        u = -c / (lam + 0.5 * H * r)
+        r = r_edge if hard else _secular_root(lam, c2, H)
+        den = lam + 0.5 * H * r
+        if lam[0] < 0 and r - r_edge <= SECULAR_REL_TOL * max(1.0, r):
+            # hard or near-hard case: the bottom shift is zero to within the
+            # root's bracket, so the bottom coordinate comes from ||u|| = r
+            u[~bottom] = -c[~bottom] / den[~bottom]
+            i = int(np.argmax(bottom))
+            slack = math.sqrt(max(0.0, r**2 - float(np.sum(u**2))))
+            u[i] = -slack if c[i] > 0 else slack
+        else:
+            u = -c / den
 
     T = model.center + norm.factor_solve(W @ u, trans=True)
     f_T, g_T = model.value_and_gradient(T)
@@ -364,14 +362,12 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None, stop: str = "bou
 def solve_model(model: TensorModel, delta: float, warm_start=None,
                 kind: str = "fgm", stop: str = "bound") -> StepResult:
     """Run the requested subsolver on a frozen model."""
-    if kind == "exact":
-        return gradient_step(model) if model.p == 1 else exact_cubic_step(model)
-    if kind != "fgm":
+    if kind not in ("exact", "fgm"):
         raise ValueError(f"unknown subsolver kind {kind!r}")
-    model_min = None
-    if stop == "exact":
-        ref = gradient_step(model) if model.p == 1 else exact_cubic_step(model)
-        model_min = ref.model_value
+    closed_form = gradient_step if model.p == 1 else exact_cubic_step
+    if kind == "exact":
+        return closed_form(model)
+    model_min = closed_form(model).model_value if stop == "exact" else None
     return fgm_step(model, delta, warm_start=warm_start, stop=stop, model_min=model_min)
 
 

@@ -88,6 +88,5 @@ def forbid_oracle_calls(monkeypatch, oracle):
     """Make every oracle call on ``oracle`` fail the test."""
     def fail(*args):
         raise AssertionError("oracle called")
-    for attr in ("value", "gradient", "hessian_state", "value_gradient_state",
-                 "hessian_vec", "hessian"):
+    for attr in ("value", "gradient", "value_gradient_state", "hessian_vec", "hessian"):
         monkeypatch.setattr(oracle, attr, fail)

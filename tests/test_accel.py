@@ -6,8 +6,7 @@ import pytest
 from conftest import forbid_oracle_calls
 
 from tensoropt.accel import (
-    BregmanComposite,
-    PowerProx,
+    ScaledComposite,
     accelerated,
     build_subproblem,
     subproblem_certificate,
@@ -16,6 +15,8 @@ from tensoropt.linalg import NormOperator
 from tensoropt.methods import CountingOracle, SolverConfig
 from tensoropt.policies import adaptive, power
 from tensoropt.problems import (
+    PowerComposite,
+    ZeroComposite,
     check_derivatives,
     fd_gradient,
     generate_shifted_logsumexp,
@@ -27,22 +28,27 @@ class TestBregman:
     def setup_method(self):
         self.norm = NormOperator.identity(4)
         self.anchor = np.zeros(4)
-        self.prox = PowerProx(self.anchor, 2, self.norm)
+        self.prox = PowerComposite(1.0, 3.0, self.anchor, self.norm)
         self.rng = np.random.default_rng(0)
+
+    def bregman_term(self, v):
+        return ScaledComposite(ZeroComposite(4), 0.0, self.prox, v)
+
+    def bregman(self, v, x):
+        return self.bregman_term(v).value(x)
 
     def test_zero_at_reference_point(self):
         v = self.rng.normal(size=4)
-        assert self.prox.bregman(v, v) == pytest.approx(0.0, abs=1e-14)
+        assert self.bregman(v, v) == pytest.approx(0.0, abs=1e-14)
 
     def test_positive_away_from_reference(self):
         v = self.rng.normal(size=4)
         x = v + 0.5
-        assert self.prox.bregman(v, x) > 0
+        assert self.bregman(v, x) > 0
 
     def test_from_anchor_equals_prox_value(self):
         x = self.rng.normal(size=4)
-        assert self.prox.bregman(self.anchor, x) == pytest.approx(self.prox.value(x),
-                                                                  rel=1e-12)
+        assert self.bregman(self.anchor, x) == pytest.approx(self.prox.value(x), rel=1e-12)
 
     def test_power_lower_bound(self):
         # order two: gap at least ||x - v||^3 / 6
@@ -50,29 +56,52 @@ class TestBregman:
             v = self.rng.normal(size=4)
             x = self.rng.normal(size=4)
             lower = self.norm.primal(x - v) ** 3 / 6.0
-            assert self.prox.bregman(v, x) >= lower - 1e-12
+            assert self.bregman(v, x) >= lower - 1e-12
 
     def test_composite_gradient_matches_fd(self):
         v = self.rng.normal(size=4)
-        comp = BregmanComposite(self.prox, v)
+        comp = self.bregman_term(v)
         x = self.rng.normal(size=4)
         fd = fd_gradient(comp.value, x)
         np.testing.assert_allclose(comp.gradient(x), fd, rtol=1e-6, atol=1e-7)
 
     def test_composite_value_is_the_bregman_gap(self):
         v = self.rng.normal(size=4)
-        comp = BregmanComposite(self.prox, v)
+        comp = self.bregman_term(v)
         for _ in range(10):
             x = self.rng.normal(size=4)
             gap = (self.prox.value(x) - self.prox.value(v)
                    - float(self.prox.gradient(v) @ (x - v)))
             assert comp.value(x) == gap
-            assert comp.value(x) == self.prox.bregman(v, x)
+            assert comp.value(x) == self.bregman(v, x)
 
     def test_uniform_convexity_parameter(self):
-        comp = BregmanComposite(self.prox, self.rng.normal(size=4))
+        comp = self.bregman_term(self.rng.normal(size=4))
         assert comp.uniform_convexity(3) == pytest.approx(0.5)
         assert comp.uniform_convexity(2) == 0.0
+
+    @pytest.mark.parametrize("a, mu", [(0.0, 0.8), (2.5, 0.8), (0.3, 4.0)])
+    def test_scaled_power_composite_adds_the_bregman_gap(self, a, mu):
+        base = PowerComposite(mu, 3.0, self.rng.normal(size=4), self.norm)
+        v = self.rng.normal(size=4)
+        comp = ScaledComposite(base, a, self.prox, v)
+        assert comp.uniform_convexity(3) == a * mu / 2 + 0.5
+        assert comp.uniform_convexity(2) == 0.0
+        assert comp.quadratic_coeff is None
+        for _ in range(5):
+            x = self.rng.normal(size=4)
+            expected = a * base.value(x) + self.bregman(v, x)
+            assert comp.value(x) == pytest.approx(expected, rel=1e-14, abs=1e-14)
+            np.testing.assert_allclose(comp.gradient(x), fd_gradient(comp.value, x),
+                                       rtol=1e-6, atol=1e-7)
+
+    def test_order_two_gap_folds_into_a_quadratic(self):
+        prox = PowerComposite(1.0, 2.0, self.anchor, self.norm)
+        v = self.rng.normal(size=4)
+        mu, center = ScaledComposite(ZeroComposite(4), 0.7, prox, v).quadratic_coeff
+        assert mu == 1.0 and np.array_equal(center, v)
+        nonzero = PowerComposite(0.5, 2.0, self.anchor, self.norm)
+        assert ScaledComposite(nonzero, 0.7, prox, v).quadratic_coeff is None
 
 
 class TestSubproblem:
@@ -85,13 +114,13 @@ class TestSubproblem:
         anchor = np.ones(6)
         A_k = k**3 / L
         A_next = (k + 1) ** 3 / L
-        prox = PowerProx(anchor, 2, prob.norm)
+        prox = PowerComposite(1.0, 3.0, anchor, prob.norm)
         sub = build_subproblem(prob, prob.smooth, x_k, v_k, A_k, A_next, prox)
         return prob, sub, A_k, A_next
 
     def test_first_iteration_contraction_is_identity(self):
         prob = generate_shifted_logsumexp(4, 24, 1.0, seed=2)
-        prox = PowerProx(np.zeros(4), 2, prob.norm)
+        prox = PowerComposite(1.0, 3.0, np.zeros(4), prob.norm)
         sub = build_subproblem(prob, prob.smooth, np.zeros(4), np.zeros(4),
                                0.0, 1.0 / prob.smooth.lipschitz[2], prox)
         assert sub.smooth.theta == pytest.approx(1.0)
@@ -114,11 +143,12 @@ class TestSubproblem:
         smooth = CountingOracle(prob.smooth) if base.startswith("counted") else prob.smooth
         rng = np.random.default_rng(7)
         sub = build_subproblem(prob, smooth, rng.normal(size=6), rng.normal(size=6),
-                               2.0, 5.0, PowerProx(np.ones(6), 2, prob.norm))
+                               2.0, 5.0, PowerComposite(1.0, 3.0, np.ones(6), prob.norm))
         for _ in range(5):
             x = rng.normal(size=6)
-            state = sub.smooth.hessian_state(x)
-            assert np.array_equal(state, prob.smooth.hessian_state(sub.smooth._arg(x)))
+            state = sub.smooth.value_gradient_state(x)[2]
+            assert np.array_equal(state,
+                                  prob.smooth.value_gradient_state(sub.smooth._arg(x))[2])
             h = rng.normal(size=6)
             assert np.array_equal(sub.smooth.hessian_vec(x, h, state),
                                   sub.smooth.hessian_vec(x, h))
@@ -132,19 +162,20 @@ class TestSubproblem:
         smooth = CountingOracle(prob.smooth) if base.startswith("counted") else prob.smooth
         rng = np.random.default_rng(8)
         sub = build_subproblem(prob, smooth, rng.normal(size=6), rng.normal(size=6),
-                               2.0, 5.0, PowerProx(np.ones(6), 2, prob.norm))
+                               2.0, 5.0, PowerComposite(1.0, 3.0, np.ones(6), prob.norm))
         for _ in range(5):
             x = rng.normal(size=6)
             f, g, state = sub.smooth.value_gradient_state(x)
             assert f == sub.smooth.value(x)
             assert np.array_equal(g, sub.smooth.gradient(x))
-            assert np.array_equal(state, sub.smooth.hessian_state(x))
+            assert np.array_equal(state,
+                                  prob.smooth.value_gradient_state(sub.smooth._arg(x))[2])
             assert sub.smooth.value_gradient_state(x, False)[2] is None
 
     def test_contracted_lipschitz_bounded(self):
         prob = generate_shifted_logsumexp(5, 30, 1.0, seed=5)
         L = prob.smooth.lipschitz[2]
-        prox = PowerProx(np.zeros(5), 2, prob.norm)
+        prox = PowerComposite(1.0, 3.0, np.zeros(5), prob.norm)
         for k in range(0, 40):
             A_k = k**3 / L
             A_next = (k + 1) ** 3 / L
@@ -199,7 +230,7 @@ class TestSubproblem:
 
     def test_requires_increasing_coefficients(self):
         prob = generate_shifted_logsumexp(4, 24, 1.0, seed=10)
-        prox = PowerProx(np.zeros(4), 2, prob.norm)
+        prox = PowerComposite(1.0, 3.0, np.zeros(4), prob.norm)
         with pytest.raises(ValueError):
             build_subproblem(prob, prob.smooth, np.zeros(4), np.zeros(4), 2.0, 2.0, prox)
 
@@ -215,7 +246,7 @@ class TestAccelerated:
         x1 = run.points[1]
         # h_1 gradient at x_1 must satisfy the accepted certificate
         L = chain.smooth.lipschitz[2]
-        prox = PowerProx(np.ones(6), 2, chain.norm)
+        prox = PowerComposite(1.0, 3.0, np.ones(6), chain.norm)
         sub = build_subproblem(chain, chain.smooth, np.ones(6), np.ones(6),
                                0.0, 1.0 / L, prox)
         bound, _ = subproblem_certificate(sub, x1, 2)

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import brute_force_model_min, random_cubic_model
 
-from tensoropt.accel import PowerProx, accelerated, build_subproblem
+from tensoropt.accel import accelerated, build_subproblem
 from tensoropt.harness import (
     ExperimentConfig,
     attach_composite,
@@ -26,6 +26,7 @@ from tensoropt.methods import SolverConfig, averaging, monotone1, monotone2
 from tensoropt.model import TensorModel, model_upper_bound_check
 from tensoropt.policies import adaptive, condition_number, power, strong_convexity_c_bound
 from tensoropt.problems import (
+    PowerComposite,
     check_derivatives,
     fd_gradient,
     generate_shifted_logsumexp,
@@ -62,7 +63,7 @@ def test_criterion_01_derivative_soundness():
     results["powered-chain"] = check_derivatives(chain.smooth, trials=50, seed=3, tol=tol)
 
     L = lse.smooth.lipschitz[2]
-    prox = PowerProx(np.zeros(20), 2, lse.norm)
+    prox = PowerComposite(1.0, 3.0, np.zeros(20), lse.norm)
     rng = np.random.default_rng(4)
     sub = build_subproblem(lse, lse.smooth, rng.normal(size=20), rng.normal(size=20),
                            8.0 / L, 27.0 / L, prox)

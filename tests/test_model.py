@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from tensoropt.accel import PowerProx, build_subproblem
+from tensoropt.accel import build_subproblem
 from tensoropt.linalg import NormOperator
 from tensoropt.methods import CountingOracle
 from tensoropt.model import TensorModel, model_upper_bound_check
@@ -188,7 +188,7 @@ class TestValueAndGradient:
             prob.composite = PowerComposite(0.7, 3.0, rng.normal(size=5), norm)
         elif composite == "subproblem":
             prob = build_subproblem(prob, prob.smooth, rng.normal(size=5), rng.normal(size=5),
-                                    1.0, 3.0, PowerProx(rng.normal(size=5), p, norm))
+                                    1.0, 3.0, PowerComposite(1.0, p + 1.0, rng.normal(size=5), norm))
         center = rng.normal(size=5)
         model = TensorModel(prob.smooth, prob.composite, center, H=2.5, p=p)
         for y in [center] + [center + t * rng.normal(size=5) for t in (1e-8, 0.3, 4.0)]:

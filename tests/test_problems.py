@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from conftest import forbid_oracle_calls
+from conftest import NORM_KINDS, forbid_oracle_calls, norm_of_kind
 
 from tensoropt.linalg import NormOperator
 from tensoropt.methods import CountingOracle
@@ -120,7 +120,7 @@ class TestLogSumExp:
                 x = rng.normal(size=n)
                 hess = oracle.hessian(x)
                 assert np.array_equal(hess, hess.T)
-                pi = oracle.hessian_state(x)
+                pi = oracle.value_gradient_state(x)[2]
                 g = A.T @ pi
                 # sum_i pi_i a_i a_i^T - g g^T, the formula without square roots
                 ref = ((A * pi[:, None]).T @ A - np.outer(g, g)) / mu
@@ -248,6 +248,22 @@ class TestComposites:
         for _ in range(20):
             assert psi.value(rng.normal(size=3)) >= 0.0
 
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("kind", NORM_KINDS)
+    def test_unit_power_is_the_prox_function_bit_for_bit(self, p, kind):
+        # d(x) = ||x - x0||^{p+1} / (p+1), the accelerated scheme's prox-function
+        rng = np.random.default_rng(13)
+        norm = norm_of_kind(kind, rng, 5)
+        anchor = rng.normal(size=5)
+        prox = PowerComposite(1.0, p + 1, anchor, norm)
+        for _ in range(10):
+            x = rng.normal(size=5)
+            d = x - anchor
+            r = norm.primal(d)
+            assert prox.value(x) == r ** (p + 1) / (p + 1.0)
+            assert np.array_equal(prox.gradient(x), r ** (p - 1) * norm.apply(d))
+        assert prox.uniform_convexity(p + 1) == 2.0 ** (1 - p)
+
     def test_quadratic_coeff_detection(self):
         norm = NormOperator.identity(2)
         quad = QuadraticComposite(0.7, np.zeros(2), norm)
@@ -347,7 +363,7 @@ class TestHessianState:
         oracle = _oracle_family(kind, rng)
         for _ in range(10):
             x = 2.0 * rng.normal(size=6)
-            state = oracle.hessian_state(x)
+            state = oracle.value_gradient_state(x)[2]
             assert (state is None) == (kind == "quadratic")
             for _ in range(3):
                 h = rng.normal(size=6)
@@ -359,7 +375,7 @@ class TestHessianState:
         inner = _oracle_family(kind, rng)
         oracle = CountingOracle(inner)
         x, h = rng.normal(size=6), rng.normal(size=6)
-        state = oracle.hessian_state(x)
+        state = inner.value_gradient_state(x)[2]
         assert oracle.counts() == {"value": 0, "gradient": 0, "hessian_vec": 0, "hessian": 0}
         assert np.array_equal(oracle.hessian_vec(x, h, state), inner.hessian_vec(x, h))
         assert oracle.n_hvp == 1
@@ -376,7 +392,8 @@ class TestHessianState:
             if kind == "quadratic":
                 assert state is None
             else:
-                assert np.array_equal(state, oracle.hessian_state(x))
+                h = rng.normal(size=6)
+                assert np.array_equal(oracle.hessian_vec(x, h, state), oracle.hessian_vec(x, h))
             assert oracle.value_gradient_state(x, False)[2] is None
 
     @pytest.mark.parametrize("kind", FAMILIES)
@@ -408,30 +425,16 @@ class TestHessianState:
 
     @staticmethod
     def _spied(monkeypatch, oracle):
-        """One entry per state fetch, by ``hessian_state`` or ``value_gradient_state``.
+        """One entry per state fetch through ``value_gradient_state``."""
+        calls = []
+        joint = oracle.value_gradient_state
 
-        The default ``value_gradient_state`` calls ``hessian_state``; that
-        nested call is the same fetch and is not recorded again.
-        """
-        calls, depth = [], []
-        fetch, joint = oracle.hessian_state, oracle.value_gradient_state
-
-        def spy_fetch(x):
-            if not depth:
-                calls.append(1)
-            return fetch(x)
-
-        def spy_joint(x, state=True):
+        def spy(x, state=True):
             if state:
                 calls.append(1)
-            depth.append(1)
-            try:
-                return joint(x, state)
-            finally:
-                depth.pop()
+            return joint(x, state)
 
-        monkeypatch.setattr(oracle, "hessian_state", spy_fetch)
-        monkeypatch.setattr(oracle, "value_gradient_state", spy_joint)
+        monkeypatch.setattr(oracle, "value_gradient_state", spy)
         return calls
 
     @pytest.mark.parametrize("kind", ["logistic", "logsumexp", "chain-q3"])
@@ -459,6 +462,22 @@ class TestHessianState:
         TensorModel(oracle, ZeroComposite(6), rng.normal(size=6), H=2.0, p=p,
                     want_hessian=want_hessian)
         assert calls == []
+
+    @pytest.mark.parametrize("q", [3.0, 2.5])
+    def test_chain_joint_evaluation_forms_the_differences_once(self, monkeypatch, q):
+        rng = np.random.default_rng(38)
+        oracle = powered_chain_oracle(6, q, 2.0).smooth
+        x = rng.normal(size=6)
+        f, g = oracle.value(x), oracle.gradient(x)
+        calls = []
+        inner = oracle._u
+        monkeypatch.setattr(oracle, "_u", lambda x: calls.append(1) or inner(x))
+        joint = oracle.value_gradient_state(x)
+        assert len(calls) == 1
+        assert type(joint[0]) is float and joint[0] == f
+        assert np.array_equal(joint[1], g)
+        h = rng.normal(size=6)
+        assert np.array_equal(oracle.hessian_vec(x, h, joint[2]), oracle.hessian_vec(x, h))
 
     def test_with_weight_makes_no_oracle_call(self, monkeypatch):
         rng = np.random.default_rng(34)

@@ -112,6 +112,23 @@ class TestExactCubicStep:
         # boundary radius -2 lambda_min / H = 4
         assert model.norm.primal(res.point) == pytest.approx(4.0, rel=1e-6)
 
+    @pytest.mark.parametrize("eps", [0.0, 1e-17, 1e-14, 1e-10])
+    def test_near_hard_case_reaches_the_boundary(self, eps):
+        # a tiny gradient along every eigenvector puts the secular root within
+        # its bracket tolerance of the boundary radius -2 lam_min / H = 4/3,
+        # where -c / (lam_min + H r / 2) divides by rounding
+        A = np.diag([-1.0, 0.5, 2.0])
+        oracle = QuadraticOracle(A, b=eps * np.ones(3))
+        model = TensorModel(oracle, ZeroComposite(3), np.zeros(3), H=1.5, p=2,
+                            want_hessian=True)
+        res = exact_cubic_step(model)
+        # at eps = 1e-10 the root is interior, 1e-10 past the boundary; its
+        # bottom coordinate, a division by that 1e-10, is good to about 1e-7
+        assert np.linalg.norm(res.point) == pytest.approx(4.0 / 3.0, rel=1e-6)
+        assert res.model_value == pytest.approx(-8.0 / 27.0, rel=1e-9)
+        # the bottom coordinate points against the gradient
+        assert res.point[0] * eps <= 0.0
+
     def test_zero_gradient_negative_curvature(self):
         A = np.diag([-1.0, 2.0])
         oracle = QuadraticOracle(A)
@@ -247,6 +264,16 @@ class TestExactStepInFactorCoordinates:
         # the step lies on the boundary radius -2 lam_min / H of the whitened spectrum
         assert model.norm.primal(res.point - model.center) == pytest.approx(
             -2.0 * (lam[0] + composite_mu) / model.H, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", NORM_KINDS)
+    @pytest.mark.parametrize("eps", [1e-17, 1e-14])
+    def test_near_hard_case(self, kind, eps):
+        rng = np.random.default_rng(46)
+        model = _whitened_model(kind, rng, np.array([-1.0, 0.5, 2.0]), eps * np.ones(3))
+        res = exact_cubic_step(model)
+        assert model.norm.primal(res.point - model.center) == pytest.approx(4.0 / 3.0,
+                                                                            rel=1e-9)
+        assert res.model_value - model.f0 == pytest.approx(-8.0 / 27.0, rel=1e-9)
 
     @pytest.mark.parametrize("kind", NORM_KINDS)
     def test_zero_gradient(self, kind):
