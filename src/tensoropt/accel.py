@@ -13,11 +13,14 @@ p+1 with parameter 2^{1-p}, so a computable gradient-based certificate bounds
 its residual; the inner solver is the strictly monotone scheme, warm-started
 at the previous prox-center, and stops once the certificate reaches the outer
 tolerance zeta. Scaling A_{k+1} = (k+1)^{p+1} / L_p keeps the contracted
-smooth part's Lipschitz constant at most (p+1)^{p+1}.
+smooth part's Lipschitz constant at most (p+1)^{p+1}. The outer loop is
+``methods._Runner.drive``, which also ends the run "stalled" when an inner
+subsolve raises ``SubsolverStall``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -26,7 +29,7 @@ from .model import TensorModel
 from .problems import Composite, PowerComposite, ProblemInstance, SmoothOracle
 from .methods import SolverConfig, SolverRun, _Runner
 from .policies import power, precision_floor
-from .subsolvers import SubsolverStall, model_solver, monotone_step, residual_bound
+from .subsolvers import model_solver, monotone_step, residual_bound
 
 
 class ScaledComposite(Composite):
@@ -150,67 +153,47 @@ def accelerated(problem: ProblemInstance, x0, config: SolverConfig) -> SolverRun
                          "the outer loop keeps no monotone objective history")
     inner_policy = config.inner_policy or power(1.0, 1.0)
 
-    x = run.x0.copy()
-    v = run.x0.copy()
     prox = PowerComposite(1.0, p + 1, run.x0, run.norm)
-    A = 0.0
-    f_x = run.F(x)
-    run.record(0, f_x, x)
-    if run.hit_target(f_x):
-        return run.finish("target_reached", x, f_x)
-
     # Bregman composites of order two fold into closed forms; for p = 2 the
     # inner models need the first-order subsolver with the certificate rule.
     inner_kind = config.subsolver if p == 1 else "fgm"
     inner_cap = 60
-    status = "max_iters"
 
-    for k in range(config.max_iters):
-        A_next = (k + 1.0) ** (p + 1) / L
-        a = A_next - A
-        zeta = zeta_policy.delta(k + 1)
-        sub = build_subproblem(problem, run.oracle, x, v, A, A_next, prox)
-        H_in = p * (a ** (p + 1) / A_next**p) * L
-        w = v.copy()
-        h_w = sub.value(w)
-        floor = precision_floor(h_w)
-        h_values = [h_w]
-        inner_total = 0
-        cert = math.inf
-        grad_norm = None
-        stalled = False
-        for j in range(1, inner_cap + 1):
-            if inner_policy.kind == "adaptive":
-                delta_in = inner_policy.delta(j, h_values)
-            else:
-                delta_in = inner_policy.delta(k + 1)
-            model = TensorModel(sub.smooth, sub.composite, w, H_in, p=p)
-            try:
+    def steps(x, f_x):
+        v = x.copy()
+        A = 0.0
+        for k in itertools.count():
+            A_next = (k + 1.0) ** (p + 1) / L
+            a = A_next - A
+            zeta = zeta_policy.delta(k + 1)
+            sub = build_subproblem(problem, run.oracle, x, v, A, A_next, prox)
+            H_in = p * (a ** (p + 1) / A_next**p) * L
+            w = v.copy()
+            h_w = sub.value(w)
+            floor = precision_floor(h_w)
+            h_values = [h_w]
+            inner_total = 0
+            cert = math.inf
+            for j in range(1, inner_cap + 1):
+                if inner_policy.kind == "adaptive":
+                    delta_in = inner_policy.delta(j, h_values)
+                else:
+                    delta_in = inner_policy.delta(k + 1)
+                model = TensorModel(sub.smooth, sub.composite, w, H_in, p=p)
                 res = monotone_step(h_w, model_solver(model, sub.value, kind=inner_kind),
-                                    max(delta_in, floor), floor)
-            except SubsolverStall:
-                stalled = True
-                break
-            inner_total += res.inner_iterations
-            w = res.point
-            h_w = res.objective_value
-            h_values.append(h_w)
-            cert, grad_norm = subproblem_certificate(sub, w, p)
-            if cert <= zeta:
-                break
-            if res.stationary:
-                break
-        else:
-            stalled = True
-        if stalled or cert > zeta:
-            status = "stalled"
-            break
-        v = w
-        x = (a * v + A * x) / A_next
-        A = A_next
-        f_x = run.F(x)
-        run.record(k + 1, f_x, x, zeta, cert, H_in, inner_total, grad_norm)
-        if run.hit_target(f_x) or run.grad_converged(x):
-            status = "target_reached"
-            break
-    return run.finish(status, x, f_x)
+                                    delta_in, floor)
+                inner_total += res.inner_iterations
+                w = res.point
+                h_w = res.objective_value
+                h_values.append(h_w)
+                cert = subproblem_certificate(sub, w, p)[0]
+                if cert <= zeta or res.stationary:
+                    break
+            if cert > zeta:
+                return "stalled"
+            v = w
+            x = (a * v + A * x) / A_next
+            A = A_next
+            yield x, run.F(x), zeta, cert, H_in, inner_total, None
+
+    return run.drive(steps)

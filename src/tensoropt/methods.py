@@ -1,10 +1,13 @@
 """Outer optimization loops with per-iteration tracing.
 
-Three non-accelerated drivers share the same machinery:
+Every driver, ``accel.accelerated`` included, is a generator of steps run
+by one outer loop, ``_Runner.drive``, which owns the trace, the stop rules and
+the stall handling. The three non-accelerated drivers:
 
 * ``monotone1`` -- candidate steps are accepted only when they strictly
   decrease the objective; rejected candidates are kept as warm starts and the
-  next tolerance is capped at half the rejected one.
+  next tolerance is capped at half the rejected one. A rejected step ends the
+  run ``stationary`` under ``monotone_step``'s rule, ``is_stationary``.
 * ``monotone2`` -- every iteration produces a strictly decreasing point by
   refining the tolerance in place under every H mode (see
   ``subsolvers.monotone_step``).
@@ -18,6 +21,7 @@ F(T) <= model(T), restarting each search from half the previous estimate.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -25,7 +29,9 @@ import numpy as np
 
 from .model import TensorModel
 from .policies import AccuracyPolicy, power, precision_floor
-from .subsolvers import SubsolverStall, model_solver, monotone_step, solve_model
+from .subsolvers import (
+    SubsolverStall, is_stationary, model_solver, monotone_step, solve_model,
+)
 
 TRACE_COLUMNS = (
     "k", "F", "gap", "delta_requested", "delta_certified",
@@ -47,7 +53,6 @@ class SolverConfig:
     stop: str = "bound"                # "bound" | "exact"
     max_iters: int = 100
     target_gap: float | None = None
-    grad_tol: float | None = None
     measure_time: bool = False
     zeta_policy: AccuracyPolicy | None = None   # accelerated only
     inner_policy: AccuracyPolicy | None = None  # accelerated only
@@ -77,7 +82,6 @@ class TraceRecord:
     hvp_count: int
     grad_count: int
     time_s: float | None
-    grad_norm: float | None = None  # dual norm of the last model gradient
 
 
 class CountingOracle:
@@ -193,20 +197,6 @@ class _Runner:
         return TensorModel(self.oracle, self.composite, center, H, p=self.config.p,
                            want_hessian=self.want_hessian)
 
-    def fixed_H(self) -> float:
-        cfg = self.config
-        if cfg.h_mode == "fixed":
-            return float(cfg.h_value)
-        if cfg.h_mode == "lipschitz":
-            L = self.oracle.lipschitz.get(cfg.p)
-            if L is None or L <= 0:
-                raise ValueError(
-                    f"no known Lipschitz constant of order {cfg.p} for this problem; "
-                    "use fixed or linesearch H"
-                )
-            return cfg.p * L
-        raise ValueError("line-search mode has no fixed H")
-
     def line_search(self, model, delta, warm=None):
         """Double H until F(T) <= model(T); the accepted weight lands in H_used.
 
@@ -239,24 +229,33 @@ class _Runner:
         Each step comes back with ``objective_value`` set. The model is built
         once, here, for every call; a line search reweights it per trial.
         """
-        if self.config.h_mode == "linesearch":
+        cfg = self.config
+        if cfg.h_mode == "linesearch":
             model = self.build_model(center, max(self.H_state, 1e-12))
             return lambda delta, warm=None: self.line_search(model, delta, warm)
-        self.H_used = self.fixed_H()
+        if cfg.h_mode == "fixed":
+            self.H_used = float(cfg.h_value)
+        else:
+            L = self.oracle.lipschitz.get(cfg.p)
+            if L is None or L <= 0:
+                raise ValueError(
+                    f"no known Lipschitz constant of order {cfg.p} for this problem; "
+                    "use fixed or linesearch H"
+                )
+            self.H_used = cfg.p * L
         return model_solver(self.build_model(center, self.H_used), self.F,
-                            kind=self.config.subsolver, stop=self.config.stop)
+                            kind=cfg.subsolver, stop=cfg.stop)
 
     # -- tracing ---------------------------------------------------------------
 
-    def record(self, k, f_val, x, delta_req=None, delta_cert=None, H=None,
-               inner=None, grad_norm=None):
+    def record(self, k, f_val, x, delta_req=None, delta_cert=None, H=None, inner=None):
         gap = None if self.fstar is None else f_val - self.fstar
         t = time.perf_counter() - self.t0 if self.config.measure_time else None
         self.records.append(TraceRecord(
             k=k, F=f_val, gap=gap, delta_requested=delta_req,
             delta_certified=delta_cert, H_used=H, inner_iters=inner,
             hvp_count=self.oracle.n_hvp, grad_count=self.oracle.n_grad,
-            time_s=t, grad_norm=grad_norm,
+            time_s=t,
         ))
         self.points.append(np.asarray(x, dtype=float).copy())
 
@@ -264,20 +263,40 @@ class _Runner:
         tg = self.config.target_gap
         return tg is not None and self.fstar is not None and f_val - self.fstar <= tg
 
-    def grad_converged(self, x) -> bool:
-        if self.config.grad_tol is None:
-            return False
-        g = self.oracle.gradient(x) + self.composite.gradient(x)
-        return self.norm.dual(g) <= self.config.grad_tol
+    def drive(self, steps) -> SolverRun:
+        """The outer loop every driver shares.
+
+        ``steps(x0, F(x0))`` yields iteration k = 1, 2, ... as its trace row
+        (x, F(x), delta requested, delta certified, H, inner iterations, stop
+        status or None), or returns a status to end without a row. A row's stop
+        status wins over the target gap, both over ``max_iters``; a
+        ``SubsolverStall`` ends the run "stalled" at the last recorded point.
+        """
+        x = self.x0.copy()
+        f_x = self.F(x)
+        self.record(0, f_x, x)
+        if self.hit_target(f_x):
+            return self.finish("target_reached", x, f_x)
+        rows = steps(x, f_x)
+        status = "max_iters"
+        try:
+            for k in range(1, self.config.max_iters + 1):
+                x, f_x, *fields, stop = next(rows)
+                self.record(k, f_x, x, *fields)
+                if stop or self.hit_target(f_x):
+                    status = stop or "target_reached"
+                    break
+        except StopIteration as end:
+            status = end.value
+        except SubsolverStall:
+            status = "stalled"
+        return self.finish(status, x, f_x)
 
     def finish(self, status, x, f_val) -> SolverRun:
         ref = self.problem.known_optimum[0] if self.problem.known_optimum else None
-        if ref is None and self.points:
-            best = int(np.argmin([r.F for r in self.records]))
-            ref = self.points[best]
-        radius = None
-        if ref is not None and self.points:
-            radius = max(self.norm.primal(pt - ref) for pt in self.points)
+        if ref is None:
+            ref = self.points[int(np.argmin([r.F for r in self.records]))]
+        radius = max(self.norm.primal(pt - ref) for pt in self.points)
         return SolverRun(
             method=self.method,
             problem_name=self.problem.name,
@@ -296,75 +315,49 @@ class _Runner:
 def monotone1(problem, x0, config: SolverConfig) -> SolverRun:
     """Correction scheme: keep the previous point unless the candidate improves."""
     run = _Runner(problem, config, x0, "monotone1")
-    x = run.x0.copy()
-    f_x = run.F(x)
-    floor = precision_floor(f_x)
-    values = [f_x]
-    run.record(0, f_x, x)
-    if run.hit_target(f_x):
-        return run.finish("target_reached", x, f_x)
-    warm = None
-    delta_cap = np.inf
-    status = "max_iters"
-    for k in range(1, config.max_iters + 1):
-        delta = min(config.policy.delta(k, values), delta_cap)
-        try:
-            res = run.solver(x)(max(delta, floor), warm)
-        except SubsolverStall:
-            status = "stalled"
-            break
-        if res.objective_value < f_x:
-            x, f_x = res.point, res.objective_value
-            warm = None
-            delta_cap = np.inf
-        else:
-            # rejected: warm-start the next subsolve, demand at least twice the accuracy
-            warm = res.point
-            delta_cap = delta / 2.0
-            if res.certified_residual <= 0.0 or res.at_floor:
-                run.record(k, f_x, x, delta, res.certified_residual, run.H_used,
-                           res.inner_iterations, res.grad_dual_norm)
-                values.append(f_x)
-                status = "stationary"
-                break
-        values.append(f_x)
-        run.record(k, f_x, x, delta, res.certified_residual, run.H_used,
-                   res.inner_iterations, res.grad_dual_norm)
-        if run.hit_target(f_x) or run.grad_converged(x):
-            status = "target_reached"
-            break
-    return run.finish(status, x, f_x)
+
+    def steps(x, f_x):
+        floor = precision_floor(f_x)
+        warm = None
+        delta_cap = np.inf
+        for k in itertools.count(1):
+            # the policy history is the trace's F column
+            delta = min(config.policy.delta(k, [r.F for r in run.records[-2:]]), delta_cap)
+            delta_eff = max(delta, floor)
+            res = run.solver(x)(delta_eff, warm)
+            stop = None
+            if res.objective_value < f_x:
+                x, f_x = res.point, res.objective_value
+                warm = None
+                delta_cap = np.inf
+            else:
+                # rejected: warm-start the next subsolve, demand at least twice the accuracy
+                warm = res.point
+                delta_cap = delta / 2.0
+                if is_stationary(res, delta_eff, floor):
+                    stop = "stationary"
+            yield (x, f_x, delta, res.certified_residual, run.H_used,
+                   res.inner_iterations, stop)
+
+    return run.drive(steps)
 
 
 def monotone2(problem, x0, config: SolverConfig) -> SolverRun:
     """Strictly decreasing scheme with in-place tolerance refinement."""
     run = _Runner(problem, config, x0, "monotone2")
-    x = run.x0.copy()
-    f_x = run.F(x)
-    floor = precision_floor(f_x)
-    values = [f_x]
-    run.record(0, f_x, x)
-    if run.hit_target(f_x):
-        return run.finish("target_reached", x, f_x)
-    status = "max_iters"
-    for k in range(1, config.max_iters + 1):
-        delta_req = config.policy.delta(k, values)
-        try:
+
+    def steps(x, f_x):
+        floor = precision_floor(f_x)
+        for k in itertools.count(1):
+            delta_req = config.policy.delta(k, [r.F for r in run.records[-2:]])
             res = monotone_step(f_x, run.solver(x), delta_req, floor)
-        except SubsolverStall:
-            status = "stalled"
-            break
-        if res.stationary:
-            status = "monotone_floor"
-            break
-        x, f_x = res.point, res.objective_value
-        values.append(f_x)
-        run.record(k, f_x, x, delta_req, res.certified_residual, run.H_used,
-                   res.inner_iterations, res.grad_dual_norm)
-        if run.hit_target(f_x) or run.grad_converged(x):
-            status = "target_reached"
-            break
-    return run.finish(status, x, f_x)
+            if res.stationary:
+                return "monotone_floor"
+            x, f_x = res.point, res.objective_value
+            yield (x, f_x, delta_req, res.certified_residual, run.H_used,
+                   res.inner_iterations, None)
+
+    return run.drive(steps)
 
 
 def averaging(problem, x0, config: SolverConfig) -> SolverRun:
@@ -373,26 +366,16 @@ def averaging(problem, x0, config: SolverConfig) -> SolverRun:
         raise ValueError("averaging does not support an adaptive policy: "
                          "it keeps no monotone objective history")
     run = _Runner(problem, config, x0, "averaging")
-    x = run.x0.copy()
-    f_x = run.F(x)
-    run.record(0, f_x, x)
-    if run.hit_target(f_x):
-        return run.finish("target_reached", x, f_x)
-    status = "max_iters"
-    floor = precision_floor(f_x)
-    for k in range(config.max_iters):
-        lam = (k / (k + 1.0)) ** (config.p + 1)
-        y = lam * x + (1.0 - lam) * run.x0
-        delta = max(config.policy.delta(k + 1), floor)
-        try:
+
+    def steps(x, f_x):
+        floor = precision_floor(f_x)
+        for k in itertools.count():
+            lam = (k / (k + 1.0)) ** (config.p + 1)
+            y = lam * x + (1.0 - lam) * run.x0
+            delta = max(config.policy.delta(k + 1), floor)
             res = run.solver(y)(delta)
-        except SubsolverStall:
-            status = "stalled"
-            break
-        x, f_x = res.point, res.objective_value
-        run.record(k + 1, f_x, x, delta, res.certified_residual, run.H_used,
-                   res.inner_iterations, res.grad_dual_norm)
-        if run.hit_target(f_x) or run.grad_converged(x):
-            status = "target_reached"
-            break
-    return run.finish(status, x, f_x)
+            x = res.point
+            yield (x, res.objective_value, delta, res.certified_residual, run.H_used,
+                   res.inner_iterations, None)
+
+    return run.drive(steps)

@@ -380,6 +380,17 @@ def model_solver(model: TensorModel, objective, kind: str = "fgm", stop: str = "
     return solve
 
 
+def is_stationary(res: StepResult, delta: float, floor: float) -> bool:
+    """Whether a step at tolerance delta that did not decrease F marks the center
+    stationary: its certificate is zero (it minimizes the model, so halving
+    cannot help), the subsolver stopped at the precision floor (``at_floor``:
+    a tighter solve would stop at the same floor) or the halved tolerance
+    would pass the floor (the center is floor-optimal for the model, hence
+    nearly stationary for F).
+    """
+    return res.certified_residual <= 0.0 or res.at_floor or 0.5 * delta < floor
+
+
 def monotone_step(f_center: float, solve, delta: float, floor: float) -> StepResult:
     """Inexact step with enforced strict decrease of the true objective.
 
@@ -388,11 +399,7 @@ def monotone_step(f_center: float, solve, delta: float, floor: float) -> StepRes
     point. If that value does not decrease F below ``f_center``, the tolerance
     is halved and ``solve`` resumes from the rejected point; inner iterations
     are summed across the retries. A step that does not decrease F is
-    reported as stationary when its certificate is zero (it minimizes the
-    model, so halving cannot help), when the subsolver stopped at the
-    precision floor (``at_floor``: a tighter solve would stop at the same
-    floor) or when the halved tolerance would fall below the floor (the
-    center is floor-optimal for the model, hence nearly stationary for F).
+    reported as stationary under ``is_stationary``.
     """
     if floor <= 0:
         raise ValueError("floor must be positive")
@@ -406,7 +413,7 @@ def monotone_step(f_center: float, solve, delta: float, floor: float) -> StepRes
         res.delta_used = delta_eff
         if res.objective_value < f_center:
             return res
-        if res.certified_residual <= 0.0 or res.at_floor or 0.5 * delta_eff < floor:
+        if is_stationary(res, delta_eff, floor):
             res.stationary = True
             return res
         delta_eff *= 0.5

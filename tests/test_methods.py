@@ -1,3 +1,4 @@
+import itertools
 import json
 import warnings
 
@@ -6,6 +7,8 @@ import pytest
 
 from conftest import forbid_oracle_calls
 
+from tensoropt import subsolvers
+from tensoropt.accel import accelerated
 from tensoropt.cli import main
 from tensoropt.harness import ExperimentConfig, execute, reference_fstar
 from tensoropt.linalg import NormOperator
@@ -19,7 +22,7 @@ from tensoropt.methods import (
     monotone2,
 )
 from tensoropt.model import TensorModel
-from tensoropt.policies import adaptive, constant, power
+from tensoropt.policies import AccuracyPolicy, adaptive, constant, power
 from tensoropt.problems import (
     ProblemInstance,
     QuadraticOracle,
@@ -36,10 +39,12 @@ def small_lse(seed=0, n=8, m=48):
 
 
 class TestMonotone1:
-    def test_starts_at_optimum(self):
+    # with max_iters=1 the row that stops the run is the last one allowed
+    @pytest.mark.parametrize("max_iters", [10, 1])
+    def test_starts_at_optimum(self, max_iters):
         prob = small_lse(1)
         cfg = SolverConfig(p=2, h_mode="lipschitz", policy=power(1, 3),
-                          subsolver="exact", max_iters=10)
+                          subsolver="exact", max_iters=max_iters)
         run = monotone1(prob, prob.known_optimum[0], cfg)
         assert run.status == "stationary"
         # no accepted step ever moved the iterate
@@ -87,15 +92,6 @@ class TestMonotone1:
         run = monotone1(prob, 0.5 * np.ones(8), cfg)
         assert run.status == "target_reached"
         assert run.records[-1].gap <= 1e-6
-
-    def test_gradient_tolerance_stops(self):
-        prob = small_lse(5)
-        cfg = SolverConfig(p=2, h_mode="lipschitz", policy=power(1, 3),
-                          subsolver="exact", max_iters=500, grad_tol=1e-5)
-        run = monotone1(prob, 0.5 * np.ones(8), cfg)
-        assert run.status == "target_reached"
-        g = prob.gradient(run.x_final)
-        assert prob.norm.dual(g) <= 1e-5
 
 
 class TestMonotone2:
@@ -177,6 +173,58 @@ class TestAveraging:
         cfg = SolverConfig(p=2, h_mode="lipschitz", policy=adaptive(1, 1), max_iters=5)
         with pytest.raises(ValueError, match="averaging .*adaptive policy"):
             averaging(prob, np.ones(10), cfg)
+
+
+DRIVERS = {"monotone1": monotone1, "monotone2": monotone2, "averaging": averaging,
+           "accelerated": accelerated}
+
+
+def driver_config(**kw):
+    return SolverConfig(p=2, h_mode="lipschitz", policy=power(1, 3), zeta_policy=power(1, 4),
+                        inner_policy=power(1, 1), subsolver="fgm", **kw)
+
+
+@pytest.mark.parametrize("method", sorted(DRIVERS))
+class TestSharedLoop:
+    """The outer loop every driver runs through."""
+
+    def test_start_within_the_target_costs_one_row_and_no_derivative(self, method):
+        prob = small_lse(16)
+        run = DRIVERS[method](prob, prob.known_optimum[0], driver_config(target_gap=1e-6))
+        assert run.status == "target_reached"
+        assert len(run.records) == 1
+        assert run.counts["gradient"] == 0 and run.counts["hessian_vec"] == 0
+
+    def test_stall_keeps_the_rows_so_far(self, method, monkeypatch):
+        # the first eight FGM solves run under the usual cap, later ones stop
+        # after one iteration, which only a start that certifies at once passes
+        prob = small_lse(0)
+        cfg = driver_config(max_iters=20)
+        full = DRIVERS[method](prob, np.ones(8), cfg)
+        usual, solves = subsolvers._default_cap, itertools.count()
+        monkeypatch.setattr(subsolvers, "_default_cap",
+                            lambda delta: usual(delta) if next(solves) < 8 else 1)
+        run = DRIVERS[method](prob, np.ones(8), cfg)
+        assert full.status == "max_iters" and run.status == "stalled"
+        assert 2 <= len(run.records) < len(full.records)
+        assert run.records == full.records[:len(run.records)]
+        np.testing.assert_array_equal(run.x_final, run.points[-1])
+        assert run.f_final == run.records[-1].F
+
+    def test_policy_is_queried_once_per_row(self, method, monkeypatch):
+        calls = []
+        delta = AccuracyPolicy.delta
+
+        def counted(policy, k, history=None):
+            calls.append((policy, k))
+            return delta(policy, k, history)
+
+        monkeypatch.setattr(AccuracyPolicy, "delta", counted)
+        cfg = driver_config(max_iters=4)
+        run = DRIVERS[method](small_lse(0), np.ones(8), cfg)
+        outer = cfg.zeta_policy if method == "accelerated" else cfg.policy
+        assert run.status == "max_iters" and len(run.records) == 5
+        assert [k for policy, k in calls if policy is outer] == [1, 2, 3, 4]
 
 
 class TestOrderOne:
@@ -403,6 +451,16 @@ class TestPrecisionFloor:
         assert run.status == status
         assert abs(run.f_final - fstar) <= 1e-8
         assert run.counts["hessian_vec"] <= 1000
+
+    def test_monotone1_ends_stationary_at_the_floor(self, hvp_limit):
+        # a rejected step whose halved tolerance would pass the floor ends the
+        # run, as in monotone2; the delta cap used to keep halving to 1e-98
+        cfg = ExperimentConfig(**{**self.REPRO, "method": "monotone1",
+                                  "policy": "constant:1e-12", "max_iters": 50})
+        run = execute(cfg)
+        fstar, _ = reference_fstar(cfg)
+        assert run.status == "stationary"
+        assert abs(run.f_final - fstar) <= 1e-8
 
     def test_cli_run_exits_zero(self, hvp_limit, tmp_path, capsys):
         path = tmp_path / "cfg.json"
