@@ -12,7 +12,10 @@ d(v) and its gradient cached. The subproblem is uniformly convex of degree
 p+1 with parameter 2^{1-p}, so a computable gradient-based certificate bounds
 its residual; the inner solver is the strictly monotone scheme, warm-started
 at the previous prox-center, and stops once the certificate reaches the outer
-tolerance zeta. Scaling A_{k+1} = (k+1)^{p+1} / L_p keeps the contracted
+tolerance zeta. The model built at each inner center supplies the
+certificate's gradient there and serves the next inner step, so one oracle
+evaluation per center covers both; an FGM probe takes d's value and gradient
+from one norm. Scaling A_{k+1} = (k+1)^{p+1} / L_p keeps the contracted
 smooth part's Lipschitz constant at most (p+1)^{p+1}. The outer loop is
 ``methods._Runner.drive``, which also ends the run "stalled" when an inner
 subsolve raises ``SubsolverStall``.
@@ -48,13 +51,20 @@ class ScaledComposite(Composite):
         self._grad_v = prox.gradient(self.v)
         self._value_v = prox.value(self.v)
 
+    def _gap(self, x, d_x):
+        """The Bregman divergence at x, given d(x)."""
+        return d_x - self._value_v - float(self._grad_v.dot(np.asarray(x, dtype=float) - self.v))
+
     def value(self, x):
-        gap = self.prox.value(x) - self._value_v - float(
-            self._grad_v @ (np.asarray(x, dtype=float) - self.v))
-        return self.a * self.base.value(x) + gap
+        return self.a * self.base.value(x) + self._gap(x, self.prox.value(x))
 
     def gradient(self, x):
         return self.a * self.base.gradient(x) + (self.prox.gradient(x) - self._grad_v)
+
+    def value_and_gradient(self, x):
+        psi, dpsi = self.base.value_and_gradient(x)
+        d_x, dd_x = self.prox.value_and_gradient(x)
+        return self.a * psi + self._gap(x, d_x), self.a * dpsi + (dd_x - self._grad_v)
 
     def uniform_convexity(self, degree):
         return self.a * self.base.uniform_convexity(degree) + self.prox.uniform_convexity(degree)
@@ -169,7 +179,8 @@ def accelerated(problem: ProblemInstance, x0, config: SolverConfig) -> SolverRun
             sub = build_subproblem(problem, run.oracle, x, v, A, A_next, prox)
             H_in = p * (a ** (p + 1) / A_next**p) * L
             w = v.copy()
-            h_w = sub.value(w)
+            model = TensorModel(sub.smooth, sub.composite, w, H_in, p=p)
+            h_w = model.f0 + sub.composite.value(w)
             floor = precision_floor(h_w)
             h_values = [h_w]
             inner_total = 0
@@ -179,14 +190,15 @@ def accelerated(problem: ProblemInstance, x0, config: SolverConfig) -> SolverRun
                     delta_in = inner_policy.delta(j, h_values)
                 else:
                     delta_in = inner_policy.delta(k + 1)
-                model = TensorModel(sub.smooth, sub.composite, w, H_in, p=p)
                 res = monotone_step(h_w, model_solver(model, sub.value, kind=inner_kind),
                                     delta_in, floor)
                 inner_total += res.inner_iterations
                 w = res.point
                 h_w = res.objective_value
                 h_values.append(h_w)
-                cert = subproblem_certificate(sub, w, p)[0]
+                model = TensorModel(sub.smooth, sub.composite, w, H_in, p=p)
+                cert = subproblem_certificate(
+                    sub, w, p, grad=model.g0 + sub.composite.gradient(w))[0]
                 if cert <= zeta or res.stationary:
                     break
             if cert > zeta:

@@ -93,6 +93,11 @@ class NormOperator:
             return self._diag * x
         return self._matrix @ x
 
+    def apply_and_primal(self, x):
+        """(B x, ||x||) from one application of B; the norm equals ``primal(x)``."""
+        bx = self.apply(x)
+        return bx, math.sqrt(max(0.0, float(bx.dot(x))))
+
     def solve(self, s) -> np.ndarray:
         """B^{-1} s (dual -> primal)."""
         s = self._check_dim(s)

@@ -64,24 +64,18 @@ class TensorModel:
             hd = self.hess_action(d)
         return y, d, hd
 
-    def _b_and_norm(self, d):
-        """(B d, ||d||) from one application of B; ||d|| equals ``norm.primal(d)``."""
-        bd = self.norm.apply(d)
-        return bd, math.sqrt(max(0.0, float(bd.dot(d))))
-
     def _taylor(self, d, hd) -> float:
-        t = self.f0 + float(self.g0 @ d)
+        t = self.f0 + float(self.g0.dot(d))
         if self.p == 2:
-            t += 0.5 * float(hd @ d)
+            t += 0.5 * float(hd.dot(d))
         return t
 
-    def _value(self, y, d, hd, r) -> float:
-        return self._taylor(d, hd) + self._reg_scale * r ** (self.p + 1) + self.composite.value(y)
+    def _value(self, d, hd, r) -> float:
+        return self._taylor(d, hd) + self._reg_scale * r ** (self.p + 1)
 
-    def _gradient(self, y, hd, bd, r) -> np.ndarray:
+    def _gradient(self, hd, bd, r) -> np.ndarray:
         g = self.g0 + hd if self.p == 2 else self.g0
-        g = g + (self.H / math.factorial(self.p)) * r ** (self.p - 1) * bd
-        return g + self.composite.gradient(y)
+        return g + (self.H / math.factorial(self.p)) * r ** (self.p - 1) * bd
 
     def taylor_value(self, y, hd=None) -> float:
         """Value of the order-p Taylor polynomial of f alone."""
@@ -91,18 +85,19 @@ class TensorModel:
     def value(self, y, hd=None) -> float:
         """Model value at y; ``hd``, if given, is the curvature product H·(y − center)."""
         y, d, hd = self._at(y, hd)
-        return self._value(y, d, hd, self.norm.primal(d))
+        return self._value(d, hd, self.norm.primal(d)) + self.composite.value(y)
 
     def gradient(self, y, hd=None) -> np.ndarray:
         """Model gradient at y; ``hd`` as in ``value``, computed here when omitted."""
         y, d, hd = self._at(y, hd)
-        return self._gradient(y, hd, *self._b_and_norm(d))
+        return self._gradient(hd, *self.norm.apply_and_primal(d)) + self.composite.gradient(y)
 
     def value_and_gradient(self, y, hd=None):
-        """``(value(y, hd), gradient(y, hd))``, sharing one curvature product and one B·d."""
+        """``(value(y, hd), gradient(y, hd))``, sharing one curvature product, B·d and psi."""
         y, d, hd = self._at(y, hd)
-        bd, r = self._b_and_norm(d)
-        return self._value(y, d, hd, r), self._gradient(y, hd, bd, r)
+        bd, r = self.norm.apply_and_primal(d)
+        psi, dpsi = self.composite.value_and_gradient(y)
+        return self._value(d, hd, r) + psi, self._gradient(hd, bd, r) + dpsi
 
     def with_weight(self, H: float) -> "TensorModel":
         """The same frozen model under another regularization weight (no oracle call)."""

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from .linalg import FactorizationError, NormOperator
@@ -235,9 +236,10 @@ class LogSumExpOracle(SmoothOracle):
 class PoweredChainOracle(SmoothOracle):
     """f(x) = |x_1|^q + sum_{i>=2} |x_i - c x_{i-1}|^q, global minimum at 0.
 
-    Twice differentiable for q >= 2. For q = 3 the third derivative is globally
-    bounded, with Lipschitz constant 6 * smax(M)^3 in the standard norm, where
-    M is the differencing matrix and smax its largest singular value.
+    Twice differentiable for q >= 2. The differences u = M x and the products
+    with Mᵀ, M the bidiagonal differencing matrix, take O(n) without forming M.
+    For q = 3 the third derivative is globally bounded, with Lipschitz constant
+    6 * smax(M)^3 in the standard norm, smax^2 the top eigenvalue of MᵀM.
     """
 
     def __init__(self, n: int, q: float = 3.0, c: float = 1.0):
@@ -250,25 +252,34 @@ class PoweredChainOracle(SmoothOracle):
         self.dim = int(n)
         self.q = float(q)
         self.c = float(c)
-        M = np.eye(self.dim)
-        idx = np.arange(1, self.dim)
-        M[idx, idx - 1] = -self.c
-        self.M = M
         self.norm = NormOperator.identity(self.dim)
         if self.q == 3.0:
-            smax = float(np.linalg.norm(M, ord=2))
-            self.lipschitz = {2: 6.0 * smax**3}
+            # MᵀM is tridiagonal: diagonal 1 + c², ..., 1 + c², 1 and off-diagonal -c
+            diag = np.append(np.full(self.dim - 1, 1.0 + self.c**2), 1.0)
+            top = scipy.linalg.eigvalsh_tridiagonal(diag, np.full(self.dim - 1, -self.c),
+                                                    select="i", select_range=(self.dim - 1,) * 2)
+            self.lipschitz = {2: 6.0 * math.sqrt(top[0]) ** 3}
         else:
             self.lipschitz = {}
 
     def _u(self, x):
-        return self.M @ np.asarray(x, dtype=float)
+        """M x: the differences x_i - c x_{i-1}, after x_1."""
+        x = np.asarray(x, dtype=float)
+        u = x.copy()
+        u[1:] -= self.c * x[:-1]
+        return u
+
+    def _mt(self, s):
+        """Mᵀ s, the adjoint difference s_i - c s_{i+1}, before s_n."""
+        out = s.copy()
+        out[:-1] -= self.c * s[1:]
+        return out
 
     def _value(self, u):
         return float(np.sum(np.abs(u) ** self.q))
 
     def _gradient(self, u):
-        return self.M.T @ (self.q * np.sign(u) * np.abs(u) ** (self.q - 1.0))
+        return self._mt(self.q * np.sign(u) * np.abs(u) ** (self.q - 1.0))
 
     def _phi2(self, u):
         """Second derivatives of the powers at the differences u = M x."""
@@ -286,11 +297,14 @@ class PoweredChainOracle(SmoothOracle):
 
     def hessian_vec(self, x, h, state=None):
         phi2 = self._phi2(self._u(x)) if state is None else state
-        return self.M.T @ (phi2 * (self.M @ np.asarray(h, dtype=float)))
+        return self._mt(phi2 * self._u(h))
 
     def hessian(self, x):
+        """The tridiagonal Mᵀ diag(phi2) M: diagonal phi2_i + c² phi2_{i+1}, off-diagonal
+        -c phi2_{i+1}."""
         phi2 = self._phi2(self._u(x))
-        return self.M.T @ (phi2[:, None] * self.M)
+        off = np.diag(-self.c * phi2[1:], 1)
+        return np.diag(phi2 + np.append(self.c**2 * phi2[1:], 0.0)) + off + off.T
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +319,10 @@ class Composite:
 
     def gradient(self, x) -> np.ndarray:
         raise NotImplementedError
+
+    def value_and_gradient(self, x):
+        """``(value(x), gradient(x))``; a subclass may share work between the two."""
+        return self.value(x), self.gradient(x)
 
     def uniform_convexity(self, degree: int) -> float:
         """Known uniform-convexity parameter of the given degree (0 if none)."""
@@ -356,9 +374,12 @@ class PowerComposite(Composite):
         return self.mu * r**self.q / self.q
 
     def gradient(self, x):
-        d = np.asarray(x, dtype=float) - self.center
-        r = self.norm.primal(d)
-        return self.mu * r ** (self.q - 2.0) * self.norm.apply(d)
+        return self.value_and_gradient(x)[1]
+
+    def value_and_gradient(self, x):
+        """Both from one B·d, d = x − center, which also gives the norm."""
+        bd, r = self.norm.apply_and_primal(np.asarray(x, dtype=float) - self.center)
+        return self.mu * r**self.q / self.q, self.mu * r ** (self.q - 2.0) * bd
 
     def uniform_convexity(self, degree):
         if degree == self.q:

@@ -279,7 +279,7 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None, stop: str = "bou
         """(step direction, dual gradient norm, model value, certificate) at y."""
         f, grad = model.value_and_gradient(y, hy)
         step_dir = norm.solve(grad)
-        gn = math.sqrt(max(0.0, float(grad @ step_dir)))
+        gn = math.sqrt(max(0.0, float(grad.dot(step_dir))))
         cert = (f - model_min) if stop == "exact" else residual_bound(gn, sigma, model.p + 1)
         return step_dir, gn, f, cert
 

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import forbid_oracle_calls
 
+from tensoropt import accel
 from tensoropt.accel import (
     ScaledComposite,
     accelerated,
@@ -289,3 +290,20 @@ class TestAccelerated:
         run = accelerated(chain, np.ones(6), cfg)
         assert run.counts["hessian_vec"] > 0
         assert all(r.inner_iters >= 1 for r in run.records[1:])
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("name", ["chain", "logsumexp"])
+    def test_each_inner_center_costs_one_gradient(self, monkeypatch, p, name):
+        # the certificate at an inner center reads the gradient of the model
+        # built there, which the next inner step reuses
+        prob = (powered_chain_oracle(10, 3.0, 1.0) if name == "chain"
+                else generate_shifted_logsumexp(8, 48, 1.0, 0))
+        builds = []
+        build = accel.TensorModel
+        monkeypatch.setattr(accel, "TensorModel",
+                            lambda *args, **kwargs: builds.append(1) or build(*args, **kwargs))
+        cfg = SolverConfig(p=p, h_mode="fixed", h_value=10.0, max_iters=8,
+                           zeta_policy=power(1, 1), inner_policy=power(1, 1))
+        run = accelerated(prob, np.ones(prob.dim), cfg)
+        assert run.status == "max_iters"
+        assert run.counts["gradient"] == len(builds)

@@ -7,6 +7,7 @@ import scipy.sparse
 
 from conftest import NORM_KINDS, forbid_oracle_calls, norm_of_kind
 
+from tensoropt.accel import ContractedOracle, ScaledComposite
 from tensoropt.linalg import NormOperator
 from tensoropt.methods import CountingOracle
 from tensoropt.model import TensorModel
@@ -185,6 +186,13 @@ class TestShiftedGenerator:
             generate_shifted_logsumexp(10, 5, 1.0, seed=0)
 
 
+def _chain_matrix(n, c):
+    """The dense differencing matrix M of the chain: u = M x, u_i = x_i - c x_{i-1}."""
+    M = np.eye(n)
+    M[np.arange(1, n), np.arange(n - 1)] = -c
+    return M
+
+
 class TestPoweredChain:
     def test_minimum_at_origin(self):
         prob = powered_chain_oracle(7, 3.0, 2.0)
@@ -215,8 +223,29 @@ class TestPoweredChain:
         prob = powered_chain_oracle(5, 2.0, 1.0)
         rng = np.random.default_rng(10)
         x = rng.normal(size=5)
-        M = prob.smooth.M
+        M = _chain_matrix(5, 1.0)
         np.testing.assert_allclose(prob.smooth.hessian(x), 2.0 * M.T @ M, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 150])
+    @pytest.mark.parametrize("c", [1.0, 2.0])
+    def test_matches_the_dense_differencing_matrix(self, n, c):
+        oracle = powered_chain_oracle(n, 3.0, c).smooth
+        M = _chain_matrix(n, c)
+        rng = np.random.default_rng(13)
+        rel = dict(rtol=1e-12, atol=0.0)
+        # x = ones has zero differences on the c = 1 chain
+        for x in [np.ones(n)] + [rng.normal(size=n) for _ in range(5)]:
+            h = rng.normal(size=n)
+            u = M @ x
+            phi2 = 6.0 * np.abs(u)
+            assert oracle.value(x) == pytest.approx(float(np.sum(np.abs(u) ** 3)), rel=1e-12)
+            np.testing.assert_allclose(oracle.gradient(x), M.T @ (3.0 * u * np.abs(u)), **rel)
+            np.testing.assert_allclose(oracle.hessian_vec(x, h), M.T @ (phi2 * (M @ h)), **rel)
+            np.testing.assert_allclose(oracle.hessian(x), M.T @ (phi2[:, None] * M), **rel)
+        smax = np.linalg.norm(M, ord=2)
+        assert oracle.lipschitz[2] == pytest.approx(6.0 * smax**3, rel=1e-13)
+        if n == 1:
+            assert oracle.lipschitz[2] == 6.0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -263,6 +292,26 @@ class TestComposites:
             assert prox.value(x) == r ** (p + 1) / (p + 1.0)
             assert np.array_equal(prox.gradient(x), r ** (p - 1) * norm.apply(d))
         assert prox.uniform_convexity(p + 1) == 2.0 ** (1 - p)
+
+    @pytest.mark.parametrize("kind", ["zero", "power-identity", "power-diagonal",
+                                      "power-dense", "quadratic", "scaled"])
+    def test_joint_value_and_gradient_is_bit_identical(self, kind):
+        rng = np.random.default_rng(14)
+        norm = norm_of_kind(kind.split("-")[-1] if kind.startswith("power") else "dense", rng, 5)
+        if kind == "zero":
+            comp = ZeroComposite(5)
+        elif kind.startswith("power"):
+            comp = PowerComposite(0.7, 3.0, rng.normal(size=5), norm)
+        elif kind == "quadratic":
+            comp = QuadraticComposite(0.7, rng.normal(size=5), norm)
+        else:
+            base = PowerComposite(0.4, 2.5, rng.normal(size=5), norm)
+            comp = ScaledComposite(base, 1.7, PowerComposite(1.0, 3.0, rng.normal(size=5), norm),
+                                   rng.normal(size=5))
+        for x in [rng.normal(size=5) for _ in range(10)]:
+            f, g = comp.value_and_gradient(x)
+            assert type(f) is type(comp.value(x)) and f == comp.value(x)
+            assert np.array_equal(g, comp.gradient(x))
 
     def test_quadratic_coeff_detection(self):
         norm = NormOperator.identity(2)
@@ -349,11 +398,16 @@ def _oracle_family(kind, rng):
         return powered_chain_oracle(6, 3.0, 2.0).smooth
     if kind == "chain-q2.5":
         return powered_chain_oracle(6, 2.5, 1.0).smooth
+    if kind.startswith("contracted-"):
+        # the accelerated subproblem's smooth part around a random outer state
+        base = _oracle_family(kind.split("-", 1)[1], rng)
+        return ContractedOracle(base, 3.0, 0.6, rng.normal(size=6))
     M = rng.normal(size=(6, 6))
     return QuadraticOracle(M @ M.T)
 
 
-FAMILIES = ["logistic", "logsumexp", "chain-q3", "chain-q2.5", "quadratic"]
+FAMILIES = ["logistic", "logsumexp", "chain-q3", "chain-q2.5", "quadratic",
+            "contracted-chain-q3", "contracted-logsumexp"]
 
 
 class TestHessianState:
