@@ -175,13 +175,17 @@ def starting_point(kind: str, dim: int, seed: int) -> np.ndarray:
 
 
 def parse_h_mode(spec: str) -> tuple[str, float | None]:
+    """``lipschitz``, ``linesearch`` (start at 1), ``linesearch:<v>`` or ``fixed:<v>``."""
     if spec == "lipschitz":
         return "lipschitz", None
-    if spec.startswith("fixed:"):
-        return "fixed", float(spec.split(":", 1)[1])
-    if spec.startswith("linesearch"):
-        parts = spec.split(":")
-        return "linesearch", float(parts[1]) if len(parts) > 1 else 1.0
+    if spec == "linesearch":
+        return "linesearch", 1.0
+    mode, _, value = spec.partition(":")
+    if mode in ("fixed", "linesearch"):
+        try:
+            return mode, float(value)
+        except ValueError:
+            pass
     raise ValueError(f"bad H mode {spec!r}")
 
 

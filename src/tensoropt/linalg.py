@@ -1,12 +1,12 @@
 """Euclidean geometry induced by a fixed symmetric positive definite operator B.
 
 The primal norm is ``<Bx, x>**0.5`` and the dual norm is ``<s, B^{-1} s>**0.5``.
-Identity and diagonal operators bypass factorization entirely; dense operators
-cache a Cholesky factor B = L Lᵀ at construction. The exact cubic subsolver
-works in coordinates where B is the identity, through ``whiten`` (the
-congruence L⁻¹ A L⁻ᵀ) and ``factor_solve`` (L⁻¹ x and L⁻ᵀ x); identity and
-diagonal operators use the factors I and diag(√d). ``inv_sqrt_apply`` applies
-B^{-1/2} from an eigendecomposition computed on first use and cached.
+There are two kinds of operator. The identity bypasses factorization entirely;
+a dense operator caches a Cholesky factor B = L Lᵀ at construction. The exact
+cubic subsolver works in coordinates where B is the identity, through
+``whiten`` (the congruence L⁻¹ A L⁻ᵀ) and ``factor_solve`` (L⁻¹ x and L⁻ᵀ x);
+the identity uses the factor I. ``inv_sqrt_apply`` applies B^{-1/2} from an
+eigendecomposition computed on first use and cached.
 """
 
 from __future__ import annotations
@@ -28,14 +28,13 @@ class NormOperator:
     """Fixed SPD operator defining a primal/dual norm pair.
 
     Immutable after construction and safe to share across concurrent solver
-    runs. Use the ``identity`` / ``diagonal`` / ``dense`` / ``gram``
-    constructors rather than ``__init__``.
+    runs. Use the ``identity`` / ``dense`` / ``gram`` constructors rather
+    than ``__init__``; a diagonal B is ``dense(np.diag(d))``.
     """
 
-    def __init__(self, kind: str, dim: int, diag=None, matrix=None, chol=None):
+    def __init__(self, kind: str, dim: int, matrix=None, chol=None):
         self.kind = kind
         self.dim = int(dim)
-        self._diag = diag
         self._matrix = matrix
         self._chol = chol
         self._eig = None  # lazy (w, Q) of the dense matrix
@@ -45,15 +44,6 @@ class NormOperator:
         if dim < 1:
             raise ValueError("dimension must be positive")
         return cls("identity", dim)
-
-    @classmethod
-    def diagonal(cls, entries) -> "NormOperator":
-        d = np.asarray(entries, dtype=float)
-        if d.ndim != 1 or d.size < 1:
-            raise ValueError("diagonal entries must be a nonempty vector")
-        if np.any(d <= 0):
-            raise ValueError("diagonal entries must be strictly positive")
-        return cls("diagonal", d.size, diag=d)
 
     @classmethod
     def dense(cls, matrix) -> "NormOperator":
@@ -89,8 +79,6 @@ class NormOperator:
         x = self._check_dim(x)
         if self.kind == "identity":
             return x.copy()
-        if self.kind == "diagonal":
-            return self._diag * x
         return self._matrix @ x
 
     def apply_and_primal(self, x):
@@ -103,8 +91,6 @@ class NormOperator:
         s = self._check_dim(s)
         if self.kind == "identity":
             return s.copy()
-        if self.kind == "diagonal":
-            return s / self._diag
         # the LAPACK routine scipy.linalg.cho_solve runs, without its per-call
         # dispatch and finiteness checks on the (finite) factor
         if not np.isfinite(s).all():
@@ -126,11 +112,6 @@ class NormOperator:
             raise np.linalg.LinAlgError("matrix must not contain infs or NaNs")
         if self.kind == "identity":
             return A
-        if self.kind == "diagonal":
-            root = np.sqrt(self._diag)
-            A /= root[:, None]
-            A /= root
-            return A
         # A is symmetric, so its transpose is the same matrix in Fortran order,
         # which LAPACK overwrites instead of copying
         C, info = dsygst(A.T, self._chol, itype=1, lower=1, overwrite_a=1)
@@ -145,8 +126,6 @@ class NormOperator:
             raise np.linalg.LinAlgError("vector must not contain infs or NaNs")
         if self.kind == "identity":
             return x.copy()
-        if self.kind == "diagonal":
-            return x / np.sqrt(self._diag)
         y, info = dtrtrs(self._chol, x, lower=1, trans=int(trans))
         if info != 0:
             raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
@@ -157,23 +136,17 @@ class NormOperator:
         if self.kind == "identity":
             # np.linalg.norm computes exactly this, behind a costly dispatch
             return math.sqrt(x.dot(x))
-        if self.kind == "diagonal":
-            return float(np.sqrt(np.dot(self._diag * x, x)))
         return float(np.sqrt(max(0.0, float(np.dot(self._matrix @ x, x)))))
 
     def dual(self, s) -> float:
         s = self._check_dim(s)
         if self.kind == "identity":
             return math.sqrt(s.dot(s))
-        if self.kind == "diagonal":
-            return float(np.sqrt(np.dot(s / self._diag, s)))
         return float(np.sqrt(max(0.0, float(np.dot(self.solve(s), s)))))
 
     def as_matrix(self) -> np.ndarray:
         if self.kind == "identity":
             return np.eye(self.dim)
-        if self.kind == "diagonal":
-            return np.diag(self._diag)
         return self._matrix.copy()
 
     def _dense_eig(self):
@@ -188,10 +161,6 @@ class NormOperator:
         """B^{-1/2} x, for vectors or matrices (applied on the left)."""
         if self.kind == "identity":
             return np.array(x, dtype=float)
-        if self.kind == "diagonal":
-            scale = 1.0 / np.sqrt(self._diag)
-            x = np.asarray(x, dtype=float)
-            return scale * x if x.ndim == 1 else scale[:, None] * x
         w, Q = self._dense_eig()
         return Q @ ((Q.T @ np.asarray(x, dtype=float)).T / np.sqrt(w)).T
 

@@ -62,8 +62,10 @@ class SolverConfig:
             raise ValueError("order p must be 1 or 2")
         if self.h_mode not in ("fixed", "lipschitz", "linesearch"):
             raise ValueError(f"unknown H mode {self.h_mode!r}")
-        if self.h_mode == "fixed" and not self.h_value:
+        if self.h_mode == "fixed" and self.h_value is None:
             raise ValueError("fixed H mode needs h_value")
+        if self.h_value is not None and not 0 < self.h_value < np.inf:
+            raise ValueError("h_value must be finite and positive")
         if self.subsolver not in ("exact", "fgm"):
             raise ValueError(f"unknown subsolver {self.subsolver!r}")
         if self.stop not in ("bound", "exact"):

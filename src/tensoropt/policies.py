@@ -56,8 +56,10 @@ class AccuracyPolicy:
     def __post_init__(self):
         if self.kind not in ("constant", "power", "adaptive"):
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.c < 0:
-            raise ValueError("policy constant must be nonnegative")
+        if not all(map(math.isfinite, (self.c, self.alpha, self.delta1))):
+            raise ValueError("policy constant, exponent and first tolerance must be finite")
+        if self.c < 0 or self.delta1 < 0:
+            raise ValueError("policy constant and first tolerance must be nonnegative")
 
     def delta(self, k: int, history=None) -> float:
         """Tolerance for iteration k >= 1.

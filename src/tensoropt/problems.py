@@ -460,10 +460,12 @@ def generate_shifted_logsumexp(n: int, m: int, mu: float, seed: int) -> ProblemI
 
     Coefficients are uniform on [-1, 1]; rows are then shifted by the gradient
     at zero so the shifted objective has exactly zero gradient at the origin.
-    Regenerates on a rank-deficient Gram operator, failing after 10 attempts.
+    The shift leaves Aᵀπ = 0 for the softmax weights π at the origin, so
+    rank(A) <= m - 1 and a full-rank Gram operator needs m > n. Regenerates on
+    a rank-deficient Gram operator, failing after 10 attempts.
     """
-    if not (m >= n >= 1):
-        raise ValueError("need m >= n >= 1")
+    if not (m > n >= 1):
+        raise ValueError("need m > n >= 1: the shift leaves rank(A) <= m - 1")
     rng = np.random.default_rng(seed)
     for _ in range(10):
         A_raw = rng.uniform(-1.0, 1.0, size=(m, n))

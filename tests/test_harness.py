@@ -51,8 +51,10 @@ class TestConfig:
         assert parse_h_mode("fixed:0.5") == ("fixed", 0.5)
         assert parse_h_mode("linesearch:2") == ("linesearch", 2.0)
         assert parse_h_mode("linesearch") == ("linesearch", 1.0)
-        with pytest.raises(ValueError):
-            parse_h_mode("auto")
+        for bad in ("auto", "linesearchfoo", "linesearch:2:3", "fixed:", "fixed:1:2",
+                    "lipschitz:1"):
+            with pytest.raises(ValueError):
+                parse_h_mode(bad)
 
 
 class TestProblemRegistry:

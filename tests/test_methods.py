@@ -478,6 +478,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(h_mode="fixed").validate()
 
+    def test_h_value_must_be_finite_and_positive(self):
+        # a NaN or infinite start never ends a line search; a fixed one never steps
+        for mode in ("fixed", "linesearch", "lipschitz"):
+            for bad in (float("nan"), float("inf"), -float("inf"), 0.0, -1.0):
+                with pytest.raises(ValueError):
+                    SolverConfig(h_mode=mode, h_value=bad).validate()
+            SolverConfig(h_mode=mode, h_value=0.5).validate()
+
     def test_lipschitz_mode_needs_known_constant(self):
         prob = powered_chain_oracle(4, 4.0, 1.0)  # no known L_p for q=4
         cfg = SolverConfig(p=2, h_mode="lipschitz", policy=power(1, 3),

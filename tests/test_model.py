@@ -170,7 +170,7 @@ def _norm(kind, A, rng):
     if kind == "identity":
         return NormOperator.identity(A.shape[1])
     if kind == "diagonal":
-        return NormOperator.diagonal(rng.uniform(0.5, 3.0, A.shape[1]))
+        return NormOperator.dense(np.diag(rng.uniform(0.5, 3.0, A.shape[1])))
     return NormOperator.gram(A)
 
 

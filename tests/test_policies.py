@@ -118,7 +118,10 @@ class TestParsing:
         assert pol.delta1 == 0.125
 
     @pytest.mark.parametrize("bad", ["", "power", "power:1", "linear:1:2",
-                                     "adaptive:x:1", "constant:1:2"])
+                                     "adaptive:x:1", "constant:1:2",
+                                     "constant:inf", "constant:nan", "power:inf:1",
+                                     "power:1:nan", "power:1:-inf", "adaptive:1:1:nan",
+                                     "adaptive:1:1:inf", "adaptive:1:1:-1"])
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(ValueError):
             AccuracyPolicy.parse(bad)

@@ -182,8 +182,10 @@ class TestShiftedGenerator:
         assert prob.norm.dim == 100
 
     def test_requires_m_at_least_n(self):
-        with pytest.raises(ValueError):
-            generate_shifted_logsumexp(10, 5, 1.0, seed=0)
+        # m == n too: the shift leaves rank(A) <= m - 1, so the Gram norm is singular
+        for n, m in ((10, 5), (10, 10), (1, 1)):
+            with pytest.raises(ValueError):
+                generate_shifted_logsumexp(n, m, 1.0, seed=0)
 
 
 def _chain_matrix(n, c):

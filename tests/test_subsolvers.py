@@ -329,7 +329,7 @@ class TestGradientStep:
         assert res.point[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_diagonal_preconditioning(self):
-        norm = NormOperator.diagonal([4.0, 1.0])
+        norm = NormOperator.dense(np.diag([4.0, 1.0]))
         oracle = QuadraticOracle(np.zeros((2, 2)), b=np.array([4.0, 1.0]), norm=norm)
         model = TensorModel(oracle, ZeroComposite(2), np.zeros(2), H=2.0, p=1)
         res = gradient_step(model)
