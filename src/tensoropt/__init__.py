@@ -10,7 +10,6 @@ from .problems import (
     PowerComposite,
     PoweredChainOracle,
     ProblemInstance,
-    QuadraticComposite,
     QuadraticOracle,
     ZeroComposite,
     check_derivatives,

@@ -145,8 +145,8 @@ def accelerated(problem: ProblemInstance, x0, config: SolverConfig) -> SolverRun
 
     The scaling schedule divides by the order-p Lipschitz constant; with
     ``h_mode="fixed"`` the configured value is used as a fixed surrogate for
-    it instead (the scheme runs a fixed schedule either way, without any line
-    search on the inner regularization).
+    it instead. The schedule is fixed either way, so ``SolverConfig.validate``
+    rejects ``h_mode="linesearch"``, as it does an adaptive ``zeta_policy``.
     """
     run = _Runner(problem, config, x0, "accelerated")
     p = config.p
@@ -158,9 +158,6 @@ def accelerated(problem: ProblemInstance, x0, config: SolverConfig) -> SolverRun
         raise ValueError("the accelerated scheme needs a known Lipschitz constant L_p "
                          "or a fixed surrogate for it")
     zeta_policy = config.zeta_policy or power(1.0, p + 2)
-    if zeta_policy.kind == "adaptive":
-        raise ValueError("accelerated does not support an adaptive zeta_policy: "
-                         "the outer loop keeps no monotone objective history")
     inner_policy = config.inner_policy or power(1.0, 1.0)
 
     prox = PowerComposite(1.0, p + 1, run.x0, run.norm)

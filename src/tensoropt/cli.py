@@ -9,10 +9,12 @@ import sys
 from .harness import (
     ExperimentConfig,
     SUCCESS_STATUSES,
+    check_comparable,
     compare,
     fit_rate,
     read_trace_csv,
     render_comparison,
+    resolve,
     run_experiment,
 )
 
@@ -30,17 +32,26 @@ def parse_problem(spec: str) -> dict:
     return out
 
 
+def number_or_auto(text: str):
+    """``auto``, or a number."""
+    return text if text == "auto" else float(text)
+
+
+def k_range(text: str) -> tuple[float, float]:
+    """``lo:hi``, a window of iteration counters."""
+    lo, hi = map(float, text.split(":"))
+    return lo, hi
+
+
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.problem:
         cfg.problem = parse_problem(args.problem)
     for name in ("method", "p", "H", "policy", "subsolver", "stop",
                  "max_iters", "target_gap", "seed", "out", "composite",
-                 "x0", "zeta_policy", "inner_policy"):
+                 "x0", "zeta_policy", "inner_policy", "measure_time"):
         val = getattr(args, name, None)
         if val is not None:
             setattr(cfg, name, val)
-    if args.measure_time:
-        cfg.measure_time = True
     return cfg
 
 
@@ -49,7 +60,7 @@ def _add_run_flags(sp):
     sp.add_argument("--problem", help="problem spec, e.g. logsumexp:n=100,m=600,mu=1")
     sp.add_argument("--method", choices=["monotone1", "monotone2", "averaging", "accelerated"])
     sp.add_argument("--p", type=int, choices=[1, 2])
-    sp.add_argument("--H", help="fixed:<v> | lipschitz | linesearch:<v>")
+    sp.add_argument("--H", help="fixed:<v> | lipschitz | linesearch[:<v>]")
     sp.add_argument("--policy", help="constant:C | power:C:ALPHA | adaptive:C:ALPHA[:D1]")
     sp.add_argument("--zeta-policy", dest="zeta_policy", help="outer tolerance schedule (accelerated)")
     sp.add_argument("--inner-policy", dest="inner_policy", help="inner tolerance schedule (accelerated)")
@@ -60,7 +71,7 @@ def _add_run_flags(sp):
     sp.add_argument("--max-iters", dest="max_iters", type=int)
     sp.add_argument("--target-gap", dest="target_gap", type=float)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--measure-time", dest="measure_time", action="store_true",
+    sp.add_argument("--measure-time", dest="measure_time", action="store_true", default=None,
                     help="record per-row wall time (makes traces nondeterministic)")
     sp.add_argument("--out", help="output directory for config/trace/summary")
 
@@ -79,48 +90,46 @@ def main(argv=None) -> int:
 
     sp_fit = sub.add_parser("fit", help="fit a rate slope to a trace")
     sp_fit.add_argument("--trace", required=True)
-    sp_fit.add_argument("--fstar", required=True,
+    sp_fit.add_argument("--fstar", required=True, type=number_or_auto,
                         help="numeric optimum value, or 'auto' (best trace value)")
-    sp_fit.add_argument("--window", help="k range lo:hi")
+    sp_fit.add_argument("--window", type=k_range, help="k range lo:hi")
     sp_fit.add_argument("--exponent", type=float, default=1.5,
                         help="tail-ratio exponent (default (p+1)/2 for p=2)")
 
     args = parser.parse_args(argv)
 
+    # a spec error is a usage error; errors of the solve itself are not caught
     if args.command == "run":
-        if args.config:
-            cfg = ExperimentConfig.load(args.config)
-        else:
-            if not args.problem:
-                parser.error("run needs --config or --problem")
-            cfg = ExperimentConfig(problem=parse_problem(args.problem))
-            args.problem = None
-        cfg = _apply_overrides(cfg, args)
+        if not (args.config or args.problem):
+            sp_run.error("run needs --config or --problem")
+        try:
+            cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig({})
+            cfg = _apply_overrides(cfg, args)
+            resolve(cfg)
+        except ValueError as exc:
+            sp_run.error(str(exc))
         run, summary = run_experiment(cfg)
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0 if run.status in SUCCESS_STATUSES else 2
 
     if args.command == "compare":
-        configs = [ExperimentConfig.load(p) for p in args.configs]
+        try:
+            configs = [ExperimentConfig.load(p) for p in args.configs]
+            check_comparable(configs)
+        except ValueError as exc:
+            sp_cmp.error(str(exc))
         report = compare(configs, out_root=args.out)
         print(render_comparison(report))
         return 0
 
     if args.command == "fit":
         cols = read_trace_csv(args.trace)
-        ks = [v for v in cols["k"]]
-        Fs = [v for v in cols["F"]]
+        Fs = cols["F"]
         if args.fstar == "auto":
-            fstar = min(Fs)
-            source = "trace-minimum"
+            fstar, source = min(Fs), "trace-minimum"
         else:
-            fstar = float(args.fstar)
-            source = "given"
-        window = None
-        if args.window:
-            lo, hi = args.window.split(":")
-            window = (float(lo), float(hi))
-        fit = fit_rate(ks, Fs, fstar, window=window, exponent=args.exponent,
+            fstar, source = args.fstar, "given"
+        fit = fit_rate(cols["k"], Fs, fstar, window=args.window, exponent=args.exponent,
                        fstar_source=source)
         print(json.dumps(fit.to_dict(), indent=2, sort_keys=True))
         return 0

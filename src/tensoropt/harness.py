@@ -25,11 +25,10 @@ import numpy as np
 
 from .accel import accelerated
 from .methods import SolverConfig, SolverRun, TRACE_COLUMNS, averaging, monotone1, monotone2
-from .policies import AccuracyPolicy
+from .policies import AccuracyPolicy, parse_spec
 from .problems import (
     PowerComposite,
     ProblemInstance,
-    QuadraticComposite,
     ZeroComposite,
     generate_shifted_logsumexp,
     logistic_oracle,
@@ -78,6 +77,9 @@ class ExperimentConfig:
     def from_dict(d: dict) -> "ExperimentConfig":
         d = dict(d)
         d.pop("schema", None)
+        unknown = sorted(set(d) - {f.name for f in dataclasses.fields(ExperimentConfig)})
+        if unknown:
+            raise ValueError(f"unknown config fields: {', '.join(unknown)}")
         return ExperimentConfig(**d)
 
     @staticmethod
@@ -134,20 +136,24 @@ def _reject_extras(name, extras):
         raise ValueError(f"unknown parameters for problem {name!r}: {sorted(extras)}")
 
 
+def parse_composite(spec: str | None) -> tuple[float, float] | None:
+    """(mu, q) of ``power:MU:Q`` or ``quadratic:MU`` (q = 2); None for no composite."""
+    if not spec or spec == "none":
+        return None
+    kind, values = parse_spec(spec, {"power": (2, 2), "quadratic": (1, 1)})
+    mu, q = values if kind == "power" else (values[0], 2.0)
+    if mu < 0 or q < 2:
+        raise ValueError(f"bad spec {spec!r}: MU must be nonnegative and Q at least 2")
+    return mu, q
+
+
 def attach_composite(problem: ProblemInstance, spec: str | None) -> ProblemInstance:
     """Add a simple regularizer; keeps the known optimum when it is preserved."""
-    if not spec or spec == "none":
+    params = parse_composite(spec)
+    if params is None:
         return problem
-    parts = spec.split(":")
     center = np.zeros(problem.dim)
-    if parts[0] == "power":
-        mu, q = float(parts[1]), float(parts[2])
-        comp = PowerComposite(mu, q, center, problem.norm)
-    elif parts[0] == "quadratic":
-        mu = float(parts[1])
-        comp = QuadraticComposite(mu, center, problem.norm)
-    else:
-        raise ValueError(f"bad composite spec {spec!r}")
+    comp = PowerComposite(*params, center, problem.norm)
     known = None
     if problem.known_optimum is not None:
         x_star, f_star = problem.known_optimum
@@ -176,17 +182,9 @@ def starting_point(kind: str, dim: int, seed: int) -> np.ndarray:
 
 def parse_h_mode(spec: str) -> tuple[str, float | None]:
     """``lipschitz``, ``linesearch`` (start at 1), ``linesearch:<v>`` or ``fixed:<v>``."""
-    if spec == "lipschitz":
-        return "lipschitz", None
-    if spec == "linesearch":
-        return "linesearch", 1.0
-    mode, _, value = spec.partition(":")
-    if mode in ("fixed", "linesearch"):
-        try:
-            return mode, float(value)
-        except ValueError:
-            pass
-    raise ValueError(f"bad H mode {spec!r}")
+    mode, values = parse_spec(spec, {"lipschitz": (0, 0), "linesearch": (0, 1), "fixed": (1, 1)})
+    default = 1.0 if mode == "linesearch" else None
+    return mode, values[0] if values else default
 
 
 def solver_config(cfg: ExperimentConfig) -> SolverConfig:
@@ -316,13 +314,21 @@ def reference_fstar(cfg: ExperimentConfig, cache_dir=None) -> tuple[float, str]:
 # run / fit / compare
 # ---------------------------------------------------------------------------
 
-def execute(cfg: ExperimentConfig) -> SolverRun:
-    problem = attach_composite(build_problem(cfg.problem, cfg.seed), cfg.composite)
-    x0 = starting_point(cfg.x0, problem.dim, cfg.seed)
-    scfg = solver_config(cfg)
+def resolve(cfg: ExperimentConfig):
+    """The driver and validated solver config of ``cfg``; every spec in it is checked."""
     method = METHOD_TABLE.get(cfg.method)
     if method is None:
         raise ValueError(f"unknown method {cfg.method!r}")
+    parse_composite(cfg.composite)
+    scfg = solver_config(cfg)
+    scfg.validate(cfg.method)
+    return method, scfg
+
+
+def execute(cfg: ExperimentConfig) -> SolverRun:
+    method, scfg = resolve(cfg)
+    problem = attach_composite(build_problem(cfg.problem, cfg.seed), cfg.composite)
+    x0 = starting_point(cfg.x0, problem.dim, cfg.seed)
     return method(problem, x0, scfg)
 
 
@@ -414,21 +420,25 @@ def _cost_to_gap(records, fstar, target):
     return None, None, None
 
 
+def check_comparable(configs) -> None:
+    """Raise ValueError unless there are two or more configs, of one instance, that resolve."""
+    if len(configs) < 2:
+        raise ValueError("compare needs at least two configs")
+    instances = set()
+    for cfg in configs:
+        resolve(cfg)
+        instances.add((json.dumps(cfg.problem, sort_keys=True), cfg.composite, cfg.x0, cfg.seed))
+    if len(instances) > 1:
+        raise ValueError("compare requires identical problem instances and seeds")
+
+
 def compare(configs, out_root=None) -> dict:
     """Run several configs on the same instance and tabulate cost-to-gap.
 
     All configs must agree on the problem stanza, composite, start, and seed;
     wall-time columns are informative only and never decide a gate.
     """
-    if len(configs) < 2:
-        raise ValueError("compare needs at least two configs")
-    base = (json.dumps(configs[0].problem, sort_keys=True), configs[0].composite,
-            configs[0].x0, configs[0].seed)
-    for cfg in configs[1:]:
-        other = (json.dumps(cfg.problem, sort_keys=True), cfg.composite, cfg.x0, cfg.seed)
-        if other != base:
-            raise ValueError("compare requires identical problem instances and seeds")
-
+    check_comparable(configs)
     runs = []
     for i, cfg in enumerate(configs):
         out_dir = os.path.join(out_root, f"run{i:02d}") if out_root else None

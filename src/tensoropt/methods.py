@@ -57,7 +57,8 @@ class SolverConfig:
     zeta_policy: AccuracyPolicy | None = None   # accelerated only
     inner_policy: AccuracyPolicy | None = None  # accelerated only
 
-    def validate(self):
+    def validate(self, method: str | None = None):
+        """Raise ValueError on a setting no driver can run, or ``method`` cannot."""
         if self.p not in (1, 2):
             raise ValueError("order p must be 1 or 2")
         if self.h_mode not in ("fixed", "lipschitz", "linesearch"):
@@ -70,6 +71,17 @@ class SolverConfig:
             raise ValueError(f"unknown subsolver {self.subsolver!r}")
         if self.stop not in ("bound", "exact"):
             raise ValueError(f"unknown stop rule {self.stop!r}")
+        if method == "averaging" and self.policy.kind == "adaptive":
+            raise ValueError("averaging does not support an adaptive policy: "
+                             "it keeps no monotone objective history")
+        if method == "accelerated":
+            if self.zeta_policy is not None and self.zeta_policy.kind == "adaptive":
+                raise ValueError("accelerated does not support an adaptive zeta_policy: "
+                                 "the outer loop keeps no monotone objective history")
+            if self.h_mode == "linesearch":
+                raise ValueError("accelerated does not support linesearch H: its scaling "
+                                 "schedule needs the known L_p (lipschitz) or a fixed "
+                                 "surrogate (fixed:<v>)")
 
 
 @dataclass
@@ -163,15 +175,12 @@ class SolverRun:
     radius_proxy: float | None = None
     wall_time_s: float = 0.0
 
-    def objective_series(self):
-        return [r.F for r in self.records]
-
 
 class _Runner:
     """Shared state for one solve: counters, timing, trace, H bookkeeping."""
 
     def __init__(self, problem, config: SolverConfig, x0, method: str):
-        config.validate()
+        config.validate(method)
         config.policy.warn_if_invalid(config.p)
         self.problem = problem
         self.config = config
@@ -364,9 +373,6 @@ def monotone2(problem, x0, config: SolverConfig) -> SolverRun:
 
 def averaging(problem, x0, config: SolverConfig) -> SolverRun:
     """Steps taken from lambda_k x_k + (1 - lambda_k) x_0 with lambda_k = (k/(k+1))^{p+1}."""
-    if config.policy.kind == "adaptive":
-        raise ValueError("averaging does not support an adaptive policy: "
-                         "it keeps no monotone objective history")
     run = _Runner(problem, config, x0, "averaging")
 
     def steps(x, f_x):

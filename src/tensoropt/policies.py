@@ -38,6 +38,28 @@ def strong_convexity_c_bound(p: int, omega: float) -> tuple[float, float]:
     return sup, 0.5 * sup
 
 
+def parse_spec(spec: str, arity: dict) -> tuple[str, list[float]]:
+    """Split ``kind[:v1[:v2...]]`` into its kind and its finite values.
+
+    ``arity`` maps each accepted kind to the (min, max) number of its values.
+    """
+    kind, *fields = spec.strip().split(":")
+    if kind not in arity:
+        raise ValueError(f"bad spec {spec!r}: kind must be one of {', '.join(arity)}")
+    lo, hi = arity[kind]
+    if not lo <= len(fields) <= hi:
+        count = f"{lo}" if lo == hi else f"{lo} to {hi}"
+        raise ValueError(f"bad spec {spec!r}: the number of values for {kind} must be "
+                         f"{count}, got {len(fields)}")
+    try:
+        values = [float(v) for v in fields]
+    except ValueError:
+        raise ValueError(f"bad spec {spec!r}: every value must be a number") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"bad spec {spec!r}: every value must be finite")
+    return kind, values
+
+
 @dataclass(frozen=True)
 class AccuracyPolicy:
     """Deterministic schedule of inner tolerances.
@@ -101,39 +123,11 @@ class AccuracyPolicy:
         for note in self.check_validity(p):
             warnings.warn(note, RuntimeWarning, stacklevel=2)
 
-    def spec_string(self) -> str:
-        """The spec that ``parse`` reads back to an equal policy (floats by repr)."""
-        fields = {"constant": (self.c,), "power": (self.c, self.alpha)}.get(
-            self.kind, (self.c, self.alpha, self.delta1))
-        return ":".join([self.kind] + [repr(float(v)) for v in fields])
-
     @staticmethod
     def parse(spec: str) -> "AccuracyPolicy":
         """Parse ``constant:C``, ``power:C:ALPHA``, ``adaptive:C:ALPHA[:DELTA1]``."""
-        parts = spec.strip().split(":")
-        kind = parts[0]
-        try:
-            if kind == "constant":
-                (c,) = map(float, parts[1:2])
-                if len(parts) != 2:
-                    raise ValueError
-                return AccuracyPolicy("constant", c)
-            if kind == "power":
-                c, alpha = map(float, parts[1:3])
-                if len(parts) != 3:
-                    raise ValueError
-                return AccuracyPolicy("power", c, alpha)
-            if kind == "adaptive":
-                if len(parts) == 3:
-                    c, alpha = map(float, parts[1:3])
-                    return AccuracyPolicy("adaptive", c, alpha)
-                if len(parts) == 4:
-                    c, alpha, d1 = map(float, parts[1:4])
-                    return AccuracyPolicy("adaptive", c, alpha, d1)
-                raise ValueError
-        except (ValueError, IndexError):
-            pass
-        raise ValueError(f"bad policy spec {spec!r}")
+        kind, values = parse_spec(spec, {"constant": (1, 1), "power": (2, 2), "adaptive": (2, 3)})
+        return AccuracyPolicy(kind, *values)
 
 
 def constant(c: float) -> AccuracyPolicy:

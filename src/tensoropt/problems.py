@@ -111,8 +111,8 @@ class LogisticOracle(SmoothOracle):
             raise ValueError("feature/label count mismatch")
         if not np.all(np.isin(self.y, (-1.0, 1.0))):
             raise ValueError("labels must be in {-1, +1}")
-        if l2 < 0:
-            raise ValueError("l2 must be nonnegative")
+        if not 0 <= l2 < math.inf:
+            raise ValueError(f"l2 must be finite and nonnegative, got {l2!r}")
         self.m, self.dim = self.X.shape
         self.l2 = float(l2)
         self.norm = NormOperator.identity(self.dim)
@@ -185,8 +185,8 @@ class LogSumExpOracle(SmoothOracle):
         self.b = np.zeros(self.m) if b is None else np.asarray(b, dtype=float)
         if self.b.shape != (self.m,):
             raise ValueError("b must have one entry per row of A")
-        if mu <= 0:
-            raise ValueError("mu must be positive")
+        if not 0 < mu < math.inf:
+            raise ValueError(f"mu must be finite and positive, got {mu!r}")
         self.mu = float(mu)
         if norm is None:
             self.norm = NormOperator.gram(self.A)
@@ -245,8 +245,8 @@ class PoweredChainOracle(SmoothOracle):
     def __init__(self, n: int, q: float = 3.0, c: float = 1.0):
         if n < 1:
             raise ValueError("n must be positive")
-        if q < 2:
-            raise ValueError("q must be at least 2 for twice differentiability")
+        if not 2 <= q < math.inf:
+            raise ValueError(f"q must be finite and at least 2, got {q!r}")
         if c not in (1.0, 2.0, 1, 2):
             raise ValueError("c must be 1 or 2")
         self.dim = int(n)
@@ -360,10 +360,10 @@ class PowerComposite(Composite):
     """
 
     def __init__(self, mu: float, q: float, center, norm: NormOperator):
-        if mu < 0:
-            raise ValueError("mu must be nonnegative")
-        if q < 2:
-            raise ValueError("q must be at least 2")
+        if not 0 <= mu < math.inf:
+            raise ValueError(f"mu must be finite and nonnegative, got {mu!r}")
+        if not 2 <= q < math.inf:
+            raise ValueError(f"q must be finite and at least 2, got {q!r}")
         self.mu = float(mu)
         self.q = float(q)
         self.center = np.asarray(center, dtype=float)
@@ -393,13 +393,6 @@ class PowerComposite(Composite):
         return None
 
 
-class QuadraticComposite(PowerComposite):
-    """mu/2 * ||x - center||^2; a power term of degree two."""
-
-    def __init__(self, mu: float, center, norm: NormOperator):
-        super().__init__(mu, 2.0, center, norm)
-
-
 # ---------------------------------------------------------------------------
 # datasets and problem instances
 # ---------------------------------------------------------------------------
@@ -417,14 +410,6 @@ class Dataset:
             raise ValueError("feature/label count mismatch")
         if np.any(~np.isfinite(self.features.data)) or np.any(~np.isfinite(self.labels)):
             raise ValueError("dataset contains non-finite entries")
-
-    @property
-    def m(self):
-        return self.features.shape[0]
-
-    @property
-    def n(self):
-        return self.features.shape[1]
 
 
 @dataclass
@@ -473,11 +458,9 @@ def generate_shifted_logsumexp(n: int, m: int, mu: float, seed: int) -> ProblemI
         pre = LogSumExpOracle(A_raw, b=b, mu=mu, norm=NormOperator.identity(n))
         A = A_raw - pre.gradient(np.zeros(n))[None, :]
         try:
-            norm = NormOperator.gram(A)
+            oracle = LogSumExpOracle(A, b=b, mu=mu)  # Gram norm of the shifted rows
         except FactorizationError:
             continue
-        oracle = LogSumExpOracle(A, b=b, mu=mu, norm=norm)
-        oracle.lipschitz = {1: 1.0 / mu, 2: 2.0 / mu**2, 3: 4.0 / mu**3}
         x_star = np.zeros(n)
         return ProblemInstance(
             smooth=oracle,

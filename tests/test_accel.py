@@ -269,12 +269,17 @@ class TestAccelerated:
         run = accelerated(chain, np.ones(6), cfg)
         assert run.records[-1].gap < run.records[0].gap
 
-    def test_rejects_adaptive_zeta_policy_before_any_oracle_call(self, monkeypatch):
+    @pytest.mark.parametrize("settings,reason", [
+        (dict(h_mode="fixed", h_value=1.0, zeta_policy=adaptive(1, 1)), "adaptive zeta_policy"),
+        # a line-search start would be silently dropped by the fixed schedule
+        (dict(h_mode="linesearch", h_value=7.0), "linesearch H"),
+    ], ids=["adaptive-zeta", "linesearch-H"])
+    def test_rejects_unsupported_setting_before_any_oracle_call(self, monkeypatch,
+                                                                settings, reason):
         prob = generate_shifted_logsumexp(10, 60, 1.0, 0)
         forbid_oracle_calls(monkeypatch, prob.smooth)
-        cfg = SolverConfig(p=2, h_mode="fixed", h_value=1.0, max_iters=5,
-                           zeta_policy=adaptive(1, 1))
-        with pytest.raises(ValueError, match="accelerated .*adaptive zeta_policy"):
+        cfg = SolverConfig(p=2, max_iters=5, **settings)
+        with pytest.raises(ValueError, match=f"accelerated .*{reason}"):
             accelerated(prob, np.ones(10), cfg)
 
     def test_needs_lipschitz_or_surrogate(self):

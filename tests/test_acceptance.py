@@ -173,7 +173,7 @@ def test_criterion_05_monotone1_global_rate():
                        subsolver="fgm", stop="bound", max_iters=100)
     run = monotone1(prob, x0, cfg)
     D = run.radius_proxy
-    F = run.objective_series()
+    F = [r.F for r in run.records]
     monotone = all(F[i + 1] <= F[i] + 1e-12 for i in range(len(F) - 1))
     worst_ratio = 0.0
     for rec in run.records[1:]:

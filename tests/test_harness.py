@@ -18,6 +18,7 @@ from tensoropt.harness import (
     render_comparison,
     run_experiment,
     starting_point,
+    write_json,
 )
 from tensoropt.methods import TRACE_COLUMNS, monotone2
 
@@ -40,6 +41,10 @@ class TestConfig:
         loaded = ExperimentConfig.load(path)
         assert loaded.to_dict() == cfg.to_dict()
 
+    def test_unknown_field_named(self):
+        with pytest.raises(ValueError, match="unknown config fields: polcy"):
+            ExperimentConfig.from_dict({**small_cfg().to_dict(), "polcy": "power:1:3"})
+
     def test_parse_problem_spec(self):
         spec = parse_problem("logsumexp:n=100,m=600,mu=1")
         assert spec == {"name": "logsumexp", "n": "100", "m": "600", "mu": "1"}
@@ -55,6 +60,28 @@ class TestConfig:
                     "lipschitz:1"):
             with pytest.raises(ValueError):
                 parse_h_mode(bad)
+
+
+class TestBadSpecs:
+    @pytest.mark.parametrize("field,spec,reason", [
+        ("composite", "power:1", "values for power must be 2, got 1"),
+        ("composite", "power:1:3:7", "values for power must be 2, got 3"),
+        ("composite", "quadratic:1:5", "values for quadratic must be 1, got 2"),
+        ("composite", "power:nan:3", "every value must be finite"),
+        ("composite", "quadratic:inf", "every value must be finite"),
+        ("composite", "power:-1:3", "MU must be nonnegative and Q at least 2"),
+        ("H", "lipschitz:3", "values for lipschitz must be 0, got 1"),
+        ("H", "fixed:", "every value must be a number"),
+        ("policy", "adaptive:1:1:-1", "must be nonnegative"),
+        ("zeta_policy", "linear:1:2", "kind must be one of constant, power, adaptive"),
+    ])
+    def test_rejected_with_reason_before_any_solve(self, monkeypatch, field, spec, reason):
+        def no_instance(*args):
+            raise AssertionError("a problem instance was built")
+
+        monkeypatch.setattr(harness, "build_problem", no_instance)
+        with pytest.raises(ValueError, match=reason):
+            harness.execute(small_cfg(method="accelerated", **{field: spec}))
 
 
 class TestProblemRegistry:
@@ -210,6 +237,12 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare([a, b])
 
+    def test_bad_second_config_writes_nothing(self, tmp_path):
+        bad = small_cfg(inner_policy="constant:nan")
+        with pytest.raises(ValueError, match="finite"):
+            compare([small_cfg(), bad], out_root=str(tmp_path / "cmp"))
+        assert not os.path.exists(tmp_path / "cmp")
+
     def test_needs_two_configs(self):
         with pytest.raises(ValueError):
             compare([small_cfg()])
@@ -291,3 +324,29 @@ class TestCli:
                    "--out", str(tmp_path / "cmp")])
         assert rc == 0
         assert "gap <=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,reason", [
+        (["run", "--problem", "chain:n=6", "--policy", "constant:inf"], "must be finite"),
+        (["run", "--problem", "chain:n=6", "--zeta-policy", "power:1"], "must be 2, got 1"),
+        (["run", "--problem", "chain:n=6", "--inner-policy", "adaptive:1:1:-1"],
+         "must be nonnegative"),
+        (["run", "--problem", "chain:n=6", "--H", "linesearch:2:3"], "must be 0 to 1, got 2"),
+        (["run", "--problem", "chain:n=6", "--composite", "power:1"], "must be 2, got 1"),
+        (["run", "--problem", "chain:n=6", "--method", "accelerated", "--H", "linesearch:7"],
+         "accelerated does not support linesearch H"),
+        (["run", "--config", "typo.json"], "unknown config fields: polcy"),
+        (["compare", "--configs", "good.json", "bad.json", "--out", "cmp"],
+         "must be nonnegative"),
+        (["fit", "--trace", "t.csv", "--fstar", "abc"], "argument --fstar"),
+        (["fit", "--trace", "t.csv", "--fstar", "auto", "--window", "5"], "argument --window"),
+    ])
+    def test_spec_error_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, reason):
+        monkeypatch.chdir(tmp_path)
+        small_cfg().save("good.json")
+        small_cfg(policy="adaptive:1:1:-1").save("bad.json")
+        write_json("typo.json", {**small_cfg().to_dict(), "polcy": "power:1:3"})
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        assert reason in capsys.readouterr().err
+        assert not os.path.exists("cmp")

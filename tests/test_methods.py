@@ -56,7 +56,7 @@ class TestMonotone1:
         cfg = SolverConfig(p=2, h_mode="lipschitz", policy=power(1, 3),
                           subsolver="fgm", max_iters=30)
         run = monotone1(prob, np.ones(8), cfg)
-        F = run.objective_series()
+        F = [r.F for r in run.records]
         assert all(F[i + 1] <= F[i] + 1e-12 for i in range(len(F) - 1))
 
     def test_rejection_keeps_iterate_and_caps_tolerance(self):
@@ -66,7 +66,7 @@ class TestMonotone1:
         cfg = SolverConfig(p=2, h_mode="lipschitz", policy=constant(1e9),
                           subsolver="fgm", max_iters=6)
         run = monotone1(prob, np.ones(8), cfg)
-        F = run.objective_series()
+        F = [r.F for r in run.records]
         assert F[1] == F[0]
         assert run.records[1].delta_requested == 1e9
         # the cap halves the requested tolerance after each rejection
@@ -101,7 +101,7 @@ class TestMonotone2:
         cfg = SolverConfig(p=2, h_mode="lipschitz", policy=adaptive(1e-2, 1),
                           subsolver="fgm", max_iters=25)
         run = monotone2(prob, np.ones(8), cfg)
-        F = run.objective_series()
+        F = [r.F for r in run.records]
         assert all(F[i + 1] < F[i] for i in range(len(F) - 1))
 
     def test_floor_signal_at_optimum(self):

@@ -16,7 +16,7 @@ from tensoropt.problems import (
     LogisticOracle,
     LogSumExpOracle,
     PowerComposite,
-    QuadraticComposite,
+    PoweredChainOracle,
     QuadraticOracle,
     ZeroComposite,
     check_derivatives,
@@ -305,7 +305,7 @@ class TestComposites:
         elif kind.startswith("power"):
             comp = PowerComposite(0.7, 3.0, rng.normal(size=5), norm)
         elif kind == "quadratic":
-            comp = QuadraticComposite(0.7, rng.normal(size=5), norm)
+            comp = PowerComposite(0.7, 2.0, rng.normal(size=5), norm)
         else:
             base = PowerComposite(0.4, 2.5, rng.normal(size=5), norm)
             comp = ScaledComposite(base, 1.7, PowerComposite(1.0, 3.0, rng.normal(size=5), norm),
@@ -317,7 +317,7 @@ class TestComposites:
 
     def test_quadratic_coeff_detection(self):
         norm = NormOperator.identity(2)
-        quad = QuadraticComposite(0.7, np.zeros(2), norm)
+        quad = PowerComposite(0.7, 2.0, np.zeros(2), norm)
         mu, center = quad.quadratic_coeff
         assert mu == 0.7
         cubic = PowerComposite(0.7, 3.0, np.zeros(2), norm)
@@ -329,7 +329,7 @@ class TestParseLibsvm:
         path = tmp_path / "toy.txt"
         path.write_text("1 3:0.5 7:1\n-1\n")
         data = parse_libsvm(path)
-        assert data.m == 2 and data.n == 7
+        assert data.features.shape == (2, 7)
         assert data.labels.tolist() == [1.0, -1.0]
         row = data.features.getrow(0).toarray().ravel()
         assert row[2] == 0.5 and row[6] == 1.0
@@ -357,7 +357,7 @@ class TestParseLibsvm:
     @pytest.mark.skipif(not os.path.exists(MUSHROOMS), reason="dataset file not present")
     def test_mushrooms_dimensions(self):
         data = parse_libsvm(MUSHROOMS)
-        assert data.m == 8124 and data.n == 112
+        assert data.features.shape == (8124, 112)
 
 
 class TestCheckDerivatives:
@@ -378,6 +378,20 @@ class TestCheckDerivatives:
         prob = synthetic_logistic(4, 20, 0.0, seed=17)
         with pytest.raises(ValueError):
             check_derivatives(prob.smooth, trials=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("make,reason", [
+    (lambda v: PowerComposite(v, 3.0, np.zeros(2), NormOperator.identity(2)), "mu must be finite"),
+    (lambda v: PowerComposite(1.0, v, np.zeros(2), NormOperator.identity(2)), "q must be finite"),
+    (lambda v: LogisticOracle(np.eye(2), np.array([1.0, -1.0]), l2=v), "l2 must be finite"),
+    (lambda v: LogSumExpOracle(np.eye(2), mu=v), "mu must be finite"),
+    (lambda v: PoweredChainOracle(3, q=v), "q must be finite"),
+], ids=["composite-mu", "composite-q", "logistic-l2", "logsumexp-mu", "chain-q"])
+def test_non_finite_parameter_rejected_at_construction(make, reason, value):
+    # a NaN used to pass every sign check and fail late, inside a factorization or a solve
+    with pytest.raises(ValueError, match=reason):
+        make(value)
 
 
 def test_fd_directional_hessian_on_quadratic():

@@ -14,7 +14,6 @@ from tensoropt.model import TensorModel
 from tensoropt.problems import (
     LogSumExpOracle,
     PowerComposite,
-    QuadraticComposite,
     QuadraticOracle,
     ZeroComposite,
     generate_shifted_logsumexp,
@@ -143,7 +142,7 @@ class TestExactCubicStep:
         A = np.eye(n)
         norm = NormOperator.identity(n)
         oracle = QuadraticOracle(A, b=rng.normal(size=n), norm=norm)
-        comp = QuadraticComposite(0.8, rng.normal(size=n), norm)
+        comp = PowerComposite(0.8, 2.0, rng.normal(size=n), norm)
         model = TensorModel(oracle, comp, np.zeros(n), H=2.0, p=2, want_hessian=True)
         res = exact_cubic_step(model)
         assert model.norm.dual(model.gradient(res.point)) <= 1e-10
@@ -211,7 +210,7 @@ def _whitened_model(kind, rng, lam, c, composite_mu=0.0, H=1.5):
     center = rng.normal(size=n)
     # centred at the model's center, the quadratic's gradient there is b exactly
     oracle = QuadraticOracle(0.5 * (A + A.T), b=L @ (Q @ c), center=center, norm=norm)
-    comp = (QuadraticComposite(composite_mu, center, norm) if composite_mu
+    comp = (PowerComposite(composite_mu, 2.0, center, norm) if composite_mu
             else ZeroComposite(n))
     return TensorModel(oracle, comp, center, H, p=2, want_hessian=True)
 
@@ -228,7 +227,7 @@ class TestExactStepInFactorCoordinates:
             M = rng.normal(size=(n, n))
             A = M @ M.T if convex else 0.5 * (M + M.T)
             oracle = QuadraticOracle(A, b=gradient_scale * rng.normal(size=n), norm=norm)
-            comp = (QuadraticComposite(rng.uniform(0.1, 2.0), rng.normal(size=n), norm)
+            comp = (PowerComposite(rng.uniform(0.1, 2.0), 2.0, rng.normal(size=n), norm)
                     if composite == "quadratic" else ZeroComposite(n))
             yield TensorModel(oracle, comp, rng.normal(size=n), rng.uniform(0.5, 5.0),
                               p=2, want_hessian=True)
@@ -338,7 +337,7 @@ class TestGradientStep:
     def test_quadratic_composite_closed_form(self):
         norm = NormOperator.identity(2)
         oracle = QuadraticOracle(np.zeros((2, 2)), b=np.array([1.0, 0.0]), norm=norm)
-        comp = QuadraticComposite(1.0, np.zeros(2), norm)
+        comp = PowerComposite(1.0, 2.0, np.zeros(2), norm)
         model = TensorModel(oracle, comp, np.ones(2), H=1.0, p=1)
         res = gradient_step(model)
         assert model.norm.dual(model.gradient(res.point)) <= 1e-12
