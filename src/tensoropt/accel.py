@@ -110,8 +110,8 @@ class ContractedOracle(SmoothOracle):
     def hessian_vec(self, x, h, state=None):
         return self.scale * self.theta**2 * self.base.hessian_vec(self._arg(x), h, state)
 
-    def hessian(self, x):
-        return self.scale * self.theta**2 * self.base.hessian(self._arg(x))
+    def hessian(self, x, state=None):
+        return self.scale * self.theta**2 * self.base.hessian(self._arg(x), state)
 
 
 def build_subproblem(problem: ProblemInstance, oracle, x_k, v_k, A_k: float,

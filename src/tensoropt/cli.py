@@ -19,6 +19,11 @@ from .harness import (
 )
 
 
+# exit status of a run that finished with a status outside SUCCESS_STATUSES;
+# argparse's usage errors exit 2
+EXIT_RUN_FAILED = 3
+
+
 def parse_problem(spec: str) -> dict:
     """Parse ``name:key=val,key=val`` into a problem stanza."""
     name, _, rest = spec.partition(":")
@@ -110,7 +115,7 @@ def main(argv=None) -> int:
             sp_run.error(str(exc))
         run, summary = run_experiment(cfg)
         print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0 if run.status in SUCCESS_STATUSES else 2
+        return 0 if run.status in SUCCESS_STATUSES else EXIT_RUN_FAILED
 
     if args.command == "compare":
         try:

@@ -51,7 +51,7 @@ SUCCESS_STATUSES = {"target_reached", "max_iters", "monotone_floor", "stationary
 
 @dataclass
 class ExperimentConfig:
-    problem: dict
+    problem: dict | None = None        # required; a run's --problem may supply it
     method: str = "monotone2"
     p: int = 2
     H: str = "lipschitz"               # "fixed:<v>" | "lipschitz" | "linesearch:<v>"
@@ -95,45 +95,57 @@ class ExperimentConfig:
 # problem registry
 # ---------------------------------------------------------------------------
 
-def build_problem(spec: dict, seed: int) -> ProblemInstance:
-    """Instantiate a problem from its config stanza."""
-    spec = dict(spec)
-    name = spec.pop("name")
-    if name == "logsumexp":
-        n = int(spec.pop("n", 100))
-        m = int(spec.pop("m", 6 * n))
-        mu = float(spec.pop("mu", 0.05))
-        _reject_extras(name, spec)
-        return generate_shifted_logsumexp(n, m, mu, seed)
-    if name == "logistic":
-        path = spec.pop("path")
-        l2 = float(spec.pop("l2", 0.0))
-        _reject_extras(name, spec)
-        data = parse_libsvm(path)
-        oracle = logistic_oracle(data, l2=l2)
-        return ProblemInstance(
-            smooth=oracle, composite=ZeroComposite(oracle.dim),
-            name=f"logistic({os.path.basename(str(path))},l2={l2})",
-        )
-    if name == "logistic-synth":
-        n = int(spec.pop("n", 50))
-        m = int(spec.pop("m", 300))
-        l2 = float(spec.pop("l2", 1e-2))
-        scale = float(spec.pop("scale", 1.0))
-        _reject_extras(name, spec)
-        return synthetic_logistic(n, m, l2, seed, scale=scale)
-    if name == "chain":
-        n = int(spec.pop("n", 20))
-        q = float(spec.pop("q", 3.0))
-        c = float(spec.pop("c", 1.0))
-        _reject_extras(name, spec)
-        return powered_chain_oracle(n, q=q, c=c)
-    raise ValueError(f"unknown problem {name!r}")
+# each problem's parameters and their types; the generators supply defaults
+PROBLEM_PARAMS = {
+    "logsumexp": {"n": int, "m": int, "mu": float},
+    "logistic": {"path": str, "l2": float},
+    "logistic-synth": {"n": int, "m": int, "l2": float, "scale": float},
+    "chain": {"n": int, "q": float, "c": float},
+}
 
 
-def _reject_extras(name, extras):
+def problem_params(spec: dict) -> tuple[str, dict]:
+    """(name, parameters) of a problem stanza, each parameter converted to its
+    type; a ValueError names the stanza's fault. Nothing is generated or read."""
+    name = spec.get("name") if isinstance(spec, dict) else None
+    types = PROBLEM_PARAMS.get(name)
+    if types is None:
+        raise ValueError(f"problem stanza {spec!r} names none of {', '.join(PROBLEM_PARAMS)}")
+    params = {key: val for key, val in spec.items() if key != "name"}
+    extras = set(params) - set(types)
     if extras:
         raise ValueError(f"unknown parameters for problem {name!r}: {sorted(extras)}")
+    for key, val in params.items():
+        try:
+            params[key] = types[key](val)
+        except (TypeError, ValueError):
+            raise ValueError(f"problem {name!r}: {key}={val!r} is not a valid "
+                             f"{types[key].__name__}") from None
+    if name == "logistic" and "path" not in params:
+        raise ValueError("problem 'logistic' needs a path")
+    return name, params
+
+
+def build_problem(spec: dict, seed: int) -> ProblemInstance:
+    """Instantiate a problem from its config stanza."""
+    name, params = problem_params(spec)
+    if name == "logsumexp":
+        n = params.get("n", 100)
+        return generate_shifted_logsumexp(n, params.get("m", 6 * n), params.get("mu", 0.05),
+                                          seed)
+    if name == "logistic":
+        l2 = params.get("l2", 0.0)
+        oracle = logistic_oracle(parse_libsvm(params["path"]), l2=l2)
+        return ProblemInstance(
+            smooth=oracle, composite=ZeroComposite(oracle.dim),
+            name=f"logistic({os.path.basename(params['path'])},l2={l2})",
+        )
+    if name == "logistic-synth":
+        return synthetic_logistic(params.get("n", 50), params.get("m", 300),
+                                  params.get("l2", 1e-2), seed, scale=params.get("scale", 1.0))
+    # the one name left is "chain"
+    return powered_chain_oracle(params.get("n", 20), q=params.get("q", 3.0),
+                                c=params.get("c", 1.0))
 
 
 def parse_composite(spec: str | None) -> tuple[float, float] | None:
@@ -164,6 +176,9 @@ def attach_composite(problem: ProblemInstance, spec: str | None) -> ProblemInsta
         smooth=problem.smooth, composite=comp,
         name=f"{problem.name}+{spec}", known_optimum=known,
     )
+
+
+X0_KINDS = ("ones", "zeros", "e1", "gauss")
 
 
 def starting_point(kind: str, dim: int, seed: int) -> np.ndarray:
@@ -315,10 +330,17 @@ def reference_fstar(cfg: ExperimentConfig, cache_dir=None) -> tuple[float, str]:
 # ---------------------------------------------------------------------------
 
 def resolve(cfg: ExperimentConfig):
-    """The driver and validated solver config of ``cfg``; every spec in it is checked."""
+    """The driver and validated solver config of ``cfg``; every spec in it, the
+    problem stanza and the start included, is checked without building the instance."""
     method = METHOD_TABLE.get(cfg.method)
     if method is None:
         raise ValueError(f"unknown method {cfg.method!r}")
+    if cfg.problem is None:
+        raise ValueError("config needs a problem stanza")
+    problem_params(cfg.problem)
+    if cfg.x0 not in X0_KINDS:
+        raise ValueError(f"unknown starting point {cfg.x0!r}; expected one of "
+                         f"{', '.join(X0_KINDS)}")
     parse_composite(cfg.composite)
     scfg = solver_config(cfg)
     scfg.validate(cfg.method)

@@ -103,18 +103,20 @@ class NormOperator:
     def whiten(self, A) -> np.ndarray:
         """L⁻¹ A L⁻ᵀ for the factor L of B = L Lᵀ, computed over ``A``.
 
-        ``A`` is a symmetric C-ordered matrix the caller owns; it is overwritten.
-        Only the lower triangle of the result is meaningful, so read it with
-        ``np.linalg.eigh(..., UPLO="L")``. Raises ``LinAlgError`` on a
-        non-finite ``A``, which LAPACK would not check.
+        ``A`` is a symmetric Fortran- or C-ordered matrix the caller owns; it is
+        overwritten. Only the lower triangle of the result is meaningful, the
+        triangle LAPACK's ``dsytrd`` reduces with ``lower=1`` from the
+        Fortran-ordered result that a Fortran-ordered ``A`` gives. Raises
+        ``LinAlgError`` on a non-finite ``A``, which LAPACK would not check.
         """
         if not np.isfinite(A).all():
             raise np.linalg.LinAlgError("matrix must not contain infs or NaNs")
         if self.kind == "identity":
             return A
-        # A is symmetric, so its transpose is the same matrix in Fortran order,
-        # which LAPACK overwrites instead of copying
-        C, info = dsygst(A.T, self._chol, itype=1, lower=1, overwrite_a=1)
+        # a symmetric C-ordered A is its own transpose in Fortran order, which
+        # LAPACK overwrites instead of copying
+        F = A if A.flags.f_contiguous else A.T
+        C, info = dsygst(F, self._chol, itype=1, lower=1, overwrite_a=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"illegal value in argument {-info} of dsygst")
         return C

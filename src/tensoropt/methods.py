@@ -144,9 +144,11 @@ class CountingOracle:
             return self.inner.hessian_vec(x, h)
         return self.inner.hessian_vec(x, h, state)
 
-    def hessian(self, x):
+    def hessian(self, x, state=None):
         self.n_hess += 1
-        return self.inner.hessian(x)
+        if state is None:
+            return self.inner.hessian(x)
+        return self.inner.hessian(x, state)
 
     def note_hvp(self, k: int = 1):
         # products against a cached dense Hessian count the same as oracle calls

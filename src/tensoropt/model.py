@@ -23,9 +23,10 @@ class TensorModel:
 
     When ``want_hessian`` is set (exact subsolver, or an exact stopping rule),
     the dense Hessian at the center is materialized; otherwise curvature is
-    applied through the oracle's Hessian-vector product, with the oracle's
-    center state fetched here by ``value_gradient_state``, together with the
-    value and gradient, and reused by every product.
+    applied through the oracle's Hessian-vector product. Either way the
+    oracle's center state is fetched here by ``value_gradient_state``,
+    together with the value and gradient, and reused by the dense Hessian or
+    by every product.
     """
 
     def __init__(self, oracle, composite, center, H: float, p: int = 2,
@@ -40,9 +41,9 @@ class TensorModel:
         self.oracle = oracle
         self.composite = composite
         self.norm = oracle.norm
-        self.f0, self.g0, self._hess_state = oracle.value_gradient_state(
-            self.center, p == 2 and not want_hessian)
-        self.hess = oracle.hessian(self.center) if (p == 2 and want_hessian) else None
+        self.f0, self.g0, self._hess_state = oracle.value_gradient_state(self.center, p == 2)
+        self.hess = (oracle.hessian(self.center, self._hess_state)
+                     if (p == 2 and want_hessian) else None)
         self._reg_scale = self.H / math.factorial(self.p + 1)
 
     def hess_action(self, d) -> np.ndarray:

@@ -3,12 +3,13 @@
 Each smooth oracle exposes value / gradient / hessian_vec / hessian together
 with the norm operator its Lipschitz constants refer to.
 ``value_gradient_state(x)`` returns value, gradient and the center state:
-what every Hessian-vector product at x recomputes (curvature weights, softmax
-weights, the chain's second derivatives), all from one evaluation of what
-they share. A caller that applies the Hessian at one fixed point many times
-fetches the state once and passes it to ``hessian_vec``. Composite terms are
-differentiable and report their uniform-convexity parameters where known;
-``PowerComposite`` also serves as the accelerated scheme's prox-function.
+what every Hessian-vector product at x, and the dense Hessian there,
+recomputes (curvature weights, softmax weights, the chain's second
+derivatives), all from one evaluation of what they share. A caller that
+applies the Hessian at one fixed point fetches the state once and passes it
+to ``hessian_vec`` or ``hessian``. Composite terms are differentiable and
+report their uniform-convexity parameters where known; ``PowerComposite``
+also serves as the accelerated scheme's prox-function.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ class SmoothOracle:
         reuses, or None when there is none or ``state`` is false."""
         return self.value(x), self.gradient(x), None
 
-    def hessian(self, x) -> np.ndarray:
+    def hessian(self, x, state=None) -> np.ndarray:
+        """Dense Hessian at x; ``state``, if given, is ``value_gradient_state(x)[2]``."""
         raise NotImplementedError("dense Hessian not available for this oracle")
 
 
@@ -80,7 +82,7 @@ class QuadraticOracle(SmoothOracle):
     def hessian_vec(self, x, h, state=None):
         return self.A @ np.asarray(h, dtype=float)
 
-    def hessian(self, x):
+    def hessian(self, x, state=None):
         return self.A.copy()
 
 
@@ -162,8 +164,8 @@ class LogisticOracle(SmoothOracle):
         out = (self.X.T @ (w * v)) / self.m
         return np.asarray(out).ravel() + self.l2 * h
 
-    def hessian(self, x):
-        w = self._curvature(x)
+    def hessian(self, x, state=None):
+        w = self._curvature(x) if state is None else state
         Xw = self.X.multiply(w[:, None])
         H = (Xw.T @ self.X).toarray() / self.m
         return H + self.l2 * np.eye(self.dim)
@@ -221,10 +223,10 @@ class LogSumExpOracle(SmoothOracle):
         mean_u = float(pi @ u)
         return (self.A.T @ (pi * (u - mean_u))) / self.mu
 
-    def hessian(self, x):
+    def hessian(self, x, state=None):
         """(Sᵀ S − g gᵀ) / mu with S = sqrt(pi)·A; numpy sends Sᵀ S to one ``syrk``,
         which fills one triangle and mirrors it, so the result is exactly symmetric."""
-        pi, _ = self._weights(x)
+        pi = self._weights(x)[0] if state is None else state
         S = self.A * np.sqrt(pi)[:, None]
         g = self.A.T @ pi
         hess = S.T @ S
@@ -299,10 +301,10 @@ class PoweredChainOracle(SmoothOracle):
         phi2 = self._phi2(self._u(x)) if state is None else state
         return self._mt(phi2 * self._u(h))
 
-    def hessian(self, x):
+    def hessian(self, x, state=None):
         """The tridiagonal Mᵀ diag(phi2) M: diagonal phi2_i + c² phi2_{i+1}, off-diagonal
         -c phi2_{i+1}."""
-        phi2 = self._phi2(self._u(x))
+        phi2 = self._phi2(self._u(x)) if state is None else state
         off = np.diag(-self.c * phi2[1:], 1)
         return np.diag(phi2 + np.append(self.c**2 * phi2[1:], 0.0)) + off + off.T
 

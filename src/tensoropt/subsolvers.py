@@ -2,9 +2,10 @@
 
 Three ways to produce a step:
 
-* ``exact_cubic_step``  -- global minimizer of the order-2 model through an
-  eigendecomposition of the Hessian whitened by the norm's Cholesky factor
-  and a scalar secular equation (zero residual).
+* ``exact_cubic_step``  -- global minimizer of the order-2 model through one
+  reduction of the Hessian, whitened by the norm's Cholesky factor, to
+  tridiagonal form and a scalar secular equation whose evaluations are O(n)
+  tridiagonal solves (zero residual).
 * ``gradient_step``     -- closed-form order-1 step, optionally with a
   quadratic composite folded in (zero residual).
 * ``fgm_step``          -- accelerated gradient loop with backtracking step
@@ -29,6 +30,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dormqr, dptsv, dpttrs, dsytrd, dsytrd_lwork
 
 from .model import TensorModel
 
@@ -114,35 +117,75 @@ def gradient_step(model: TensorModel) -> StepResult:
 
 
 # ---------------------------------------------------------------------------
-# exact order-2 step: eigendecomposition + secular equation
+# exact order-2 step: tridiagonal reduction + secular equation
 # ---------------------------------------------------------------------------
 
-def _secular_root(lam: np.ndarray, c2: np.ndarray, H: float) -> float:
-    """Solve sum_i c_i^2 / (lam_i + H r / 2)^2 = r^2 for the step length r.
+def _tridiagonal_form(M: np.ndarray):
+    """(d, e, V, tau) of M = Q T Qᵀ, from LAPACK ``dsytrd`` on the lower triangle
+    of the Fortran-ordered M, which it overwrites. T has diagonal d and
+    off-diagonal e; Q = diag(1, Q'), Q' the QR factor of the reflectors (V, tau)
+    below M's subdiagonal."""
+    lwork = int(dsytrd_lwork(M.shape[0], lower=1)[0])
+    C, d, e, tau, info = dsytrd(M, lower=1, lwork=lwork, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"illegal value in argument {-info} of dsytrd")
+    return d, e, np.asfortranarray(C[1:, :-1]), tau
 
-    Safeguarded Newton with a bisection bracket; the left endpoint is
-    max(0, -2 lam_min / H) where the shifted spectrum becomes singular.
+
+def _apply_q(V: np.ndarray, tau: np.ndarray, x: np.ndarray, trans: bool) -> np.ndarray:
+    """Q x, or Qᵀ x when ``trans``, for the reduction of ``_tridiagonal_form``."""
+    y = x.copy()
+    if tau.size:  # a 1×1 matrix has Q = I and no reflectors
+        y[1:] = dormqr("L", "T" if trans else "N", V, tau, x[1:, None], 1)[0][:, 0]
+    return y
+
+
+def _shifted_solve(d, e, shift, b):
+    """(x, factor): (T + shift·I) x = b by LAPACK ``dptsv``, whose LDLᵀ factor
+    ``dpttrs(*factor, y)[0]`` reuses. Raises ``LinAlgError`` when rounding
+    leaves T + shift·I not positive definite."""
+    # the wrapper rejects the empty off-diagonal of a 1×1 matrix
+    df, ef, x, info = dptsv(d + shift, e if e.size else np.zeros(1), b)
+    if info != 0:
+        raise np.linalg.LinAlgError("shifted tridiagonal matrix is not positive definite")
+    return x, (df, ef)
+
+
+def _secular_root(d: np.ndarray, e: np.ndarray, c: np.ndarray, H: float,
+                  lam_min: float) -> float:
+    """Solve ||(T + (H r/2) I)⁻¹ c|| = r for the step length r.
+
+    T is the symmetric tridiagonal matrix with diagonal d, off-diagonal e and
+    smallest eigenvalue lam_min; a diagonal T (e = 0) is its own spectrum.
+    Safeguarded Newton with a bisection bracket whose left endpoint
+    max(0, -2 lam_min / H) is where T + (H r/2) I becomes singular. An
+    evaluation is one LDLᵀ factorization and two solves: s = ||w|| for
+    w = (T + σI)⁻¹c, and ds/dr = -(H/2) wᵀ(T + σI)⁻¹w / s. Next to that
+    endpoint rounding can leave the shifted matrix indefinite; such an r lies
+    left of the root, and the step from it bisects.
     """
-    r_edge = max(0.0, -2.0 * lam[0] / H)
+    r_edge = max(0.0, -2.0 * lam_min / H)
 
-    def s_norm(r):
-        den = lam + 0.5 * H * r
-        return math.sqrt(float(np.sum(c2 / den**2)))
+    def evaluate(r):
+        """(s, wᵀ(T + σI)⁻¹w) at σ = H r / 2; s is infinite left of the pole."""
+        try:
+            w, factor = _shifted_solve(d, e, 0.5 * H * r, c)
+        except np.linalg.LinAlgError:
+            return math.inf, math.inf
+        return math.sqrt(float(w.dot(w))), float(w.dot(dpttrs(*factor, w)[0]))
 
     lo = r_edge
     hi = max(1.0, 2.0 * r_edge)
     for _ in range(400):
-        if s_norm(hi) <= hi:
+        if evaluate(hi)[0] <= hi:
             break
         hi *= 2.0
     else:
         raise RuntimeError("failed to bracket the secular root")
 
-    r = 0.5 * (lo + hi) if lo > 0 else min(hi, max(s_norm(hi), 1e-16))
+    r = 0.5 * (lo + hi) if lo > 0 else min(hi, max(evaluate(hi)[0], 1e-16))
     for _ in range(300):
-        den = lam + 0.5 * H * r
-        s2 = float(np.sum(c2 / den**2))
-        s = math.sqrt(s2)
+        s, s3 = evaluate(r)
         f = s - r
         if f > 0:
             lo = max(lo, r)
@@ -150,9 +193,8 @@ def _secular_root(lam: np.ndarray, c2: np.ndarray, H: float) -> float:
             hi = min(hi, r)
         if hi - lo <= SECULAR_REL_TOL * max(1.0, hi):
             break
-        ds = -0.5 * H * float(np.sum(c2 / den**3)) / max(s, 1e-300)
-        step = f / (1.0 - ds)
-        r_new = r + step
+        # Newton with ds/dr = -(H/2) s3 / s
+        r_new = r + f / (1.0 + 0.5 * H * s3 / max(s, 1e-300)) if s < math.inf else hi
         if not (lo < r_new < hi):
             r_new = 0.5 * (lo + hi)
         r = r_new
@@ -164,14 +206,18 @@ def exact_cubic_step(model: TensorModel) -> StepResult:
 
     Works in coordinates where the norm operator is the identity: with the
     norm's factor B = L Lᵀ, the step d = L⁻ᵀ v turns ||d||_B into ||v|| and the
-    Hessian A into L⁻¹ A L⁻ᵀ, whose eigendecomposition W diag(lam) Wᵀ reduces
-    the model to a scalar secular equation in the step length. A quadratic
-    composite shifts lam by its weight. The hard case (gradient orthogonal to
-    the bottom eigenspace, no interior root) takes a boundary solution with an
-    eigenvector correction, and so does a near-hard case whose root lies
-    within the bracket tolerance of that boundary, where the bottom coordinate
-    -c/(lam_min + H r/2) would divide by rounding. Every step reports its
-    model gradient's dual norm.
+    Hessian A into M = L⁻¹ A L⁻ᵀ. One Householder reduction M = Q T Qᵀ to a
+    symmetric tridiagonal T (no eigendecomposition of M) turns the model into
+    a secular equation in the step length, each of whose evaluations is an
+    O(n) tridiagonal solve; a quadratic composite shifts T's diagonal by its
+    weight. The bottom eigenpair (lam_min, z) of T, from bisection and inverse
+    iteration on T alone, settles the hard case (gradient orthogonal to z, no
+    interior root), whose boundary solution is the shifted solve with z
+    projected out plus a multiple of z. Every step with negative curvature
+    whose coordinate along z is better fixed by ||u|| = r than by a division
+    by lam_min + H r / 2 takes that form too, among them the near-hard cases
+    whose root lies next to the boundary. Every step reports its model
+    gradient's dual norm.
     """
     if model.p != 2:
         raise ValueError("exact cubic step requires an order-2 model")
@@ -182,38 +228,46 @@ def exact_cubic_step(model: TensorModel) -> StepResult:
     norm = model.norm
 
     c = norm.factor_solve(g)
-    lam, W = np.linalg.eigh(norm.whiten(model.hess.copy()), UPLO="L")
-    lam += mu
-    c = W.T @ c
-    c2 = c**2
+    d, e, V, tau = _tridiagonal_form(norm.whiten(np.array(model.hess, order="F")))
+    d += mu
+    c = _apply_q(V, tau, c, trans=True)
+    lam, z = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+    lam_min, z = float(lam[0]), z[:, 0]
+    r_edge = max(0.0, -2.0 * lam_min / H)
     c_norm = float(np.linalg.norm(c))
-    scale = max(1.0, float(np.abs(lam).max()), c_norm)
-    bottom = lam - lam[0] <= 1e-14 * scale
-    r_edge = max(0.0, -2.0 * lam[0] / H)
+    gamma = float(z.dot(c))
+    # T + shift·I stays positive definite for shifts this far past -lam_min:
+    # the eigenvalue and the factorization are both good to a few ulps of ||T||
+    t_norm = float(np.abs(d).max() + 2.0 * np.abs(e).max(initial=0.0))
+    edge_shift = -lam_min + 1e-14 * t_norm
+
+    def off_bottom(shift):
+        """-(T + shift·I)⁻¹ c with z's part projected out of c and of the result."""
+        w = -_shifted_solve(d, e, max(shift, edge_shift), c - gamma * z)[0]
+        return w - float(z.dot(w)) * z
 
     hard = False
-    if lam[0] < 0 and float(np.sum(c2[bottom])) <= 1e-28 * float(np.sum(c2)):
-        den = lam[~bottom] + 0.5 * H * r_edge
-        s_edge = math.sqrt(float(np.sum(c2[~bottom] / den**2))) if np.any(~bottom) else 0.0
-        hard = s_edge <= r_edge
+    if lam_min < 0 and gamma**2 <= 1e-28 * c_norm**2:
+        hard = float(np.linalg.norm(off_bottom(-lam_min))) <= r_edge
 
-    u = np.zeros_like(c)
     if c_norm == 0.0:
-        u[0] = r_edge  # boundary solution along the bottom eigenvector
+        u = r_edge * z  # boundary solution along the bottom eigenvector
     else:
-        r = r_edge if hard else _secular_root(lam, c2, H)
-        den = lam + 0.5 * H * r
-        if lam[0] < 0 and r - r_edge <= SECULAR_REL_TOL * max(1.0, r):
-            # hard or near-hard case: the bottom shift is zero to within the
-            # root's bracket, so the bottom coordinate comes from ||u|| = r
-            u[~bottom] = -c[~bottom] / den[~bottom]
-            i = int(np.argmax(bottom))
-            slack = math.sqrt(max(0.0, r**2 - float(np.sum(u**2))))
-            u[i] = -slack if c[i] > 0 else slack
+        r = r_edge if hard else _secular_root(d, e, c, H, lam_min)
+        excess = lam_min + 0.5 * H * r  # bottom eigenvalue of T + (H r/2) I
+        # With the root good to dr, z's coordinate t = -gamma/excess is off by
+        # about t² (H/2) dr / |gamma|, and the slack sqrt(r² - ||rest||²) of
+        # ||u|| = r by about r dr / |t|. The slack is the better one when
+        # (H/2) |t|³ >= r |gamma|, as it is in a near-hard case, where excess
+        # is at the level of rounding; the hard case has no such t.
+        if hard or (lam_min < 0 and 0.5 * H * gamma**2 >= r * excess**3):
+            u = off_bottom(0.5 * H * r)
+            slack = math.sqrt(max(0.0, r**2 - float(u.dot(u))))
+            u += (-slack if gamma > 0 else slack) * z
         else:
-            u = -c / den
+            u = -_shifted_solve(d, e, 0.5 * H * r, c)[0]
 
-    T = model.center + norm.factor_solve(W @ u, trans=True)
+    T = model.center + norm.factor_solve(_apply_q(V, tau, u, trans=False), trans=True)
     f_T, g_T = model.value_and_gradient(T)
     return StepResult(
         point=T,

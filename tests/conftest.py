@@ -12,12 +12,15 @@ NORM_KINDS = ("identity", "diagonal", "dense")
 
 
 def norm_of_kind(kind, rng, n):
-    """Identity, random diagonal or random dense norm, eigenvalues in [0.5, 3].
+    """Identity, random diagonal or random dense norm, eigenvalues in [0.5, 3],
+    or the Gram norm of a random 2n×n data matrix.
 
     A "diagonal" norm is a random diagonal matrix built through the dense kind.
     """
     if kind == "identity":
         return NormOperator.identity(n)
+    if kind == "gram":
+        return NormOperator.gram(rng.normal(size=(2 * n, n)))
     if kind == "diagonal":
         return NormOperator.dense(np.diag(rng.uniform(0.5, 3.0, n)))
     Q = np.linalg.qr(rng.normal(size=(n, n)))[0]

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from tensoropt import harness
+from tensoropt import harness, subsolvers
 from tensoropt.cli import main, parse_problem
 from tensoropt.harness import (
     ExperimentConfig,
@@ -74,6 +74,13 @@ class TestBadSpecs:
         ("H", "fixed:", "every value must be a number"),
         ("policy", "adaptive:1:1:-1", "must be nonnegative"),
         ("zeta_policy", "linear:1:2", "kind must be one of constant, power, adaptive"),
+        ("problem", {"name": "chain", "n": "abc"}, "n='abc' is not a valid int"),
+        ("problem", {"name": "logsumexp", "mu": [1]}, r"mu=\[1\] is not a valid float"),
+        ("problem", {"n": 5}, "names none of logsumexp, logistic"),
+        ("problem", {"name": "rosenbrock"}, "'rosenbrock'} names none of"),
+        ("problem", {"name": "logistic", "l2": 0.1}, "problem 'logistic' needs a path"),
+        ("problem", None, "config needs a problem stanza"),
+        ("x0", "bogus", "unknown starting point 'bogus'"),
     ])
     def test_rejected_with_reason_before_any_solve(self, monkeypatch, field, spec, reason):
         def no_instance(*args):
@@ -325,6 +332,24 @@ class TestCli:
         assert rc == 0
         assert "gap <=" in capsys.readouterr().out
 
+    def test_problem_flag_completes_a_config_without_one(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        write_json(path, {k: v for k, v in small_cfg(max_iters=2).to_dict().items()
+                          if k != "problem"})
+        assert main(["run", "--config", str(path), "--problem", "chain:n=6"]) == 0
+        assert json.loads(capsys.readouterr().out)["iterations"] <= 2
+
+    def test_a_failed_run_exits_3_and_a_usage_error_2(self, tmp_path, monkeypatch, capsys):
+        # an FGM cap of one iteration stalls the first subsolve
+        monkeypatch.setattr(subsolvers, "_default_cap", lambda delta: 1)
+        argv = ["run", "--problem", "chain:n=6", "--method", "monotone2", "--H", "fixed:1",
+                "--policy", "constant:1e-12", "--out", str(tmp_path / "o")]
+        assert main(argv) == 3
+        assert json.loads(capsys.readouterr().out)["status"] == "stalled"
+        with pytest.raises(SystemExit) as stop:
+            main(argv + ["--policy", "constant:-1"])
+        assert stop.value.code == 2
+
     @pytest.mark.parametrize("argv,reason", [
         (["run", "--problem", "chain:n=6", "--policy", "constant:inf"], "must be finite"),
         (["run", "--problem", "chain:n=6", "--zeta-policy", "power:1"], "must be 2, got 1"),
@@ -339,12 +364,18 @@ class TestCli:
          "must be nonnegative"),
         (["fit", "--trace", "t.csv", "--fstar", "abc"], "argument --fstar"),
         (["fit", "--trace", "t.csv", "--fstar", "auto", "--window", "5"], "argument --window"),
+        (["run", "--problem", "chain:n=abc"], "problem 'chain': n='abc' is not a valid int"),
+        (["run", "--config", "x0.json"], "unknown starting point 'bogus'"),
+        (["run", "--config", "noproblem.json"], "config needs a problem stanza"),
     ])
     def test_spec_error_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, reason):
         monkeypatch.chdir(tmp_path)
         small_cfg().save("good.json")
         small_cfg(policy="adaptive:1:1:-1").save("bad.json")
         write_json("typo.json", {**small_cfg().to_dict(), "polcy": "power:1:3"})
+        write_json("x0.json", {**small_cfg().to_dict(), "x0": "bogus"})
+        write_json("noproblem.json", {k: v for k, v in small_cfg().to_dict().items()
+                                      if k != "problem"})
         with pytest.raises(SystemExit) as stop:
             main(argv)
         assert stop.value.code == 2

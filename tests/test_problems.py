@@ -489,8 +489,8 @@ class TestHessianState:
         monkeypatch.setattr(oracle, shared, lambda x: calls.append(1) or inner(x))
         model = TensorModel(CountingOracle(oracle), ZeroComposite(6), rng.normal(size=6),
                             H=2.0, p=2, want_hessian=want_hessian)
-        # the dense Hessian evaluates the center once more
-        assert len(calls) == (2 if want_hessian else 1)
+        # the dense Hessian reuses the center state
+        assert len(calls) == 1
         assert model.oracle.counts()["value"] == model.oracle.counts()["gradient"] == 1
 
     @staticmethod
@@ -524,7 +524,7 @@ class TestHessianState:
             assert np.array_equal(model.hess_action(d), hd)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("p, want_hessian", [(1, False), (1, True), (2, True)])
+    @pytest.mark.parametrize("p, want_hessian", [(1, False), (1, True)])
     def test_no_state_without_products(self, monkeypatch, p, want_hessian):
         rng = np.random.default_rng(33)
         oracle = _oracle_family("logsumexp", rng)
@@ -532,6 +532,20 @@ class TestHessianState:
         TensorModel(oracle, ZeroComposite(6), rng.normal(size=6), H=2.0, p=p,
                     want_hessian=want_hessian)
         assert calls == []
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_a_dense_hessian_build_fetches_the_state_once(self, monkeypatch, kind):
+        rng = np.random.default_rng(39)
+        oracle = _oracle_family(kind, rng)
+        center = rng.normal(size=6)
+        fresh = oracle.hessian(center)
+        calls = self._spied(monkeypatch, oracle)
+        model = TensorModel(CountingOracle(oracle), ZeroComposite(6), center, H=2.0, p=2,
+                            want_hessian=True)
+        assert len(calls) == 1
+        assert np.array_equal(model.hess, fresh)
+        assert model.oracle.counts() == {"value": 1, "gradient": 1, "hessian_vec": 0,
+                                         "hessian": 1}
 
     @pytest.mark.parametrize("q", [3.0, 2.5])
     def test_chain_joint_evaluation_forms_the_differences_once(self, monkeypatch, q):

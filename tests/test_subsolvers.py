@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import NORM_KINDS, brute_force_model_min, norm_of_kind, random_cubic_model
 
@@ -111,7 +112,7 @@ class TestExactCubicStep:
         # boundary radius -2 lambda_min / H = 4
         assert model.norm.primal(res.point) == pytest.approx(4.0, rel=1e-6)
 
-    @pytest.mark.parametrize("eps", [0.0, 1e-17, 1e-14, 1e-10])
+    @pytest.mark.parametrize("eps", [0.0, 1e-17, 1e-14, 2e-12, 3e-12, 1e-11, 1e-10])
     def test_near_hard_case_reaches_the_boundary(self, eps):
         # a tiny gradient along every eigenvector puts the secular root within
         # its bracket tolerance of the boundary radius -2 lam_min / H = 4/3,
@@ -121,8 +122,9 @@ class TestExactCubicStep:
         model = TensorModel(oracle, ZeroComposite(3), np.zeros(3), H=1.5, p=2,
                             want_hessian=True)
         res = exact_cubic_step(model)
-        # at eps = 1e-10 the root is interior, 1e-10 past the boundary; its
-        # bottom coordinate, a division by that 1e-10, is good to about 1e-7
+        # from eps = 2e-12 the root is interior, up to 1e-10 past the boundary
+        # and outside the bracket tolerance; a bottom coordinate divided by
+        # that distance would amplify the tolerance into an error of percents
         assert np.linalg.norm(res.point) == pytest.approx(4.0 / 3.0, rel=1e-6)
         assert res.model_value == pytest.approx(-8.0 / 27.0, rel=1e-9)
         # the bottom coordinate points against the gradient
@@ -180,7 +182,8 @@ def _reference_step(model):
             np.linalg.norm(u_rest) <= r_edge):
         u_bottom[0] = math.sqrt(r_edge**2 - float(u_rest @ u_rest))
     else:
-        u_rest = -c / (lam + 0.5 * H * subsolvers._secular_root(lam, c**2, H))
+        r = subsolvers._secular_root(lam, np.zeros(lam.size - 1), c, H, lam[0])
+        u_rest = -c / (lam + 0.5 * H * r)
     return lam, norm.inv_sqrt_apply(V @ u_rest), norm.inv_sqrt_apply(V @ u_bottom)
 
 
@@ -219,10 +222,10 @@ class TestExactStepInFactorCoordinates:
     """The step on the norm's Cholesky factor equals the step through B^{-1/2}."""
 
     @staticmethod
-    def _random_models(kind, composite, convex, gradient_scale=1.0, count=10):
+    def _random_models(kind, composite, convex, gradient_scale=1.0, count=10, sizes=(2, 12)):
         rng = np.random.default_rng(40)
         for _ in range(count):
-            n = int(rng.integers(2, 12))
+            n = int(rng.integers(*sizes))
             norm = norm_of_kind(kind, rng, n)
             M = rng.normal(size=(n, n))
             A = M @ M.T if convex else 0.5 * (M + M.T)
@@ -240,6 +243,13 @@ class TestExactStepInFactorCoordinates:
         # the step then amplifies the secular root's tolerance many times; a
         # strong gradient keeps r, and the shift, well away from that pole.
         for model in self._random_models(kind, composite, convex, 1.0 if convex else 100.0):
+            _assert_matches_reference(model, exact_cubic_step(model))
+
+    @pytest.mark.parametrize("kind", ["identity", "gram"])
+    @pytest.mark.parametrize("convex", [True, False])
+    def test_large_random_models(self, kind, convex):
+        for model in self._random_models(kind, "zero", convex, 1.0 if convex else 100.0,
+                                         count=4, sizes=(60, 121)):
             _assert_matches_reference(model, exact_cubic_step(model))
 
     @pytest.mark.parametrize("kind", NORM_KINDS)
@@ -263,6 +273,23 @@ class TestExactStepInFactorCoordinates:
         # the step lies on the boundary radius -2 lam_min / H of the whitened spectrum
         assert model.norm.primal(res.point - model.center) == pytest.approx(
             -2.0 * (lam[0] + composite_mu) / model.H, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", NORM_KINDS)
+    def test_hard_case_with_a_double_bottom_eigenvalue(self, kind):
+        # any unit vector of the two-dimensional bottom eigenspace completes
+        # the step, so the step is checked by its optimality conditions: a zero
+        # model gradient at the boundary radius -2 lam_min / H, where the
+        # shifted Hessian is positive semidefinite
+        rng = np.random.default_rng(48)
+        lam = np.array([-2.0, -2.0, 1.0, 3.0])
+        model = _whitened_model(kind, rng, lam, np.array([0.0, 0.0, 1e-3, -2e-3]))
+        res = exact_cubic_step(model)
+        assert model.norm.primal(res.point - model.center) == pytest.approx(
+            -2.0 * lam[0] / model.H, rel=1e-12)
+        assert res.grad_dual_norm <= 1e-12
+        _, d_rest, d_bottom = _reference_step(model)
+        ref = model.value(model.center + d_rest + d_bottom)
+        assert res.model_value == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("kind", NORM_KINDS)
     @pytest.mark.parametrize("eps", [1e-17, 1e-14])
@@ -299,6 +326,27 @@ class TestExactStepInFactorCoordinates:
                             want_hessian=True)
         exact_cubic_step(model)
         assert model.norm._eig is None
+
+    def test_no_dense_symmetric_eigensolver(self, monkeypatch):
+        rng = np.random.default_rng(49)
+        models = [model for kind in ("identity", "gram") for convex in (True, False)
+                  for model in self._random_models(kind, "quadratic", convex, count=2,
+                                                   sizes=(1, 40))]
+        models += [_whitened_model("dense", rng, np.array([-2.0, 0.5, 1.0, 3.0]),
+                                   np.array([0.0, 1e-3, -2e-3, 1e-3])),
+                   _whitened_model("identity", rng, np.array([-1.0, 0.5, 2.0]), np.zeros(3)),
+                   _whitened_model("dense", rng, np.array([-1.0]), np.zeros(1)),
+                   _whitened_model("dense", rng, np.array([2.0]), np.ones(1))]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the exact step called a dense symmetric eigensolver")
+
+        for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                             (scipy.linalg, "eigh"), (scipy.linalg, "eigvalsh")):
+            monkeypatch.setattr(module, name, forbidden)
+        for model in models:
+            res = exact_cubic_step(model)
+            assert res.grad_dual_norm <= 1e-9 * max(1.0, model.norm.dual(model.g0))
 
     @pytest.mark.parametrize("kind", NORM_KINDS)
     @pytest.mark.parametrize("where", ["hessian", "gradient"])
