@@ -30,6 +30,8 @@ from .problems import (
     PowerComposite,
     ProblemInstance,
     ZeroComposite,
+    check_ranges,
+    check_shifted_logsumexp,
     generate_shifted_logsumexp,
     logistic_oracle,
     parse_libsvm,
@@ -95,34 +97,57 @@ class ExperimentConfig:
 # problem registry
 # ---------------------------------------------------------------------------
 
-# each problem's parameters and their types; the generators supply defaults
+# each problem's parameters: type and default (None: none, or logsumexp's m = 6n)
 PROBLEM_PARAMS = {
-    "logsumexp": {"n": int, "m": int, "mu": float},
-    "logistic": {"path": str, "l2": float},
-    "logistic-synth": {"n": int, "m": int, "l2": float, "scale": float},
-    "chain": {"n": int, "q": float, "c": float},
+    "logsumexp": {"n": (int, 100), "m": (int, None), "mu": (float, 0.05)},
+    "logistic": {"path": (str, None), "l2": (float, 0.0)},
+    "logistic-synth": {"n": (int, 50), "m": (int, 300), "l2": (float, 1e-2),
+                       "scale": (float, 1.0)},
+    "chain": {"n": (int, 20), "q": (float, 3.0), "c": (float, 1.0)},
 }
+
+
+def _convert(kind, val):
+    """``kind(val)``, refusing a bool, and, for an int, a float with a fractional
+    part instead of truncating it."""
+    if isinstance(val, bool) or (kind is int and isinstance(val, float)
+                                 and not val.is_integer()):
+        raise ValueError
+    return kind(val)
 
 
 def problem_params(spec: dict) -> tuple[str, dict]:
     """(name, parameters) of a problem stanza, each parameter converted to its
-    type; a ValueError names the stanza's fault. Nothing is generated or read."""
+    type and checked against its range, defaults filled in; a ValueError names
+    the stanza's fault. Nothing is generated or read."""
     name = spec.get("name") if isinstance(spec, dict) else None
-    types = PROBLEM_PARAMS.get(name)
-    if types is None:
+    table = PROBLEM_PARAMS.get(name)
+    if table is None:
         raise ValueError(f"problem stanza {spec!r} names none of {', '.join(PROBLEM_PARAMS)}")
     params = {key: val for key, val in spec.items() if key != "name"}
-    extras = set(params) - set(types)
+    extras = set(params) - set(table)
     if extras:
         raise ValueError(f"unknown parameters for problem {name!r}: {sorted(extras)}")
     for key, val in params.items():
+        kind = table[key][0]
         try:
-            params[key] = types[key](val)
-        except (TypeError, ValueError):
+            params[key] = _convert(kind, val)
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f"problem {name!r}: {key}={val!r} is not a valid "
-                             f"{types[key].__name__}") from None
+                             f"{kind.__name__}") from None
     if name == "logistic" and "path" not in params:
         raise ValueError("problem 'logistic' needs a path")
+    defaults = {key: default for key, (_, default) in table.items() if default is not None}
+    if name == "logsumexp":
+        defaults["m"] = 6 * params.get("n", defaults["n"])
+    params = {**defaults, **params}
+    try:
+        if name == "logsumexp":
+            check_shifted_logsumexp(**params)
+        else:
+            check_ranges(**{key: val for key, val in params.items() if key != "path"})
+    except ValueError as exc:
+        raise ValueError(f"problem {name!r}: {exc}") from None
     return name, params
 
 
@@ -130,22 +155,17 @@ def build_problem(spec: dict, seed: int) -> ProblemInstance:
     """Instantiate a problem from its config stanza."""
     name, params = problem_params(spec)
     if name == "logsumexp":
-        n = params.get("n", 100)
-        return generate_shifted_logsumexp(n, params.get("m", 6 * n), params.get("mu", 0.05),
-                                          seed)
+        return generate_shifted_logsumexp(**params, seed=seed)
     if name == "logistic":
-        l2 = params.get("l2", 0.0)
-        oracle = logistic_oracle(parse_libsvm(params["path"]), l2=l2)
+        oracle = logistic_oracle(parse_libsvm(params["path"]), l2=params["l2"])
         return ProblemInstance(
             smooth=oracle, composite=ZeroComposite(oracle.dim),
-            name=f"logistic({os.path.basename(params['path'])},l2={l2})",
+            name=f"logistic({os.path.basename(params['path'])},l2={params['l2']})",
         )
     if name == "logistic-synth":
-        return synthetic_logistic(params.get("n", 50), params.get("m", 300),
-                                  params.get("l2", 1e-2), seed, scale=params.get("scale", 1.0))
+        return synthetic_logistic(**params, seed=seed)
     # the one name left is "chain"
-    return powered_chain_oracle(params.get("n", 20), q=params.get("q", 3.0),
-                                c=params.get("c", 1.0))
+    return powered_chain_oracle(**params)
 
 
 def parse_composite(spec: str | None) -> tuple[float, float] | None:

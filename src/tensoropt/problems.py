@@ -7,9 +7,11 @@ what every Hessian-vector product at x, and the dense Hessian there,
 recomputes (curvature weights, softmax weights, the chain's second
 derivatives), all from one evaluation of what they share. A caller that
 applies the Hessian at one fixed point fetches the state once and passes it
-to ``hessian_vec`` or ``hessian``. Composite terms are differentiable and
-report their uniform-convexity parameters where known; ``PowerComposite``
-also serves as the accelerated scheme's prox-function.
+to ``hessian_vec`` or ``hessian``. The logistic oracle builds its own CSR
+copies of X and Xᵀ once, so a gradient or a Hessian-vector product is two
+sparse matvecs and constructs no matrix. Composite terms are differentiable
+and report their uniform-convexity parameters where known;
+``PowerComposite`` also serves as the accelerated scheme's prox-function.
 """
 
 from __future__ import annotations
@@ -22,6 +24,32 @@ import scipy.linalg
 import scipy.sparse
 
 from .linalg import FactorizationError, NormOperator
+
+
+# ---------------------------------------------------------------------------
+# parameter ranges
+# ---------------------------------------------------------------------------
+
+# The range of each oracle and generator parameter, one rule per name. The
+# oracles and generators below check theirs through ``check_ranges``, and so
+# does the harness before it builds anything.
+PARAM_RANGES = {
+    "n": (lambda v: v >= 1, "at least 1"),
+    "m": (lambda v: v >= 1, "at least 1"),
+    "mu": (lambda v: 0 < v < math.inf, "finite and positive"),
+    "l2": (lambda v: 0 <= v < math.inf, "finite and nonnegative"),
+    "q": (lambda v: 2 <= v < math.inf, "finite and at least 2"),
+    "c": (lambda v: v in (1, 2), "1 or 2"),
+    "scale": (math.isfinite, "finite"),
+}
+
+
+def check_ranges(**params) -> None:
+    """Raise a ValueError naming the first parameter outside its ``PARAM_RANGES`` rule."""
+    for key, val in params.items():
+        inside, rule = PARAM_RANGES[key]
+        if not inside(val):
+            raise ValueError(f"{key} must be {rule}, got {val!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +130,9 @@ class LogisticOracle(SmoothOracle):
     """
 
     def __init__(self, features, labels, l2: float = 0.0):
+        # the oracle owns X and Xᵀ: a later edit of the caller's matrix reaches neither
         if scipy.sparse.issparse(features):
-            self.X = features.tocsr()
+            self.X = features.tocsr(copy=True)
         else:
             self.X = scipy.sparse.csr_matrix(np.asarray(features, dtype=float))
         self.y = np.asarray(labels, dtype=float)
@@ -113,9 +142,10 @@ class LogisticOracle(SmoothOracle):
             raise ValueError("feature/label count mismatch")
         if not np.all(np.isin(self.y, (-1.0, 1.0))):
             raise ValueError("labels must be in {-1, +1}")
-        if not 0 <= l2 < math.inf:
-            raise ValueError(f"l2 must be finite and nonnegative, got {l2!r}")
+        check_ranges(l2=l2)
         self.m, self.dim = self.X.shape
+        # Xᵀ built once: `X.T` would build and validate a new matrix on every product
+        self.XT = self.X.T.tocsr()
         self.l2 = float(l2)
         self.norm = NormOperator.identity(self.dim)
         row_norms = np.sqrt(np.asarray(self.X.multiply(self.X).sum(axis=1)).ravel())
@@ -130,8 +160,7 @@ class LogisticOracle(SmoothOracle):
 
     def _gradient(self, x, log_s):
         # d/dt log(1+e^{-t}) = -sigma(-t) = -exp(-log_s), overflow-free
-        g = -(self.X.T @ (self.y * np.exp(-log_s))) / self.m
-        return np.asarray(g).ravel() + self.l2 * x
+        return -(self.XT @ (self.y * np.exp(-log_s))) / self.m + self.l2 * x
 
     @staticmethod
     def _state(t, log_s):
@@ -160,15 +189,16 @@ class LogisticOracle(SmoothOracle):
     def hessian_vec(self, x, h, state=None):
         h = np.asarray(h, dtype=float)
         w = self._curvature(x) if state is None else state
-        v = self.X @ h
-        out = (self.X.T @ (w * v)) / self.m
-        return np.asarray(out).ravel() + self.l2 * h
+        return (self.XT @ (w * (self.X @ h))) / self.m + self.l2 * h
 
     def hessian(self, x, state=None):
         w = self._curvature(x) if state is None else state
-        Xw = self.X.multiply(w[:, None])
-        H = (Xw.T @ self.X).toarray() / self.m
-        return H + self.l2 * np.eye(self.dim)
+        # Xᵀ·diag(w) by scaling a copy's values: no COO intermediate, the same products
+        XTw = self.XT.copy()
+        XTw.data *= w[XTw.indices]
+        H = (XTw @ self.X).toarray() / self.m
+        H[np.diag_indices(self.dim)] += self.l2
+        return H
 
 
 class LogSumExpOracle(SmoothOracle):
@@ -187,8 +217,7 @@ class LogSumExpOracle(SmoothOracle):
         self.b = np.zeros(self.m) if b is None else np.asarray(b, dtype=float)
         if self.b.shape != (self.m,):
             raise ValueError("b must have one entry per row of A")
-        if not 0 < mu < math.inf:
-            raise ValueError(f"mu must be finite and positive, got {mu!r}")
+        check_ranges(mu=mu)
         self.mu = float(mu)
         if norm is None:
             self.norm = NormOperator.gram(self.A)
@@ -245,12 +274,7 @@ class PoweredChainOracle(SmoothOracle):
     """
 
     def __init__(self, n: int, q: float = 3.0, c: float = 1.0):
-        if n < 1:
-            raise ValueError("n must be positive")
-        if not 2 <= q < math.inf:
-            raise ValueError(f"q must be finite and at least 2, got {q!r}")
-        if c not in (1.0, 2.0, 1, 2):
-            raise ValueError("c must be 1 or 2")
+        check_ranges(n=n, q=q, c=c)
         self.dim = int(n)
         self.q = float(q)
         self.c = float(c)
@@ -364,8 +388,7 @@ class PowerComposite(Composite):
     def __init__(self, mu: float, q: float, center, norm: NormOperator):
         if not 0 <= mu < math.inf:
             raise ValueError(f"mu must be finite and nonnegative, got {mu!r}")
-        if not 2 <= q < math.inf:
-            raise ValueError(f"q must be finite and at least 2, got {q!r}")
+        check_ranges(q=q)
         self.mu = float(mu)
         self.q = float(q)
         self.center = np.asarray(center, dtype=float)
@@ -442,6 +465,13 @@ def logistic_oracle(data: Dataset, l2: float = 0.0) -> LogisticOracle:
     return LogisticOracle(data.features, data.labels, l2=l2)
 
 
+def check_shifted_logsumexp(n: int, m: int, mu: float) -> None:
+    """Raise a ValueError unless the parameters of a shifted instance are in range."""
+    check_ranges(n=n, m=m, mu=mu)
+    if m <= n:
+        raise ValueError(f"need m > n: the shift leaves rank(A) <= m - 1, got n={n}, m={m}")
+
+
 def generate_shifted_logsumexp(n: int, m: int, mu: float, seed: int) -> ProblemInstance:
     """Random smoothed-max instance with the optimum placed at the origin.
 
@@ -451,8 +481,7 @@ def generate_shifted_logsumexp(n: int, m: int, mu: float, seed: int) -> ProblemI
     rank(A) <= m - 1 and a full-rank Gram operator needs m > n. Regenerates on
     a rank-deficient Gram operator, failing after 10 attempts.
     """
-    if not (m > n >= 1):
-        raise ValueError("need m > n >= 1: the shift leaves rank(A) <= m - 1")
+    check_shifted_logsumexp(n, m, mu)
     rng = np.random.default_rng(seed)
     for _ in range(10):
         A_raw = rng.uniform(-1.0, 1.0, size=(m, n))
@@ -485,6 +514,7 @@ def powered_chain_oracle(n: int, q: float = 3.0, c: float = 1.0) -> ProblemInsta
 
 def synthetic_logistic(n: int, m: int, l2: float, seed: int, scale: float = 1.0) -> ProblemInstance:
     """Random two-class logistic instance with labels from a planted predictor."""
+    check_ranges(n=n, m=m, l2=l2, scale=scale)
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1.0, 1.0, size=(m, n)) * scale
     w = rng.normal(size=n)

@@ -79,6 +79,20 @@ class TestBadSpecs:
         ("problem", {"n": 5}, "names none of logsumexp, logistic"),
         ("problem", {"name": "rosenbrock"}, "'rosenbrock'} names none of"),
         ("problem", {"name": "logistic", "l2": 0.1}, "problem 'logistic' needs a path"),
+        ("problem", {"name": "chain", "n": 3.7}, "n=3.7 is not a valid int"),
+        ("problem", {"name": "chain", "n": True}, "n=True is not a valid int"),
+        ("problem", {"name": "logsumexp", "mu": False}, "mu=False is not a valid float"),
+        ("problem", {"name": "chain", "n": 0}, "n must be at least 1, got 0"),
+        ("problem", {"name": "chain", "q": 1.5}, "q must be finite and at least 2, got 1.5"),
+        ("problem", {"name": "chain", "c": 3}, "c must be 1 or 2, got 3.0"),
+        ("problem", {"name": "logsumexp", "n": 5, "m": 5}, "need m > n"),
+        ("problem", {"name": "logsumexp", "m": 50}, r"got n=100, m=50"),
+        ("problem", {"name": "logsumexp", "mu": 0}, "mu must be finite and positive"),
+        ("problem", {"name": "logistic-synth", "n": 0}, "n must be at least 1, got 0"),
+        ("problem", {"name": "logistic-synth", "m": 0}, "m must be at least 1, got 0"),
+        ("problem", {"name": "logistic-synth", "scale": "inf"}, "scale must be finite"),
+        ("problem", {"name": "logistic", "path": "no-such-file", "l2": -1.0},
+         "problem 'logistic': l2 must be finite and nonnegative, got -1.0"),
         ("problem", None, "config needs a problem stanza"),
         ("x0", "bogus", "unknown starting point 'bogus'"),
     ])
@@ -107,6 +121,12 @@ class TestProblemRegistry:
     def test_unknown_parameter(self):
         with pytest.raises(ValueError):
             build_problem({"name": "chain", "n": 5, "bogus": 1}, seed=0)
+
+    def test_params_typed_with_defaults(self):
+        assert harness.problem_params({"name": "chain", "n": 3.0}) == (
+            "chain", {"n": 3, "q": 3.0, "c": 1.0})
+        assert harness.problem_params({"name": "logsumexp", "n": "7"})[1] == {
+            "n": 7, "m": 42, "mu": 0.05}
 
     def test_attach_composite_preserves_centered_optimum(self):
         lse = build_problem({"name": "logsumexp", "n": 6, "m": 36, "mu": 1.0}, seed=1)
@@ -367,6 +387,11 @@ class TestCli:
         (["run", "--problem", "chain:n=abc"], "problem 'chain': n='abc' is not a valid int"),
         (["run", "--config", "x0.json"], "unknown starting point 'bogus'"),
         (["run", "--config", "noproblem.json"], "config needs a problem stanza"),
+        (["run", "--config", "fractional.json"], "problem 'chain': n=3.7 is not a valid int"),
+        (["run", "--problem", "chain:n=0"], "problem 'chain': n must be at least 1, got 0"),
+        (["run", "--problem", "logsumexp:n=5,m=5"], "problem 'logsumexp': need m > n"),
+        (["run", "--problem", "logistic-synth:n=0"],
+         "problem 'logistic-synth': n must be at least 1, got 0"),
     ])
     def test_spec_error_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, reason):
         monkeypatch.chdir(tmp_path)
@@ -376,6 +401,7 @@ class TestCli:
         write_json("x0.json", {**small_cfg().to_dict(), "x0": "bogus"})
         write_json("noproblem.json", {k: v for k, v in small_cfg().to_dict().items()
                                       if k != "problem"})
+        small_cfg(problem={"name": "chain", "n": 3.7}).save("fractional.json")
         with pytest.raises(SystemExit) as stop:
             main(argv)
         assert stop.value.code == 2

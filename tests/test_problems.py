@@ -37,6 +37,15 @@ def _dataset(rng, m=40, n=6):
     return Dataset(scipy.sparse.csr_matrix(X), y)
 
 
+def _sparse_dataset(rng):
+    """60 examples over 6 features, about 10 % nonzero; column 2 and row 0 all zero."""
+    X = rng.uniform(-1.0, 1.0, size=(60, 6)) * (rng.random((60, 6)) < 0.12)
+    X[:, 2] = 0.0
+    X[0] = 0.0
+    y = np.where(rng.random(60) < 0.5, -1.0, 1.0)
+    return Dataset(scipy.sparse.csr_matrix(X), y)
+
+
 class TestLogistic:
     def test_value_at_zero_is_log_two(self):
         rng = np.random.default_rng(0)
@@ -88,6 +97,65 @@ class TestLogistic:
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):
             LogisticOracle(np.ones((2, 2)), np.array([0.0, 2.0]))
+
+    def test_owns_its_matrices(self):
+        rng = np.random.default_rng(5)
+        data = _sparse_dataset(rng)
+        oracle = logistic_oracle(data, l2=0.1)
+        x, h = rng.normal(size=6), rng.normal(size=6)
+        before = oracle.value(x), oracle.gradient(x), oracle.hessian_vec(x, h)
+        data.features.data *= -3.0
+        after = oracle.value(x), oracle.gradient(x), oracle.hessian_vec(x, h)
+        assert after[0] == before[0]
+        assert np.array_equal(after[1], before[1]) and np.array_equal(after[2], before[2])
+
+    def test_no_transpose_per_call(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        oracle = logistic_oracle(_sparse_dataset(rng), l2=0.1)
+        x, h = rng.normal(size=6), rng.normal(size=6)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("transpose built per call")
+
+        monkeypatch.setattr(type(oracle.X), "transpose", forbidden)
+        monkeypatch.setattr(type(oracle.X), "T", property(forbidden))
+        oracle.gradient(x)
+        state = oracle.value_gradient_state(x)[2]
+        oracle.hessian_vec(x, h)
+        oracle.hessian_vec(x, h, state)
+        oracle.hessian(x)
+        oracle.hessian(x, state)
+
+    def test_cached_transpose_is_bit_identical_to_a_fresh_one(self, tmp_path):
+        # 40 rows over 12 columns at about 10 % density; row 3 and column 5 are empty
+        rng = np.random.default_rng(7)
+        lines = []
+        for i in range(40):
+            cols = [] if i == 3 else [j for j in range(12) if j != 5 and rng.random() < 0.1]
+            if i == 0:
+                cols = sorted(set(cols) | {11})  # the last column fixes the width
+            entries = " ".join(f"{j + 1}:{rng.uniform(-2.0, 2.0)!r}" for j in cols)
+            lines.append(f"{1 if rng.random() < 0.5 else 2} {entries}")
+        path = tmp_path / "sparse.txt"
+        path.write_text("\n".join(lines) + "\n")
+        data = parse_libsvm(path)
+        X = data.features
+        assert X.shape == (40, 12) and X[3].nnz == 0 and X[:, 5].nnz == 0
+        assert 0.05 < X.nnz / 480 < 0.15
+        oracle = logistic_oracle(data, l2=0.1)
+        m, y, l2 = oracle.m, oracle.y, oracle.l2
+        for _ in range(5):
+            x, h = rng.normal(size=12), rng.normal(size=12)
+            t = y * (X @ x)
+            log_s = np.logaddexp(0.0, t)
+            w = oracle._curvature(x)
+            g = -(X.T @ (y * np.exp(-log_s))) / m + l2 * x
+            hv = (X.T @ (w * (X @ h))) / m + l2 * h
+            H = (X.multiply(w[:, None]).T @ X).toarray() / m + l2 * np.eye(12)
+            assert np.array_equal(oracle.gradient(x), g)
+            assert np.array_equal(oracle.value_gradient_state(x)[1], g)
+            assert np.array_equal(oracle.hessian_vec(x, h), hv)
+            assert np.array_equal(oracle.hessian(x), H)
 
 
 class TestLogSumExp:
@@ -408,6 +476,8 @@ def test_fd_directional_hessian_on_quadratic():
 def _oracle_family(kind, rng):
     if kind == "logistic":
         return logistic_oracle(_dataset(rng, m=50, n=6), l2=0.1)
+    if kind == "logistic-sparse":
+        return logistic_oracle(_sparse_dataset(rng), l2=0.1)
     if kind == "logsumexp":
         return generate_shifted_logsumexp(6, 36, 0.5, seed=5).smooth
     if kind == "chain-q3":
@@ -422,7 +492,7 @@ def _oracle_family(kind, rng):
     return QuadraticOracle(M @ M.T)
 
 
-FAMILIES = ["logistic", "logsumexp", "chain-q3", "chain-q2.5", "quadratic",
+FAMILIES = ["logistic", "logistic-sparse", "logsumexp", "chain-q3", "chain-q2.5", "quadratic",
             "contracted-chain-q3", "contracted-logsumexp"]
 
 
