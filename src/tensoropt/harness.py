@@ -30,6 +30,7 @@ from .problems import (
     PowerComposite,
     ProblemInstance,
     ZeroComposite,
+    check_composite,
     check_ranges,
     check_shifted_logsumexp,
     generate_shifted_logsumexp,
@@ -174,8 +175,10 @@ def parse_composite(spec: str | None) -> tuple[float, float] | None:
         return None
     kind, values = parse_spec(spec, {"power": (2, 2), "quadratic": (1, 1)})
     mu, q = values if kind == "power" else (values[0], 2.0)
-    if mu < 0 or q < 2:
-        raise ValueError(f"bad spec {spec!r}: MU must be nonnegative and Q at least 2")
+    try:
+        check_composite(mu, q)
+    except ValueError as exc:
+        raise ValueError(f"bad spec {spec!r}: {exc}") from None
     return mu, q
 
 
@@ -308,12 +311,14 @@ REFERENCE_H = "linesearch:1"
 
 
 def _reference_key(cfg: ExperimentConfig) -> str:
-    # every field the reference solve below reads
-    payload = json.dumps(
-        {"problem": cfg.problem, "composite": cfg.composite, "seed": cfg.seed,
-         "p": cfg.p, "x0": cfg.x0, "max_iters": cfg.max_iters, "H": REFERENCE_H},
-        sort_keys=True,
-    )
+    # every field the reference solve below reads, and the bytes of the data file it reads
+    fields = {"problem": cfg.problem, "composite": cfg.composite, "seed": cfg.seed,
+              "p": cfg.p, "x0": cfg.x0, "max_iters": cfg.max_iters, "H": REFERENCE_H}
+    name, params = problem_params(cfg.problem)
+    if name == "logistic":
+        with open(params["path"], "rb") as fh:
+            fields["data_sha256"] = hashlib.sha256(fh.read()).hexdigest()
+    payload = json.dumps(fields, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

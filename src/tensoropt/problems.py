@@ -7,9 +7,11 @@ what every Hessian-vector product at x, and the dense Hessian there,
 recomputes (curvature weights, softmax weights, the chain's second
 derivatives), all from one evaluation of what they share. A caller that
 applies the Hessian at one fixed point fetches the state once and passes it
-to ``hessian_vec`` or ``hessian``. The logistic oracle builds its own CSR
-copies of X and Xᵀ once, so a gradient or a Hessian-vector product is two
-sparse matvecs and constructs no matrix. Composite terms are differentiable
+to ``hessian_vec`` or ``hessian``. The logistic oracle keeps its own copy of
+the features in the more compact of two forms: a dense X, whose products are
+BLAS matvecs and whose Hessian is one ``syrk``, or CSR copies of X and Xᵀ built
+once. Either way a gradient or a Hessian-vector product is two matvecs and
+constructs no matrix. Composite terms are differentiable
 and report their uniform-convexity parameters where known;
 ``PowerComposite`` also serves as the accelerated scheme's prox-function.
 """
@@ -50,6 +52,14 @@ def check_ranges(**params) -> None:
         inside, rule = PARAM_RANGES[key]
         if not inside(val):
             raise ValueError(f"{key} must be {rule}, got {val!r}")
+
+
+def check_composite(mu, q) -> None:
+    """Raise a ValueError unless mu/q·‖x − center‖^q is a convex composite term: mu
+    finite and nonnegative, q by its ``PARAM_RANGES`` rule."""
+    if not 0 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and nonnegative, got {mu!r}")
+    check_ranges(q=q)
 
 
 # ---------------------------------------------------------------------------
@@ -127,30 +137,43 @@ class LogisticOracle(SmoothOracle):
     problem stays free. Lipschitz constants refer to the standard Euclidean
     norm; the bound on the third derivative uses max_t |s(t)s(-t)(1-2s(t))| =
     1/(6 sqrt(3)) per example, averaged over the data.
+
+    The oracle keeps its own copy of the features, dense when 8·m·n bytes are no
+    more than the CSR pair X, Xᵀ would take (Xᵀ is then the free ``.T`` view), the
+    CSR pair otherwise. Non-finite features are rejected.
     """
 
     def __init__(self, features, labels, l2: float = 0.0):
-        # the oracle owns X and Xᵀ: a later edit of the caller's matrix reaches neither
+        # the oracle owns its matrices: a later edit of the caller's matrix reaches none
         if scipy.sparse.issparse(features):
-            self.X = features.tocsr(copy=True)
+            X = features.tocsr(copy=True)
         else:
-            self.X = scipy.sparse.csr_matrix(np.asarray(features, dtype=float))
+            X = scipy.sparse.csr_matrix(np.asarray(features, dtype=float))
         self.y = np.asarray(labels, dtype=float)
-        if self.X.shape[0] == 0:
+        if X.shape[0] == 0:
             raise ValueError("empty dataset")
-        if self.X.shape[0] != self.y.size:
+        if X.shape[0] != self.y.size:
             raise ValueError("feature/label count mismatch")
+        if not np.all(np.isfinite(X.data)):
+            raise ValueError("features contain non-finite entries")
         if not np.all(np.isin(self.y, (-1.0, 1.0))):
             raise ValueError("labels must be in {-1, +1}")
         check_ranges(l2=l2)
-        self.m, self.dim = self.X.shape
-        # Xᵀ built once: `X.T` would build and validate a new matrix on every product
-        self.XT = self.X.T.tocsr()
+        self.m, self.dim = X.shape
         self.l2 = float(l2)
         self.norm = NormOperator.identity(self.dim)
-        row_norms = np.sqrt(np.asarray(self.X.multiply(self.X).sum(axis=1)).ravel())
+        row_norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
         L2 = float(np.sum(row_norms**3)) / (6.0 * math.sqrt(3.0) * self.m)
         self.lipschitz = {2: L2}
+        # X and Xᵀ in the more compact form: a dense X with its free view Xᵀ (BLAS
+        # products), or the CSR pair, Xᵀ built once so no product builds a matrix
+        XT = X.T.tocsr()
+        csr_bytes = sum(A.data.nbytes + A.indices.nbytes + A.indptr.nbytes for A in (X, XT))
+        if 8 * self.m * self.dim <= csr_bytes:
+            self.X = X.toarray()
+            self.XT = self.X.T
+        else:
+            self.X, self.XT = X, XT
 
     def _margins(self, x):
         return self.y * (self.X @ np.asarray(x, dtype=float))
@@ -192,11 +215,17 @@ class LogisticOracle(SmoothOracle):
         return (self.XT @ (w * (self.X @ h))) / self.m + self.l2 * h
 
     def hessian(self, x, state=None):
+        """Xᵀ·diag(w)·X / m + l2·I. Dense X: SᵀS with S = √w·X, one ``syrk``, so exactly
+        symmetric. CSR X: Xᵀ·diag(w) by scaling a copy's values, one sparse product."""
         w = self._curvature(x) if state is None else state
-        # Xᵀ·diag(w) by scaling a copy's values: no COO intermediate, the same products
-        XTw = self.XT.copy()
-        XTw.data *= w[XTw.indices]
-        H = (XTw @ self.X).toarray() / self.m
+        if isinstance(self.X, np.ndarray):
+            S = self.X * np.sqrt(w)[:, None]
+            H = S.T @ S
+            H /= self.m
+        else:
+            XTw = self.XT.copy()
+            XTw.data *= w[XTw.indices]
+            H = (XTw @ self.X).toarray() / self.m
         H[np.diag_indices(self.dim)] += self.l2
         return H
 
@@ -386,9 +415,7 @@ class PowerComposite(Composite):
     """
 
     def __init__(self, mu: float, q: float, center, norm: NormOperator):
-        if not 0 <= mu < math.inf:
-            raise ValueError(f"mu must be finite and nonnegative, got {mu!r}")
-        check_ranges(q=q)
+        check_composite(mu, q)
         self.mu = float(mu)
         self.q = float(q)
         self.center = np.asarray(center, dtype=float)

@@ -69,7 +69,9 @@ class TestBadSpecs:
         ("composite", "quadratic:1:5", "values for quadratic must be 1, got 2"),
         ("composite", "power:nan:3", "every value must be finite"),
         ("composite", "quadratic:inf", "every value must be finite"),
-        ("composite", "power:-1:3", "MU must be nonnegative and Q at least 2"),
+        ("composite", "power:-1:3", "'power:-1:3': mu must be finite and nonnegative, got -1.0"),
+        ("composite", "power:1:1.5", "'power:1:1.5': q must be finite and at least 2, got 1.5"),
+        ("composite", "quadratic:-2", "'quadratic:-2': mu must be finite and nonnegative"),
         ("H", "lipschitz:3", "values for lipschitz must be 0, got 1"),
         ("H", "fixed:", "every value must be a number"),
         ("policy", "adaptive:1:1:-1", "must be nonnegative"),
@@ -298,6 +300,19 @@ class TestReferenceOptimum:
         monkeypatch.setattr(harness, "REFERENCE_H", "linesearch:2")
         _, src = reference_fstar(small_cfg(problem=problem), cache_dir=str(tmp_path))
         assert src == "reference-run"
+
+    def test_an_edited_data_file_is_not_served_from_the_cache(self, tmp_path):
+        path = tmp_path / "four.svm"
+        cfg = small_cfg(problem={"name": "logistic", "path": str(path), "l2": 0.1})
+        cache = str(tmp_path / "cache")
+        path.write_text("1 1:1.0 2:0.5\n-1 1:-0.5 2:1.0\n1 2:-1.0\n-1 1:2.0\n")
+        first, src = reference_fstar(cfg, cache_dir=cache)
+        assert src == "reference-run"
+        path.write_text("1 1:1.0 2:0.5\n-1 1:0.5 2:1.0\n-1 2:-1.0\n1 1:2.0\n")
+        edited, src = reference_fstar(cfg, cache_dir=cache)
+        assert src == "reference-run"
+        assert edited == reference_fstar(cfg)[0] and edited != first
+        assert reference_fstar(cfg, cache_dir=cache) == (edited, "reference-cached")
 
     def test_line_searched_even_with_a_known_lipschitz_constant(self, monkeypatch):
         configs = []

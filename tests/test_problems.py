@@ -98,6 +98,13 @@ class TestLogistic:
         with pytest.raises(ValueError):
             LogisticOracle(np.ones((2, 2)), np.array([0.0, 2.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("form", [np.array, scipy.sparse.csr_matrix])
+    def test_non_finite_features_rejected(self, bad, form):
+        # a NaN used to reach value() and the Lipschitz constant; an inf gave finite garbage
+        with pytest.raises(ValueError, match="features contain non-finite entries"):
+            LogisticOracle(form(np.array([[bad, 1.0], [1.0, 2.0]])), np.array([1.0, -1.0]))
+
     def test_owns_its_matrices(self):
         rng = np.random.default_rng(5)
         data = _sparse_dataset(rng)
@@ -156,6 +163,68 @@ class TestLogistic:
             assert np.array_equal(oracle.value_gradient_state(x)[1], g)
             assert np.array_equal(oracle.hessian_vec(x, h), hv)
             assert np.array_equal(oracle.hessian(x), H)
+
+    def test_storage_form_follows_the_data(self):
+        rng = np.random.default_rng(8)
+        dense = logistic_oracle(_dataset(rng), l2=0.1)
+        assert isinstance(dense.X, np.ndarray) and dense.XT.base is dense.X
+        sparse = logistic_oracle(_sparse_dataset(rng), l2=0.1)
+        assert scipy.sparse.isspmatrix_csr(sparse.X) and scipy.sparse.isspmatrix_csr(sparse.XT)
+        assert isinstance(synthetic_logistic(50, 300, 1e-3, seed=0).smooth.X, np.ndarray)
+
+    def test_dense_storage_matches_the_csr_formulas(self):
+        # both forms sum the same terms in different orders: agreement within a few ulps
+        # of the summed magnitudes, entry by entry
+        rng = np.random.default_rng(9)
+        data = _dataset(rng, m=50, n=6)
+        oracle = logistic_oracle(data, l2=0.1)
+        assert isinstance(oracle.X, np.ndarray)
+        X, XT, A = data.features, data.features.T.tocsr(), abs(data.features.toarray())
+        m, y, eps = oracle.m, oracle.y, np.finfo(float).eps
+
+        def close(got, want, scale):
+            assert np.all(np.abs(got - want) <= 8 * eps * scale)
+
+        for _ in range(10):
+            x, h = 2.0 * rng.normal(size=6), rng.normal(size=6)
+            t = y * (X @ x)
+            log_s = np.logaddexp(0.0, t)
+            w = np.exp(-log_s - np.logaddexp(0.0, -t))
+            r = y * np.exp(-log_s)
+            f = float(np.mean(np.logaddexp(0.0, -t))) + 0.05 * float(x @ x)
+            g = -(XT @ r) / m + 0.1 * x
+            XTw = XT.copy()
+            XTw.data *= w[XTw.indices]
+            H = (XTw @ X).toarray() / m + 0.1 * np.eye(6)
+            g_scale = A.T @ np.abs(r) / m + 0.1 * np.abs(x)
+            H_scale = (A.T * w) @ A / m + 0.1 * np.eye(6)
+            value, joint, state = oracle.value_gradient_state(x)
+            close(oracle.value(x), f, abs(f))
+            close(value, f, abs(f))
+            close(oracle.gradient(x), g, g_scale)
+            close(joint, g, g_scale)
+            close(oracle.hessian_vec(x, h, state), (XT @ (w * (X @ h))) / m + 0.1 * h,
+                  H_scale @ np.abs(h))
+            close(oracle.hessian(x), H, H_scale)
+
+    def test_dense_hessian_is_exactly_symmetric(self):
+        rng = np.random.default_rng(10)
+        oracle = synthetic_logistic(50, 300, 1e-3, seed=0).smooth
+        for _ in range(3):
+            H = oracle.hessian(rng.normal(size=50))
+            assert np.array_equal(H, H.T)
+
+    def test_owns_its_dense_matrix(self):
+        rng = np.random.default_rng(11)
+        X = rng.uniform(-1.0, 1.0, size=(40, 6))
+        oracle = LogisticOracle(X, np.where(rng.random(40) < 0.5, -1.0, 1.0), l2=0.1)
+        assert isinstance(oracle.X, np.ndarray)
+        x, h = rng.normal(size=6), rng.normal(size=6)
+        before = oracle.value(x), oracle.gradient(x), oracle.hessian_vec(x, h), oracle.hessian(x)
+        X *= -3.0
+        after = oracle.value(x), oracle.gradient(x), oracle.hessian_vec(x, h), oracle.hessian(x)
+        assert after[0] == before[0]
+        assert all(np.array_equal(a, b) for a, b in zip(after[1:], before[1:]))
 
 
 class TestLogSumExp:
@@ -475,9 +544,13 @@ def test_fd_directional_hessian_on_quadratic():
 
 def _oracle_family(kind, rng):
     if kind == "logistic":
-        return logistic_oracle(_dataset(rng, m=50, n=6), l2=0.1)
+        oracle = logistic_oracle(_dataset(rng, m=50, n=6), l2=0.1)
+        assert isinstance(oracle.X, np.ndarray)  # the dense storage path
+        return oracle
     if kind == "logistic-sparse":
-        return logistic_oracle(_sparse_dataset(rng), l2=0.1)
+        oracle = logistic_oracle(_sparse_dataset(rng), l2=0.1)
+        assert scipy.sparse.isspmatrix_csr(oracle.X)  # the CSR storage path
+        return oracle
     if kind == "logsumexp":
         return generate_shifted_logsumexp(6, 36, 0.5, seed=5).smooth
     if kind == "chain-q3":
