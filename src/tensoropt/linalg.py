@@ -146,11 +146,6 @@ class NormOperator:
             return math.sqrt(s.dot(s))
         return float(np.sqrt(max(0.0, float(np.dot(self.solve(s), s)))))
 
-    def as_matrix(self) -> np.ndarray:
-        if self.kind == "identity":
-            return np.eye(self.dim)
-        return self._matrix.copy()
-
     def _dense_eig(self):
         if self._eig is None:
             w, Q = np.linalg.eigh(self._matrix)

@@ -4,13 +4,13 @@ Every driver, ``accel.accelerated`` included, is a generator of steps run
 by one outer loop, ``_Runner.drive``, which owns the trace, the stop rules and
 the stall handling. The three non-accelerated drivers:
 
-* ``monotone1`` -- candidate steps are accepted only when they strictly
-  decrease the objective; rejected candidates are kept as warm starts and the
-  next tolerance is capped at half the rejected one. A rejected step ends the
-  run ``stationary`` under ``monotone_step``'s rule, ``is_stationary``.
-* ``monotone2`` -- every iteration produces a strictly decreasing point by
-  refining the tolerance in place under every H mode (see
-  ``subsolvers.monotone_step``).
+* ``monotone1`` -- candidate steps are accepted only when they lower the
+  objective by more than the precision floor; rejected candidates are warm
+  starts, and the next tolerance is capped at half the rejected one. A
+  rejected step ends the run ``stationary`` under ``is_stationary``.
+* ``monotone2`` -- every iteration lowers the objective by more than the
+  floor, refining the tolerance in place under every H mode, or ends the run
+  ``monotone_floor`` (see ``subsolvers.monotone_step``).
 * ``averaging`` -- steps are taken from a convex combination of the current
   iterate and the starting point; no monotonicity is enforced.
 
@@ -338,8 +338,8 @@ def monotone1(problem, x0, config: SolverConfig) -> SolverRun:
             delta = min(config.policy.delta(k, [r.F for r in run.records[-2:]]), delta_cap)
             delta_eff = max(delta, floor)
             res = run.solver(x)(delta_eff, warm)
-            stop = None
-            if res.objective_value < f_x:
+            stop = "stationary" if is_stationary(res, f_x, delta_eff, floor) else None
+            if not stop and res.objective_value < f_x:
                 x, f_x = res.point, res.objective_value
                 warm = None
                 delta_cap = np.inf
@@ -347,8 +347,6 @@ def monotone1(problem, x0, config: SolverConfig) -> SolverRun:
                 # rejected: warm-start the next subsolve, demand at least twice the accuracy
                 warm = res.point
                 delta_cap = delta / 2.0
-                if is_stationary(res, delta_eff, floor):
-                    stop = "stationary"
             yield (x, f_x, delta, res.certified_residual, run.H_used,
                    res.inner_iterations, stop)
 

@@ -26,7 +26,8 @@ def condition_number(p: int, lipschitz: float, sigma: float) -> float:
 
 
 def precision_floor(f: float) -> float:
-    """Smallest inner tolerance worth requesting around objective value f."""
+    """Smallest inner tolerance worth requesting around objective value f, and
+    the least change of f that a monotone driver counts as a decrease."""
     return 1e-14 * max(1.0, abs(f))
 
 

@@ -434,26 +434,29 @@ def model_solver(model: TensorModel, objective, kind: str = "fgm", stop: str = "
     return solve
 
 
-def is_stationary(res: StepResult, delta: float, floor: float) -> bool:
-    """Whether a step at tolerance delta that did not decrease F marks the center
-    stationary: its certificate is zero (it minimizes the model, so halving
-    cannot help), the subsolver stopped at the precision floor (``at_floor``:
-    a tighter solve would stop at the same floor) or the halved tolerance
-    would pass the floor (the center is floor-optimal for the model, hence
-    nearly stationary for F).
+def is_stationary(res: StepResult, f_center: float, delta: float, floor: float) -> bool:
+    """Whether a step at tolerance delta marks the center (F = f_center)
+    stationary. Only F(T) < f_center - floor counts as a decrease; a step that
+    lowers F by less marks the center floor-optimal. One that does not lower F
+    marks it stationary when its certificate is zero (it minimizes the model,
+    so halving cannot help), the subsolver stopped at the precision floor
+    (``at_floor``: a tighter solve would stop at the same floor) or the halved
+    tolerance would pass the floor (the center is floor-optimal for the model).
     """
-    return res.certified_residual <= 0.0 or res.at_floor or 0.5 * delta < floor
+    return not res.objective_value < f_center - floor and (
+        res.objective_value < f_center or res.certified_residual <= 0.0
+        or res.at_floor or 0.5 * delta < floor)
 
 
 def monotone_step(f_center: float, solve, delta: float, floor: float) -> StepResult:
-    """Inexact step with enforced strict decrease of the true objective.
+    """Inexact step that lowers the true objective by more than the floor.
 
     ``solve(delta, warm)`` returns a step at tolerance delta started from
     ``warm`` (None, on the first call: the center) with ``objective_value`` set to F at its
-    point. If that value does not decrease F below ``f_center``, the tolerance
-    is halved and ``solve`` resumes from the rejected point; inner iterations
-    are summed across the retries. A step that does not decrease F is
-    reported as stationary under ``is_stationary``.
+    point. A step that marks the center stationary under ``is_stationary``
+    (every one that lowers F by at most ``floor`` does) is flagged and returned.
+    Any other step that does not lower F halves the tolerance, and ``solve``
+    resumes from it; inner iterations are summed across the retries.
     """
     if floor <= 0:
         raise ValueError("floor must be positive")
@@ -465,10 +468,10 @@ def monotone_step(f_center: float, solve, delta: float, floor: float) -> StepRes
         total_inner += res.inner_iterations
         res.inner_iterations = total_inner
         res.delta_used = delta_eff
-        if res.objective_value < f_center:
-            return res
-        if is_stationary(res, delta_eff, floor):
+        if is_stationary(res, f_center, delta_eff, floor):
             res.stationary = True
+            return res
+        if res.objective_value < f_center:
             return res
         delta_eff *= 0.5
         warm = res.point

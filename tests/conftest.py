@@ -27,6 +27,11 @@ def norm_of_kind(kind, rng, n):
     return NormOperator.dense(Q @ np.diag(rng.uniform(0.5, 3.0, n)) @ Q.T)
 
 
+def norm_matrix(norm):
+    """B as a dense matrix, column by column from ``norm.apply`` on the unit vectors."""
+    return np.column_stack([norm.apply(e) for e in np.eye(norm.dim)])
+
+
 def random_norm(rng, n):
     return norm_of_kind(NORM_KINDS[rng.integers(0, 3)], rng, n)
 
@@ -58,7 +63,7 @@ def brute_force_model_min(model, rng, n_starts=8):
     best = None
     scale = 1.0 + float(np.linalg.norm(model.norm.solve(model.g0)))
     starts = [np.zeros(n)] + [rng.normal(size=n) * scale for _ in range(n_starts)]
-    B = model.norm.as_matrix()
+    B = norm_matrix(model.norm)
     for s0 in starts:
         res = scipy.optimize.minimize(
             lambda d: model.value(model.center + d), s0, method="L-BFGS-B",

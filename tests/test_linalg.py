@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import NORM_KINDS, norm_of_kind
+from conftest import NORM_KINDS, norm_matrix, norm_of_kind
 
 from tensoropt.linalg import FactorizationError, NormOperator, sym_eig
 
@@ -96,7 +96,7 @@ class TestPrimalDualNorms:
         for n in (1, 7, 100):
             A = rng.uniform(-1.0, 1.0, size=(6 * n, n))
             B = NormOperator.gram(A)
-            factor = scipy.linalg.cho_factor(B.as_matrix(), lower=True)
+            factor = scipy.linalg.cho_factor(norm_matrix(B), lower=True)
             for scale in (1e-8, 1.0, 1e8):
                 s = scale * rng.normal(size=n)
                 x = B.solve(s)
@@ -127,7 +127,7 @@ class TestFactorCoordinates:
         rng = np.random.default_rng(6)
         n = 9
         B = norm_of_kind(kind, rng, n)
-        L = np.linalg.cholesky(B.as_matrix())
+        L = np.linalg.cholesky(norm_matrix(B))
         M = rng.normal(size=(n, n))
         A = M + M.T
         ref = scipy.linalg.solve_triangular(L, scipy.linalg.solve_triangular(L, A, lower=True).T,
@@ -150,7 +150,7 @@ class TestFactorCoordinates:
         rng = np.random.default_rng(8)
         n = 7
         B = norm_of_kind(kind, rng, n)
-        L = np.linalg.cholesky(B.as_matrix())
+        L = np.linalg.cholesky(norm_matrix(B))
         for _ in range(5):
             x = rng.normal(size=n)
             np.testing.assert_allclose(B.factor_solve(x),

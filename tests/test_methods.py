@@ -22,7 +22,7 @@ from tensoropt.methods import (
     monotone2,
 )
 from tensoropt.model import TensorModel
-from tensoropt.policies import AccuracyPolicy, adaptive, constant, power
+from tensoropt.policies import AccuracyPolicy, adaptive, constant, power, precision_floor
 from tensoropt.problems import (
     ProblemInstance,
     QuadraticOracle,
@@ -461,6 +461,24 @@ class TestPrecisionFloor:
         fstar, _ = reference_fstar(cfg)
         assert run.status == "stationary"
         assert abs(run.f_final - fstar) <= 1e-8
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("method", ["monotone2", "monotone1"])
+    def test_no_rounding_level_decrease_is_accepted(self, hvp_limit, method, seed):
+        # A driver that accepts decreases below the floor spends 458-681
+        # products per run here, most of them after F is within 1e-12 of F*;
+        # stopping at the floor takes 182-250.
+        cfg = ExperimentConfig(**{**self.REPRO, "method": method, "policy": "power:1:3",
+                                  "max_iters": 300, "seed": seed})
+        run = execute(cfg)
+        fstar, _ = reference_fstar(cfg)
+        F = [r.F for r in run.records]
+        floor = precision_floor(F[0])
+        assert run.status in ("monotone_floor", "stationary")
+        # monotone1 repeats F on a rejected step; every other row is accepted
+        assert all(f_next < f - floor for f, f_next in zip(F, F[1:]) if f_next != f)
+        assert abs(run.f_final - fstar) <= 1e-12
+        assert run.counts["hessian_vec"] <= 300
 
     def test_cli_run_exits_zero(self, hvp_limit, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import NORM_KINDS, brute_force_model_min, norm_of_kind, random_cubic_model
+from conftest import (
+    NORM_KINDS, brute_force_model_min, norm_matrix, norm_of_kind, random_cubic_model,
+)
 
 from tensoropt import subsolvers
 from tensoropt.harness import ExperimentConfig, execute
 from tensoropt.linalg import NormOperator
-from tensoropt.methods import CountingOracle
+from tensoropt import methods
+from tensoropt.methods import CountingOracle, SolverConfig, monotone1, monotone2
+from tensoropt.policies import precision_floor
 from tensoropt.model import TensorModel
 from tensoropt.problems import (
     LogSumExpOracle,
@@ -169,7 +173,7 @@ def _reference_step(model):
     if quad is not None:
         mu, c0 = quad
         g = g + mu * norm.apply(model.center - c0)
-        A = A + mu * norm.as_matrix()
+        A = A + mu * norm_matrix(norm)
     A_t = norm.inv_sqrt_apply(norm.inv_sqrt_apply(A).T)
     lam, V = np.linalg.eigh(0.5 * (A_t + A_t.T))
     c = V.T @ norm.inv_sqrt_apply(g)
@@ -207,7 +211,7 @@ def _whitened_model(kind, rng, lam, c, composite_mu=0.0, H=1.5):
     whose whitened gradient has coordinates ``c`` in its eigenbasis."""
     n = lam.size
     norm = norm_of_kind(kind, rng, n)
-    L = np.linalg.cholesky(norm.as_matrix())
+    L = np.linalg.cholesky(norm_matrix(norm))
     Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
     A = L @ (Q * lam) @ Q.T @ L.T
     center = rng.normal(size=n)
@@ -725,6 +729,41 @@ class TestMonotoneStepLoop:
         res = monotone_step(1.0, solve, delta=1.0, floor=0.3)
         assert [d for d, _ in solve.calls] == [1.0, 0.5]
         assert res.stationary and res.inner_iterations == 1 + 2
+
+    @pytest.mark.parametrize("drop", [0.5e-3, 1e-3])
+    def test_decrease_of_at_most_the_floor_is_stationary(self, drop):
+        # a decrease of at most the floor is rounding level: delta is not halved
+        solve = ScriptedSolve([1.0 - drop, 0.5])
+        res = monotone_step(1.0, solve, delta=0.8, floor=1e-3)
+        assert res.stationary and len(solve.calls) == 1
+        assert res.objective_value == 1.0 - drop
+
+    def test_decrease_of_twice_the_floor_is_accepted(self):
+        solve = ScriptedSolve([1.0 - 2e-3])
+        res = monotone_step(1.0, solve, delta=0.8, floor=1e-3)
+        assert res.objective_value == 1.0 - 2e-3 and not res.stationary
+        assert len(solve.calls) == 1
+
+    def test_equal_value_halves_delta_and_warm_starts_from_the_rejected_point(self):
+        solve = ScriptedSolve([1.0, 0.5])
+        res = monotone_step(1.0, solve, delta=0.8, floor=1e-3)
+        assert [d for d, _ in solve.calls] == [0.8, 0.4]
+        np.testing.assert_array_equal(solve.calls[1][1], np.zeros(2))
+        assert res.objective_value == 0.5 and not res.stationary
+
+    @pytest.mark.parametrize("share", [0.5, 1.0])
+    @pytest.mark.parametrize("driver, status", [(monotone2, "monotone_floor"),
+                                                (monotone1, "stationary")])
+    def test_drivers_end_at_the_old_point(self, monkeypatch, driver, status, share):
+        prob = generate_shifted_logsumexp(6, 36, 1.0, seed=14)
+        x0 = 0.5 * np.ones(6)
+        f0 = prob.value(x0)
+        solve = ScriptedSolve([f0 - share * precision_floor(f0), 0.0])
+        monkeypatch.setattr(methods, "model_solver", lambda *args, **kwargs: solve)
+        run = driver(prob, x0, SolverConfig(max_iters=5))
+        assert run.status == status and len(solve.calls) == 1
+        np.testing.assert_array_equal(run.x_final, x0)
+        assert run.f_final == f0
 
     def test_rejects_nonpositive_floor(self):
         solve = ScriptedSolve([0.5])
