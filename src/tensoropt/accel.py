@@ -113,6 +113,12 @@ class ContractedOracle(SmoothOracle):
     def hessian(self, x, state=None):
         return self.scale * self.theta**2 * self.base.hessian(self._arg(x), state)
 
+    def whitened_hessian(self, x, state=None):
+        # the norm is the base's, so the base whitens and the chain rule scales
+        hess = self.base.whitened_hessian(self._arg(x), state)
+        hess *= self.scale * self.theta**2
+        return hess
+
 
 def build_subproblem(problem: ProblemInstance, oracle, x_k, v_k, A_k: float,
                      A_next: float, prox: PowerComposite) -> ProblemInstance:

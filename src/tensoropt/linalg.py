@@ -4,9 +4,12 @@ The primal norm is ``<Bx, x>**0.5`` and the dual norm is ``<s, B^{-1} s>**0.5``.
 There are two kinds of operator. The identity bypasses factorization entirely;
 a dense operator caches a Cholesky factor B = L Lᵀ at construction. The exact
 cubic subsolver works in coordinates where B is the identity, through
-``whiten`` (the congruence L⁻¹ A L⁻ᵀ) and ``factor_solve`` (L⁻¹ x and L⁻ᵀ x);
-the identity uses the factor I. ``inv_sqrt_apply`` applies B^{-1/2} from an
-eigendecomposition computed on first use and cached.
+``whiten`` (the congruence L⁻¹ A L⁻ᵀ), ``whiten_rows`` (the rows of a data
+matrix A mapped to A L⁻ᵀ, so that Aᵀ D A whitens to a product of the new
+rows) and ``factor_solve`` (L⁻¹ x and L⁻ᵀ x); the identity uses the factor I.
+``tridiagonal_form`` reduces a whitened Hessian once to T = Qᵀ M Q, and
+``apply_q`` applies Q or Qᵀ to a vector. ``inv_sqrt_apply`` applies B^{-1/2}
+from an eigendecomposition computed on first use and cached.
 """
 
 from __future__ import annotations
@@ -15,9 +18,16 @@ import math
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dpotrs, dsygst, dtrtrs
+from scipy.linalg.lapack import dormqr, dpotrs, dsygst, dsytrd, dsytrd_lwork, dtrtrs
 
 SYM_TOL = 1e-10
+
+# Entries (2 MB) of the blocks in which a kernel over the m rows of an m×n data
+# matrix takes them. In one call over all rows, a triangular solve with m
+# right-hand sides left about 7.5 MB more BLAS workspace resident at m = 3000,
+# n = 500 than blocks of this size did, and a syrk of the scaled rows needs an
+# m×n temporary instead of one block.
+BLOCK_ENTRIES = 2**18
 
 
 class FactorizationError(RuntimeError):
@@ -121,6 +131,21 @@ class NormOperator:
             raise np.linalg.LinAlgError(f"illegal value in argument {-info} of dsygst")
         return C
 
+    def whiten_rows(self, A) -> np.ndarray:
+        """A L⁻ᵀ for the factor L of ``whiten``: the rows aᵢ of the m×n matrix A
+        mapped to L⁻¹ aᵢ, so that L⁻¹ Aᵀ D A L⁻ᵀ = Wᵀ D W for W = A L⁻ᵀ. Returned
+        C-ordered, from triangular solves on blocks of ``BLOCK_ENTRIES`` entries;
+        the identity returns A itself."""
+        if self.kind == "identity":
+            return A
+        Wt = np.array(np.asarray(A, dtype=float).T, order="F")  # the rows as columns
+        step = max(1, BLOCK_ENTRIES // self.dim)
+        for i in range(0, Wt.shape[1], step):
+            _, info = dtrtrs(self._chol, Wt[:, i:i + step], lower=1, overwrite_b=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
+        return Wt.T
+
     def factor_solve(self, x, trans: bool = False) -> np.ndarray:
         """L⁻¹ x, or L⁻ᵀ x when ``trans``, for the factor L of ``whiten``."""
         x = self._check_dim(x)
@@ -160,6 +185,29 @@ class NormOperator:
             return np.array(x, dtype=float)
         w, Q = self._dense_eig()
         return Q @ ((Q.T @ np.asarray(x, dtype=float)).T / np.sqrt(w)).T
+
+
+def tridiagonal_form(M: np.ndarray):
+    """(d, e, V, tau) of M = Q T Qᵀ, from LAPACK ``dsytrd`` on the lower triangle
+    of the Fortran-ordered M, which it overwrites. T has diagonal d and
+    off-diagonal e; Q = diag(1, Q'), Q' the QR factor of the reflectors (V, tau)
+    below M's subdiagonal. Raises ``LinAlgError`` on a non-finite M, which
+    LAPACK would not check."""
+    if not np.isfinite(M).all():
+        raise np.linalg.LinAlgError("matrix must not contain infs or NaNs")
+    lwork = int(dsytrd_lwork(M.shape[0], lower=1)[0])
+    C, d, e, tau, info = dsytrd(M, lower=1, lwork=lwork, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"illegal value in argument {-info} of dsytrd")
+    return d, e, np.asfortranarray(C[1:, :-1]), tau
+
+
+def apply_q(V: np.ndarray, tau: np.ndarray, x: np.ndarray, trans: bool) -> np.ndarray:
+    """Q x, or Qᵀ x when ``trans``, for the reduction of ``tridiagonal_form``."""
+    y = x.copy()
+    if tau.size:  # a 1×1 matrix has Q = I and no reflectors
+        y[1:] = dormqr("L", "T" if trans else "N", V, tau, x[1:, None], 1)[0][:, 0]
+    return y
 
 
 def sym_eig(A, tol: float = SYM_TOL):

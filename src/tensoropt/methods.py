@@ -144,15 +144,10 @@ class CountingOracle:
             return self.inner.hessian_vec(x, h)
         return self.inner.hessian_vec(x, h, state)
 
-    def hessian(self, x, state=None):
+    def whitened_hessian(self, x, state=None):
+        # counted as the one dense Hessian it stands for
         self.n_hess += 1
-        if state is None:
-            return self.inner.hessian(x)
-        return self.inner.hessian(x, state)
-
-    def note_hvp(self, k: int = 1):
-        # products against a cached dense Hessian count the same as oracle calls
-        self.n_hvp += k
+        return self.inner.whitened_hessian(x, state)
 
     def counts(self) -> dict:
         return {

@@ -17,16 +17,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import tridiagonal_form
+
 
 class TensorModel:
     """Order-p model frozen at a center point; immutable once built.
 
-    When ``want_hessian`` is set (exact subsolver, or an exact stopping rule),
-    the dense Hessian at the center is materialized; otherwise curvature is
-    applied through the oracle's Hessian-vector product. Either way the
-    oracle's center state is fetched here by ``value_gradient_state``,
-    together with the value and gradient, and reused by the dense Hessian or
-    by every product.
+    The oracle's center state is fetched here by ``value_gradient_state``,
+    together with the value and gradient, and every Hessian-vector product
+    reuses it. When ``want_hessian`` is set (exact subsolver, or an exact
+    stopping rule), the build also fetches the Hessian whitened by the norm's
+    factor, ``oracle.whitened_hessian``, from the same state, rejects a
+    non-finite one with ``LinAlgError`` and reduces it once to tridiagonal form:
+    ``reduction`` holds (d, e, V, tau) of ``linalg.tridiagonal_form``, the T
+    every exact step on this model, or on a ``with_weight`` copy, solves on.
+    The model keeps no dense Hessian; its curvature action is always the
+    oracle's Hessian-vector product.
     """
 
     def __init__(self, oracle, composite, center, H: float, p: int = 2,
@@ -42,19 +48,14 @@ class TensorModel:
         self.composite = composite
         self.norm = oracle.norm
         self.f0, self.g0, self._hess_state = oracle.value_gradient_state(self.center, p == 2)
-        self.hess = (oracle.hessian(self.center, self._hess_state)
-                     if (p == 2 and want_hessian) else None)
+        self.reduction = (tridiagonal_form(oracle.whitened_hessian(self.center, self._hess_state))
+                          if (p == 2 and want_hessian) else None)
         self._reg_scale = self.H / math.factorial(self.p + 1)
 
     def hess_action(self, d) -> np.ndarray:
         """Curvature action of the frozen smooth part on a direction."""
         if self.p == 1:
             return np.zeros_like(self.center)
-        if self.hess is not None:
-            note = getattr(self.oracle, "note_hvp", None)
-            if note is not None:
-                note()
-            return self.hess @ np.asarray(d, dtype=float)
         return self.oracle.hessian_vec(self.center, d, self._hess_state)
 
     def _at(self, y, hd):
@@ -101,7 +102,8 @@ class TensorModel:
         return self._value(d, hd, r) + psi, self._gradient(hd, bd, r) + dpsi
 
     def with_weight(self, H: float) -> "TensorModel":
-        """The same frozen model under another regularization weight (no oracle call)."""
+        """The same frozen model under another regularization weight (no oracle call),
+        sharing this model's reduction."""
         if H <= 0:
             raise ValueError("regularization weight H must be positive")
         other = copy.copy(self)

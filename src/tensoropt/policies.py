@@ -113,9 +113,9 @@ class AccuracyPolicy:
         notes = []
         if self.kind == "adaptive" and self.alpha == 1.0:
             limit = adaptive_c_limit(p)
-            if self.c >= limit:
+            if self.c > limit:
                 notes.append(
-                    f"adaptive constant c={self.c:g} is at or above the guaranteed-rate "
+                    f"adaptive constant c={self.c:g} is above the guaranteed-rate "
                     f"limit {limit:.6g} for order p={p}"
                 )
         return notes

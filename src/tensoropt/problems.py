@@ -1,13 +1,17 @@
 """Problem oracles: smooth objectives, simple composite terms, data handling.
 
 Each smooth oracle exposes value / gradient / hessian_vec / hessian together
-with the norm operator its Lipschitz constants refer to.
-``value_gradient_state(x)`` returns value, gradient and the center state:
-what every Hessian-vector product at x, and the dense Hessian there,
-recomputes (curvature weights, softmax weights, the chain's second
-derivatives), all from one evaluation of what they share. A caller that
-applies the Hessian at one fixed point fetches the state once and passes it
-to ``hessian_vec`` or ``hessian``. The logistic oracle keeps its own copy of
+with the norm operator its Lipschitz constants refer to, and
+``whitened_hessian``, the Hessian in coordinates where that norm is the
+identity, which exact steps reduce. ``value_gradient_state(x)`` returns value,
+gradient and the center state: what every Hessian-vector product at x, and the
+dense or whitened Hessian there, recomputes (curvature weights, softmax
+weights, the chain's second derivatives), all from one evaluation of what they
+share. A caller that applies the Hessian at one fixed point fetches the state
+once and passes it to ``hessian_vec``, ``hessian`` or ``whitened_hessian``. By
+default the whitened Hessian is the dense one whitened by the norm's factor;
+the smoothed max forms it from its rows whitened once, with no dense Hessian
+and no congruence. The logistic oracle keeps its own copy of
 the features in the more compact of two forms: a dense X, whose products are
 BLAS matvecs and whose Hessian is one ``syrk``, or CSR copies of X and Xᵀ built
 once. Either way a gradient or a Hessian-vector product is two matvecs and
@@ -24,8 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.linalg.blas import dsyr, dsyrk
 
-from .linalg import FactorizationError, NormOperator
+from .linalg import BLOCK_ENTRIES, FactorizationError, NormOperator
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +101,15 @@ class SmoothOracle:
     def hessian(self, x, state=None) -> np.ndarray:
         """Dense Hessian at x; ``state``, if given, is ``value_gradient_state(x)[2]``."""
         raise NotImplementedError("dense Hessian not available for this oracle")
+
+    def whitened_hessian(self, x, state=None) -> np.ndarray:
+        """L⁻¹ ∇²f(x) L⁻ᵀ for the factor L of ``norm`` (B = L Lᵀ): a Fortran-ordered
+        matrix the caller owns, of which only the lower triangle is meaningful,
+        the one ``linalg.tridiagonal_form`` reduces. ``state`` as in ``hessian``.
+        This default whitens a Fortran-ordered copy of ``hessian`` by
+        ``norm.whiten``, which rejects a non-finite Hessian."""
+        hess = self.hessian(x) if state is None else self.hessian(x, state)
+        return self.norm.whiten(np.asfortranarray(hess))
 
 
 class QuadraticOracle(SmoothOracle):
@@ -235,7 +249,9 @@ class LogSumExpOracle(SmoothOracle):
 
     Evaluation subtracts the running max before exponentiating, so it cannot
     overflow. When the norm is the Gram operator of the rows, the Lipschitz
-    constants are 1/mu, 2/mu^2, 4/mu^3 for orders 1..3.
+    constants are 1/mu, 2/mu^2, 4/mu^3 for orders 1..3. A is not copied, and the
+    first whitened Hessian caches the whitened rows A L⁻ᵀ, so A must not change
+    after construction.
     """
 
     def __init__(self, A, b=None, mu: float = 1.0, norm=None):
@@ -254,6 +270,7 @@ class LogSumExpOracle(SmoothOracle):
         else:
             self.norm = norm
             self.lipschitz = {}
+        self._rows = None  # W = A L⁻ᵀ, built by the first whitened Hessian
 
     def _weights(self, x):
         z = (self.A @ np.asarray(x, dtype=float) - self.b) / self.mu
@@ -291,6 +308,27 @@ class LogSumExpOracle(SmoothOracle):
         hess -= np.outer(g, g)
         hess /= self.mu
         return hess
+
+    def whitened_hessian(self, x, state=None):
+        """Wᵀ(diag pi − pi piᵀ)W / mu for the whitened rows W = A L⁻ᵀ: a ``dsyrk`` of
+        S = sqrt(pi)·W and one ``dsyr`` of Wᵀpi, into the lower triangle, with no
+        dense Hessian and no congruence. S is formed and added a block of rows at
+        a time, so no m×n array is allocated per call. W comes from
+        ``norm.whiten_rows`` on the first call and is cached; every other
+        evaluation reads A, so no value, gradient or product depends on whether
+        W was built."""
+        pi = self._weights(x)[0] if state is None else state
+        if self._rows is None:
+            self._rows = self.norm.whiten_rows(self.A)
+        W = self._rows
+        root = np.sqrt(pi)
+        rows = max(1, BLOCK_ENTRIES // self.dim)
+        hess = np.zeros((self.dim, self.dim), order="F")  # BLAS leaves the upper triangle
+        for i in range(0, self.m, rows):
+            S = W[i:i + rows] * root[i:i + rows, None]
+            # Sᵀ is the Fortran-ordered view of the C-ordered S, which BLAS reads in place
+            hess = dsyrk(1.0 / self.mu, S.T, beta=1.0, c=hess, lower=1, overwrite_c=1)
+        return dsyr(-1.0 / self.mu, W.T @ pi, lower=1, a=hess, overwrite_a=1)
 
 
 class PoweredChainOracle(SmoothOracle):
@@ -514,9 +552,9 @@ def generate_shifted_logsumexp(n: int, m: int, mu: float, seed: int) -> ProblemI
         A_raw = rng.uniform(-1.0, 1.0, size=(m, n))
         b = rng.uniform(-1.0, 1.0, size=m)
         pre = LogSumExpOracle(A_raw, b=b, mu=mu, norm=NormOperator.identity(n))
-        A = A_raw - pre.gradient(np.zeros(n))[None, :]
+        A_raw -= pre.gradient(np.zeros(n))[None, :]  # in place: one m×n array at a time
         try:
-            oracle = LogSumExpOracle(A, b=b, mu=mu)  # Gram norm of the shifted rows
+            oracle = LogSumExpOracle(A_raw, b=b, mu=mu)  # Gram norm of the shifted rows
         except FactorizationError:
             continue
         x_star = np.zeros(n)

@@ -2,10 +2,10 @@
 
 Three ways to produce a step:
 
-* ``exact_cubic_step``  -- global minimizer of the order-2 model through one
-  reduction of the Hessian, whitened by the norm's Cholesky factor, to
-  tridiagonal form and a scalar secular equation whose evaluations are O(n)
-  tridiagonal solves (zero residual).
+* ``exact_cubic_step``  -- global minimizer of the order-2 model: the solve on
+  the tridiagonal form T of the whitened Hessian that the model reduced once
+  when it was built, through a scalar secular equation whose evaluations are
+  O(n) tridiagonal solves (zero residual).
 * ``gradient_step``     -- closed-form order-1 step, optionally with a
   quadratic composite folded in (zero residual).
 * ``fgm_step``          -- accelerated gradient loop with backtracking step
@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dormqr, dptsv, dpttrs, dsytrd, dsytrd_lwork
+from scipy.linalg.lapack import dptsv, dpttrs
 
+from .linalg import apply_q
 from .model import TensorModel
 
 SECULAR_REL_TOL = 1e-12
@@ -120,26 +121,6 @@ def gradient_step(model: TensorModel) -> StepResult:
 # exact order-2 step: tridiagonal reduction + secular equation
 # ---------------------------------------------------------------------------
 
-def _tridiagonal_form(M: np.ndarray):
-    """(d, e, V, tau) of M = Q T Qᵀ, from LAPACK ``dsytrd`` on the lower triangle
-    of the Fortran-ordered M, which it overwrites. T has diagonal d and
-    off-diagonal e; Q = diag(1, Q'), Q' the QR factor of the reflectors (V, tau)
-    below M's subdiagonal."""
-    lwork = int(dsytrd_lwork(M.shape[0], lower=1)[0])
-    C, d, e, tau, info = dsytrd(M, lower=1, lwork=lwork, overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"illegal value in argument {-info} of dsytrd")
-    return d, e, np.asfortranarray(C[1:, :-1]), tau
-
-
-def _apply_q(V: np.ndarray, tau: np.ndarray, x: np.ndarray, trans: bool) -> np.ndarray:
-    """Q x, or Qᵀ x when ``trans``, for the reduction of ``_tridiagonal_form``."""
-    y = x.copy()
-    if tau.size:  # a 1×1 matrix has Q = I and no reflectors
-        y[1:] = dormqr("L", "T" if trans else "N", V, tau, x[1:, None], 1)[0][:, 0]
-    return y
-
-
 def _shifted_solve(d, e, shift, b):
     """(x, factor): (T + shift·I) x = b by LAPACK ``dptsv``, whose LDLᵀ factor
     ``dpttrs(*factor, y)[0]`` reuses. Raises ``LinAlgError`` when rounding
@@ -206,31 +187,32 @@ def exact_cubic_step(model: TensorModel) -> StepResult:
 
     Works in coordinates where the norm operator is the identity: with the
     norm's factor B = L Lᵀ, the step d = L⁻ᵀ v turns ||d||_B into ||v|| and the
-    Hessian A into M = L⁻¹ A L⁻ᵀ. One Householder reduction M = Q T Qᵀ to a
-    symmetric tridiagonal T (no eigendecomposition of M) turns the model into
-    a secular equation in the step length, each of whose evaluations is an
-    O(n) tridiagonal solve; a quadratic composite shifts T's diagonal by its
-    weight. The bottom eigenpair (lam_min, z) of T, from bisection and inverse
-    iteration on T alone, settles the hard case (gradient orthogonal to z, no
-    interior root), whose boundary solution is the shifted solve with z
-    projected out plus a multiple of z. Every step with negative curvature
-    whose coordinate along z is better fixed by ||u|| = r than by a division
-    by lam_min + H r / 2 takes that form too, among them the near-hard cases
-    whose root lies next to the boundary. Every step reports its model
-    gradient's dual norm.
+    Hessian A into M = L⁻¹ A L⁻ᵀ. The model's reduction M = Q T Qᵀ to a
+    symmetric tridiagonal T (no eigendecomposition of M), computed once when
+    the model was built, turns the model into a secular equation in the step
+    length, each of whose evaluations is an O(n) tridiagonal solve; a quadratic
+    composite shifts T's diagonal by its weight. The reduction is only read,
+    so reweighted copies of the model share it. The bottom eigenpair
+    (lam_min, z) of T, from bisection and inverse iteration on T alone,
+    settles the hard case (gradient orthogonal to z, no interior root), whose
+    boundary solution is the shifted solve with z projected out plus a
+    multiple of z. Every step with negative curvature whose coordinate along z
+    is better fixed by ||u|| = r than by a division by lam_min + H r / 2 takes
+    that form too, among them the near-hard cases whose root lies next to the
+    boundary. Every step reports its model value and its model gradient's dual
+    norm, evaluated at the step from one Hessian-vector product.
     """
     if model.p != 2:
         raise ValueError("exact cubic step requires an order-2 model")
-    if model.hess is None:
-        raise ValueError("exact step needs the dense Hessian on the model")
+    if model.reduction is None:
+        raise ValueError("exact step needs the model's reduced Hessian (want_hessian)")
     g, mu = _fold_quadratic(model)
     H = model.H
     norm = model.norm
 
-    c = norm.factor_solve(g)
-    d, e, V, tau = _tridiagonal_form(norm.whiten(np.array(model.hess, order="F")))
-    d += mu
-    c = _apply_q(V, tau, c, trans=True)
+    d, e, V, tau = model.reduction
+    d = d + mu
+    c = apply_q(V, tau, norm.factor_solve(g), trans=True)
     lam, z = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
     lam_min, z = float(lam[0]), z[:, 0]
     r_edge = max(0.0, -2.0 * lam_min / H)
@@ -267,7 +249,7 @@ def exact_cubic_step(model: TensorModel) -> StepResult:
         else:
             u = -_shifted_solve(d, e, 0.5 * H * r, c)[0]
 
-    T = model.center + norm.factor_solve(_apply_q(V, tau, u, trans=False), trans=True)
+    T = model.center + norm.factor_solve(apply_q(V, tau, u, trans=False), trans=True)
     f_T, g_T = model.value_and_gradient(T)
     return StepResult(
         point=T,

@@ -64,6 +64,7 @@ def brute_force_model_min(model, rng, n_starts=8):
     scale = 1.0 + float(np.linalg.norm(model.norm.solve(model.g0)))
     starts = [np.zeros(n)] + [rng.normal(size=n) * scale for _ in range(n_starts)]
     B = norm_matrix(model.norm)
+    hess = model.oracle.hessian(model.center)
     for s0 in starts:
         res = scipy.optimize.minimize(
             lambda d: model.value(model.center + d), s0, method="L-BFGS-B",
@@ -76,9 +77,9 @@ def brute_force_model_min(model, rng, n_starts=8):
             nd = model.norm.primal(d)
             if nd > 0:
                 Bd = model.norm.apply(d)
-                J = model.hess + 0.5 * model.H * (nd * B + np.outer(Bd, Bd) / nd)
+                J = hess + 0.5 * model.H * (nd * B + np.outer(Bd, Bd) / nd)
             else:
-                J = model.hess.copy()
+                J = hess.copy()
             try:
                 step = np.linalg.solve(J + 1e-14 * np.eye(n), -g)
             except np.linalg.LinAlgError:

@@ -188,6 +188,24 @@ class TestRunArtifacts:
         assert (d1 / "trace.csv").read_bytes() == (d2 / "trace.csv").read_bytes()
         assert (d1 / "config.json").read_bytes() == (d2 / "config.json").read_bytes()
 
+    def test_exact_solves_with_cold_and_cached_whitened_rows_write_identical_traces(
+            self, tmp_path):
+        # as the benchmark does: every pass solves the one instance, and the first
+        # builds the smoothed-max oracle's whitened rows W that the later ones reuse
+        cfg = small_cfg(method="monotone2", H="linesearch:1", policy="power:1:3",
+                        subsolver="exact", max_iters=12, target_gap=1e-8)
+        method, scfg = harness.resolve(cfg)
+        problem = build_problem(cfg.problem, cfg.seed)
+        x0 = starting_point(cfg.x0, problem.dim, cfg.seed)
+        traces = []
+        for name in ("cold", "cached"):
+            assert (problem.smooth._rows is None) == (name == "cold")
+            path = tmp_path / f"{name}.csv"
+            harness.write_trace_csv(path, method(problem, x0, scfg).records)
+            traces.append(path.read_bytes())
+        assert problem.smooth._rows is not None
+        assert traces[0] == traces[1] and len(traces[0]) > 0
+
     def test_summary_reports_counts_and_fit(self, tmp_path):
         cfg = small_cfg(max_iters=20)
         _, summary = run_experiment(cfg, str(tmp_path))

@@ -24,6 +24,7 @@ from tensoropt.methods import (
 from tensoropt.model import TensorModel
 from tensoropt.policies import AccuracyPolicy, adaptive, constant, power, precision_floor
 from tensoropt.problems import (
+    LogSumExpOracle,
     ProblemInstance,
     QuadraticOracle,
     SmoothOracle,
@@ -314,6 +315,36 @@ class TestLineSearch:
         assert run.counts["gradient"] == centers
         assert run.counts["hessian"] == (centers if subsolver == "exact" else 0)
 
+    @pytest.mark.parametrize("subsolver, stop", [("exact", "bound"), ("fgm", "exact")])
+    def test_one_hessian_and_one_reduction_per_model_build(self, monkeypatch, subsolver, stop):
+        from tensoropt import model as model_module
+
+        reductions = []
+        reduce = model_module.tridiagonal_form
+        monkeypatch.setattr(model_module, "tridiagonal_form",
+                            lambda M: reductions.append(1) or reduce(M))
+        prob = powered_chain_oracle(8, 3.0, 1.0)
+        cfg = SolverConfig(p=2, h_mode="linesearch", h_value=1e-4, policy=constant(1e-3),
+                           subsolver=subsolver, stop=stop, max_iters=6)
+        run = monotone2(prob, np.ones(8), cfg)
+        centers = len(run.records) - 1
+        assert run.records[2].H_used > 1e3 * cfg.h_value   # the second search doubled
+        # every doubling, and every exact model minimum, reuses its center's reduction
+        assert run.counts["hessian"] == len(reductions) == centers
+
+    def test_exact_steps_on_the_smoothed_max_never_form_its_dense_hessian(self, monkeypatch):
+        def forbidden(self, x, state=None):
+            raise AssertionError("the dense Hessian was formed")
+
+        monkeypatch.setattr(LogSumExpOracle, "hessian", forbidden)
+        cfg = ExperimentConfig(
+            problem={"name": "logsumexp", "n": 20, "m": 120, "mu": 1.0}, method="monotone2",
+            p=2, H="linesearch:1", policy="power:1:3", x0="e1", subsolver="exact",
+            stop="bound", max_iters=50, target_gap=1e-8, seed=4)
+        run = execute(cfg)
+        assert run.status == "target_reached"
+        assert run.counts["hessian"] == len(run.records) - 1
+
     def test_divergence_error_on_inconsistent_objective(self):
         class LiarOracle(SmoothOracle):
             dim = 1
@@ -372,8 +403,8 @@ class TestAccounting:
                 self.hvp_calls += 1
                 return self.inner.hessian_vec(x, h)
 
-            def hessian(self, x):
-                return self.inner.hessian(x)
+            def whitened_hessian(self, x, state=None):
+                return self.inner.whitened_hessian(x, state)
 
         shim = Shim(prob.smooth)
         shim_prob = ProblemInstance(shim, prob.composite, "shimmed", prob.known_optimum)

@@ -1,4 +1,4 @@
-import warnings
+import math
 
 import pytest
 
@@ -65,6 +65,14 @@ class TestValidity:
     def test_adaptive_alpha_one_silent_below_limit(self, recwarn):
         adaptive(1.0 / 200.0, 1.0).warn_if_invalid(2)
         assert len(recwarn) == 0
+
+    def test_adaptive_alpha_one_silent_at_the_limit(self, recwarn):
+        adaptive(adaptive_c_limit(2), 1.0).warn_if_invalid(2)
+        assert len(recwarn) == 0
+
+    def test_adaptive_alpha_one_warns_just_above_the_limit(self):
+        with pytest.warns(RuntimeWarning, match="above the guaranteed-rate limit"):
+            adaptive(math.nextafter(adaptive_c_limit(2), 1.0), 1.0).warn_if_invalid(2)
 
     def test_other_kinds_silent(self, recwarn):
         power(1.0, 3.0).warn_if_invalid(2)
@@ -146,10 +154,7 @@ class TestPolicyStudyInsideTheGuarantee:
             method="monotone2", p=2, H="fixed:1", policy=policy, x0="e1",
             subsolver="fgm", stop="bound", max_iters=2000, target_gap=1e-8, seed=seed,
         )
-        with warnings.catch_warnings():
-            # at exactly the limit, check_validity still warns ("at or above")
-            warnings.simplefilter("ignore", RuntimeWarning)
-            run = execute(cfg)
+        run = execute(cfg)
         assert run.status == "target_reached"
         return run.records[-1].hvp_count
 

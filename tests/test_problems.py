@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 
@@ -8,7 +9,7 @@ import scipy.sparse
 from conftest import NORM_KINDS, forbid_oracle_calls, norm_of_kind
 
 from tensoropt.accel import ContractedOracle, ScaledComposite
-from tensoropt.linalg import NormOperator
+from tensoropt.linalg import NormOperator, tridiagonal_form
 from tensoropt.methods import CountingOracle
 from tensoropt.model import TensorModel
 from tensoropt.problems import (
@@ -317,6 +318,22 @@ class TestShiftedGenerator:
         prob = generate_shifted_logsumexp(100, 600, 0.05, seed=1)
         assert prob.smooth.A.shape == (600, 100)
         assert prob.norm.dim == 100
+
+    @pytest.mark.parametrize("n, m, mu, seed", [(8, 48, 1.0, 0), (5, 30, 0.5, 3),
+                                                (50, 300, 1.0, 1)])
+    def test_in_place_shift_matches_an_out_of_place_construction(self, n, m, mu, seed):
+        prob = generate_shifted_logsumexp(n, m, mu, seed)
+        # the generator's first draw, shifted into a new array
+        rng = np.random.default_rng(seed)
+        A_raw = rng.uniform(-1.0, 1.0, size=(m, n))
+        b = rng.uniform(-1.0, 1.0, size=m)
+        pre = LogSumExpOracle(A_raw, b=b, mu=mu, norm=NormOperator.identity(n))
+        A = A_raw - pre.gradient(np.zeros(n))[None, :]
+        assert np.array_equal(prob.smooth.A, A)
+        assert np.array_equal(prob.smooth.b, b)
+        x_star, f_star = prob.known_optimum
+        assert np.array_equal(x_star, np.zeros(n))
+        assert f_star == LogSumExpOracle(A, b=b, mu=mu).value(np.zeros(n))
 
     def test_requires_m_at_least_n(self):
         # m == n too: the shift leaves rank(A) <= m - 1, so the Gram norm is singular
@@ -681,12 +698,12 @@ class TestHessianState:
         rng = np.random.default_rng(39)
         oracle = _oracle_family(kind, rng)
         center = rng.normal(size=6)
-        fresh = oracle.hessian(center)
+        fresh = tridiagonal_form(oracle.whitened_hessian(center))
         calls = self._spied(monkeypatch, oracle)
         model = TensorModel(CountingOracle(oracle), ZeroComposite(6), center, H=2.0, p=2,
                             want_hessian=True)
         assert len(calls) == 1
-        assert np.array_equal(model.hess, fresh)
+        assert all(np.array_equal(a, b) for a, b in zip(model.reduction, fresh))
         assert model.oracle.counts() == {"value": 1, "gradient": 1, "hessian_vec": 0,
                                          "hessian": 1}
 
@@ -716,3 +733,77 @@ class TestHessianState:
         heavier = model.with_weight(8.0)
         monkeypatch.undo()
         assert np.array_equal(heavier.hess_action(d), hd)
+
+
+def _whitened_family(kind, rng):
+    """Oracles under every kind of norm whose whitened Hessian has its own path."""
+    if kind.startswith("logsumexp-"):
+        norm_kind = kind.split("-", 1)[1]
+        if norm_kind == "gram":
+            return generate_shifted_logsumexp(6, 36, 0.5, seed=5).smooth
+        A = rng.uniform(-1.0, 1.0, size=(30, 6))
+        return LogSumExpOracle(A, b=rng.uniform(-1.0, 1.0, size=30), mu=0.5,
+                               norm=norm_of_kind(norm_kind, rng, 6))
+    if kind == "quadratic-dense":
+        M = rng.normal(size=(6, 6))
+        return QuadraticOracle(M @ M.T, norm=norm_of_kind("dense", rng, 6))
+    return _oracle_family(kind, rng)
+
+
+class TestWhitenedHessian:
+    """``whitened_hessian`` against the congruence of the dense Hessian by the
+    norm's factor, ``norm.whiten``."""
+
+    @pytest.mark.parametrize("kind", ["logsumexp-gram", "logsumexp-dense", "logsumexp-identity",
+                                      "logistic", "logistic-sparse", "chain-q3",
+                                      "quadratic-dense", "contracted-logsumexp"])
+    def test_matches_the_whitened_dense_hessian(self, kind):
+        rng = np.random.default_rng(50)
+        oracle = _whitened_family(kind, rng)
+        for _ in range(5):
+            x = 0.5 * rng.normal(size=6)
+            ref = np.tril(oracle.norm.whiten(np.asfortranarray(oracle.hessian(x))))
+            got = oracle.whitened_hessian(x)
+            assert got.shape == (6, 6) and got.flags.f_contiguous
+            assert np.abs(np.tril(got) - ref).max() <= 1e-13 * np.abs(ref).max()
+            # the state gives the same matrix, and the caller owns what it gets
+            state = oracle.value_gradient_state(x)[2]
+            got[:] = np.nan
+            assert np.array_equal(np.tril(oracle.whitened_hessian(x, state)),
+                                  np.tril(oracle.whitened_hessian(x)))
+
+    @pytest.mark.parametrize("norm_kind", ["gram", "dense", "identity"])
+    def test_blocks_of_rows_add_up_to_one_pass(self, monkeypatch, norm_kind):
+        # 36 rows in blocks of 7 (the last one short): the triangular solves that
+        # build W and the syrk updates both run block by block
+        from tensoropt import linalg, problems
+
+        rng = np.random.default_rng(52)
+        oracle = _whitened_family(f"logsumexp-{norm_kind}", rng)
+        x = 0.5 * rng.normal(size=6)
+        whole = oracle.whitened_hessian(x)
+        rows = oracle._rows
+        blocked = copy.copy(oracle)
+        blocked._rows = None
+        for module in (linalg, problems):
+            monkeypatch.setattr(module, "BLOCK_ENTRIES", 7 * 6)
+        got = blocked.whitened_hessian(x)
+        np.testing.assert_allclose(blocked._rows, rows, rtol=0, atol=1e-14 * np.abs(rows).max())
+        assert np.abs(np.tril(got) - np.tril(whole)).max() <= 1e-14 * np.abs(whole).max()
+
+    def test_smoothed_max_builds_the_whitened_rows_once_and_never_uses_them_elsewhere(self):
+        rng = np.random.default_rng(51)
+        oracle = generate_shifted_logsumexp(6, 36, 0.5, seed=5).smooth
+        x, h = rng.normal(size=6), rng.normal(size=6)
+        before = (oracle.value(x), oracle.gradient(x), oracle.hessian_vec(x, h))
+        assert oracle._rows is None
+        cold = oracle.whitened_hessian(x)
+        rows = oracle._rows
+        assert rows is not None
+        # W = A L⁻ᵀ: the whitened Gram matrix of the rows is the identity
+        np.testing.assert_allclose(rows.T @ rows, np.eye(6), atol=1e-13)
+        assert np.array_equal(oracle.whitened_hessian(x), cold)
+        assert oracle._rows is rows
+        after = (oracle.value(x), oracle.gradient(x), oracle.hessian_vec(x, h))
+        assert before[0] == after[0]
+        assert all(np.array_equal(u, v) for u, v in zip(before[1:], after[1:]))

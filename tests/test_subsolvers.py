@@ -168,7 +168,7 @@ def _reference_step(model):
     part along the bottom eigenvector, whose sign is arbitrary.
     """
     norm, H = model.norm, model.H
-    g, A = model.g0, model.hess
+    g, A = model.g0, model.oracle.hessian(model.center)
     quad = model.composite.quadratic_coeff
     if quad is not None:
         mu, c0 = quad
@@ -194,7 +194,7 @@ def _reference_step(model):
 def _assert_matches_reference(model, res):
     lam_ref, d_rest, d_bottom = _reference_step(model)
     mu = model.composite.quadratic_coeff[0] if model.composite.quadratic_coeff else 0.0
-    lam = np.linalg.eigvalsh(model.norm.whiten(model.hess.copy()), UPLO="L") + mu
+    lam = np.linalg.eigvalsh(model.norm.whiten(model.oracle.hessian(model.center)), UPLO="L") + mu
     np.testing.assert_allclose(lam, lam_ref, rtol=0, atol=1e-12 * np.abs(lam_ref).max())
     # both steps come from a secular root bracketed to SECULAR_REL_TOL (1e-12)
     # relative, so they agree within a few of that; most agree to 1e-15
@@ -354,16 +354,80 @@ class TestExactStepInFactorCoordinates:
 
     @pytest.mark.parametrize("kind", NORM_KINDS)
     @pytest.mark.parametrize("where", ["hessian", "gradient"])
-    def test_non_finite_input_raises(self, kind, where):
+    def test_non_finite_input_raises(self, monkeypatch, kind, where):
         rng = np.random.default_rng(45)
         model = _whitened_model(kind, rng, np.array([-1.0, 0.5, 2.0]), np.ones(3))
         if where == "hessian":
-            model.hess[1, 2] = np.nan
+            # the model build fetches and reduces the Hessian, so it meets the NaN
+            hess = model.oracle.hessian(model.center)
+            hess[1, 2] = np.nan
+            monkeypatch.setattr(model.oracle, "hessian", lambda x, state=None: hess.copy())
+            with pytest.raises(np.linalg.LinAlgError):
+                TensorModel(model.oracle, model.composite, model.center, model.H, p=2,
+                            want_hessian=True)
         else:
             model.g0 = model.g0.copy()
             model.g0[1] = np.nan
-        with pytest.raises(np.linalg.LinAlgError):
-            exact_cubic_step(model)
+            with pytest.raises(np.linalg.LinAlgError):
+                exact_cubic_step(model)
+
+
+class TestExactStepOnTheModelsReduction:
+    """The exact step solves on the tridiagonal form its model reduced once."""
+
+    @staticmethod
+    def _gate4_models(count=20):
+        """Gate 4's random models, convex and indefinite, and each again with a
+        quadratic composite."""
+        rng = np.random.default_rng(8)
+        for i in range(count):
+            model = random_cubic_model(rng, convex=i % 2 == 0)
+            yield model
+            n = model.center.size
+            comp = PowerComposite(rng.uniform(0.1, 2.0), 2.0, rng.normal(size=n), model.norm)
+            yield TensorModel(model.oracle, comp, model.center, model.H, p=2,
+                              want_hessian=True)
+
+    def test_value_and_gradient_norm_come_from_one_oracle_product(self, monkeypatch):
+        for model in self._gate4_models():
+            products = []
+            hvp = type(model.oracle).hessian_vec.__get__(model.oracle)
+
+            def spy(x, h, state=None):
+                products.append(1)
+                return hvp(x, h, state)
+
+            monkeypatch.setattr(model.oracle, "hessian_vec", spy)
+            res = exact_cubic_step(model)
+            assert len(products) == 1
+            f, g = model.value_and_gradient(res.point)
+            assert res.model_value == f
+            assert res.grad_dual_norm == model.norm.dual(g)
+
+    def test_reweighted_copies_share_the_reduction_and_never_write_it(self):
+        for model in self._gate4_models(count=6):
+            before = [a.copy() for a in model.reduction]
+            for H in (0.5 * model.H, model.H, 4.0 * model.H):
+                heavier = model.with_weight(H)
+                assert heavier.reduction is model.reduction
+                exact_cubic_step(heavier)
+            assert all(np.array_equal(a, b) for a, b in zip(model.reduction, before))
+
+    def test_the_model_reduces_once_and_keeps_no_dense_hessian(self, monkeypatch):
+        from tensoropt import model as model_module
+
+        reductions = []
+        reduce = model_module.tridiagonal_form
+        monkeypatch.setattr(model_module, "tridiagonal_form",
+                            lambda M: reductions.append(1) or reduce(M))
+        rng = np.random.default_rng(9)
+        model = random_cubic_model(rng, n=6)
+        assert len(reductions) == 1
+        assert not hasattr(model, "hess")
+        for H in (1.0, 2.0, 4.0):
+            solve_model(model.with_weight(H), 1e-6, kind="fgm", stop="exact")
+            exact_cubic_step(model.with_weight(H))
+        assert len(reductions) == 1
 
 
 class TestGradientStep:
