@@ -179,7 +179,7 @@ def accelerated(problem: ProblemInstance, x0, config: SolverConfig) -> SolverRun
             A_next = (k + 1.0) ** (p + 1) / L
             a = A_next - A
             zeta = zeta_policy.delta(k + 1)
-            sub = build_subproblem(problem, run.oracle, x, v, A, A_next, prox)
+            sub = build_subproblem(run.problem, run.oracle, x, v, A, A_next, prox)
             H_in = p * (a ** (p + 1) / A_next**p) * L
             w = v.copy()
             model = TensorModel(sub.smooth, sub.composite, w, H_in, p=p)

@@ -2,11 +2,13 @@
 
 The primal norm is ``<Bx, x>**0.5`` and the dual norm is ``<s, B^{-1} s>**0.5``.
 There are two kinds of operator. The identity bypasses factorization entirely;
-a dense operator caches a Cholesky factor B = L Lᵀ at construction. The exact
-cubic subsolver works in coordinates where B is the identity, through
-``whiten`` (the congruence L⁻¹ A L⁻ᵀ), ``whiten_rows`` (the rows of a data
-matrix A mapped to A L⁻ᵀ, so that Aᵀ D A whitens to a product of the new
-rows) and ``factor_solve`` (L⁻¹ x and L⁻ᵀ x); the identity uses the factor I.
+a dense operator caches a Cholesky factor B = L Lᵀ at construction. Solver
+runs and the exact cubic subsolver work in coordinates where B is the
+identity, through ``whiten`` (the congruence L⁻¹ A L⁻ᵀ), ``whiten_rows`` (the
+rows of a data matrix A mapped to A L⁻ᵀ, so that Aᵀ D A whitens to a product
+of the new rows), ``factor_solve`` (L⁻¹ x and L⁻ᵀ x), ``factor_apply`` (the
+coordinates z = Lᵀ x) and ``unwhiten_rows`` (points z mapped back to L⁻ᵀ z);
+the identity uses the factor I.
 ``tridiagonal_form`` reduces a whitened Hessian once to T = Qᵀ M Q, and
 ``apply_q`` applies Q or Qᵀ to a vector. ``inv_sqrt_apply`` applies B^{-1/2}
 from an eigendecomposition computed on first use and cached.
@@ -18,6 +20,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dtrmv
 from scipy.linalg.lapack import dormqr, dpotrs, dsygst, dsytrd, dsytrd_lwork, dtrtrs
 
 SYM_TOL = 1e-10
@@ -158,6 +161,25 @@ class NormOperator:
             raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
         return y
 
+    def factor_apply(self, x) -> np.ndarray:
+        """Lᵀ x for the factor L of ``whiten``: the coordinates z = Lᵀ x in which
+        ``primal`` is the Euclidean norm, ``factor_solve(z, trans=True)`` their inverse."""
+        x = self._check_dim(x)
+        if self.kind == "identity":
+            return x.copy()
+        return dtrmv(self._chol, x, lower=1, trans=1)
+
+    def unwhiten_rows(self, Z) -> np.ndarray:
+        """The rows zᵢ of the k×n matrix Z mapped to L⁻ᵀ zᵢ, the inverse of
+        ``factor_apply`` on each, by one triangular solve with k right-hand sides."""
+        Z = np.asarray(Z, dtype=float)
+        if self.kind == "identity":
+            return Z.copy()
+        Y, info = dtrtrs(self._chol, Z.T, lower=1, trans=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
+        return Y.T
+
     def primal(self, x) -> float:
         x = self._check_dim(x)
         if self.kind == "identity":
@@ -173,7 +195,8 @@ class NormOperator:
 
     def _dense_eig(self):
         if self._eig is None:
-            w, Q = np.linalg.eigh(self._matrix)
+            # the divide-and-conquer driver: less workspace than np.linalg.eigh
+            w, Q = scipy.linalg.eigh(self._matrix, driver="evd")
             if w[0] <= 0:
                 raise FactorizationError("operator has nonpositive eigenvalues")
             self._eig = (w, Q)

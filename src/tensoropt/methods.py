@@ -17,6 +17,13 @@ the stall handling. The three non-accelerated drivers:
 The regularization weight H is fixed, derived from a known Lipschitz constant
 (H = p * L_p), or fitted by a doubling line search on the upper-bound property
 F(T) <= model(T), restarting each search from half the previous estimate.
+
+A run under a factored norm B = L Lᵀ solves ``problem.whitened(x0)``, the
+problem in the coordinates z = Lᵀ(x − x0), from z = 0: every driver and
+subsolver then works under the identity norm, with no Gram solve, and the
+trace's points and final point are mapped back to x at the end. The
+Lipschitz constants, the known optimum's value and every F in the trace are
+those of the original problem.
 """
 
 from __future__ import annotations
@@ -174,20 +181,28 @@ class SolverRun:
 
 
 class _Runner:
-    """Shared state for one solve: counters, timing, trace, H bookkeeping."""
+    """Shared state for one solve: counters, timing, trace, H bookkeeping.
+
+    The solve runs on ``problem.whitened(x0)``, from z = 0, so every driver and
+    subsolver works under the identity norm; ``finish`` maps the points back.
+    An identity-norm problem is its own whitened instance and runs as given.
+    """
 
     def __init__(self, problem, config: SolverConfig, x0, method: str):
         config.validate(method)
         config.policy.warn_if_invalid(config.p)
-        self.problem = problem
+        origin = np.asarray(x0, dtype=float).copy()
+        if origin.shape != (problem.dim,):
+            raise ValueError("starting point has the wrong dimension")
+        self.source = problem
+        self.origin = origin
+        self.problem = problem.whitened(origin)
         self.config = config
         self.method = method
-        self.oracle = CountingOracle(problem.smooth)
-        self.composite = problem.composite
-        self.x0 = np.asarray(x0, dtype=float).copy()
-        if self.x0.shape != (problem.dim,):
-            raise ValueError("starting point has the wrong dimension")
-        self.norm = problem.norm
+        self.oracle = CountingOracle(self.problem.smooth)
+        self.composite = self.problem.composite
+        self.x0 = origin if self.problem is problem else np.zeros(problem.dim)
+        self.norm = self.problem.norm
         self.want_hessian = config.subsolver == "exact" or config.stop == "exact"
         self.fstar = problem.known_optimum[1] if problem.known_optimum else None
         self.records: list[TraceRecord] = []
@@ -305,12 +320,18 @@ class _Runner:
         if ref is None:
             ref = self.points[int(np.argmin([r.F for r in self.records]))]
         radius = max(self.norm.primal(pt - ref) for pt in self.points)
+        points = self.points
+        if self.problem is not self.source:
+            # x = origin + L⁻ᵀz for every point, in one multi-right-hand-side solve
+            X = self.source.norm.unwhiten_rows(points)
+            X += self.origin
+            points, x = list(X), X[-1]
         return SolverRun(
             method=self.method,
             problem_name=self.problem.name,
             status=status,
             records=self.records,
-            points=self.points,
+            points=points,
             x_final=np.asarray(x, dtype=float).copy(),
             f_final=f_val,
             fstar=self.fstar,

@@ -18,6 +18,12 @@ once. Either way a gradient or a Hessian-vector product is two matvecs and
 constructs no matrix. Composite terms are differentiable
 and report their uniform-convexity parameters where known;
 ``PowerComposite`` also serves as the accelerated scheme's prox-function.
+
+``ProblemInstance.whitened(origin)`` is the instance in the coordinates
+z = Lᵀ(x − origin) of its norm's factor B = L Lᵀ, under the identity norm,
+where solver runs work: the smoothed max over its whitened rows, any other
+oracle behind a ``WhitenedOracle``, a ``PowerComposite`` on the same norm
+recentred, any other composite behind a ``WhitenedComposite``.
 """
 
 from __future__ import annotations
@@ -250,8 +256,8 @@ class LogSumExpOracle(SmoothOracle):
     Evaluation subtracts the running max before exponentiating, so it cannot
     overflow. When the norm is the Gram operator of the rows, the Lipschitz
     constants are 1/mu, 2/mu^2, 4/mu^3 for orders 1..3. A is not copied, and the
-    first whitened Hessian caches the whitened rows A L⁻ᵀ, so A must not change
-    after construction.
+    first whitened Hessian or ``whitened`` view caches the whitened rows A L⁻ᵀ,
+    so A must not change after construction.
     """
 
     def __init__(self, A, b=None, mu: float = 1.0, norm=None):
@@ -330,6 +336,19 @@ class LogSumExpOracle(SmoothOracle):
             hess = dsyrk(1.0 / self.mu, S.T, beta=1.0, c=hess, lower=1, overwrite_c=1)
         return dsyr(-1.0 / self.mu, W.T @ pi, lower=1, a=hess, overwrite_a=1)
 
+    def whitened(self, origin) -> "LogSumExpOracle":
+        """z ↦ f(origin + L⁻ᵀz) under the identity norm: the smoothed max over the
+        whitened rows W (cached as for ``whitened_hessian``) with offsets
+        b − A·origin, and this oracle's Lipschitz constants, which the change of
+        variables preserves. At z = 0 its arguments are those of f at origin,
+        rounded alike, so its value there is f(origin) bit for bit."""
+        if self._rows is None:
+            self._rows = self.norm.whiten_rows(self.A)
+        view = LogSumExpOracle(self._rows, self.b - self.A @ np.asarray(origin, dtype=float),
+                               self.mu, norm=NormOperator.identity(self.dim))
+        view.lipschitz = dict(self.lipschitz)
+        return view
+
 
 class PoweredChainOracle(SmoothOracle):
     """f(x) = |x_1|^q + sum_{i>=2} |x_i - c x_{i-1}|^q, global minimum at 0.
@@ -400,6 +419,48 @@ class PoweredChainOracle(SmoothOracle):
         return np.diag(phi2 + np.append(self.c**2 * phi2[1:], 0.0)) + off + off.T
 
 
+class WhitenedOracle(SmoothOracle):
+    """z ↦ f(origin + L⁻ᵀz) under the identity norm, for the factor L of the base
+    oracle's norm B = L Lᵀ. A call maps z to x by one triangular solve and the
+    gradient, or a product's direction and result, by one more each; the state
+    holds x next to the base's. The Lipschitz constants carry over, since
+    ‖L⁻ᵀh‖_B = ‖h‖. The base may be any object with the oracle's methods."""
+
+    def __init__(self, base, origin):
+        self.base = base
+        self.origin = np.asarray(origin, dtype=float).copy()
+        self.dim = base.dim
+        self.factor = base.norm
+        self.norm = NormOperator.identity(self.dim)
+        self.lipschitz = dict(base.lipschitz)
+
+    def _x(self, z):
+        return self.origin + self.factor.factor_solve(z, trans=True)
+
+    def value(self, z):
+        return self.base.value(self._x(z))
+
+    def gradient(self, z):
+        return self.factor.factor_solve(self.base.gradient(self._x(z)))
+
+    def value_gradient_state(self, z, state=True):
+        x = self._x(z)
+        joint = getattr(self.base, "value_gradient_state", None)
+        f, g, s = joint(x, state) if joint else (self.base.value(x), self.base.gradient(x), None)
+        return f, self.factor.factor_solve(g), (x, s) if state else None
+
+    def hessian_vec(self, z, h, state=None):
+        x, s = (self._x(z), None) if state is None else state
+        v = self.factor.factor_solve(h, trans=True)
+        hv = self.base.hessian_vec(x, v) if s is None else self.base.hessian_vec(x, v, s)
+        return self.factor.factor_solve(hv)
+
+    def whitened_hessian(self, z, state=None):
+        # the base's whitened Hessian is this oracle's Hessian
+        x, s = (self._x(z), None) if state is None else state
+        return self.base.whitened_hessian(x, s)
+
+
 # ---------------------------------------------------------------------------
 # composite terms
 # ---------------------------------------------------------------------------
@@ -430,10 +491,51 @@ class Composite:
         """(mu, center) when the term is mu/2 ||x - center||^2, else None."""
         return None
 
+    def whitened(self, norm: NormOperator, origin) -> "Composite":
+        """z ↦ psi(origin + L⁻ᵀz) for the factor L of the problem's ``norm``."""
+        return WhitenedComposite(self, norm, origin)
+
+
+class WhitenedComposite(Composite):
+    """A composite term in the coordinates of ``Composite.whitened``, by one
+    triangular solve per value and one more per gradient. Its uniform convexity
+    and a quadratic form carry over, since ‖L⁻ᵀh‖_B = ‖h‖."""
+
+    def __init__(self, base: Composite, norm: NormOperator, origin):
+        self.base = base
+        self.factor = norm
+        self.origin = np.asarray(origin, dtype=float).copy()
+
+    def _x(self, z):
+        return self.origin + self.factor.factor_solve(z, trans=True)
+
+    def value(self, z):
+        return self.base.value(self._x(z))
+
+    def gradient(self, z):
+        return self.value_and_gradient(z)[1]
+
+    def value_and_gradient(self, z):
+        psi, dpsi = self.base.value_and_gradient(self._x(z))
+        return psi, self.factor.factor_solve(dpsi)
+
+    def uniform_convexity(self, degree):
+        return self.base.uniform_convexity(degree)
+
+    @property
+    def quadratic_coeff(self):
+        quad = self.base.quadratic_coeff
+        if quad is None:
+            return None
+        return quad[0], self.factor.factor_apply(quad[1] - self.origin)
+
 
 class ZeroComposite(Composite):
     def __init__(self, dim: int):
         self.dim = dim
+
+    def whitened(self, norm, origin):
+        return self
 
     def value(self, x):
         return 0.0
@@ -482,6 +584,14 @@ class PowerComposite(Composite):
             return self.mu, self.center
         return None
 
+    def whitened(self, norm, origin):
+        """On its own norm, the same term under the identity norm, centred at
+        Lᵀ(center − origin): ‖x − center‖_B = ‖z − Lᵀ(center − origin)‖."""
+        if norm is not self.norm:
+            return super().whitened(norm, origin)
+        return PowerComposite(self.mu, self.q, norm.factor_apply(self.center - origin),
+                              NormOperator.identity(norm.dim))
+
 
 # ---------------------------------------------------------------------------
 # datasets and problem instances
@@ -524,6 +634,23 @@ class ProblemInstance:
 
     def gradient(self, x) -> np.ndarray:
         return self.smooth.gradient(x) + self.composite.gradient(x)
+
+    def whitened(self, origin) -> "ProblemInstance":
+        """z ↦ F(origin + L⁻ᵀz) under the identity norm, for the factor L of the
+        norm B = L Lᵀ, with the known optimum mapped to (Lᵀ(x* − origin), F*);
+        under the identity norm, this instance itself. An oracle with a
+        ``whitened(origin)`` view of its own supplies it; any other is wrapped
+        in a ``WhitenedOracle``."""
+        norm = self.norm
+        if norm.kind == "identity":
+            return self
+        origin = np.asarray(origin, dtype=float)
+        view = getattr(self.smooth, "whitened", None)
+        smooth = view(origin) if view is not None else WhitenedOracle(self.smooth, origin)
+        known = self.known_optimum
+        if known is not None:
+            known = (norm.factor_apply(known[0] - origin), known[1])
+        return ProblemInstance(smooth, self.composite.whitened(norm, origin), self.name, known)
 
 
 def logistic_oracle(data: Dataset, l2: float = 0.0) -> LogisticOracle:

@@ -13,7 +13,8 @@ Three ways to produce a step:
   certificate or by comparison against the exact model minimum. It carries
   the curvature products H·(x − center) next to its iterates, so an iteration
   costs one Hessian-vector product, one norm solve and, per probe, one B·d
-  shared by the model value and gradient; every certificate it
+  shared by the model value and gradient (both copies under the identity norm
+  a solver run works in); every certificate it
   returns is recomputed from a fresh product. When its best model value stops
   decreasing, the tolerance is below what double precision can certify, and
   it returns its best iterate flagged ``at_floor``.

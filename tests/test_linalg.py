@@ -180,6 +180,35 @@ class TestFactorCoordinates:
             with pytest.raises(np.linalg.LinAlgError):
                 B.factor_solve(np.array([1.0, bad, 0.0]), trans=trans)
 
+    @pytest.mark.parametrize("kind", NORM_KINDS + ("gram",))
+    def test_factor_apply_is_the_transposed_factor(self, kind):
+        rng = np.random.default_rng(10)
+        n = 7
+        B = norm_of_kind(kind, rng, n)
+        Lt = np.linalg.cholesky(norm_matrix(B)).T
+        for _ in range(5):
+            x = rng.normal(size=n)
+            z = B.factor_apply(x)
+            np.testing.assert_allclose(z, Lt @ x, rtol=1e-13, atol=1e-14 * np.abs(z).max())
+            np.testing.assert_allclose(B.factor_solve(z, trans=True), x, rtol=1e-13, atol=1e-15)
+            # ||Lᵀ x|| is the primal norm of x
+            assert np.linalg.norm(z) == pytest.approx(B.primal(x), rel=1e-12)
+        with pytest.raises(ValueError):
+            B.factor_apply(np.ones(n + 1))
+
+    @pytest.mark.parametrize("kind", NORM_KINDS)
+    def test_unwhiten_rows_solves_every_row_at_once(self, kind):
+        rng = np.random.default_rng(11)
+        B = norm_of_kind(kind, rng, 6)
+        Z = rng.normal(size=(9, 6))
+        Z_before = Z.copy()
+        X = B.unwhiten_rows(Z)
+        assert X.shape == Z.shape and np.array_equal(Z, Z_before)
+        for x, z in zip(X, Z):
+            np.testing.assert_allclose(x, B.factor_solve(z, trans=True), rtol=1e-13, atol=1e-15)
+        # the zero point maps to zero exactly
+        assert np.array_equal(B.unwhiten_rows(np.zeros((2, 6))), np.zeros((2, 6)))
+
     def test_factor_solve_rejects_a_wrong_shape(self):
         B = NormOperator.dense(np.array([[2.0, 0.5], [0.5, 1.0]]))
         for x in (np.ones(3), np.ones((2, 1))):

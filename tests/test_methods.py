@@ -1,6 +1,7 @@
 import itertools
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from tensoropt.model import TensorModel
 from tensoropt.policies import AccuracyPolicy, adaptive, constant, power, precision_floor
 from tensoropt.problems import (
     LogSumExpOracle,
+    PowerComposite,
     ProblemInstance,
     QuadraticOracle,
     SmoothOracle,
@@ -226,6 +228,50 @@ class TestSharedLoop:
         outer = cfg.zeta_policy if method == "accelerated" else cfg.policy
         assert run.status == "max_iters" and len(run.records) == 5
         assert [k for policy, k in calls if policy is outer] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("subsolver", ["fgm", "exact"])
+@pytest.mark.parametrize("method", sorted(DRIVERS))
+class TestFactorCoordinates:
+    """A Gram-norm problem is solved in the coordinates z = Lᵀ(x − x0) of the
+    norm's factor B = L Lᵀ, and its points are reported in x."""
+
+    def test_no_dense_norm_operation_runs(self, method, subsolver, monkeypatch):
+        prob = small_lse(3)
+        for attr in ("solve", "apply", "primal", "dual"):
+            def guarded(self, x, _raw=getattr(NormOperator, attr), _attr=attr):
+                if self.kind == "dense":
+                    raise AssertionError(f"dense NormOperator.{_attr} called")
+                return _raw(self, x)
+            monkeypatch.setattr(NormOperator, attr, guarded)
+        cfg = replace(driver_config(max_iters=6), subsolver=subsolver)
+        run = DRIVERS[method](prob, np.ones(8), cfg)
+        assert run.status == "max_iters" and run.records[-1].F < run.records[0].F
+
+    def test_points_are_reported_in_the_problem_coordinates(self, method, subsolver):
+        prob = small_lse(4)
+        x0 = np.linspace(-1.0, 1.0, 8)
+        run = DRIVERS[method](prob, x0, replace(driver_config(max_iters=6), subsolver=subsolver))
+        assert np.array_equal(run.points[0], x0)
+        assert np.array_equal(run.x_final, run.points[-1])
+        for rec, pt in zip(run.records, run.points):
+            assert prob.value(pt) == pytest.approx(rec.F, rel=1e-12)
+        x_star = prob.known_optimum[0]
+        radius = max(prob.norm.primal(pt - x_star) for pt in run.points)
+        assert run.radius_proxy == pytest.approx(radius, rel=1e-12)
+
+    def test_a_composite_on_its_own_copy_of_the_norm_runs_alike(self, method, subsolver):
+        # on the problem's norm a quadratic term is recentred; on an equal
+        # operator built apart it is wrapped, folded into exact steps all the same
+        prob = small_lse(5)
+        center = np.linspace(-0.5, 0.5, 8)
+        cfg = replace(driver_config(max_iters=6), subsolver=subsolver)
+        runs = [DRIVERS[method](ProblemInstance(prob.smooth, PowerComposite(0.5, 2.0, center, n)),
+                                np.ones(8), cfg)
+                for n in (prob.norm, NormOperator.gram(prob.smooth.A))]
+        assert runs[0].status == runs[1].status and len(runs[0].records) == len(runs[1].records)
+        for a, b in zip(runs[0].records, runs[1].records):
+            assert b.F == pytest.approx(a.F, rel=1e-10)
 
 
 class TestOrderOne:

@@ -4,9 +4,10 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
-from conftest import NORM_KINDS, forbid_oracle_calls, norm_of_kind
+from conftest import NORM_KINDS, forbid_oracle_calls, norm_matrix, norm_of_kind
 
 from tensoropt.accel import ContractedOracle, ScaledComposite
 from tensoropt.linalg import NormOperator, tridiagonal_form
@@ -18,7 +19,10 @@ from tensoropt.problems import (
     LogSumExpOracle,
     PowerComposite,
     PoweredChainOracle,
+    ProblemInstance,
     QuadraticOracle,
+    WhitenedComposite,
+    WhitenedOracle,
     ZeroComposite,
     check_derivatives,
     fd_directional_hessian,
@@ -807,3 +811,110 @@ class TestWhitenedHessian:
         after = (oracle.value(x), oracle.gradient(x), oracle.hessian_vec(x, h))
         assert before[0] == after[0]
         assert all(np.array_equal(u, v) for u, v in zip(before[1:], after[1:]))
+
+
+def _factor(norm):
+    """The Cholesky factor L of the norm's matrix B = L Lᵀ, formed in the test."""
+    return np.linalg.cholesky(norm_matrix(norm))
+
+
+class TestWhitenedView:
+    """``ProblemInstance.whitened(origin)``: z ↦ F(origin + L⁻ᵀz) under the identity
+    norm, checked against L from ``np.linalg.cholesky`` of the norm's matrix."""
+
+    @pytest.mark.parametrize("kind", ["logsumexp-gram", "logsumexp-dense", "quadratic-dense"])
+    def test_matches_the_change_of_variables(self, kind):
+        rng = np.random.default_rng(60)
+        oracle = _whitened_family(kind, rng)
+        L = _factor(oracle.norm)
+        origin = 0.5 * rng.normal(size=6)
+        view = ProblemInstance(oracle, ZeroComposite(6)).whitened(origin).smooth
+        assert view.norm.kind == "identity" and view.lipschitz == oracle.lipschitz
+        assert isinstance(view, LogSumExpOracle if kind.startswith("logsumexp")
+                          else WhitenedOracle)
+
+        def rel(got, ref):
+            return np.abs(got - ref).max() / max(1.0, np.abs(ref).max())
+
+        for _ in range(5):
+            z, h = 0.5 * rng.normal(size=6), rng.normal(size=6)
+            x = origin + scipy.linalg.solve_triangular(L, z, lower=True, trans=1)
+            hess = oracle.hessian(x)
+            back = scipy.linalg.solve_triangular(L, h, lower=True, trans=1)
+            assert view.value(z) == pytest.approx(oracle.value(x), rel=1e-12)
+            assert rel(view.gradient(z),
+                       scipy.linalg.solve_triangular(L, oracle.gradient(x), lower=True)) <= 1e-12
+            ref_hv = scipy.linalg.solve_triangular(L, hess @ back, lower=True)
+            assert rel(view.hessian_vec(z, h), ref_hv) <= 1e-12
+            ref_wh = scipy.linalg.solve_triangular(
+                L, scipy.linalg.solve_triangular(L, hess, lower=True).T, lower=True)
+            assert rel(np.tril(view.whitened_hessian(z)), np.tril(ref_wh)) <= 1e-12
+            # the joint evaluation and its state give the same numbers
+            f, g, state = view.value_gradient_state(z)
+            assert f == view.value(z) and np.array_equal(g, view.gradient(z))
+            assert np.array_equal(view.hessian_vec(z, h, state), view.hessian_vec(z, h))
+            assert rel(np.tril(view.whitened_hessian(z, state)), np.tril(ref_wh)) <= 1e-12
+        assert check_derivatives(view, trials=10).passed
+
+    @pytest.mark.parametrize("make", [
+        lambda: powered_chain_oracle(5),
+        lambda: synthetic_logistic(5, 30, 0.1, seed=0),
+        lambda: ProblemInstance(LogSumExpOracle(np.eye(5), norm=NormOperator.identity(5)),
+                                ZeroComposite(5)),
+    ])
+    def test_an_identity_norm_instance_is_its_own_view(self, make):
+        prob = make()
+        assert prob.whitened(np.ones(5)) is prob
+
+    def test_smoothed_max_view_starts_at_the_value_of_the_origin_bit_for_bit(self):
+        rng = np.random.default_rng(61)
+        for seed in range(4):
+            prob = generate_shifted_logsumexp(8, 48, 0.5, seed=seed)
+            for origin in (np.ones(8), rng.normal(size=8), np.eye(8)[0]):
+                view = prob.whitened(origin)
+                assert view.value(np.zeros(8)) == prob.value(origin)
+
+    def test_known_optimum_maps_into_the_factor_coordinates(self):
+        prob = generate_shifted_logsumexp(6, 36, 0.5, seed=3)
+        origin = np.linspace(-1.0, 1.0, 6)
+        view = prob.whitened(origin)
+        z_star, f_star = view.known_optimum
+        L = _factor(prob.norm)
+        np.testing.assert_allclose(z_star, L.T @ (prob.known_optimum[0] - origin), rtol=1e-13)
+        assert f_star == prob.known_optimum[1]
+        assert view.value(z_star) == pytest.approx(f_star, rel=1e-14)
+        # the smoothed max reuses the rows its whitened Hessian caches
+        assert view.smooth.A is prob.smooth._rows
+
+    @pytest.mark.parametrize("q", [2.0, 3.0])
+    @pytest.mark.parametrize("own_norm", [True, False])
+    def test_power_composite_keeps_value_gradient_and_convexity(self, q, own_norm):
+        rng = np.random.default_rng(62)
+        norm = norm_of_kind("dense", rng, 5)
+        psi_norm = norm if own_norm else norm_of_kind("dense", rng, 5)
+        psi = PowerComposite(0.7, q, rng.normal(size=5), psi_norm)
+        origin = rng.normal(size=5)
+        view = psi.whitened(norm, origin)
+        assert isinstance(view, PowerComposite if own_norm else WhitenedComposite)
+        if own_norm:
+            assert view.norm.kind == "identity"
+        L = _factor(norm)
+        for _ in range(5):
+            z = rng.normal(size=5)
+            x = origin + scipy.linalg.solve_triangular(L, z, lower=True, trans=1)
+            assert view.value(z) == pytest.approx(psi.value(x), rel=1e-12)
+            np.testing.assert_allclose(
+                view.gradient(z), scipy.linalg.solve_triangular(L, psi.gradient(x), lower=True),
+                rtol=1e-11, atol=1e-13)
+            v, g = view.value_and_gradient(z)
+            assert v == view.value(z) and np.array_equal(g, view.gradient(z))
+        for degree in (2, 3, 4):
+            assert view.uniform_convexity(degree) == psi.uniform_convexity(degree)
+        if q == 2.0:
+            mu, center = view.quadratic_coeff
+            assert mu == psi.mu
+            if own_norm:
+                np.testing.assert_allclose(center, L.T @ (psi.center - origin), rtol=1e-13)
+        else:
+            assert view.quadratic_coeff is None
+        assert ZeroComposite(5).whitened(norm, origin).is_zero

@@ -1,0 +1,131 @@
+"""Committed count table for the benchmark's solver configs.
+
+The configs below restate the four workloads of ``benchmarks/workloads.py``
+(the instances ``--seed 0`` and ``--seed 1`` build) without importing from
+``benchmarks/``. Each one runs through ``harness.execute``, and its row must
+match ``TABLE``: status, trace rows, iterations to gap 1e-8 and the final
+oracle counts exactly, the final F within ``F_RTOL``. The gap is measured as
+the benchmark measures it, against the smallest of F* and every F the
+workload's configs reach on the instance.
+
+A change that moves a row regenerates the table with
+``PYTHONPATH=src python tests/test_workload_counts.py`` and says in
+``CHANGES.md`` which rows changed and why.
+"""
+
+import pprint
+
+import pytest
+
+from tensoropt import harness
+from tensoropt.harness import ExperimentConfig
+
+F_RTOL = 1e-12
+TARGET = 1e-8
+
+# name: (problem, shared fields, per-config overrides, instance seeds at --seed 0 and 1)
+WORKLOADS = {
+    "policy-study": (
+        {"name": "logsumexp", "n": 100, "m": 600, "mu": 1.0},
+        dict(method="monotone2", p=2, H="fixed:1", subsolver="fgm", stop="bound",
+             x0="e1", max_iters=2000, target_gap=1e-8),
+        [{"policy": p} for p in ("constant:1e-8", "power:1:2", "power:1:3", "adaptive:1:1")],
+        (1, 2),
+    ),
+    "exact-n500": (
+        {"name": "logsumexp", "n": 500, "m": 3000, "mu": 1.0},
+        dict(method="monotone2", p=2, H="linesearch:1", subsolver="exact", stop="bound",
+             x0="e1", max_iters=200, target_gap=1e-8),
+        [{"policy": "adaptive:1:1"}],
+        (1, 2),
+    ),
+    # the chain has no random input, and logistic-floor is pinned to one instance
+    "accel-chain": (
+        {"name": "chain", "n": 150, "q": 3, "c": 1},
+        dict(method="accelerated", p=2, H="fixed:1", subsolver="fgm", stop="bound",
+             x0="ones", max_iters=1000, target_gap=1e-8),
+        [{"zeta_policy": "power:1:1", "inner_policy": "power:1:1"}],
+        (0,),
+    ),
+    "logistic-floor": (
+        {"name": "logistic-synth", "n": 50, "m": 300, "l2": 1e-3},
+        dict(method="monotone2", p=2, H="linesearch:1", subsolver="fgm", stop="bound",
+             x0="zeros", max_iters=100),
+        [{"policy": p} for p in ("power:1:3", "constant:1e-6", "adaptive:0.005:1")],
+        (0,),
+    ),
+}
+
+CASES = [(name, seed) for name, spec in WORKLOADS.items() for seed in spec[3]]
+
+# one row per config; "value" .. "hessian" are the run's final oracle counts
+COLUMNS = ("status", "rows", "iters_to_1e-8", "value", "gradient", "hessian_vec", "hessian", "F")
+
+
+def configs(name, seed):
+    problem, base, variants, _ = WORKLOADS[name]
+    return [ExperimentConfig(problem=dict(problem), seed=seed, **{**base, **v})
+            for v in variants]
+
+
+def rows(name, seed):
+    """One row per config of the workload on the instance of ``seed``."""
+    cfgs = configs(name, seed)
+    runs = [harness.execute(cfg) for cfg in cfgs]
+    fstar = runs[0].fstar
+    if fstar is None:
+        fstar = harness.reference_fstar(cfgs[0])[0]
+    fs = min([fstar] + [r.F for run in runs for r in run.records])
+    out = []
+    for run in runs:
+        iters = next((r.k for r in run.records if r.F - fs <= TARGET), None)
+        counts = tuple(run.counts[k] for k in COLUMNS[3:-1])
+        out.append((run.status, len(run.records), iters, *counts, run.f_final))
+    return out
+
+
+# generated at the commit before the solver runner began to whiten dense norms
+TABLE = {
+    'policy-study@1': [
+        ('target_reached', 143, 142, 285, 142, 1365, 0, 6.550853486441984),
+        ('target_reached', 315, 314, 957, 314, 1453, 0, 6.550853482450769),
+        ('target_reached', 176, 175, 399, 175, 1056, 0, 6.550853484246222),
+        ('target_reached', 202, 201, 457, 201, 874, 0, 6.550853480438423),
+    ],
+    'policy-study@2': [
+        ('target_reached', 148, 147, 295, 147, 1418, 0, 6.586320392806583),
+        ('target_reached', 339, 338, 930, 338, 1442, 0, 6.586320392405039),
+        ('target_reached', 177, 176, 415, 176, 1091, 0, 6.586320393506146),
+        ('target_reached', 207, 206, 467, 206, 891, 0, 6.586320393941302),
+    ],
+    'exact-n500@1': [
+        ('target_reached', 18, 17, 35, 17, 17, 17, 8.168691008175085),
+    ],
+    'exact-n500@2': [
+        ('target_reached', 18, 17, 35, 17, 17, 17, 8.145581772716474),
+    ],
+    'accel-chain@0': [
+        ('target_reached', 399, 398, 5308, 1844, 7613, 0, 9.89195737527866e-09),
+    ],
+    'logistic-floor@0': [
+        ('monotone_floor', 31, 18, 97, 31, 223, 0, 0.13091086263554177),
+        ('monotone_floor', 25, 12, 64, 25, 249, 0, 0.13091086263554924),
+        ('monotone_floor', 13, 10, 29, 13, 135, 0, 0.13091086263553064),
+    ],
+}
+
+
+@pytest.mark.parametrize("name,seed", CASES)
+def test_counts_match_the_table(name, seed):
+    expected = TABLE[f"{name}@{seed}"]
+    got = rows(name, seed)
+    assert len(got) == len(expected)
+    for cfg, row, want in zip(configs(name, seed), got, expected):
+        label = cfg.policy if cfg.method != "accelerated" else cfg.zeta_policy
+        assert dict(zip(COLUMNS[:-1], row)) == dict(zip(COLUMNS[:-1], want)), label
+        assert row[-1] == pytest.approx(want[-1], rel=F_RTOL, abs=0.0), label
+
+
+if __name__ == "__main__":
+    pprint.pprint({f"{name}@{seed}": rows(name, seed) for name, seed in CASES},
+                  sort_dicts=False, width=99)
