@@ -193,7 +193,8 @@ def accelerated(problem: ProblemInstance, x0, config: SolverConfig) -> SolverRun
                     delta_in = inner_policy.delta(j, h_values)
                 else:
                     delta_in = inner_policy.delta(k + 1)
-                res = monotone_step(h_w, model_solver(model, sub.value, kind=inner_kind),
+                res = monotone_step(h_w, model_solver(model, sub.value, kind=inner_kind,
+                                                      f_center=h_w),
                                     delta_in, floor)
                 inner_total += res.inner_iterations
                 w = res.point

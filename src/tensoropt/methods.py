@@ -5,9 +5,10 @@ by one outer loop, ``_Runner.drive``, which owns the trace, the stop rules and
 the stall handling. The three non-accelerated drivers:
 
 * ``monotone1`` -- candidate steps are accepted only when they lower the
-  objective by more than the precision floor; rejected candidates are warm
-  starts, and the next tolerance is capped at half the rejected one. A
-  rejected step ends the run ``stationary`` under ``is_stationary``.
+  objective by more than the precision floor; a rejected candidate keeps the
+  center and its model, the next subsolve resumes it, and the next tolerance
+  is capped at half the rejected one. A rejected step ends the run
+  ``stationary`` under ``is_stationary``.
 * ``monotone2`` -- every iteration lowers the objective by more than the
   floor, refining the tolerance in place under every H mode, or ends the run
   ``monotone_floor`` (see ``subsolvers.monotone_step``).
@@ -37,7 +38,8 @@ import numpy as np
 from .model import TensorModel
 from .policies import AccuracyPolicy, power, precision_floor
 from .subsolvers import (
-    SubsolverStall, is_stationary, model_solver, monotone_step, solve_model,
+    SubsolverStall, is_stationary, model_solver, monotone_step, objective_at, resume,
+    solve_model,
 )
 
 TRACE_COLUMNS = (
@@ -220,10 +222,13 @@ class _Runner:
         return TensorModel(self.oracle, self.composite, center, H, p=self.config.p,
                            want_hessian=self.want_hessian)
 
-    def line_search(self, model, delta, warm=None):
+    def line_search(self, model, delta, warm=None, f_center=None):
         """Double H until F(T) <= model(T); the accepted weight lands in H_used.
 
-        Every trial weight reweights the one model frozen at the center.
+        Every trial weight reweights the one model frozen at the center, and
+        each trial after the first resumes the rejected one (its curvature
+        product holds under every weight). F at a trial's point comes from
+        ``objective_at``, with ``f_center`` F at the center when known.
         H_state holds the starting weight for the next search: the first
         search starts at the configured value, later ones at half the weight
         last accepted.
@@ -233,29 +238,37 @@ class _Runner:
         while True:
             res = solve_model(model.with_weight(H), delta, warm_start=warm,
                               kind=self.config.subsolver, stop=self.config.stop)
-            fT = self.F(res.point)
-            if fT <= res.model_value + 1e-12 * max(1.0, abs(res.model_value)):
+            res.objective_value = objective_at(res, warm, f_center, self.F)
+            if res.objective_value <= res.model_value + 1e-12 * max(1.0, abs(res.model_value)):
                 self.H_state = H / 2.0
                 self.H_used = H
-                res.objective_value = fT
                 return res
-            warm = res.point
+            warm = res
             H *= 2.0
             if H > 2.0**60 * H_start:
                 raise DivergenceError(
                     "line search exceeded 2^60 doublings; derivative order likely not Lipschitz"
                 )
 
-    def solver(self, center):
+    def solver(self, center, f_center=None):
         """``solve(delta, warm)`` at a center under the configured H mode.
 
         Each step comes back with ``objective_value`` set. The model is built
         once, here, for every call; a line search reweights it per trial.
+        ``f_center`` is F at the center, when the caller knows it. As in
+        ``model_solver``, a call whose ``warm`` is the last step's point
+        resumes that step.
         """
         cfg = self.config
         if cfg.h_mode == "linesearch":
             model = self.build_model(center, max(self.H_state, 1e-12))
-            return lambda delta, warm=None: self.line_search(model, delta, warm)
+            last = None
+
+            def solve(delta, warm=None):
+                nonlocal last
+                last = self.line_search(model, delta, resume(warm, last), f_center)
+                return last
+            return solve
         if cfg.h_mode == "fixed":
             self.H_used = float(cfg.h_value)
         else:
@@ -267,7 +280,7 @@ class _Runner:
                 )
             self.H_used = cfg.p * L
         return model_solver(self.build_model(center, self.H_used), self.F,
-                            kind=cfg.subsolver, stop=cfg.stop)
+                            kind=cfg.subsolver, stop=cfg.stop, f_center=f_center)
 
     # -- tracing ---------------------------------------------------------------
 
@@ -349,18 +362,23 @@ def monotone1(problem, x0, config: SolverConfig) -> SolverRun:
         floor = precision_floor(f_x)
         warm = None
         delta_cap = np.inf
+        solve = None
         for k in itertools.count(1):
             # the policy history is the trace's F column
             delta = min(config.policy.delta(k, [r.F for r in run.records[-2:]]), delta_cap)
             delta_eff = max(delta, floor)
-            res = run.solver(x)(delta_eff, warm)
+            if solve is None:
+                solve = run.solver(x, f_x)
+            res = solve(delta_eff, warm)
             stop = "stationary" if is_stationary(res, f_x, delta_eff, floor) else None
             if not stop and res.objective_value < f_x:
                 x, f_x = res.point, res.objective_value
                 warm = None
                 delta_cap = np.inf
+                solve = None
             else:
-                # rejected: warm-start the next subsolve, demand at least twice the accuracy
+                # rejected: the center and its model stay, the next subsolve
+                # resumes this one and demands at least twice the accuracy
                 warm = res.point
                 delta_cap = delta / 2.0
             yield (x, f_x, delta, res.certified_residual, run.H_used,
@@ -377,7 +395,7 @@ def monotone2(problem, x0, config: SolverConfig) -> SolverRun:
         floor = precision_floor(f_x)
         for k in itertools.count(1):
             delta_req = config.policy.delta(k, [r.F for r in run.records[-2:]])
-            res = monotone_step(f_x, run.solver(x), delta_req, floor)
+            res = monotone_step(f_x, run.solver(x, f_x), delta_req, floor)
             if res.stationary:
                 return "monotone_floor"
             x, f_x = res.point, res.objective_value

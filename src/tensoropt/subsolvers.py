@@ -17,7 +17,9 @@ Three ways to produce a step:
   a solver run works in); every certificate it
   returns is recomputed from a fresh product. When its best model value stops
   decreasing, the tolerance is below what double precision can certify, and
-  it returns its best iterate flagged ``at_floor``.
+  it returns its best iterate flagged ``at_floor``. A returned step carries
+  that fresh product and its probe, so a refinement retry warm-started from
+  the step resumes it instead of paying for them again.
 
 The certificate comes from uniform convexity of the model: a function that is
 uniformly convex of degree q with parameter sigma satisfies
@@ -60,6 +62,12 @@ class StepResult:
     objective_value: float | None = None  # F at point, when the caller measured it
     stationary: bool = False
     at_floor: bool = False        # FGM stopped making progress before certifying delta
+    # FGM steps only, so that a retry can resume from this one: the curvature
+    # product H·(point − center) from a fresh oracle product, and the probe's
+    # step direction at point with the model it was computed on and that
+    # model's exact minimum (None under stop="bound")
+    curvature: np.ndarray | None = None
+    probe: tuple | None = None    # (model, step direction, model_min)
 
 
 class SubsolverStall(RuntimeError):
@@ -267,6 +275,14 @@ def exact_cubic_step(model: TensorModel) -> StepResult:
 # accelerated first-order subsolver with restarts
 # ---------------------------------------------------------------------------
 
+def _probe_on(warm_start, model: TensorModel) -> tuple | None:
+    """The probe of a warm start that is an FGM step on ``model`` itself."""
+    if isinstance(warm_start, StepResult) and warm_start.probe is not None and (
+            warm_start.probe[0] is model):
+        return warm_start.probe
+    return None
+
+
 def _default_cap(delta: float) -> int:
     if delta >= 1.0:
         return 10_000
@@ -291,7 +307,12 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None, stop: str = "bou
     product is recomputed from a fresh one before it is returned, so rounding
     drift in the carried products can steer the path but never the reported
     certificate, model value or gradient norm; the stall path does the same.
-    A cold start uses the zero product at the center; a warm start costs one.
+    A cold start uses the zero product at the center, and an array warm start
+    costs one product. A ``StepResult`` warm start, an earlier FGM step on this
+    model or on a ``with_weight`` copy of it (the center is the same), resumes
+    that step: it reuses the step's fresh product, and on the same model
+    object also its probe, so a retry that stops at its start spends no
+    product and no model evaluation.
 
     After a restart the next probe starts at the best point, where
     backtracking guarantees a decrease of gn²/(2L) up to rounding. So when the
@@ -312,15 +333,18 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None, stop: str = "bou
     center = model.center
     sigma = model.uniform_convexity()
 
+    def certificate(f, gn):
+        return (f - model_min) if stop == "exact" else residual_bound(gn, sigma, model.p + 1)
+
     def probe(y, hy):
         """(step direction, dual gradient norm, model value, certificate) at y."""
         f, grad = model.value_and_gradient(y, hy)
         step_dir = norm.solve(grad)
         gn = math.sqrt(max(0.0, float(grad.dot(step_dir))))
-        cert = (f - model_min) if stop == "exact" else residual_bound(gn, sigma, model.p + 1)
-        return step_dir, gn, f, cert
+        return step_dir, gn, f, certificate(f, gn)
 
-    def finish(point, gn, f, cert, iters):
+    def finish(point, hp, step_dir, gn, f, cert, iters):
+        """The step at ``point``, whose product ``hp`` is fresh."""
         return StepResult(
             point=point.copy(),
             certified_residual=max(0.0, float(cert)),
@@ -329,24 +353,32 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None, stop: str = "bou
             model_value=f,
             grad_dual_norm=gn,
             delta_used=delta,
+            curvature=hp,
+            probe=(model, step_dir, model_min),
         )
 
     def finish_best(iters, at_floor):
         """The best iterate so far, certified on a fresh product."""
-        _, gn_b, f_b, cert_b = probe(best_x, model.hess_action(best_x - center))
-        res = finish(best_x, gn_b, f_b, cert_b, iters)
+        hb = model.hess_action(best_x - center)
+        res = finish(best_x, hb, *probe(best_x, hb), iters)
         res.at_floor = at_floor
         return res
 
     # arrays are never updated in place, so iterates and products may alias
     if warm_start is None:
         x, hx = center, np.zeros_like(center)
+    elif isinstance(warm_start, StepResult) and warm_start.curvature is not None:
+        x, hx = warm_start.point, warm_start.curvature
     else:
         x = np.asarray(warm_start, dtype=float)
         hx = model.hess_action(x - center)
-    step_dir, gn, f_y, cert = probe(x, hx)
+    if _probe_on(warm_start, model):
+        step_dir, gn, f_y = warm_start.probe[1], warm_start.grad_dual_norm, warm_start.model_value
+        cert = certificate(f_y, gn)
+    else:
+        step_dir, gn, f_y, cert = probe(x, hx)
     if cert <= delta:
-        return finish(x, gn, f_y, cert, 0)
+        return finish(x, hx, step_dir, gn, f_y, cert, 0)
 
     y, hy = x, hx
     best_x, best_hx, best_f = x, hx, f_y
@@ -386,7 +418,7 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None, stop: str = "bou
             hy = model.hess_action(y - center)
             step_dir, gn, f_y, cert = probe(y, hy)
             if cert <= delta:
-                return finish(y, gn, f_y, cert, it + 1)
+                return finish(y, hy, step_dir, gn, f_y, cert, it + 1)
 
     raise SubsolverStall(f"no certificate <= {delta:g} within {cap} iterations",
                          finish_best(cap, at_floor=False))
@@ -398,21 +430,58 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None, stop: str = "bou
 
 def solve_model(model: TensorModel, delta: float, warm_start=None,
                 kind: str = "fgm", stop: str = "bound") -> StepResult:
-    """Run the requested subsolver on a frozen model."""
+    """Run the requested subsolver on a frozen model.
+
+    Under stop = "exact", a warm start that resumes an FGM step on this model
+    object supplies the model's exact minimum; any other solve computes it.
+    """
     if kind not in ("exact", "fgm"):
         raise ValueError(f"unknown subsolver kind {kind!r}")
     closed_form = gradient_step if model.p == 1 else exact_cubic_step
     if kind == "exact":
         return closed_form(model)
-    model_min = closed_form(model).model_value if stop == "exact" else None
+    model_min = None
+    if stop == "exact":
+        probe = _probe_on(warm_start, model)
+        model_min = probe[2] if probe and probe[2] is not None else (
+            closed_form(model).model_value)
     return fgm_step(model, delta, warm_start=warm_start, stop=stop, model_min=model_min)
 
 
-def model_solver(model: TensorModel, objective, kind: str = "fgm", stop: str = "bound"):
-    """``monotone_step``'s ``solve`` callable for one frozen model and objective F."""
+def resume(warm, last: StepResult | None):
+    """The warm start a refinement retry passes on: the last step itself when
+    ``warm`` is its point, so the subsolve resumes it, else ``warm``."""
+    return last if last is not None and warm is last.point else warm
+
+
+def objective_at(res: StepResult, start, f_center, objective) -> float:
+    """F at a step's point. A step that stopped at its start (zero inner
+    iterations) takes the start's known F, a resumed step's or, at a cold
+    start, ``f_center`` (None: unknown), instead of calling ``objective``."""
+    if res.inner_iterations == 0:
+        known = f_center if start is None else getattr(start, "objective_value", None)
+        if known is not None:
+            return known
+    return objective(res.point)
+
+
+def model_solver(model: TensorModel, objective, kind: str = "fgm", stop: str = "bound",
+                 f_center: float | None = None):
+    """``monotone_step``'s ``solve`` callable for one frozen model and objective F.
+
+    ``f_center`` is F at the model's center, when the caller knows it. A call
+    whose ``warm`` is the last step's point resumes that step, and a step that
+    stops at its start (zero inner iterations) reports the start's known F
+    without calling ``objective``.
+    """
+    last = None
+
     def solve(delta, warm=None):
-        res = solve_model(model, delta, warm_start=warm, kind=kind, stop=stop)
-        res.objective_value = objective(res.point)
+        nonlocal last
+        start = resume(warm, last)
+        res = solve_model(model, delta, warm_start=start, kind=kind, stop=stop)
+        res.objective_value = objective_at(res, start, f_center, objective)
+        last = res
         return res
     return solve
 
@@ -438,8 +507,11 @@ def monotone_step(f_center: float, solve, delta: float, floor: float) -> StepRes
     ``warm`` (None, on the first call: the center) with ``objective_value`` set to F at its
     point. A step that marks the center stationary under ``is_stationary``
     (every one that lowers F by at most ``floor`` does) is flagged and returned.
-    Any other step that does not lower F halves the tolerance, and ``solve``
-    resumes from it; inner iterations are summed across the retries.
+    Any other step that does not lower F halves the tolerance, and ``solve`` is
+    called again with that step's point as ``warm``; ``model_solver``'s solve
+    then resumes the step itself (see ``fgm_step``), so the retry repeats no
+    curvature product, probe or F call. Inner iterations are summed across the
+    retries.
     """
     if floor <= 0:
         raise ValueError("floor must be positive")

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import forbid_oracle_calls
 
-from tensoropt import subsolvers
+from tensoropt import methods, subsolvers
 from tensoropt.accel import accelerated
 from tensoropt.cli import main
 from tensoropt.harness import ExperimentConfig, execute, reference_fstar
@@ -74,6 +74,35 @@ class TestMonotone1:
         assert run.records[1].delta_requested == 1e9
         # the cap halves the requested tolerance after each rejection
         assert run.records[2].delta_requested == pytest.approx(0.5e9)
+
+    @pytest.mark.parametrize("h_mode, h_value", [("lipschitz", None), ("linesearch", 1.0)])
+    @pytest.mark.parametrize("stop", ["bound", "exact"])
+    def test_rejected_candidates_keep_the_model_and_the_points(
+            self, monkeypatch, h_mode, h_value, stop):
+        # a loose constant tolerance makes runs of rejected candidates between
+        # accepted steps; keeping the center's model saves its rebuilds and
+        # lands on the same points as a run that rebuilds it for every candidate
+        prob = small_lse(3)
+        cfg = SolverConfig(p=2, h_mode=h_mode, h_value=h_value, policy=constant(1.0),
+                           subsolver="fgm", stop=stop, max_iters=30)
+        kept = monotone1(prob, np.ones(8), cfg)
+        build = methods._Runner.solver
+        monkeypatch.setattr(methods._Runner, "solver",
+                            lambda run, center, f_center=None:
+                            lambda delta, warm=None: build(run, center)(delta, warm))
+        rebuilt = monotone1(prob, np.ones(8), cfg)
+        assert kept.status == rebuilt.status
+        assert [r.F for r in kept.records] == [r.F for r in rebuilt.records]
+        assert all(np.array_equal(a, b) for a, b in zip(kept.points, rebuilt.points))
+        np.testing.assert_array_equal(kept.x_final, rebuilt.x_final)
+        # every rejected candidate but the last row's saves one model build
+        F = [r.F for r in kept.records[:-1]]
+        rejected = sum(a == b for a, b in zip(F, F[1:]))
+        assert rejected >= 10 and F[-1] < F[0]
+        assert kept.counts["gradient"] == rebuilt.counts["gradient"] - rejected
+        assert kept.counts["hessian"] == rebuilt.counts["hessian"] - (
+            rejected if stop == "exact" else 0)
+        assert kept.counts["hessian_vec"] < rebuilt.counts["hessian_vec"]
 
     def test_global_rate_bound_with_radius_proxy(self):
         prob = small_lse(4)

@@ -19,6 +19,7 @@ from tensoropt.model import TensorModel
 from tensoropt.problems import (
     LogSumExpOracle,
     PowerComposite,
+    ProblemInstance,
     QuadraticOracle,
     ZeroComposite,
     generate_shifted_logsumexp,
@@ -683,7 +684,7 @@ class TestFgmFloorExit:
             run = execute(cfg)
         assert run.status == "target_reached"
         assert results and not any(r.at_floor for r in results)
-        assert run.records[-1].hvp_count == 874
+        assert run.records[-1].hvp_count == 820
 
 
 class TestMonotoneStep:
@@ -732,6 +733,124 @@ class TestMonotoneStep:
             y = model.center + rng.normal(size=6)
             rhs = prob.value(y) + (2 + 1) * L * prob.norm.primal(y - model.center) ** 3 / 6.0 + delta
             assert prob.value(res.point) <= rhs + 1e-10
+
+
+def _counted_problem(norm_kind):
+    """(problem, center): a smoothed max whose smooth part counts its oracle
+    calls, under its Gram norm or whitened to the identity norm at the center."""
+    prob = generate_shifted_logsumexp(6, 36, 1.0, seed=14)
+    x = 0.5 * np.ones(6)
+    if norm_kind == "identity":
+        prob, x = prob.whitened(x), np.zeros(6)
+    return ProblemInstance(CountingOracle(prob.smooth), prob.composite, prob.name), x
+
+
+class TestResumedSolve:
+    """A refinement retry resumes the step it is warm-started from: it spends
+    no product, probe or F call at its start and lands where an array warm
+    start from the same point lands."""
+
+    @pytest.mark.parametrize("norm_kind", ["dense", "identity"])
+    def test_a_retry_after_a_zero_iteration_solve_spends_nothing(self, norm_kind):
+        prob, x = _counted_problem(norm_kind)
+        oracle = prob.smooth
+        model = TensorModel(oracle, prob.composite, x, H=4.0, p=2)
+        f_x = prob.value(x)
+        solve = model_solver(model, prob.value, f_center=f_x)
+        calls = []
+
+        def spy(delta, warm):
+            hvp, value = oracle.n_hvp, oracle.n_value
+            res = solve(delta, warm)
+            calls.append((res.inner_iterations, oracle.n_hvp - hvp, oracle.n_value - value))
+            return res
+
+        # a huge tolerance certifies the center, so the first solves stop at it
+        res = monotone_step(f_x, spy, delta=1e6, floor=1e-12)
+        assert res.objective_value < f_x
+        idle = [c for c in calls if c[0] == 0]
+        assert len(idle) >= 2 and calls[-1][0] > 0
+        assert all(c[1:] == (0, 0) for c in idle)
+        # the solve that moves calls F once, at its point
+        assert calls[-1][2] == 1
+
+    @pytest.mark.parametrize("norm_kind", ["dense", "identity"])
+    @pytest.mark.parametrize("stop", ["bound", "exact"])
+    @pytest.mark.parametrize("first_delta", [1e6, 1e-2])
+    def test_resumed_and_array_warm_started_solves_agree(self, norm_kind, stop, first_delta):
+        prob, x = _counted_problem(norm_kind)
+        oracle = prob.smooth
+        model = TensorModel(oracle, prob.composite, x, H=4.0, p=2,
+                            want_hessian=(stop == "exact"))
+        solve = model_solver(model, prob.value, stop=stop, f_center=prob.value(x))
+        first = solve(first_delta, None)
+        assert (first.inner_iterations > 0) == (first_delta < 1.0)
+        hvp = oracle.n_hvp
+        resumed = solve(1e-9, first.point)
+        hvp_resumed = oracle.n_hvp - hvp
+        hvp = oracle.n_hvp
+        array = model_solver(model, prob.value, stop=stop)(1e-9, first.point.copy())
+        hvp_array = oracle.n_hvp - hvp
+        np.testing.assert_array_equal(resumed.point, array.point)
+        for name in ("objective_value", "certified_residual", "model_value",
+                     "grad_dual_norm", "inner_iterations"):
+            assert getattr(resumed, name) == getattr(array, name), name
+        # the array start costs a product, and a fresh closure the exact minimum
+        assert hvp_array - hvp_resumed == (2 if stop == "exact" else 1)
+
+    def test_a_line_search_doubling_reuses_the_product_but_not_the_probe(self, monkeypatch):
+        prob, x = _counted_problem("identity")
+        oracle = prob.smooth
+        model = TensorModel(oracle, prob.composite, x, H=4.0, p=2)
+        rejected = fgm_step(model.with_weight(0.5), 1e-3)
+        heavier = model.with_weight(1.0)
+        probes = []
+        evaluate = TensorModel.value_and_gradient
+        monkeypatch.setattr(TensorModel, "value_and_gradient",
+                            lambda self, *args: probes.append(self) or evaluate(self, *args))
+        hvp = oracle.n_hvp
+        res = fgm_step(heavier, 1e12, warm_start=rejected)
+        assert res.inner_iterations == 0
+        np.testing.assert_array_equal(res.point, rejected.point)
+        assert oracle.n_hvp == hvp and probes == [heavier]
+        # on the model it was computed on, the probe is reused too
+        fgm_step(heavier, 1e12, warm_start=res)
+        assert oracle.n_hvp == hvp and probes == [heavier]
+
+    def test_line_search_trials_resume_the_rejected_trial(self, monkeypatch):
+        calls = []
+        solve = methods.solve_model
+
+        def spy(model, delta, warm_start=None, **kwargs):
+            calls.append((model.H, warm_start))
+            calls.append(solve(model, delta, warm_start=warm_start, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(methods, "solve_model", spy)
+        prob = generate_shifted_logsumexp(6, 36, 1.0, seed=14)
+        monotone2(prob, 0.5 * np.ones(6), SolverConfig(h_mode="linesearch", h_value=1e-3,
+                                                       max_iters=3))
+        trials = [(calls[i][0], calls[i][1], calls[i + 1]) for i in range(0, len(calls), 2)]
+        doublings = [(prev, warm) for (H0, _, prev), (H1, warm, _) in zip(trials, trials[1:])
+                     if H1 == 2.0 * H0]
+        assert doublings and all(warm is prev for prev, warm in doublings)
+
+    def test_the_exact_stop_computes_one_model_minimum_per_model(self, monkeypatch):
+        prob, x = _counted_problem("identity")
+        model = TensorModel(prob.smooth, prob.composite, x, H=4.0, p=2, want_hessian=True)
+        minima = []
+        exact = subsolvers.exact_cubic_step
+        monkeypatch.setattr(subsolvers, "exact_cubic_step",
+                            lambda m: minima.append(m) or exact(m))
+        deltas = []
+        solve = model_solver(model, prob.value, stop="exact", f_center=prob.value(x))
+        res = monotone_step(prob.value(x), lambda d, w: deltas.append(d) or solve(d, w),
+                            delta=1e6, floor=1e-12)
+        assert len(deltas) >= 3 and minima == [model]
+        # a reweighted copy, as a line-search trial makes, needs its own minimum
+        heavier = model.with_weight(8.0)
+        solve_model(heavier, 1e-9, warm_start=res, stop="exact")
+        assert minima == [model, heavier]
 
 
 class ScriptedSolve:

@@ -9,11 +9,10 @@ the benchmark measures it, against the smallest of F* and every F the
 workload's configs reach on the instance.
 
 A change that moves a row regenerates the table with
-``PYTHONPATH=src python tests/test_workload_counts.py`` and says in
-``CHANGES.md`` which rows changed and why.
+``PYTHONPATH=src python tests/test_workload_counts.py``, which prints the new
+table and then every row that differs from ``TABLE``, field by field, and
+says in ``CHANGES.md`` which rows changed and why.
 """
-
-import pprint
 
 import pytest
 
@@ -68,6 +67,10 @@ def configs(name, seed):
             for v in variants]
 
 
+def label(cfg):
+    return cfg.policy if cfg.method != "accelerated" else cfg.zeta_policy
+
+
 def rows(name, seed):
     """One row per config of the workload on the instance of ``seed``."""
     cfgs = configs(name, seed)
@@ -84,19 +87,19 @@ def rows(name, seed):
     return out
 
 
-# generated at the commit before the solver runner began to whiten dense norms
+# regenerated when refinement retries began to resume their subsolve
 TABLE = {
     'policy-study@1': [
-        ('target_reached', 143, 142, 285, 142, 1365, 0, 6.550853486441984),
-        ('target_reached', 315, 314, 957, 314, 1453, 0, 6.550853482450769),
-        ('target_reached', 176, 175, 399, 175, 1056, 0, 6.550853484246222),
-        ('target_reached', 202, 201, 457, 201, 874, 0, 6.550853480438423),
+        ('target_reached', 143, 142, 285, 142, 1365, 0, 6.5508534864419845),
+        ('target_reached', 315, 314, 629, 314, 1125, 0, 6.550853482450768),
+        ('target_reached', 176, 175, 351, 175, 1008, 0, 6.550853484246222),
+        ('target_reached', 202, 201, 403, 201, 820, 0, 6.550853480438422),
     ],
     'policy-study@2': [
         ('target_reached', 148, 147, 295, 147, 1418, 0, 6.586320392806583),
-        ('target_reached', 339, 338, 930, 338, 1442, 0, 6.586320392405039),
-        ('target_reached', 177, 176, 415, 176, 1091, 0, 6.586320393506146),
-        ('target_reached', 207, 206, 467, 206, 891, 0, 6.586320393941302),
+        ('target_reached', 339, 338, 677, 338, 1189, 0, 6.586320392405038),
+        ('target_reached', 177, 176, 353, 176, 1029, 0, 6.586320393506146),
+        ('target_reached', 207, 206, 413, 206, 837, 0, 6.5863203939413015),
     ],
     'exact-n500@1': [
         ('target_reached', 18, 17, 35, 17, 17, 17, 8.168691008175085),
@@ -105,12 +108,12 @@ TABLE = {
         ('target_reached', 18, 17, 35, 17, 17, 17, 8.145581772716474),
     ],
     'accel-chain@0': [
-        ('target_reached', 399, 398, 5308, 1844, 7613, 0, 9.89195737527866e-09),
+        ('target_reached', 399, 398, 3689, 1844, 5994, 0, 9.89195737527866e-09),
     ],
     'logistic-floor@0': [
-        ('monotone_floor', 31, 18, 97, 31, 223, 0, 0.13091086263554177),
-        ('monotone_floor', 25, 12, 64, 25, 249, 0, 0.13091086263554924),
-        ('monotone_floor', 13, 10, 29, 13, 135, 0, 0.13091086263553064),
+        ('monotone_floor', 31, 18, 63, 31, 189, 0, 0.13091086263554177),
+        ('monotone_floor', 25, 12, 51, 25, 236, 0, 0.13091086263554924),
+        ('monotone_floor', 13, 10, 27, 13, 133, 0, 0.13091086263553064),
     ],
 }
 
@@ -121,11 +124,38 @@ def test_counts_match_the_table(name, seed):
     got = rows(name, seed)
     assert len(got) == len(expected)
     for cfg, row, want in zip(configs(name, seed), got, expected):
-        label = cfg.policy if cfg.method != "accelerated" else cfg.zeta_policy
-        assert dict(zip(COLUMNS[:-1], row)) == dict(zip(COLUMNS[:-1], want)), label
-        assert row[-1] == pytest.approx(want[-1], rel=F_RTOL, abs=0.0), label
+        assert dict(zip(COLUMNS[:-1], row)) == dict(zip(COLUMNS[:-1], want)), label(cfg)
+        assert row[-1] == pytest.approx(want[-1], rel=F_RTOL, abs=0.0), label(cfg)
+
+
+def changes(key, cfgs, got):
+    """One line per row of ``got`` that the test would reject against ``TABLE[key]``."""
+    expected = TABLE.get(key, [])
+    out = []
+    for i, (cfg, row) in enumerate(zip(cfgs, got)):
+        if i >= len(expected):
+            out.append(f"{key} {label(cfg)}: new row {row}")
+            continue
+        want = expected[i]
+        moved = [f"{col} {a!r} -> {b!r}" for col, a, b in zip(COLUMNS[:-1], want, row)
+                 if a != b]
+        if abs(row[-1] - want[-1]) > F_RTOL * abs(want[-1]):
+            moved.append(f"F {want[-1]!r} -> {row[-1]!r}")
+        if moved:
+            out.append(f"{key} {label(cfg)}: " + ", ".join(moved))
+    out += [f"{key}: row {i} dropped" for i in range(len(got), len(expected))]
+    return out
 
 
 if __name__ == "__main__":
-    pprint.pprint({f"{name}@{seed}": rows(name, seed) for name, seed in CASES},
-                  sort_dicts=False, width=99)
+    table = {f"{name}@{seed}": rows(name, seed) for name, seed in CASES}
+    print("TABLE = {")
+    for key, got in table.items():
+        print(f"    {key!r}: [")
+        print("".join(f"        {row!r},\n" for row in got), end="")
+        print("    ],")
+    print("}")
+    diff = [line for name, seed in CASES
+            for line in changes(f"{name}@{seed}", configs(name, seed), table[f"{name}@{seed}"])]
+    print(f"\n{len(diff)} row(s) differ from TABLE")
+    print("\n".join(diff))
