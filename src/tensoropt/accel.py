@@ -113,12 +113,6 @@ class ContractedOracle(SmoothOracle):
     def hessian(self, x, state=None):
         return self.scale * self.theta**2 * self.base.hessian(self._arg(x), state)
 
-    def whitened_hessian(self, x, state=None):
-        # the norm is the base's, so the base whitens and the chain rule scales
-        hess = self.base.whitened_hessian(self._arg(x), state)
-        hess *= self.scale * self.theta**2
-        return hess
-
 
 def build_subproblem(problem: ProblemInstance, oracle, x_k, v_k, A_k: float,
                      A_next: float, prox: PowerComposite) -> ProblemInstance:
@@ -152,17 +146,12 @@ def accelerated(problem: ProblemInstance, x0, config: SolverConfig) -> SolverRun
     The scaling schedule divides by the order-p Lipschitz constant; with
     ``h_mode="fixed"`` the configured value is used as a fixed surrogate for
     it instead. The schedule is fixed either way, so ``SolverConfig.validate``
-    rejects ``h_mode="linesearch"``, as it does an adaptive ``zeta_policy``.
+    rejects ``h_mode="linesearch"``, as it does an adaptive ``zeta_policy`` and
+    an unknown L_p.
     """
     run = _Runner(problem, config, x0, "accelerated")
     p = config.p
-    if config.h_mode == "fixed":
-        L = float(config.h_value)
-    else:
-        L = problem.smooth.lipschitz.get(p)
-    if L is None or L <= 0:
-        raise ValueError("the accelerated scheme needs a known Lipschitz constant L_p "
-                         "or a fixed surrogate for it")
+    L = float(config.h_value) if config.h_mode == "fixed" else problem.smooth.lipschitz[p]
     zeta_policy = config.zeta_policy or power(1.0, p + 2)
     inner_policy = config.inner_policy or power(1.0, 1.0)
 
@@ -193,8 +182,7 @@ def accelerated(problem: ProblemInstance, x0, config: SolverConfig) -> SolverRun
                     delta_in = inner_policy.delta(j, h_values)
                 else:
                     delta_in = inner_policy.delta(k + 1)
-                res = monotone_step(h_w, model_solver(model, sub.value, kind=inner_kind,
-                                                      f_center=h_w),
+                res = monotone_step(h_w, model_solver(model, sub.value, kind=inner_kind),
                                     delta_in, floor)
                 inner_total += res.inner_iterations
                 w = res.point

@@ -6,9 +6,9 @@ the stall handling. The three non-accelerated drivers:
 
 * ``monotone1`` -- candidate steps are accepted only when they lower the
   objective by more than the precision floor; a rejected candidate keeps the
-  center and its model, the next subsolve resumes it, and the next tolerance
-  is capped at half the rejected one. A rejected step ends the run
-  ``stationary`` under ``is_stationary``.
+  center and its model, the next subsolve resumes the rejected step, its F
+  included, and the next tolerance is capped at half the rejected one. A
+  rejected step ends the run ``stationary`` under ``is_stationary``.
 * ``monotone2`` -- every iteration lowers the objective by more than the
   floor, refining the tolerance in place under every H mode, or ends the run
   ``monotone_floor`` (see ``subsolvers.monotone_step``).
@@ -37,10 +37,7 @@ import numpy as np
 
 from .model import TensorModel
 from .policies import AccuracyPolicy, power, precision_floor
-from .subsolvers import (
-    SubsolverStall, is_stationary, model_solver, monotone_step, objective_at, resume,
-    solve_model,
-)
+from .subsolvers import SubsolverStall, is_stationary, model_solver, monotone_step, solve_model
 
 TRACE_COLUMNS = (
     "k", "F", "gap", "delta_requested", "delta_certified",
@@ -66,8 +63,9 @@ class SolverConfig:
     zeta_policy: AccuracyPolicy | None = None   # accelerated only
     inner_policy: AccuracyPolicy | None = None  # accelerated only
 
-    def validate(self, method: str | None = None):
-        """Raise ValueError on a setting no driver can run, or ``method`` cannot."""
+    def validate(self, method: str | None = None, lipschitz: dict | None = None):
+        """Raise ValueError on a setting no driver can run, or ``method`` cannot,
+        or, given the problem's ``lipschitz`` table, cannot run on that problem."""
         if self.p not in (1, 2):
             raise ValueError("order p must be 1 or 2")
         if self.h_mode not in ("fixed", "lipschitz", "linesearch"):
@@ -91,6 +89,14 @@ class SolverConfig:
                 raise ValueError("accelerated does not support linesearch H: its scaling "
                                  "schedule needs the known L_p (lipschitz) or a fixed "
                                  "surrogate (fixed:<v>)")
+        if lipschitz is not None and self.h_mode == "lipschitz":
+            L = lipschitz.get(self.p)
+            if L is None or L <= 0:
+                if method == "accelerated":
+                    raise ValueError("the accelerated scheme needs a known Lipschitz "
+                                     "constant L_p or a fixed surrogate for it")
+                raise ValueError(f"no known Lipschitz constant of order {self.p} for this "
+                                 "problem; use fixed or linesearch H")
 
 
 @dataclass
@@ -191,7 +197,7 @@ class _Runner:
     """
 
     def __init__(self, problem, config: SolverConfig, x0, method: str):
-        config.validate(method)
+        config.validate(method, problem.smooth.lipschitz)
         config.policy.warn_if_invalid(config.p)
         origin = np.asarray(x0, dtype=float).copy()
         if origin.shape != (problem.dim,):
@@ -222,13 +228,13 @@ class _Runner:
         return TensorModel(self.oracle, self.composite, center, H, p=self.config.p,
                            want_hessian=self.want_hessian)
 
-    def line_search(self, model, delta, warm=None, f_center=None):
+    def line_search(self, model, delta, warm=None):
         """Double H until F(T) <= model(T); the accepted weight lands in H_used.
 
         Every trial weight reweights the one model frozen at the center, and
-        each trial after the first resumes the rejected one (its curvature
-        product holds under every weight). F at a trial's point comes from
-        ``objective_at``, with ``f_center`` F at the center when known.
+        ``warm`` and each rejected trial are resumed by the next trial (a
+        curvature product holds under every weight). F at a trial's point is
+        called only when the step does not report it (see ``fgm_step``).
         H_state holds the starting weight for the next search: the first
         search starts at the configured value, later ones at half the weight
         last accepted.
@@ -238,7 +244,8 @@ class _Runner:
         while True:
             res = solve_model(model.with_weight(H), delta, warm_start=warm,
                               kind=self.config.subsolver, stop=self.config.stop)
-            res.objective_value = objective_at(res, warm, f_center, self.F)
+            if res.objective_value is None:
+                res.objective_value = self.F(res.point)
             if res.objective_value <= res.model_value + 1e-12 * max(1.0, abs(res.model_value)):
                 self.H_state = H / 2.0
                 self.H_used = H
@@ -250,37 +257,22 @@ class _Runner:
                     "line search exceeded 2^60 doublings; derivative order likely not Lipschitz"
                 )
 
-    def solver(self, center, f_center=None):
+    def solver(self, center):
         """``solve(delta, warm)`` at a center under the configured H mode.
 
-        Each step comes back with ``objective_value`` set. The model is built
-        once, here, for every call; a line search reweights it per trial.
-        ``f_center`` is F at the center, when the caller knows it. As in
-        ``model_solver``, a call whose ``warm`` is the last step's point
-        resumes that step.
+        Each step comes back with ``objective_value`` set, and a ``warm`` step
+        is resumed. The model is built once, here, for every call; a line
+        search reweights it per trial.
         """
         cfg = self.config
         if cfg.h_mode == "linesearch":
             model = self.build_model(center, max(self.H_state, 1e-12))
-            last = None
-
-            def solve(delta, warm=None):
-                nonlocal last
-                last = self.line_search(model, delta, resume(warm, last), f_center)
-                return last
-            return solve
-        if cfg.h_mode == "fixed":
-            self.H_used = float(cfg.h_value)
-        else:
-            L = self.oracle.lipschitz.get(cfg.p)
-            if L is None or L <= 0:
-                raise ValueError(
-                    f"no known Lipschitz constant of order {cfg.p} for this problem; "
-                    "use fixed or linesearch H"
-                )
-            self.H_used = cfg.p * L
+            return lambda delta, warm=None: self.line_search(model, delta, warm)
+        # validate has checked that a lipschitz weight's constant is known
+        self.H_used = float(cfg.h_value) if cfg.h_mode == "fixed" else (
+            cfg.p * self.oracle.lipschitz[cfg.p])
         return model_solver(self.build_model(center, self.H_used), self.F,
-                            kind=cfg.subsolver, stop=cfg.stop, f_center=f_center)
+                            kind=cfg.subsolver, stop=cfg.stop)
 
     # -- tracing ---------------------------------------------------------------
 
@@ -368,7 +360,7 @@ def monotone1(problem, x0, config: SolverConfig) -> SolverRun:
             delta = min(config.policy.delta(k, [r.F for r in run.records[-2:]]), delta_cap)
             delta_eff = max(delta, floor)
             if solve is None:
-                solve = run.solver(x, f_x)
+                solve = run.solver(x)
             res = solve(delta_eff, warm)
             stop = "stationary" if is_stationary(res, f_x, delta_eff, floor) else None
             if not stop and res.objective_value < f_x:
@@ -379,7 +371,7 @@ def monotone1(problem, x0, config: SolverConfig) -> SolverRun:
             else:
                 # rejected: the center and its model stay, the next subsolve
                 # resumes this one and demands at least twice the accuracy
-                warm = res.point
+                warm = res
                 delta_cap = delta / 2.0
             yield (x, f_x, delta, res.certified_residual, run.H_used,
                    res.inner_iterations, stop)
@@ -395,7 +387,7 @@ def monotone2(problem, x0, config: SolverConfig) -> SolverRun:
         floor = precision_floor(f_x)
         for k in itertools.count(1):
             delta_req = config.policy.delta(k, [r.F for r in run.records[-2:]])
-            res = monotone_step(f_x, run.solver(x, f_x), delta_req, floor)
+            res = monotone_step(f_x, run.solver(x), delta_req, floor)
             if res.stationary:
                 return "monotone_floor"
             x, f_x = res.point, res.objective_value

@@ -19,7 +19,8 @@ Three ways to produce a step:
   decreasing, the tolerance is below what double precision can certify, and
   it returns its best iterate flagged ``at_floor``. A returned step carries
   that fresh product and its probe, so a refinement retry warm-started from
-  the step resumes it instead of paying for them again.
+  the step itself resumes it instead of paying for them again, and a step
+  that stops at its start reports F there without calling the objective.
 
 The certificate comes from uniform convexity of the model: a function that is
 uniformly convex of degree q with parameter sigma satisfies
@@ -59,7 +60,7 @@ class StepResult:
     model_value: float
     grad_dual_norm: float | None = None
     delta_used: float | None = None
-    objective_value: float | None = None  # F at point, when the caller measured it
+    objective_value: float | None = None  # F at point, when known (see fgm_step) or measured
     stationary: bool = False
     at_floor: bool = False        # FGM stopped making progress before certifying delta
     # FGM steps only, so that a retry can resume from this one: the curvature
@@ -312,7 +313,11 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None, stop: str = "bou
     model or on a ``with_weight`` copy of it (the center is the same), resumes
     that step: it reuses the step's fresh product, and on the same model
     object also its probe, so a retry that stops at its start spends no
-    product and no model evaluation.
+    product and no model evaluation. A step that stops at its start (zero
+    inner iterations) sets ``objective_value``: a resumed step's F, or at a
+    cold start the model value at the center, which is F there bit for bit
+    (the Taylor and regularizer terms vanish); after an array warm start it
+    stays None.
 
     After a restart the next probe starts at the best point, where
     backtracking guarantees a decrease of gn²/(2L) up to rounding. So when the
@@ -365,9 +370,10 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None, stop: str = "bou
         return res
 
     # arrays are never updated in place, so iterates and products may alias
+    resumed = isinstance(warm_start, StepResult) and warm_start.curvature is not None
     if warm_start is None:
         x, hx = center, np.zeros_like(center)
-    elif isinstance(warm_start, StepResult) and warm_start.curvature is not None:
+    elif resumed:
         x, hx = warm_start.point, warm_start.curvature
     else:
         x = np.asarray(warm_start, dtype=float)
@@ -378,7 +384,10 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None, stop: str = "bou
     else:
         step_dir, gn, f_y, cert = probe(x, hx)
     if cert <= delta:
-        return finish(x, hx, step_dir, gn, f_y, cert, 0)
+        res = finish(x, hx, step_dir, gn, f_y, cert, 0)
+        res.objective_value = (warm_start.objective_value if resumed
+                               else f_y if warm_start is None else None)
+        return res
 
     y, hy = x, hx
     best_x, best_hx, best_f = x, hx, f_y
@@ -448,70 +457,45 @@ def solve_model(model: TensorModel, delta: float, warm_start=None,
     return fgm_step(model, delta, warm_start=warm_start, stop=stop, model_min=model_min)
 
 
-def resume(warm, last: StepResult | None):
-    """The warm start a refinement retry passes on: the last step itself when
-    ``warm`` is its point, so the subsolve resumes it, else ``warm``."""
-    return last if last is not None and warm is last.point else warm
-
-
-def objective_at(res: StepResult, start, f_center, objective) -> float:
-    """F at a step's point. A step that stopped at its start (zero inner
-    iterations) takes the start's known F, a resumed step's or, at a cold
-    start, ``f_center`` (None: unknown), instead of calling ``objective``."""
-    if res.inner_iterations == 0:
-        known = f_center if start is None else getattr(start, "objective_value", None)
-        if known is not None:
-            return known
-    return objective(res.point)
-
-
-def model_solver(model: TensorModel, objective, kind: str = "fgm", stop: str = "bound",
-                 f_center: float | None = None):
+def model_solver(model: TensorModel, objective, kind: str = "fgm", stop: str = "bound"):
     """``monotone_step``'s ``solve`` callable for one frozen model and objective F.
 
-    ``f_center`` is F at the model's center, when the caller knows it. A call
-    whose ``warm`` is the last step's point resumes that step, and a step that
-    stops at its start (zero inner iterations) reports the start's known F
-    without calling ``objective``.
+    A ``warm`` step is resumed (see ``fgm_step``); F at a step's point is
+    called from ``objective`` only when the step does not report it.
     """
-    last = None
-
     def solve(delta, warm=None):
-        nonlocal last
-        start = resume(warm, last)
-        res = solve_model(model, delta, warm_start=start, kind=kind, stop=stop)
-        res.objective_value = objective_at(res, start, f_center, objective)
-        last = res
+        res = solve_model(model, delta, warm_start=warm, kind=kind, stop=stop)
+        if res.objective_value is None:
+            res.objective_value = objective(res.point)
         return res
     return solve
 
 
-def is_stationary(res: StepResult, f_center: float, delta: float, floor: float) -> bool:
-    """Whether a step at tolerance delta marks the center (F = f_center)
-    stationary. Only F(T) < f_center - floor counts as a decrease; a step that
+def is_stationary(res: StepResult, f_x: float, delta: float, floor: float) -> bool:
+    """Whether a step at tolerance delta marks the center (F = f_x)
+    stationary. Only F(T) < f_x - floor counts as a decrease; a step that
     lowers F by less marks the center floor-optimal. One that does not lower F
     marks it stationary when its certificate is zero (it minimizes the model,
     so halving cannot help), the subsolver stopped at the precision floor
     (``at_floor``: a tighter solve would stop at the same floor) or the halved
     tolerance would pass the floor (the center is floor-optimal for the model).
     """
-    return not res.objective_value < f_center - floor and (
-        res.objective_value < f_center or res.certified_residual <= 0.0
+    return not res.objective_value < f_x - floor and (
+        res.objective_value < f_x or res.certified_residual <= 0.0
         or res.at_floor or 0.5 * delta < floor)
 
 
-def monotone_step(f_center: float, solve, delta: float, floor: float) -> StepResult:
-    """Inexact step that lowers the true objective by more than the floor.
+def monotone_step(f_x: float, solve, delta: float, floor: float) -> StepResult:
+    """Inexact step from a center with F = f_x that lowers F by more than the floor.
 
     ``solve(delta, warm)`` returns a step at tolerance delta started from
     ``warm`` (None, on the first call: the center) with ``objective_value`` set to F at its
     point. A step that marks the center stationary under ``is_stationary``
     (every one that lowers F by at most ``floor`` does) is flagged and returned.
     Any other step that does not lower F halves the tolerance, and ``solve`` is
-    called again with that step's point as ``warm``; ``model_solver``'s solve
-    then resumes the step itself (see ``fgm_step``), so the retry repeats no
-    curvature product, probe or F call. Inner iterations are summed across the
-    retries.
+    called again with that step itself as ``warm``, which it resumes (see
+    ``fgm_step``), so the retry repeats no curvature product, probe or F call.
+    Inner iterations are summed across the retries.
     """
     if floor <= 0:
         raise ValueError("floor must be positive")
@@ -523,10 +507,10 @@ def monotone_step(f_center: float, solve, delta: float, floor: float) -> StepRes
         total_inner += res.inner_iterations
         res.inner_iterations = total_inner
         res.delta_used = delta_eff
-        if is_stationary(res, f_center, delta_eff, floor):
+        if is_stationary(res, f_x, delta_eff, floor):
             res.stationary = True
             return res
-        if res.objective_value < f_center:
+        if res.objective_value < f_x:
             return res
         delta_eff *= 0.5
-        warm = res.point
+        warm = res

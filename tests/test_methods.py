@@ -87,9 +87,10 @@ class TestMonotone1:
                            subsolver="fgm", stop=stop, max_iters=30)
         kept = monotone1(prob, np.ones(8), cfg)
         build = methods._Runner.solver
+        # the control rebuilds and starts each candidate afresh from the rejected point
         monkeypatch.setattr(methods._Runner, "solver",
-                            lambda run, center, f_center=None:
-                            lambda delta, warm=None: build(run, center)(delta, warm))
+                            lambda run, center: lambda delta, warm=None: build(run, center)(
+                                delta, None if warm is None else warm.point))
         rebuilt = monotone1(prob, np.ones(8), cfg)
         assert kept.status == rebuilt.status
         assert [r.F for r in kept.records] == [r.F for r in rebuilt.records]
@@ -197,6 +198,15 @@ class TestAveraging:
         assert run.status in ("max_iters", "target_reached")
         assert run.records[-1].gap < run.records[0].gap
 
+    def test_steps_at_a_certified_point_make_no_value_call(self):
+        # at the optimum every step stops at its start, where its model gives F
+        prob = small_lse(11)
+        x_star = prob.known_optimum[0]
+        cfg = SolverConfig(p=2, h_mode="lipschitz", policy=power(1, 3), max_iters=5)
+        run = averaging(prob, x_star, cfg)
+        assert [r.inner_iters for r in run.records[1:]] == [0] * 5
+        # one value call for F(x0), and one with the gradient per model build
+        assert run.counts["value"] == 1 + run.counts["gradient"] == 6
 
     def test_rejects_adaptive_policy_before_any_oracle_call(self, monkeypatch):
         # the schedule needs the objective history, which averaging does not keep
@@ -616,6 +626,14 @@ class TestConfigValidation:
                           subsolver="exact", max_iters=2)
         with pytest.raises(ValueError):
             monotone2(prob, np.ones(4), cfg)
+
+    @pytest.mark.parametrize("method", sorted(DRIVERS))
+    def test_unknown_lipschitz_constant_is_rejected_before_any_oracle_call(self, monkeypatch,
+                                                                           method):
+        prob = powered_chain_oracle(4, 2.5, 1.0)  # no known L_p for q=2.5
+        forbid_oracle_calls(monkeypatch, prob.smooth)
+        with pytest.raises(ValueError, match="Lipschitz constant"):
+            DRIVERS[method](prob, np.ones(4), driver_config(max_iters=2))
 
     def test_wrong_start_dimension(self):
         prob = small_lse(15)

@@ -10,7 +10,7 @@ from conftest import (
 )
 
 from tensoropt import subsolvers
-from tensoropt.harness import ExperimentConfig, execute
+from tensoropt.harness import ExperimentConfig, attach_composite, execute
 from tensoropt.linalg import NormOperator
 from tensoropt import methods
 from tensoropt.methods import CountingOracle, SolverConfig, monotone1, monotone2
@@ -748,7 +748,25 @@ def _counted_problem(norm_kind):
 class TestResumedSolve:
     """A refinement retry resumes the step it is warm-started from: it spends
     no product, probe or F call at its start and lands where an array warm
-    start from the same point lands."""
+    start from the same point lands. A cold step that stops at the center
+    takes F there from its model."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("composite", [None, "quadratic:0.5"])
+    @pytest.mark.parametrize("norm_kind", ["dense", "identity"])
+    def test_a_cold_step_that_stops_at_the_center_reports_F_there(self, p, composite,
+                                                                   norm_kind):
+        prob, x = _counted_problem(norm_kind)
+        prob = attach_composite(prob, composite)
+        center = x + 0.25
+        model = TensorModel(prob.smooth, prob.composite, center, H=4.0, p=p)
+
+        def objective(y):
+            raise AssertionError("objective called")
+
+        res = model_solver(model, objective)(1e12)
+        assert res.inner_iterations == 0
+        assert repr(res.objective_value) == repr(prob.value(center))
 
     @pytest.mark.parametrize("norm_kind", ["dense", "identity"])
     def test_a_retry_after_a_zero_iteration_solve_spends_nothing(self, norm_kind):
@@ -756,7 +774,7 @@ class TestResumedSolve:
         oracle = prob.smooth
         model = TensorModel(oracle, prob.composite, x, H=4.0, p=2)
         f_x = prob.value(x)
-        solve = model_solver(model, prob.value, f_center=f_x)
+        solve = model_solver(model, prob.value)
         calls = []
 
         def spy(delta, warm):
@@ -782,11 +800,11 @@ class TestResumedSolve:
         oracle = prob.smooth
         model = TensorModel(oracle, prob.composite, x, H=4.0, p=2,
                             want_hessian=(stop == "exact"))
-        solve = model_solver(model, prob.value, stop=stop, f_center=prob.value(x))
+        solve = model_solver(model, prob.value, stop=stop)
         first = solve(first_delta, None)
         assert (first.inner_iterations > 0) == (first_delta < 1.0)
         hvp = oracle.n_hvp
-        resumed = solve(1e-9, first.point)
+        resumed = solve(1e-9, first)
         hvp_resumed = oracle.n_hvp - hvp
         hvp = oracle.n_hvp
         array = model_solver(model, prob.value, stop=stop)(1e-9, first.point.copy())
@@ -795,7 +813,7 @@ class TestResumedSolve:
         for name in ("objective_value", "certified_residual", "model_value",
                      "grad_dual_norm", "inner_iterations"):
             assert getattr(resumed, name) == getattr(array, name), name
-        # the array start costs a product, and a fresh closure the exact minimum
+        # the array start costs a product and, under the exact stop, the model minimum
         assert hvp_array - hvp_resumed == (2 if stop == "exact" else 1)
 
     def test_a_line_search_doubling_reuses_the_product_but_not_the_probe(self, monkeypatch):
@@ -843,7 +861,7 @@ class TestResumedSolve:
         monkeypatch.setattr(subsolvers, "exact_cubic_step",
                             lambda m: minima.append(m) or exact(m))
         deltas = []
-        solve = model_solver(model, prob.value, stop="exact", f_center=prob.value(x))
+        solve = model_solver(model, prob.value, stop="exact")
         res = monotone_step(prob.value(x), lambda d, w: deltas.append(d) or solve(d, w),
                             delta=1e6, floor=1e-12)
         assert len(deltas) >= 3 and minima == [model]
@@ -855,20 +873,23 @@ class TestResumedSolve:
 
 class ScriptedSolve:
     """Stub ``solve``: call i returns objective values[i], certificate certs[i]
-    and the precision-floor flag floors[i]."""
+    and the precision-floor flag floors[i]; ``results`` keeps the steps."""
 
     def __init__(self, values, certs=None, floors=None):
         self.values = values
         self.certs = certs or [1.0] * len(values)
         self.floors = floors or [False] * len(values)
         self.calls = []
+        self.results = []
 
     def __call__(self, delta, warm):
         i = len(self.calls)
         self.calls.append((delta, warm))
-        return StepResult(point=np.full(2, float(i)), certified_residual=self.certs[i],
-                          inner_iterations=i + 1, certification="bound", model_value=0.0,
-                          objective_value=self.values[i], at_floor=self.floors[i])
+        self.results.append(StepResult(
+            point=np.full(2, float(i)), certified_residual=self.certs[i],
+            inner_iterations=i + 1, certification="bound", model_value=0.0,
+            objective_value=self.values[i], at_floor=self.floors[i]))
+        return self.results[-1]
 
 
 class TestMonotoneStepLoop:
@@ -876,10 +897,10 @@ class TestMonotoneStepLoop:
         solve = ScriptedSolve([2.0, 2.0, 2.0, 0.5])
         res = monotone_step(1.0, solve, delta=0.8, floor=1e-3)
         assert [d for d, _ in solve.calls] == [0.8, 0.4, 0.2, 0.1]
+        # each retry is handed the rejected step itself, which it resumes
         warms = [w for _, w in solve.calls]
         assert warms[0] is None
-        for i in range(1, 4):
-            np.testing.assert_array_equal(warms[i], np.full(2, float(i - 1)))
+        assert all(warms[i] is solve.results[i - 1] for i in range(1, 4))
         np.testing.assert_array_equal(res.point, np.full(2, 3.0))
         assert res.objective_value == 0.5 and not res.stationary
         assert res.delta_used == 0.1
@@ -931,7 +952,7 @@ class TestMonotoneStepLoop:
         solve = ScriptedSolve([1.0, 0.5])
         res = monotone_step(1.0, solve, delta=0.8, floor=1e-3)
         assert [d for d, _ in solve.calls] == [0.8, 0.4]
-        np.testing.assert_array_equal(solve.calls[1][1], np.zeros(2))
+        assert solve.calls[1][1] is solve.results[0]
         assert res.objective_value == 0.5 and not res.stationary
 
     @pytest.mark.parametrize("share", [0.5, 1.0])
