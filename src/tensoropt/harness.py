@@ -1,4 +1,4 @@
-"""Experiment runner: config files, problem registry, traces, rate fits.
+"""Experiment runner: config files, traces, rate fits.
 
 A run is fully described by a JSON-serializable config. Executing it writes
 three files into its output directory:
@@ -27,17 +27,12 @@ from .accel import accelerated
 from .methods import SolverConfig, SolverRun, TRACE_COLUMNS, averaging, monotone1, monotone2
 from .policies import AccuracyPolicy, parse_spec
 from .problems import (
+    FAMILIES,
     PowerComposite,
     ProblemInstance,
-    ZeroComposite,
+    build_problem,
     check_composite,
-    check_ranges,
-    check_shifted_logsumexp,
-    generate_shifted_logsumexp,
-    logistic_oracle,
-    parse_libsvm,
-    powered_chain_oracle,
-    synthetic_logistic,
+    problem_params,
 )
 
 SCHEMA_VERSION = 1
@@ -92,81 +87,6 @@ class ExperimentConfig:
 
     def save(self, path) -> None:
         write_json(path, self.to_dict())
-
-
-# ---------------------------------------------------------------------------
-# problem registry
-# ---------------------------------------------------------------------------
-
-# each problem's parameters: type and default (None: none, or logsumexp's m = 6n)
-PROBLEM_PARAMS = {
-    "logsumexp": {"n": (int, 100), "m": (int, None), "mu": (float, 0.05)},
-    "logistic": {"path": (str, None), "l2": (float, 0.0)},
-    "logistic-synth": {"n": (int, 50), "m": (int, 300), "l2": (float, 1e-2),
-                       "scale": (float, 1.0)},
-    "chain": {"n": (int, 20), "q": (float, 3.0), "c": (float, 1.0)},
-}
-
-
-def _convert(kind, val):
-    """``kind(val)``, refusing a bool, and, for an int, a float with a fractional
-    part instead of truncating it."""
-    if isinstance(val, bool) or (kind is int and isinstance(val, float)
-                                 and not val.is_integer()):
-        raise ValueError
-    return kind(val)
-
-
-def problem_params(spec: dict) -> tuple[str, dict]:
-    """(name, parameters) of a problem stanza, each parameter converted to its
-    type and checked against its range, defaults filled in; a ValueError names
-    the stanza's fault. Nothing is generated or read."""
-    name = spec.get("name") if isinstance(spec, dict) else None
-    table = PROBLEM_PARAMS.get(name)
-    if table is None:
-        raise ValueError(f"problem stanza {spec!r} names none of {', '.join(PROBLEM_PARAMS)}")
-    params = {key: val for key, val in spec.items() if key != "name"}
-    extras = set(params) - set(table)
-    if extras:
-        raise ValueError(f"unknown parameters for problem {name!r}: {sorted(extras)}")
-    for key, val in params.items():
-        kind = table[key][0]
-        try:
-            params[key] = _convert(kind, val)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"problem {name!r}: {key}={val!r} is not a valid "
-                             f"{kind.__name__}") from None
-    if name == "logistic" and "path" not in params:
-        raise ValueError("problem 'logistic' needs a path")
-    defaults = {key: default for key, (_, default) in table.items() if default is not None}
-    if name == "logsumexp":
-        defaults["m"] = 6 * params.get("n", defaults["n"])
-    params = {**defaults, **params}
-    try:
-        if name == "logsumexp":
-            check_shifted_logsumexp(**params)
-        else:
-            check_ranges(**{key: val for key, val in params.items() if key != "path"})
-    except ValueError as exc:
-        raise ValueError(f"problem {name!r}: {exc}") from None
-    return name, params
-
-
-def build_problem(spec: dict, seed: int) -> ProblemInstance:
-    """Instantiate a problem from its config stanza."""
-    name, params = problem_params(spec)
-    if name == "logsumexp":
-        return generate_shifted_logsumexp(**params, seed=seed)
-    if name == "logistic":
-        oracle = logistic_oracle(parse_libsvm(params["path"]), l2=params["l2"])
-        return ProblemInstance(
-            smooth=oracle, composite=ZeroComposite(oracle.dim),
-            name=f"logistic({os.path.basename(params['path'])},l2={params['l2']})",
-        )
-    if name == "logistic-synth":
-        return synthetic_logistic(**params, seed=seed)
-    # the one name left is "chain"
-    return powered_chain_oracle(**params)
 
 
 def parse_composite(spec: str | None) -> tuple[float, float] | None:
@@ -356,19 +276,24 @@ def reference_fstar(cfg: ExperimentConfig, cache_dir=None) -> tuple[float, str]:
 
 def resolve(cfg: ExperimentConfig):
     """The driver and validated solver config of ``cfg``; every spec in it, the
-    problem stanza and the start included, is checked without building the instance."""
+    problem stanza, the start, the L_p of H = p·L_p and the composite of a
+    closed-form step included, is checked without building the instance."""
     method = METHOD_TABLE.get(cfg.method)
     if method is None:
         raise ValueError(f"unknown method {cfg.method!r}")
     if cfg.problem is None:
         raise ValueError("config needs a problem stanza")
-    problem_params(cfg.problem)
+    name, params = problem_params(cfg.problem)
     if cfg.x0 not in X0_KINDS:
         raise ValueError(f"unknown starting point {cfg.x0!r}; expected one of "
                          f"{', '.join(X0_KINDS)}")
-    parse_composite(cfg.composite)
+    composite = parse_composite(cfg.composite)
     scfg = solver_config(cfg)
-    scfg.validate(cfg.method)
+    scfg.validate(cfg.method, FAMILIES[name][3](params))
+    # a closed-form step folds in only a quadratic composite; accelerated's are unchecked
+    if (composite and composite[1] != 2 and cfg.method != "accelerated"
+            and "exact" in (cfg.subsolver, cfg.stop)):
+        raise ValueError("closed-form steps support only zero or quadratic composites")
     return method, scfg
 
 

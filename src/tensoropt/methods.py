@@ -63,9 +63,9 @@ class SolverConfig:
     zeta_policy: AccuracyPolicy | None = None   # accelerated only
     inner_policy: AccuracyPolicy | None = None  # accelerated only
 
-    def validate(self, method: str | None = None, lipschitz: dict | None = None):
-        """Raise ValueError on a setting no driver can run, or ``method`` cannot,
-        or, given the problem's ``lipschitz`` table, cannot run on that problem."""
+    def validate(self, method: str | None = None, orders=None):
+        """Raise ValueError on a setting no driver can run, or ``method`` cannot, or
+        cannot on a problem whose positive known Lipschitz constants have ``orders``."""
         if self.p not in (1, 2):
             raise ValueError("order p must be 1 or 2")
         if self.h_mode not in ("fixed", "lipschitz", "linesearch"):
@@ -89,14 +89,12 @@ class SolverConfig:
                 raise ValueError("accelerated does not support linesearch H: its scaling "
                                  "schedule needs the known L_p (lipschitz) or a fixed "
                                  "surrogate (fixed:<v>)")
-        if lipschitz is not None and self.h_mode == "lipschitz":
-            L = lipschitz.get(self.p)
-            if L is None or L <= 0:
-                if method == "accelerated":
-                    raise ValueError("the accelerated scheme needs a known Lipschitz "
-                                     "constant L_p or a fixed surrogate for it")
-                raise ValueError(f"no known Lipschitz constant of order {self.p} for this "
-                                 "problem; use fixed or linesearch H")
+        if orders is not None and self.h_mode == "lipschitz" and self.p not in orders:
+            if method == "accelerated":
+                raise ValueError("the accelerated scheme needs a known Lipschitz "
+                                 "constant L_p or a fixed surrogate for it")
+            raise ValueError(f"no known Lipschitz constant of order {self.p} for this "
+                             "problem; use fixed or linesearch H")
 
 
 @dataclass
@@ -197,7 +195,7 @@ class _Runner:
     """
 
     def __init__(self, problem, config: SolverConfig, x0, method: str):
-        config.validate(method, problem.smooth.lipschitz)
+        config.validate(method, [p for p, L in problem.smooth.lipschitz.items() if L > 0])
         config.policy.warn_if_invalid(config.p)
         origin = np.asarray(x0, dtype=float).copy()
         if origin.shape != (problem.dim,):

@@ -11,13 +11,16 @@ share. A caller that applies the Hessian at one fixed point fetches the state
 once and passes it to ``hessian_vec``, ``hessian`` or ``whitened_hessian``. By
 default the whitened Hessian is the dense one whitened by the norm's factor;
 the smoothed max forms it from its rows whitened once, with no dense Hessian
-and no congruence. The logistic oracle keeps its own copy of
-the features in the more compact of two forms: a dense X, whose products are
-BLAS matvecs and whose Hessian is one ``syrk``, or CSR copies of X and Xᵀ built
-once. Either way a gradient or a Hessian-vector product is two matvecs and
-constructs no matrix. Composite terms are differentiable
-and report their uniform-convexity parameters where known;
-``PowerComposite`` also serves as the accelerated scheme's prox-function.
+and no congruence. The logistic oracle keeps its own copy of the features in
+the more compact of two forms: a dense X, whose products are BLAS matvecs and
+whose Hessian is one ``syrk``, or CSR copies of X and Xᵀ built once. Either
+way a gradient or a Hessian-vector product is two matvecs and constructs no
+matrix. Composite terms are differentiable and report their uniform-convexity
+parameters where known; ``PowerComposite`` also serves as the accelerated
+scheme's prox-function.
+
+``FAMILIES`` registers the problem families a config stanza names: parameters,
+ranges, builder, and the orders whose Lipschitz constant an instance knows.
 
 ``ProblemInstance.whitened(origin)`` is the instance in the coordinates
 z = Lᵀ(x − origin) of its norm's factor B = L Lᵀ, under the identity norm,
@@ -29,6 +32,7 @@ recentred, any other composite behind a ``WhitenedComposite``.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +49,7 @@ from .linalg import BLOCK_ENTRIES, FactorizationError, NormOperator
 
 # The range of each oracle and generator parameter, one rule per name. The
 # oracles and generators below check theirs through ``check_ranges``, and so
-# does the harness before it builds anything.
+# does ``problem_params`` before anything is built.
 PARAM_RANGES = {
     "n": (lambda v: v >= 1, "at least 1"),
     "m": (lambda v: v >= 1, "at least 1"),
@@ -768,6 +772,86 @@ def parse_libsvm(path) -> Dataset:
         (vals, (rows, cols)), shape=(len(labels), n_max), dtype=float
     )
     return Dataset(X, mapped, source=str(path))
+
+
+def libsvm_logistic(path, l2: float = 0.0) -> ProblemInstance:
+    oracle = logistic_oracle(parse_libsvm(path), l2=l2)
+    return ProblemInstance(smooth=oracle, composite=ZeroComposite(oracle.dim),
+                           name=f"logistic({os.path.basename(path)},l2={l2})")
+
+
+# ---------------------------------------------------------------------------
+# problem registry
+# ---------------------------------------------------------------------------
+
+# name -> ({param: (type, default)}, range check, build(seed, **params), orders(params)).
+# A callable default derives the value from the parameters before it, and None makes
+# the parameter required; builders are looked up by their module name at each call.
+FAMILIES = {
+    "logsumexp": ({"n": (int, 100), "m": (int, lambda params: 6 * params["n"]),
+                   "mu": (float, 0.05)}, check_shifted_logsumexp,
+                  lambda seed, **k: generate_shifted_logsumexp(**k, seed=seed),
+                  lambda params: (1, 2, 3)),
+    "logistic": ({"path": (str, None), "l2": (float, 0.0)},
+                 lambda path, l2: check_ranges(l2=l2),
+                 lambda seed, **k: libsvm_logistic(**k), lambda params: (2,)),
+    "logistic-synth": ({"n": (int, 50), "m": (int, 300), "l2": (float, 1e-2),
+                        "scale": (float, 1.0)}, check_ranges,
+                       lambda seed, **k: synthetic_logistic(**k, seed=seed),
+                       lambda params: (2,) if params["scale"] else ()),
+    "chain": ({"n": (int, 20), "q": (float, 3.0), "c": (float, 1.0)}, check_ranges,
+              lambda seed, **k: powered_chain_oracle(**k),
+              lambda params: (2,) if params["q"] == 3 else ()),
+}
+
+
+def _convert(kind, val):
+    """``kind(val)``, refusing a bool, and, for an int, a float with a fractional
+    part instead of truncating it."""
+    if isinstance(val, bool) or (kind is int and isinstance(val, float)
+                                 and not val.is_integer()):
+        raise ValueError
+    return kind(val)
+
+
+def problem_params(spec: dict) -> tuple[str, dict]:
+    """(name, parameters) of a problem stanza, each parameter converted to its
+    type and checked against its range, defaults filled in; a ValueError names
+    the stanza's first fault, a bad value before a missing one. Nothing is
+    generated or read."""
+    name = spec.get("name") if isinstance(spec, dict) else None
+    family = FAMILIES.get(name)
+    if family is None:
+        raise ValueError(f"problem stanza {spec!r} names none of {', '.join(FAMILIES)}")
+    table, check, _, _ = family
+    given = {key: val for key, val in spec.items() if key != "name"}
+    extras = set(given) - set(table)
+    if extras:
+        raise ValueError(f"unknown parameters for problem {name!r}: {sorted(extras)}")
+    for key, val in given.items():
+        kind = table[key][0]
+        try:
+            given[key] = _convert(kind, val)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"problem {name!r}: {key}={val!r} is not a valid "
+                             f"{kind.__name__}") from None
+    params = {}
+    for key, (_, default) in table.items():
+        val = given.get(key, default)
+        if val is None:
+            raise ValueError(f"problem {name!r} needs a {key}")
+        params[key] = val(params) if callable(val) else val
+    try:
+        check(**params)
+    except ValueError as exc:
+        raise ValueError(f"problem {name!r}: {exc}") from None
+    return name, params
+
+
+def build_problem(spec: dict, seed: int) -> ProblemInstance:
+    """Instantiate a problem from its config stanza."""
+    name, params = problem_params(spec)
+    return FAMILIES[name][2](seed, **params)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from tensoropt import harness, subsolvers
+from tensoropt import harness, problems, subsolvers
 from tensoropt.cli import main, parse_problem
 from tensoropt.harness import (
     ExperimentConfig,
@@ -81,6 +81,7 @@ class TestBadSpecs:
         ("problem", {"n": 5}, "names none of logsumexp, logistic"),
         ("problem", {"name": "rosenbrock"}, "'rosenbrock'} names none of"),
         ("problem", {"name": "logistic", "l2": 0.1}, "problem 'logistic' needs a path"),
+        ("problem", {"name": "logistic", "l2": "abc"}, "l2='abc' is not a valid float"),
         ("problem", {"name": "chain", "n": 3.7}, "n=3.7 is not a valid int"),
         ("problem", {"name": "chain", "n": True}, "n=True is not a valid int"),
         ("problem", {"name": "logsumexp", "mu": False}, "mu=False is not a valid float"),
@@ -106,6 +107,32 @@ class TestBadSpecs:
         with pytest.raises(ValueError, match=reason):
             harness.execute(small_cfg(method="accelerated", **{field: spec}))
 
+    @pytest.mark.parametrize("fields,reason", [
+        ({"problem": {"name": "chain", "n": 6, "q": 2.5}, "H": "lipschitz"},
+         "no known Lipschitz constant of order 2 for this problem"),
+        ({"problem": {"name": "logistic-synth"}, "p": 1, "H": "lipschitz"},
+         "no known Lipschitz constant of order 1 for this problem"),
+        ({"problem": {"name": "logistic-synth", "scale": 0}, "H": "lipschitz"},
+         "no known Lipschitz constant of order 2 for this problem"),
+        ({"problem": {"name": "chain", "n": 6}, "p": 1, "H": "lipschitz", "method": "accelerated"},
+         "the accelerated scheme needs a known Lipschitz constant"),
+        ({"subsolver": "exact", "composite": "power:1:3", "method": "monotone2"},
+         "closed-form steps support only zero or quadratic composites"),
+        ({"stop": "exact", "composite": "power:1:3", "method": "averaging"},
+         "closed-form steps support only zero or quadratic composites"),
+        ({"p": 1, "subsolver": "exact", "composite": "power:1:4"},
+         "closed-form steps support only zero or quadratic composites"),
+        ({"problem": {"name": "chain", "q": 2.5}, "H": "lipschitz", "subsolver": "exact",
+          "composite": "power:1:3"}, "no known Lipschitz constant"),
+    ])
+    def test_problem_faults_rejected_before_any_instance(self, monkeypatch, fields, reason):
+        def no_instance(*args):
+            raise AssertionError("a problem instance was built")
+
+        monkeypatch.setattr(harness, "build_problem", no_instance)
+        with pytest.raises(ValueError, match=reason):
+            harness.execute(small_cfg(**fields))
+
 
 class TestProblemRegistry:
     def test_build_each_kind(self):
@@ -119,6 +146,20 @@ class TestProblemRegistry:
     def test_unknown_problem(self):
         with pytest.raises(ValueError):
             build_problem({"name": "rosenbrock"}, seed=0)
+
+    def test_builders_are_looked_up_by_module_name(self, monkeypatch):
+        # a wrapper bound to a builder's module name, as the span tracer binds
+        # one, sees the build
+        calls = []
+
+        def spy(**params):
+            calls.append(params)
+            return chain(**params)
+
+        chain = problems.powered_chain_oracle
+        monkeypatch.setattr(problems, "powered_chain_oracle", spy)
+        assert harness.build_problem({"name": "chain", "n": 4}, seed=0).dim == 4
+        assert calls == [{"n": 4, "q": 3.0, "c": 1.0}]
 
     def test_unknown_parameter(self):
         with pytest.raises(ValueError):
@@ -425,6 +466,18 @@ class TestCli:
         (["run", "--problem", "logsumexp:n=5,m=5"], "problem 'logsumexp': need m > n"),
         (["run", "--problem", "logistic-synth:n=0"],
          "problem 'logistic-synth': n must be at least 1, got 0"),
+        (["run", "--problem", "chain:n=6,q=2.5", "--H", "lipschitz"],
+         "no known Lipschitz constant of order 2 for this problem"),
+        (["run", "--problem", "chain:n=6", "--p", "1", "--method", "accelerated"],
+         "the accelerated scheme needs a known Lipschitz constant"),
+        (["run", "--problem", "chain:n=6", "--H", "fixed:1", "--subsolver", "exact",
+          "--composite", "power:1:3"], "closed-form steps support only zero or quadratic"),
+        (["run", "--problem", "chain:n=6", "--H", "fixed:1", "--stop", "exact",
+          "--composite", "power:1:3"], "closed-form steps support only zero or quadratic"),
+        (["compare", "--configs", "lp.json", "lp.json", "--out", "cmp"],
+         "no known Lipschitz constant of order 2 for this problem"),
+        (["compare", "--configs", "cubic.json", "cubic.json", "--out", "cmp"],
+         "closed-form steps support only zero or quadratic"),
     ])
     def test_spec_error_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, reason):
         monkeypatch.chdir(tmp_path)
@@ -435,6 +488,8 @@ class TestCli:
         write_json("noproblem.json", {k: v for k, v in small_cfg().to_dict().items()
                                       if k != "problem"})
         small_cfg(problem={"name": "chain", "n": 3.7}).save("fractional.json")
+        small_cfg(problem={"name": "chain", "n": 6, "q": 2.5}, H="lipschitz").save("lp.json")
+        small_cfg(subsolver="exact", composite="power:1:3").save("cubic.json")
         with pytest.raises(SystemExit) as stop:
             main(argv)
         assert stop.value.code == 2

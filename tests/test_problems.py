@@ -9,6 +9,7 @@ import scipy.sparse
 
 from conftest import NORM_KINDS, forbid_oracle_calls, norm_matrix, norm_of_kind
 
+from tensoropt import problems
 from tensoropt.accel import ContractedOracle, ScaledComposite
 from tensoropt.linalg import NormOperator, tridiagonal_form
 from tensoropt.methods import CountingOracle
@@ -516,6 +517,24 @@ class TestParseLibsvm:
     def test_mushrooms_dimensions(self):
         data = parse_libsvm(MUSHROOMS)
         assert data.features.shape == (8124, 112)
+
+
+class TestFamilies:
+    @pytest.mark.parametrize("stanza", [
+        *({"name": "chain", "n": 6, "q": q, "c": c} for q in (2, 2.5, 3) for c in (1, 2)),
+        {"name": "logsumexp", "n": 4, "m": 24, "mu": 0.5},
+        {"name": "logistic-synth", "n": 4, "m": 20},
+        {"name": "logistic-synth", "n": 4, "m": 20, "scale": 0},
+        {"name": "logistic", "l2": 0.1},
+    ], ids=lambda stanza: ",".join(f"{k}={v}" for k, v in stanza.items()))
+    def test_orders_are_the_built_instances_positive_constants(self, tmp_path, stanza):
+        if stanza["name"] == "logistic":
+            path = tmp_path / "tiny.txt"
+            path.write_text("1 1:0.5 3:1\n-1 2:2\n1 1:-1 2:0.25\n")
+            stanza = {**stanza, "path": str(path)}
+        name, params = problems.problem_params(stanza)
+        lipschitz = problems.build_problem(stanza, seed=0).smooth.lipschitz
+        assert set(problems.FAMILIES[name][3](params)) == {p for p, L in lipschitz.items() if L > 0}
 
 
 class TestCheckDerivatives:
