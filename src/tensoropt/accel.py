@@ -147,7 +147,8 @@ def accelerated(problem: ProblemInstance, x0, config: SolverConfig) -> SolverRun
     ``h_mode="fixed"`` the configured value is used as a fixed surrogate for
     it instead. The schedule is fixed either way, so ``SolverConfig.validate``
     rejects ``h_mode="linesearch"``, as it does an adaptive ``zeta_policy`` and
-    an unknown L_p.
+    an unknown L_p; it also rejects ``stop="exact"`` (the inner solves stop on
+    the certificate) and, at p = 2, ``subsolver="exact"`` (no closed form).
     """
     run = _Runner(problem, config, x0, "accelerated")
     p = config.p
@@ -156,9 +157,6 @@ def accelerated(problem: ProblemInstance, x0, config: SolverConfig) -> SolverRun
     inner_policy = config.inner_policy or power(1.0, 1.0)
 
     prox = PowerComposite(1.0, p + 1, run.x0, run.norm)
-    # Bregman composites of order two fold into closed forms; for p = 2 the
-    # inner models need the first-order subsolver with the certificate rule.
-    inner_kind = config.subsolver if p == 1 else "fgm"
     inner_cap = 60
 
     def steps(x, f_x):
@@ -182,7 +180,7 @@ def accelerated(problem: ProblemInstance, x0, config: SolverConfig) -> SolverRun
                     delta_in = inner_policy.delta(j, h_values)
                 else:
                     delta_in = inner_policy.delta(k + 1)
-                res = monotone_step(h_w, model_solver(model, sub.value, kind=inner_kind),
+                res = monotone_step(h_w, model_solver(model, sub.value, kind=config.subsolver),
                                     delta_in, floor)
                 inner_total += res.inner_iterations
                 w = res.point

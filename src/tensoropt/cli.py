@@ -66,13 +66,16 @@ def _add_run_flags(sp):
     sp.add_argument("--method", choices=["monotone1", "monotone2", "averaging", "accelerated"])
     sp.add_argument("--p", type=int, choices=[1, 2])
     sp.add_argument("--H", help="fixed:<v> | lipschitz | linesearch[:<v>]")
-    sp.add_argument("--policy", help="constant:C | power:C:ALPHA | adaptive:C:ALPHA[:D1]")
-    sp.add_argument("--zeta-policy", dest="zeta_policy", help="outer tolerance schedule (accelerated)")
-    sp.add_argument("--inner-policy", dest="inner_policy", help="inner tolerance schedule (accelerated)")
+    sp.add_argument("--policy", help="constant:C | power:C:ALPHA | adaptive:C:ALPHA[:D1] "
+                    "(read by every driver but accelerated)")
+    sp.add_argument("--zeta-policy", dest="zeta_policy", help="outer schedule (accelerated only)")
+    sp.add_argument("--inner-policy", dest="inner_policy", help="inner schedule (accelerated only)")
     sp.add_argument("--composite", help="power:MU:Q | quadratic:MU | none")
     sp.add_argument("--x0", choices=["ones", "zeros", "e1", "gauss"])
-    sp.add_argument("--subsolver", choices=["exact", "fgm"])
-    sp.add_argument("--stop", choices=["bound", "exact"])
+    sp.add_argument("--subsolver", choices=["exact", "fgm"],
+                    help="read by every driver; accelerated refuses exact at --p 2")
+    sp.add_argument("--stop", choices=["bound", "exact"],
+                    help="fgm's certificate; exact is refused with --subsolver exact or accelerated")
     sp.add_argument("--max-iters", dest="max_iters", type=int)
     sp.add_argument("--target-gap", dest="target_gap", type=float)
     sp.add_argument("--seed", type=int)

@@ -290,9 +290,10 @@ def resolve(cfg: ExperimentConfig):
     composite = parse_composite(cfg.composite)
     scfg = solver_config(cfg)
     scfg.validate(cfg.method, FAMILIES[name][3](params))
-    # a closed-form step folds in only a quadratic composite; accelerated's are unchecked
-    if (composite and composite[1] != 2 and cfg.method != "accelerated"
-            and "exact" in (cfg.subsolver, cfg.stop)):
+    # a closed-form step folds in only a quadratic composite; accelerated's subproblem
+    # adds a Bregman term to it, which folds in only when the composite is zero
+    if (composite and "exact" in (cfg.subsolver, cfg.stop)
+            and (composite[1] != 2 or cfg.method == "accelerated")):
         raise ValueError("closed-form steps support only zero or quadratic composites")
     return method, scfg
 

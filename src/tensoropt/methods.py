@@ -29,6 +29,7 @@ those of the original problem.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -38,12 +39,6 @@ import numpy as np
 from .model import TensorModel
 from .policies import AccuracyPolicy, power, precision_floor
 from .subsolvers import SubsolverStall, is_stationary, model_solver, monotone_step, solve_model
-
-TRACE_COLUMNS = (
-    "k", "F", "gap", "delta_requested", "delta_certified",
-    "H_used", "inner_iters", "hvp_count", "grad_count", "time_s",
-)
-
 
 class DivergenceError(RuntimeError):
     """Line search exceeded its doubling budget; the order is likely wrong."""
@@ -65,7 +60,8 @@ class SolverConfig:
 
     def validate(self, method: str | None = None, orders=None):
         """Raise ValueError on a setting no driver can run, or ``method`` cannot, or
-        cannot on a problem whose positive known Lipschitz constants have ``orders``."""
+        cannot on a problem whose positive known Lipschitz constants have ``orders``,
+        or would never read."""
         if self.p not in (1, 2):
             raise ValueError("order p must be 1 or 2")
         if self.h_mode not in ("fixed", "lipschitz", "linesearch"):
@@ -95,6 +91,12 @@ class SolverConfig:
                                  "constant L_p or a fixed surrogate for it")
             raise ValueError(f"no known Lipschitz constant of order {self.p} for this "
                              "problem; use fixed or linesearch H")
+        if method == "accelerated" and self.stop == "exact":
+            raise ValueError("accelerated does not support stop exact: inner solves use the bound")
+        if method == "accelerated" and self.p == 2 and self.subsolver == "exact":
+            raise ValueError("accelerated at p = 2 does not support subsolver exact; use fgm")
+        if self.subsolver == "exact" and self.stop == "exact":
+            raise ValueError("stop exact is never read under subsolver exact; use stop bound")
 
 
 @dataclass
@@ -109,6 +111,9 @@ class TraceRecord:
     hvp_count: int
     grad_count: int
     time_s: float | None
+
+
+TRACE_COLUMNS = tuple(f.name for f in dataclasses.fields(TraceRecord))
 
 
 class CountingOracle:
@@ -196,7 +201,10 @@ class _Runner:
 
     def __init__(self, problem, config: SolverConfig, x0, method: str):
         config.validate(method, [p for p, L in problem.smooth.lipschitz.items() if L > 0])
-        config.policy.warn_if_invalid(config.p)
+        # the schedule the driver reads; accelerated's default inner one is always valid
+        schedule = config.inner_policy if method == "accelerated" else config.policy
+        if schedule is not None:
+            schedule.warn_if_invalid(config.p)
         origin = np.asarray(x0, dtype=float).copy()
         if origin.shape != (problem.dim,):
             raise ValueError("starting point has the wrong dimension")
@@ -209,7 +217,6 @@ class _Runner:
         self.composite = self.problem.composite
         self.x0 = origin if self.problem is problem else np.zeros(problem.dim)
         self.norm = self.problem.norm
-        self.want_hessian = config.subsolver == "exact" or config.stop == "exact"
         self.fstar = problem.known_optimum[1] if problem.known_optimum else None
         self.records: list[TraceRecord] = []
         self.points: list[np.ndarray] = []
@@ -223,8 +230,7 @@ class _Runner:
         return self.oracle.value(x) + self.composite.value(x)
 
     def build_model(self, center, H) -> TensorModel:
-        return TensorModel(self.oracle, self.composite, center, H, p=self.config.p,
-                           want_hessian=self.want_hessian)
+        return TensorModel(self.oracle, self.composite, center, H, p=self.config.p)
 
     def line_search(self, model, delta, warm=None):
         """Double H until F(T) <= model(T); the accepted weight lands in H_used.

@@ -25,18 +25,17 @@ class TensorModel:
 
     The oracle's center state is fetched here by ``value_gradient_state``,
     together with the value and gradient, and every Hessian-vector product
-    reuses it. When ``want_hessian`` is set (exact subsolver, or an exact
-    stopping rule), the build also fetches the Hessian whitened by the norm's
-    factor, ``oracle.whitened_hessian``, from the same state, rejects a
-    non-finite one with ``LinAlgError`` and reduces it once to tridiagonal form:
-    ``reduction`` holds (d, e, V, tau) of ``linalg.tridiagonal_form``, the T
-    every exact step on this model, or on a ``with_weight`` copy, solves on.
-    The model keeps no dense Hessian; its curvature action is always the
-    oracle's Hessian-vector product.
+    reuses it. The first read of ``reduction`` (by an exact step, or an exact
+    stopping rule) fetches the Hessian whitened by the norm's factor,
+    ``oracle.whitened_hessian``, from the same state, rejects a non-finite one
+    with ``LinAlgError`` and reduces it to tridiagonal form: ``reduction`` is
+    (d, e, V, tau) of ``linalg.tridiagonal_form``, the T every exact step on
+    this model, or on a ``with_weight`` copy, solves on; the copies share it,
+    so a center is reduced at most once. The model keeps no dense Hessian; its
+    curvature action is always the oracle's Hessian-vector product.
     """
 
-    def __init__(self, oracle, composite, center, H: float, p: int = 2,
-                 want_hessian: bool = False):
+    def __init__(self, oracle, composite, center, H: float, p: int = 2):
         if p not in (1, 2):
             raise ValueError("model order must be 1 or 2")
         if H <= 0:
@@ -48,9 +47,16 @@ class TensorModel:
         self.composite = composite
         self.norm = oracle.norm
         self.f0, self.g0, self._hess_state = oracle.value_gradient_state(self.center, p == 2)
-        self.reduction = (tridiagonal_form(oracle.whitened_hessian(self.center, self._hess_state))
-                          if (p == 2 and want_hessian) else None)
+        self._reduction = [] if p == 2 else [None]  # shared by with_weight copies
         self._reg_scale = self.H / math.factorial(self.p + 1)
+
+    @property
+    def reduction(self):
+        """(d, e, V, tau), reduced on first read; None for an order-1 model."""
+        if not self._reduction:
+            self._reduction.append(tridiagonal_form(
+                self.oracle.whitened_hessian(self.center, self._hess_state)))
+        return self._reduction[0]
 
     def hess_action(self, d) -> np.ndarray:
         """Curvature action of the frozen smooth part on a direction."""

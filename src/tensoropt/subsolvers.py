@@ -3,9 +3,9 @@
 Three ways to produce a step:
 
 * ``exact_cubic_step``  -- global minimizer of the order-2 model: the solve on
-  the tridiagonal form T of the whitened Hessian that the model reduced once
-  when it was built, through a scalar secular equation whose evaluations are
-  O(n) tridiagonal solves (zero residual).
+  the tridiagonal form T of the whitened Hessian that the model reduces on
+  its first exact step, through a scalar secular equation whose evaluations
+  are O(n) tridiagonal solves (zero residual).
 * ``gradient_step``     -- closed-form order-1 step, optionally with a
   quadratic composite folded in (zero residual).
 * ``fgm_step``          -- accelerated gradient loop with backtracking step
@@ -56,17 +56,15 @@ class StepResult:
     point: np.ndarray
     certified_residual: float
     inner_iterations: int
-    certification: str            # "bound" | "exact_oracle" | "closed_form"
     model_value: float
     grad_dual_norm: float | None = None
-    delta_used: float | None = None
     objective_value: float | None = None  # F at point, when known (see fgm_step) or measured
     stationary: bool = False
     at_floor: bool = False        # FGM stopped making progress before certifying delta
     # FGM steps only, so that a retry can resume from this one: the curvature
     # product H·(point − center) from a fresh oracle product, and the probe's
     # step direction at point with the model it was computed on and that
-    # model's exact minimum (None under stop="bound")
+    # model's exact minimum (None when certified by the bound)
     curvature: np.ndarray | None = None
     probe: tuple | None = None    # (model, step direction, model_min)
 
@@ -120,10 +118,8 @@ def gradient_step(model: TensorModel) -> StepResult:
         point=T,
         certified_residual=0.0,
         inner_iterations=1,
-        certification="closed_form",
         model_value=model.value(T),
         grad_dual_norm=0.0,
-        delta_used=0.0,
     )
 
 
@@ -198,9 +194,9 @@ def exact_cubic_step(model: TensorModel) -> StepResult:
     Works in coordinates where the norm operator is the identity: with the
     norm's factor B = L Lᵀ, the step d = L⁻ᵀ v turns ||d||_B into ||v|| and the
     Hessian A into M = L⁻¹ A L⁻ᵀ. The model's reduction M = Q T Qᵀ to a
-    symmetric tridiagonal T (no eigendecomposition of M), computed once when
-    the model was built, turns the model into a secular equation in the step
-    length, each of whose evaluations is an O(n) tridiagonal solve; a quadratic
+    symmetric tridiagonal T (no eigendecomposition of M), computed on its first
+    exact step, turns the model into a secular equation in the step length,
+    each of whose evaluations is an O(n) tridiagonal solve; a quadratic
     composite shifts T's diagonal by its weight. The reduction is only read,
     so reweighted copies of the model share it. The bottom eigenpair
     (lam_min, z) of T, from bisection and inverse iteration on T alone,
@@ -214,8 +210,6 @@ def exact_cubic_step(model: TensorModel) -> StepResult:
     """
     if model.p != 2:
         raise ValueError("exact cubic step requires an order-2 model")
-    if model.reduction is None:
-        raise ValueError("exact step needs the model's reduced Hessian (want_hessian)")
     g, mu = _fold_quadratic(model)
     H = model.H
     norm = model.norm
@@ -265,10 +259,8 @@ def exact_cubic_step(model: TensorModel) -> StepResult:
         point=T,
         certified_residual=0.0,
         inner_iterations=1,
-        certification="exact_oracle",
         model_value=f_T,
         grad_dual_norm=norm.dual(g_T),
-        delta_used=0.0,
     )
 
 
@@ -290,13 +282,13 @@ def _default_cap(delta: float) -> int:
     return 10_000 * max(1, math.ceil(math.log(1.0 / delta)))
 
 
-def fgm_step(model: TensorModel, delta: float, warm_start=None, stop: str = "bound",
+def fgm_step(model: TensorModel, delta: float, warm_start=None,
              model_min: float | None = None, max_iters: int | None = None) -> StepResult:
     """Accelerated gradient loop on the model, stopped by a residual rule.
 
-    stop = "bound": accept the first iterate whose uniform-convexity
-    certificate is at most delta. stop = "exact": accept once the model value
-    is within delta of ``model_min`` (the caller supplies the exact minimum).
+    With no ``model_min``, accept the first iterate whose uniform-convexity
+    certificate is at most delta; given the model's exact minimum
+    ``model_min``, accept once the model value is within delta of it.
     Momentum restarts whenever the model value fails to improve on the best
     seen, which keeps the recorded best value non-increasing.
 
@@ -329,17 +321,13 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None, stop: str = "bou
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if stop not in ("bound", "exact"):
-        raise ValueError("stop must be 'bound' or 'exact'")
-    if stop == "exact" and model_min is None:
-        raise ValueError("stop='exact' needs the exact model minimum")
     cap = _default_cap(delta) if max_iters is None else max_iters
     norm = model.norm
     center = model.center
     sigma = model.uniform_convexity()
 
     def certificate(f, gn):
-        return (f - model_min) if stop == "exact" else residual_bound(gn, sigma, model.p + 1)
+        return residual_bound(gn, sigma, model.p + 1) if model_min is None else f - model_min
 
     def probe(y, hy):
         """(step direction, dual gradient norm, model value, certificate) at y."""
@@ -354,10 +342,8 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None, stop: str = "bou
             point=point.copy(),
             certified_residual=max(0.0, float(cert)),
             inner_iterations=iters,
-            certification="exact_oracle" if stop == "exact" else "bound",
             model_value=f,
             grad_dual_norm=gn,
-            delta_used=delta,
             curvature=hp,
             probe=(model, step_dir, model_min),
         )
@@ -454,7 +440,7 @@ def solve_model(model: TensorModel, delta: float, warm_start=None,
         probe = _probe_on(warm_start, model)
         model_min = probe[2] if probe and probe[2] is not None else (
             closed_form(model).model_value)
-    return fgm_step(model, delta, warm_start=warm_start, stop=stop, model_min=model_min)
+    return fgm_step(model, delta, warm_start=warm_start, model_min=model_min)
 
 
 def model_solver(model: TensorModel, objective, kind: str = "fgm", stop: str = "bound"):
@@ -506,7 +492,6 @@ def monotone_step(f_x: float, solve, delta: float, floor: float) -> StepResult:
         res = solve(delta_eff, warm)
         total_inner += res.inner_iterations
         res.inner_iterations = total_inner
-        res.delta_used = delta_eff
         if is_stationary(res, f_x, delta_eff, floor):
             res.stationary = True
             return res

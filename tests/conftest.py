@@ -50,7 +50,7 @@ def random_cubic_model(rng, n=None, convex=True):
     g = rng.normal(size=n)
     H = rng.uniform(0.5, 5.0)
     oracle = QuadraticOracle(A, b=g, norm=norm)
-    return TensorModel(oracle, ZeroComposite(n), np.zeros(n), H, p=2, want_hessian=True)
+    return TensorModel(oracle, ZeroComposite(n), np.zeros(n), H, p=2)
 
 
 def brute_force_model_min(model, rng, n_starts=8):

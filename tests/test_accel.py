@@ -269,6 +269,14 @@ class TestAccelerated:
         run = accelerated(chain, np.ones(6), cfg)
         assert run.records[-1].gap < run.records[0].gap
 
+    @pytest.mark.parametrize("field, warned", [("policy", 0), ("inner_policy", 1)])
+    def test_warns_only_about_the_schedule_it_reads(self, recwarn, field, warned):
+        # the inner solves follow inner_policy; policy is never read
+        cfg = SolverConfig(p=2, h_mode="fixed", h_value=1.0, max_iters=1,
+                           **{field: adaptive(1, 1)})
+        accelerated(powered_chain_oracle(6, 3.0, 1.0), np.ones(6), cfg)
+        assert len([w for w in recwarn if "guaranteed-rate limit" in str(w.message)]) == warned
+
     @pytest.mark.parametrize("settings,reason", [
         (dict(h_mode="fixed", h_value=1.0, zeta_policy=adaptive(1, 1)), "adaptive zeta_policy"),
         # a line-search start would be silently dropped by the fixed schedule

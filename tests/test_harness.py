@@ -124,6 +124,13 @@ class TestBadSpecs:
          "closed-form steps support only zero or quadratic composites"),
         ({"problem": {"name": "chain", "q": 2.5}, "H": "lipschitz", "subsolver": "exact",
           "composite": "power:1:3"}, "no known Lipschitz constant"),
+        ({"method": "accelerated", "stop": "exact"}, "accelerated does not support stop exact"),
+        ({"method": "accelerated", "subsolver": "exact"},
+         "accelerated at p = 2 does not support subsolver exact"),
+        ({"subsolver": "exact", "stop": "exact"},
+         "stop exact is never read under subsolver exact"),
+        ({"method": "accelerated", "p": 1, "subsolver": "exact", "composite": "quadratic:0.5"},
+         "closed-form steps support only zero or quadratic composites"),
     ])
     def test_problem_faults_rejected_before_any_instance(self, monkeypatch, fields, reason):
         def no_instance(*args):
@@ -477,6 +484,15 @@ class TestCli:
         (["compare", "--configs", "lp.json", "lp.json", "--out", "cmp"],
          "no known Lipschitz constant of order 2 for this problem"),
         (["compare", "--configs", "cubic.json", "cubic.json", "--out", "cmp"],
+         "closed-form steps support only zero or quadratic"),
+        (["run", "--problem", "chain:n=6", "--method", "accelerated", "--H", "fixed:1",
+          "--stop", "exact"], "accelerated does not support stop exact"),
+        (["run", "--problem", "chain:n=6", "--method", "accelerated", "--H", "fixed:1",
+          "--subsolver", "exact"], "accelerated at p = 2 does not support subsolver exact"),
+        (["run", "--problem", "chain:n=6", "--H", "fixed:1", "--subsolver", "exact",
+          "--stop", "exact"], "stop exact is never read under subsolver exact"),
+        (["run", "--problem", "chain:n=6", "--method", "accelerated", "--p", "1", "--H",
+          "fixed:1", "--subsolver", "exact", "--composite", "quadratic:0.5"],
          "closed-form steps support only zero or quadratic"),
     ])
     def test_spec_error_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, reason):

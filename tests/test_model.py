@@ -20,8 +20,7 @@ from tensoropt.problems import (
 def _simple_quadratic_model(H=6.0, p=2):
     # f(x) = x^2 / 2 in one dimension, frozen at the origin
     oracle = QuadraticOracle(np.array([[1.0]]))
-    return TensorModel(oracle, ZeroComposite(1), np.zeros(1), H=H, p=p,
-                       want_hessian=(p == 2))
+    return TensorModel(oracle, ZeroComposite(1), np.zeros(1), H=H, p=p)
 
 
 class TestModelValue:
@@ -61,8 +60,7 @@ class TestModelValue:
 
     def test_upper_bound_exact_for_quadratic(self):
         oracle = QuadraticOracle(np.array([[2.0, 0.0], [0.0, 1.0]]))
-        model = TensorModel(oracle, ZeroComposite(2), np.ones(2), H=1.0, p=2,
-                            want_hessian=True)
+        model = TensorModel(oracle, ZeroComposite(2), np.ones(2), H=1.0, p=2)
         rng = np.random.default_rng(6)
         for _ in range(20):
             y = rng.normal(size=2)
@@ -84,8 +82,7 @@ class TestModelGradient:
     def test_one_dimensional_root_matches_independent_solver(self):
         # model with f'(0) = -1, f''(0) = 1, H = 2: gradient root at (sqrt(5)-1)/2
         oracle = QuadraticOracle(np.array([[1.0]]), b=np.array([-1.0]))
-        model = TensorModel(oracle, ZeroComposite(1), np.zeros(1), H=2.0, p=2,
-                            want_hessian=True)
+        model = TensorModel(oracle, ZeroComposite(1), np.zeros(1), H=2.0, p=2)
         root = scipy.optimize.brentq(lambda h: model.gradient(np.array([h]))[0], 0.0, 2.0,
                                      xtol=1e-14)
         assert root == pytest.approx((np.sqrt(5.0) - 1.0) / 2.0, abs=1e-12)
@@ -107,8 +104,7 @@ class TestModelGradient:
         M = rng.normal(size=(4, 4))
         norm = NormOperator.dense(M @ M.T + 4 * np.eye(4))
         oracle = QuadraticOracle(M @ M.T + np.eye(4), b=rng.normal(size=4), norm=norm)
-        model = TensorModel(oracle, ZeroComposite(4), rng.normal(size=4), H=1.7, p=2,
-                            want_hessian=True)
+        model = TensorModel(oracle, ZeroComposite(4), rng.normal(size=4), H=1.7, p=2)
         y = rng.normal(size=4)
         fd = fd_gradient(model.value, y)
         np.testing.assert_allclose(model.gradient(y), fd, rtol=1e-6, atol=1e-7)

@@ -662,16 +662,17 @@ class TestHessianState:
 
     @pytest.mark.parametrize("kind, shared", [("logsumexp", "_weights"),
                                               ("logistic", "_margins")])
-    @pytest.mark.parametrize("want_hessian", [False, True])
-    def test_a_model_build_evaluates_the_center_once(self, monkeypatch, kind, shared,
-                                                     want_hessian):
+    @pytest.mark.parametrize("reduce", [False, True])
+    def test_a_model_build_evaluates_the_center_once(self, monkeypatch, kind, shared, reduce):
         rng = np.random.default_rng(37)
         oracle = _oracle_family(kind, rng)
         calls = []
         inner = getattr(oracle, shared)
         monkeypatch.setattr(oracle, shared, lambda x: calls.append(1) or inner(x))
         model = TensorModel(CountingOracle(oracle), ZeroComposite(6), rng.normal(size=6),
-                            H=2.0, p=2, want_hessian=want_hessian)
+                            H=2.0, p=2)
+        if reduce:
+            assert model.reduction is not None
         # the dense Hessian reuses the center state
         assert len(calls) == 1
         assert model.oracle.counts()["value"] == model.oracle.counts()["gradient"] == 1
@@ -707,13 +708,14 @@ class TestHessianState:
             assert np.array_equal(model.hess_action(d), hd)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("p, want_hessian", [(1, False), (1, True)])
-    def test_no_state_without_products(self, monkeypatch, p, want_hessian):
+    @pytest.mark.parametrize("p, reduce", [(1, False), (1, True)])
+    def test_no_state_without_products(self, monkeypatch, p, reduce):
         rng = np.random.default_rng(33)
         oracle = _oracle_family("logsumexp", rng)
         calls = self._spied(monkeypatch, oracle)
-        TensorModel(oracle, ZeroComposite(6), rng.normal(size=6), H=2.0, p=p,
-                    want_hessian=want_hessian)
+        model = TensorModel(oracle, ZeroComposite(6), rng.normal(size=6), H=2.0, p=p)
+        if reduce:
+            assert model.reduction is None
         assert calls == []
 
     @pytest.mark.parametrize("kind", FAMILIES)
@@ -723,10 +725,10 @@ class TestHessianState:
         center = rng.normal(size=6)
         fresh = tridiagonal_form(oracle.whitened_hessian(center))
         calls = self._spied(monkeypatch, oracle)
-        model = TensorModel(CountingOracle(oracle), ZeroComposite(6), center, H=2.0, p=2,
-                            want_hessian=True)
-        assert len(calls) == 1
+        model = TensorModel(CountingOracle(oracle), ZeroComposite(6), center, H=2.0, p=2)
+        assert model.oracle.counts()["hessian"] == 0
         assert all(np.array_equal(a, b) for a, b in zip(model.reduction, fresh))
+        assert len(calls) == 1
         assert model.oracle.counts() == {"value": 1, "gradient": 1, "hessian_vec": 0,
                                          "hessian": 1}
 

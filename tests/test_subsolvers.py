@@ -65,19 +65,16 @@ class TestExactCubicStep:
     def test_fixed_point_at_stationary_center(self):
         A = np.diag([1.0, 2.0])
         oracle = QuadraticOracle(A)
-        model = TensorModel(oracle, ZeroComposite(2), np.zeros(2), H=3.0, p=2,
-                            want_hessian=True)
+        model = TensorModel(oracle, ZeroComposite(2), np.zeros(2), H=3.0, p=2)
         res = exact_cubic_step(model)
         np.testing.assert_allclose(res.point, np.zeros(2), atol=1e-14)
 
     def test_one_dimensional_golden_root(self):
         oracle = QuadraticOracle(np.array([[1.0]]), b=np.array([-1.0]))
-        model = TensorModel(oracle, ZeroComposite(1), np.zeros(1), H=2.0, p=2,
-                            want_hessian=True)
+        model = TensorModel(oracle, ZeroComposite(1), np.zeros(1), H=2.0, p=2)
         res = exact_cubic_step(model)
         assert res.point[0] == pytest.approx((math.sqrt(5.0) - 1.0) / 2.0, abs=1e-12)
         assert res.certified_residual == 0.0
-        assert res.certification == "exact_oracle"
 
     def test_matches_brute_force_on_random_models(self):
         rng = np.random.default_rng(1)
@@ -108,8 +105,7 @@ class TestExactCubicStep:
         A = np.diag([-2.0, 1.0])
         g = np.array([0.0, 1e-3])
         oracle = QuadraticOracle(A, b=g)
-        model = TensorModel(oracle, ZeroComposite(2), np.zeros(2), H=1.0, p=2,
-                            want_hessian=True)
+        model = TensorModel(oracle, ZeroComposite(2), np.zeros(2), H=1.0, p=2)
         res = exact_cubic_step(model)
         rng = np.random.default_rng(4)
         ref = brute_force_model_min(model, rng, n_starts=20)
@@ -124,8 +120,7 @@ class TestExactCubicStep:
         # where -c / (lam_min + H r / 2) divides by rounding
         A = np.diag([-1.0, 0.5, 2.0])
         oracle = QuadraticOracle(A, b=eps * np.ones(3))
-        model = TensorModel(oracle, ZeroComposite(3), np.zeros(3), H=1.5, p=2,
-                            want_hessian=True)
+        model = TensorModel(oracle, ZeroComposite(3), np.zeros(3), H=1.5, p=2)
         res = exact_cubic_step(model)
         # from eps = 2e-12 the root is interior, up to 1e-10 past the boundary
         # and outside the bracket tolerance; a bottom coordinate divided by
@@ -138,8 +133,7 @@ class TestExactCubicStep:
     def test_zero_gradient_negative_curvature(self):
         A = np.diag([-1.0, 2.0])
         oracle = QuadraticOracle(A)
-        model = TensorModel(oracle, ZeroComposite(2), np.zeros(2), H=2.0, p=2,
-                            want_hessian=True)
+        model = TensorModel(oracle, ZeroComposite(2), np.zeros(2), H=2.0, p=2)
         res = exact_cubic_step(model)
         assert model.value(res.point) < model.value(model.center)
 
@@ -150,15 +144,9 @@ class TestExactCubicStep:
         norm = NormOperator.identity(n)
         oracle = QuadraticOracle(A, b=rng.normal(size=n), norm=norm)
         comp = PowerComposite(0.8, 2.0, rng.normal(size=n), norm)
-        model = TensorModel(oracle, comp, np.zeros(n), H=2.0, p=2, want_hessian=True)
+        model = TensorModel(oracle, comp, np.zeros(n), H=2.0, p=2)
         res = exact_cubic_step(model)
         assert model.norm.dual(model.gradient(res.point)) <= 1e-10
-
-    def test_rejects_missing_hessian(self):
-        oracle = QuadraticOracle(np.eye(2), b=np.ones(2))
-        model = TensorModel(oracle, ZeroComposite(2), np.zeros(2), H=1.0, p=2)
-        with pytest.raises(ValueError):
-            exact_cubic_step(model)
 
 
 def _reference_step(model):
@@ -220,7 +208,7 @@ def _whitened_model(kind, rng, lam, c, composite_mu=0.0, H=1.5):
     oracle = QuadraticOracle(0.5 * (A + A.T), b=L @ (Q @ c), center=center, norm=norm)
     comp = (PowerComposite(composite_mu, 2.0, center, norm) if composite_mu
             else ZeroComposite(n))
-    return TensorModel(oracle, comp, center, H, p=2, want_hessian=True)
+    return TensorModel(oracle, comp, center, H, p=2)
 
 
 class TestExactStepInFactorCoordinates:
@@ -237,8 +225,7 @@ class TestExactStepInFactorCoordinates:
             oracle = QuadraticOracle(A, b=gradient_scale * rng.normal(size=n), norm=norm)
             comp = (PowerComposite(rng.uniform(0.1, 2.0), 2.0, rng.normal(size=n), norm)
                     if composite == "quadratic" else ZeroComposite(n))
-            yield TensorModel(oracle, comp, rng.normal(size=n), rng.uniform(0.5, 5.0),
-                              p=2, want_hessian=True)
+            yield TensorModel(oracle, comp, rng.normal(size=n), rng.uniform(0.5, 5.0), p=2)
 
     @pytest.mark.parametrize("kind", NORM_KINDS)
     @pytest.mark.parametrize("composite", ["zero", "quadratic"])
@@ -327,8 +314,7 @@ class TestExactStepInFactorCoordinates:
         rng = np.random.default_rng(44)
         A = rng.normal(size=(40, 8))
         oracle = LogSumExpOracle(A, b=rng.normal(size=40), mu=1.0, norm=NormOperator.gram(A))
-        model = TensorModel(oracle, ZeroComposite(8), rng.normal(size=8), 2.0, p=2,
-                            want_hessian=True)
+        model = TensorModel(oracle, ZeroComposite(8), rng.normal(size=8), 2.0, p=2)
         exact_cubic_step(model)
         assert model.norm._eig is None
 
@@ -359,13 +345,13 @@ class TestExactStepInFactorCoordinates:
         rng = np.random.default_rng(45)
         model = _whitened_model(kind, rng, np.array([-1.0, 0.5, 2.0]), np.ones(3))
         if where == "hessian":
-            # the model build fetches and reduces the Hessian, so it meets the NaN
+            # the first exact step fetches and reduces the Hessian, so it meets the NaN
             hess = model.oracle.hessian(model.center)
             hess[1, 2] = np.nan
             monkeypatch.setattr(model.oracle, "hessian", lambda x, state=None: hess.copy())
+            model = TensorModel(model.oracle, model.composite, model.center, model.H, p=2)
             with pytest.raises(np.linalg.LinAlgError):
-                TensorModel(model.oracle, model.composite, model.center, model.H, p=2,
-                            want_hessian=True)
+                exact_cubic_step(model)
         else:
             model.g0 = model.g0.copy()
             model.g0[1] = np.nan
@@ -386,8 +372,7 @@ class TestExactStepOnTheModelsReduction:
             yield model
             n = model.center.size
             comp = PowerComposite(rng.uniform(0.1, 2.0), 2.0, rng.normal(size=n), model.norm)
-            yield TensorModel(model.oracle, comp, model.center, model.H, p=2,
-                              want_hessian=True)
+            yield TensorModel(model.oracle, comp, model.center, model.H, p=2)
 
     def test_value_and_gradient_norm_come_from_one_oracle_product(self, monkeypatch):
         for model in self._gate4_models():
@@ -423,7 +408,7 @@ class TestExactStepOnTheModelsReduction:
                             lambda M: reductions.append(1) or reduce(M))
         rng = np.random.default_rng(9)
         model = random_cubic_model(rng, n=6)
-        assert len(reductions) == 1
+        assert len(reductions) == 0
         assert not hasattr(model, "hess")
         for H in (1.0, 2.0, 4.0):
             solve_model(model.with_weight(H), 1e-6, kind="fgm", stop="exact")
@@ -499,7 +484,8 @@ class TestFgmStep:
         res = solve_model(model, 1e-9, kind="fgm", stop="exact")
         exact = exact_cubic_step(model)
         assert res.model_value - exact.model_value <= 1e-9
-        assert res.certification == "exact_oracle"
+        # certified against the exact minimum, not by the bound
+        assert res.certified_residual == max(0.0, res.model_value - exact.model_value)
 
     def test_warm_start_saves_iterations(self):
         rng = np.random.default_rng(10)
@@ -539,14 +525,13 @@ class TestFgmStep:
             fgm_step(model, delta=0.0)
 
 
-def _counted_lse_model(p=2, norm_kind="dense", want_hessian=False, seed=21, n=6, m=30):
+def _counted_lse_model(p=2, norm_kind="dense", seed=21, n=6, m=30):
     """Smoothed-max model away from its minimizer, on an HVP-counting oracle."""
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(m, n))
     norm = NormOperator.gram(A) if norm_kind == "dense" else NormOperator.identity(n)
     oracle = CountingOracle(LogSumExpOracle(A, b=rng.normal(size=m), mu=1.0, norm=norm))
-    return TensorModel(oracle, ZeroComposite(n), rng.normal(size=n), 2.0, p=p,
-                       want_hessian=want_hessian)
+    return TensorModel(oracle, ZeroComposite(n), rng.normal(size=n), 2.0, p=p)
 
 
 def _assert_fresh_certificate(model, res, stop, model_min=None):
@@ -590,12 +575,12 @@ class TestFgmCurvatureProducts:
     @pytest.mark.parametrize("stop", ["bound", "exact"])
     @pytest.mark.parametrize("warm", [False, True])
     def test_returned_certificate_comes_from_a_fresh_product(self, p, norm_kind, stop, warm):
-        model = _counted_lse_model(p, norm_kind, want_hessian=(stop == "exact"))
+        model = _counted_lse_model(p, norm_kind)
         model_min = None
         if stop == "exact":
             model_min = (gradient_step(model) if p == 1 else exact_cubic_step(model)).model_value
         start = model.center + 0.3 * np.random.default_rng(22).normal(size=6) if warm else None
-        res = fgm_step(model, 1e-9, warm_start=start, stop=stop, model_min=model_min)
+        res = fgm_step(model, 1e-9, warm_start=start, model_min=model_min)
         assert res.inner_iterations > 0
         assert res.certified_residual <= 1e-9
         _assert_fresh_certificate(model, res, stop, model_min)
@@ -604,14 +589,14 @@ class TestFgmCurvatureProducts:
     # exact stop certifies this model by then, so it stalls earlier
     @pytest.mark.parametrize("stop, cap", [("bound", 20), ("exact", 5)])
     def test_stall_certificate_comes_from_a_fresh_product(self, stop, cap):
-        model = _counted_lse_model(want_hessian=(stop == "exact"))
+        model = _counted_lse_model()
         model_min = exact_cubic_step(model).model_value if stop == "exact" else None
         with pytest.raises(SubsolverStall) as exc:
-            fgm_step(model, delta=1e-14, stop=stop, model_min=model_min, max_iters=cap)
+            fgm_step(model, delta=1e-14, model_min=model_min, max_iters=cap)
         _assert_fresh_certificate(model, exc.value.best, stop, model_min)
 
     def test_exact_step_spends_one_product(self):
-        model = _counted_lse_model(want_hessian=True)
+        model = _counted_lse_model()
         before = model.oracle.n_hvp
         exact_cubic_step(model)
         assert model.oracle.n_hvp - before == 1
@@ -691,7 +676,7 @@ class TestMonotoneStep:
     def _lse_model(self, seed=14, H=4.0):
         prob = generate_shifted_logsumexp(6, 36, 1.0, seed=seed)
         x = 0.5 * np.ones(6)
-        model = TensorModel(prob.smooth, prob.composite, x, H=H, p=2, want_hessian=True)
+        model = TensorModel(prob.smooth, prob.composite, x, H=H, p=2)
         return prob, model
 
     @staticmethod
@@ -709,8 +694,7 @@ class TestMonotoneStep:
     def test_stationarity_at_optimum(self):
         prob = generate_shifted_logsumexp(5, 30, 1.0, seed=15)
         x_star = prob.known_optimum[0]
-        model = TensorModel(prob.smooth, prob.composite, x_star, H=4.0, p=2,
-                            want_hessian=True)
+        model = TensorModel(prob.smooth, prob.composite, x_star, H=4.0, p=2)
         res = self._step(prob, model, delta=1e-3, floor=1e-10, kind="exact")
         assert res.stationary
 
@@ -718,9 +702,12 @@ class TestMonotoneStep:
         # a huge tolerance certifies the center itself; the loop must tighten
         # it until a strictly better point appears
         prob, model = self._lse_model()
-        res = self._step(prob, model, delta=1e6, floor=1e-12, kind="fgm")
+        solve, deltas = model_solver(model, prob.value), []
+        res = monotone_step(prob.value(model.center),
+                            lambda delta, warm: deltas.append(delta) or solve(delta, warm),
+                            delta=1e6, floor=1e-12)
         assert res.objective_value < prob.value(model.center)
-        assert res.delta_used < 1e6
+        assert deltas[0] == 1e6 and deltas[-1] < 1e6
 
     def test_lemma_one_chain(self):
         # with H = p L_p: F(T) <= F(y) + (p+1) L_p ||y-x||^{p+1} / (p+1)! + delta
@@ -798,8 +785,7 @@ class TestResumedSolve:
     def test_resumed_and_array_warm_started_solves_agree(self, norm_kind, stop, first_delta):
         prob, x = _counted_problem(norm_kind)
         oracle = prob.smooth
-        model = TensorModel(oracle, prob.composite, x, H=4.0, p=2,
-                            want_hessian=(stop == "exact"))
+        model = TensorModel(oracle, prob.composite, x, H=4.0, p=2)
         solve = model_solver(model, prob.value, stop=stop)
         first = solve(first_delta, None)
         assert (first.inner_iterations > 0) == (first_delta < 1.0)
@@ -855,7 +841,7 @@ class TestResumedSolve:
 
     def test_the_exact_stop_computes_one_model_minimum_per_model(self, monkeypatch):
         prob, x = _counted_problem("identity")
-        model = TensorModel(prob.smooth, prob.composite, x, H=4.0, p=2, want_hessian=True)
+        model = TensorModel(prob.smooth, prob.composite, x, H=4.0, p=2)
         minima = []
         exact = subsolvers.exact_cubic_step
         monkeypatch.setattr(subsolvers, "exact_cubic_step",
@@ -887,7 +873,7 @@ class ScriptedSolve:
         self.calls.append((delta, warm))
         self.results.append(StepResult(
             point=np.full(2, float(i)), certified_residual=self.certs[i],
-            inner_iterations=i + 1, certification="bound", model_value=0.0,
+            inner_iterations=i + 1, model_value=0.0,
             objective_value=self.values[i], at_floor=self.floors[i]))
         return self.results[-1]
 
@@ -903,7 +889,6 @@ class TestMonotoneStepLoop:
         assert all(warms[i] is solve.results[i - 1] for i in range(1, 4))
         np.testing.assert_array_equal(res.point, np.full(2, 3.0))
         assert res.objective_value == 0.5 and not res.stationary
-        assert res.delta_used == 0.1
         assert res.inner_iterations == 1 + 2 + 3 + 4
 
     def test_delta_is_raised_to_the_floor(self):
