@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,8 @@ from .linalg import tridiagonal_form
 
 
 class TensorModel:
-    """Order-p model frozen at a center point; immutable once built.
+    """Order-p model frozen at a center point; immutable once built, but for
+    ``minimum``, the exact model minimum that a stop="exact" solve keeps on it.
 
     The oracle's center state is fetched here by ``value_gradient_state``,
     together with the value and gradient, and every Hessian-vector product
@@ -31,8 +33,10 @@ class TensorModel:
     with ``LinAlgError`` and reduces it to tridiagonal form: ``reduction`` is
     (d, e, V, tau) of ``linalg.tridiagonal_form``, the T every exact step on
     this model, or on a ``with_weight`` copy, solves on; the copies share it,
-    so a center is reduced at most once. The model keeps no dense Hessian; its
-    curvature action is always the oracle's Hessian-vector product.
+    so a center is reduced at most once. ``with_weight`` makes one copy per
+    weight, so there is one model, and one ``minimum``, per (center, weight).
+    The model keeps no dense Hessian; its curvature action is always the
+    oracle's Hessian-vector product.
     """
 
     def __init__(self, oracle, composite, center, H: float, p: int = 2):
@@ -49,6 +53,11 @@ class TensorModel:
         self.f0, self.g0, self._hess_state = oracle.value_gradient_state(self.center, p == 2)
         self._reduction = [] if p == 2 else [None]  # shared by with_weight copies
         self._reg_scale = self.H / math.factorial(self.p + 1)
+        # with_weight copies by weight, held here; a copy reaches them through a
+        # weak reference, so no reference cycle keeps a center's models alive
+        self._copies = {}
+        self._origin = weakref.ref(self)
+        self.minimum = None
 
     @property
     def reduction(self):
@@ -109,12 +118,22 @@ class TensorModel:
 
     def with_weight(self, H: float) -> "TensorModel":
         """The same frozen model under another regularization weight (no oracle call),
-        sharing this model's reduction."""
+        sharing this model's reduction: one copy per weight, returned again by
+        every later call on this model or on a copy of it, while the model
+        built at the center lives."""
         if H <= 0:
             raise ValueError("regularization weight H must be positive")
-        other = copy.copy(self)
-        other.H = float(H)
-        other._reg_scale = other.H / math.factorial(self.p + 1)
+        H = float(H)
+        origin = self._origin()
+        copies = {} if origin is None else origin._copies
+        other = copies.get(H)
+        if other is None:
+            other = copy.copy(self)
+            other.H = H
+            other._reg_scale = H / math.factorial(self.p + 1)
+            other._copies = None
+            other.minimum = None
+            copies[H] = other
         return other
 
     def uniform_convexity(self) -> float:

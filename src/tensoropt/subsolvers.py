@@ -14,7 +14,8 @@ Three ways to produce a step:
   the curvature products H·(x − center) next to its iterates, so an iteration
   costs one Hessian-vector product, one norm solve and, per probe, one B·d
   shared by the model value and gradient (both copies under the identity norm
-  a solver run works in); every certificate it
+  a solver run works in); a backtracking step size that the curvature along
+  the step direction rules out costs no model evaluation; every certificate it
   returns is recomputed from a fresh product. When its best model value stops
   decreasing, the tolerance is below what double precision can certify, and
   it returns its best iterate flagged ``at_floor``. A returned step carries
@@ -48,6 +49,30 @@ SECULAR_REL_TOL = 1e-12
 # shortest tried that did not, so 10 leaves a margin.
 FLOOR_WINDOW = 10
 
+# Step sizes 1/L one FGM backtracking search tries, doubling L from half the
+# last accepted one. From the floor L = 1e-12 they reach L ≈ 1e24, far past
+# the curvature of any model the solvers build; the limit ends a search whose
+# test never passes, as with a non-finite model value, on its last try.
+BACKTRACK_TRIES = 120
+
+# Relative slack of the backtracking decrease test, m(x) <= m(y) - gn²/(2L)
+# + slack·|m(y)|: a few ulps of the model value, so that a decrease lost to
+# the rounding of m(x) and m(y) does not reject the step size.
+DECREASE_SLACK = 1e-15
+
+# Rounding margin of the curvature bound by which backtracking skips step
+# sizes (``_skip_ruled_out``), relative to the size of the quantities that the
+# decrease test and the bound round: max(1, |m(y)|, |f0|) for the two model
+# values, whose sums start at f0 and come to m(y), plus the magnitudes of the
+# bound's terms, which are also the amounts by which m(x) moves away from
+# m(y). Each is computed to a few ulps of its size, or a few dozen for the
+# dot products; 1e-13 is about 450 ulps, so rounding cannot make a skipped
+# step size one that the test would pass. Skipped step sizes fail the test by
+# as little as 3e-13 on random cubic models, and with neither this margin nor
+# the test's slack the bound skips one that passes on the accelerated chain's
+# subproblem.
+SKIP_MARGIN = 1e-13
+
 
 @dataclass
 class StepResult:
@@ -63,10 +88,9 @@ class StepResult:
     at_floor: bool = False        # FGM stopped making progress before certifying delta
     # FGM steps only, so that a retry can resume from this one: the curvature
     # product H·(point − center) from a fresh oracle product, and the probe's
-    # step direction at point with the model it was computed on and that
-    # model's exact minimum (None when certified by the bound)
+    # step direction at point with the model it was computed on
     curvature: np.ndarray | None = None
-    probe: tuple | None = None    # (model, step direction, model_min)
+    probe: tuple | None = None    # (model, step direction)
 
 
 class SubsolverStall(RuntimeError):
@@ -268,12 +292,40 @@ def exact_cubic_step(model: TensorModel) -> StepResult:
 # accelerated first-order subsolver with restarts
 # ---------------------------------------------------------------------------
 
-def _probe_on(warm_start, model: TensorModel) -> tuple | None:
-    """The probe of a warm start that is an FGM step on ``model`` itself."""
-    if isinstance(warm_start, StepResult) and warm_start.probe is not None and (
-            warm_start.probe[0] is model):
-        return warm_start.probe
-    return None
+def _skip_ruled_out(model: TensorModel, y, hy, step_dir, hs, gn: float, f_y: float,
+                    L: float):
+    """(L, tries): the first backtracking step size 1/L from ``L`` on that the
+    curvature along the step direction does not rule out, and the tries left
+    for it and the doublings after it.
+
+    Along x(t) = y − t·s, with s = ``step_dir`` and hs = H·s, the carried
+    product is hy − t·hs, so the Taylor part of the model is a quadratic in t;
+    the regularizer and psi are convex, and gn² = ∇m(y)·s. Hence
+
+        m(x(t)) − m(y) + t·gn²/2 ≥ t/2·(t·sᵀhs − gn² + skew),
+
+    where skew = hyᵀs − hsᵀ(y − center) is zero but for the rounding drift of
+    the carried products. While the right-hand side at t = 1/L exceeds the
+    decrease test's slack by the rounding margin ``SKIP_MARGIN``, 1/L fails
+    the test, and L is doubled without a model evaluation. Each skip spends a
+    try; the last of the ``BACKTRACK_TRIES`` is never skipped, so a search in
+    which every try fails ends where it would without the skip.
+    """
+    tries = BACKTRACK_TRIES
+    curv = float(step_dir.dot(hs))
+    gn2 = gn * gn
+    if not curv > gn2 * L:  # the bound is negative at the first step size, and after it
+        return L, tries
+    hy_s = float(hy.dot(step_dir))
+    hs_d = float(hs.dot(y - model.center))
+    skew = hy_s - hs_d
+    drift = abs(hy_s) + abs(hs_d)
+    allowance = DECREASE_SLACK * abs(f_y) + SKIP_MARGIN * max(1.0, abs(f_y), abs(model.f0))
+    while tries > 1 and 0.5 / L * (curv / L - gn2 + skew) > (
+            allowance + SKIP_MARGIN * 0.5 / L * (curv / L + gn2 + drift)):
+        L *= 2.0
+        tries -= 1
+    return L, tries
 
 
 def _default_cap(delta: float) -> int:
@@ -296,10 +348,14 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None,
     are carried next to the iterates and updated the way the iterates are:
     each iteration spends one Hessian-vector product, on the step direction
     B⁻¹∇m(y), and one norm solve, which also gives the dual norm. Backtracking
-    probes and restarts cost none. A certificate that passes on a carried
-    product is recomputed from a fresh one before it is returned, so rounding
-    drift in the carried products can steer the path but never the reported
-    certificate, model value or gradient norm; the stall path does the same.
+    probes and restarts cost none, and a step size that the curvature along
+    the step direction proves will fail the decrease test costs no model
+    evaluation either (``_skip_ruled_out``): the step sizes evaluated, and so
+    the steps, are those of a search without the skip. A certificate that
+    passes on a carried product is recomputed from a fresh one before it is
+    returned, so rounding drift in the carried products can steer the path
+    but never the reported certificate, model value or gradient norm; the
+    stall path does the same.
     A cold start uses the zero product at the center, and an array warm start
     costs one product. A ``StepResult`` warm start, an earlier FGM step on this
     model or on a ``with_weight`` copy of it (the center is the same), resumes
@@ -345,7 +401,7 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None,
             model_value=f,
             grad_dual_norm=gn,
             curvature=hp,
-            probe=(model, step_dir, model_min),
+            probe=(model, step_dir),
         )
 
     def finish_best(iters, at_floor):
@@ -364,7 +420,7 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None,
     else:
         x = np.asarray(warm_start, dtype=float)
         hx = model.hess_action(x - center)
-    if _probe_on(warm_start, model):
+    if resumed and warm_start.probe[0] is model:
         step_dir, gn, f_y = warm_start.probe[1], warm_start.grad_dual_norm, warm_start.model_value
         cert = certificate(f_y, gn)
     else:
@@ -382,12 +438,12 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None,
     stale = 0  # consecutive iterations without a strict decrease of best_f
     for it in range(1, cap + 1):
         hs = model.hess_action(step_dir)
-        L = max(L * 0.5, 1e-12)
-        for _ in range(120):
+        L, tries = _skip_ruled_out(model, y, hy, step_dir, hs, gn, f_y, max(L * 0.5, 1e-12))
+        for _ in range(tries):
             x_new = y - step_dir / L
             hx_new = hy - hs / L
             f_new = model.value(x_new, hx_new)
-            if f_new <= f_y - 0.5 * gn * gn / L + 1e-15 * abs(f_y):
+            if f_new <= f_y - 0.5 * gn * gn / L + DECREASE_SLACK * abs(f_y):
                 break
             L *= 2.0
         x_prev, x, hx_prev, hx = x, x_new, hx, hx_new
@@ -427,19 +483,19 @@ def solve_model(model: TensorModel, delta: float, warm_start=None,
                 kind: str = "fgm", stop: str = "bound") -> StepResult:
     """Run the requested subsolver on a frozen model.
 
-    Under stop = "exact", a warm start that resumes an FGM step on this model
-    object supplies the model's exact minimum; any other solve computes it.
+    Under stop = "exact", the first such solve on a model object computes the
+    model's exact minimum and keeps it as ``model.minimum``, which every
+    later one reads: a refinement retry, or a line-search trial at a weight
+    already tried (``with_weight`` returns the same copy).
     """
     if kind not in ("exact", "fgm"):
         raise ValueError(f"unknown subsolver kind {kind!r}")
     closed_form = gradient_step if model.p == 1 else exact_cubic_step
     if kind == "exact":
         return closed_form(model)
-    model_min = None
-    if stop == "exact":
-        probe = _probe_on(warm_start, model)
-        model_min = probe[2] if probe and probe[2] is not None else (
-            closed_form(model).model_value)
+    if stop == "exact" and model.minimum is None:
+        model.minimum = closed_form(model).model_value
+    model_min = model.minimum if stop == "exact" else None
     return fgm_step(model, delta, warm_start=warm_start, model_min=model_min)
 
 

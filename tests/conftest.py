@@ -36,10 +36,11 @@ def random_norm(rng, n):
     return norm_of_kind(NORM_KINDS[rng.integers(0, 3)], rng, n)
 
 
-def random_cubic_model(rng, n=None, convex=True):
-    """Random frozen order-2 model (PSD curvature unless convex=False)."""
+def random_cubic_model(rng, n=None, convex=True, norm_kind=None):
+    """Random frozen order-2 model (PSD curvature unless convex=False), under a
+    norm of ``norm_kind`` or, by default, of a random one of ``NORM_KINDS``."""
     n = int(rng.integers(2, 11)) if n is None else n
-    norm = random_norm(rng, n)
+    norm = random_norm(rng, n) if norm_kind is None else norm_of_kind(norm_kind, rng, n)
     Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
     eigs = rng.uniform(0.0, 3.0, n)
     if convex:

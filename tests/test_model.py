@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -160,6 +163,30 @@ class TestCurvatureProduct:
         assert heavier.uniform_convexity() == pytest.approx(fresh.uniform_convexity())
         with pytest.raises(ValueError):
             model.with_weight(0.0)
+
+    def test_with_weight_makes_one_copy_per_weight(self):
+        model, _ = self._model(H=2.0)
+        heavier = model.with_weight(16.0)
+        assert model.with_weight(16) is heavier
+        assert heavier.with_weight(16.0) is heavier
+        lighter = heavier.with_weight(1.0)
+        assert model.with_weight(1.0) is lighter and lighter.H == 1.0
+        # the exact minimum is kept per weight
+        heavier.minimum = -1.0
+        assert model.minimum is None and lighter.minimum is None
+
+    def test_weight_copies_keep_no_reference_cycle(self):
+        # a center's models are freed as soon as the last reference goes, not
+        # at a later garbage collection
+        gc.disable()
+        try:
+            model, _ = self._model(H=2.0)
+            refs = [weakref.ref(m) for m in (model, model.with_weight(4.0),
+                                             model.with_weight(8.0).with_weight(0.5))]
+            del model
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 def _norm(kind, A, rng):

@@ -10,6 +10,7 @@ from conftest import (
 )
 
 from tensoropt import subsolvers
+from tensoropt.accel import build_subproblem
 from tensoropt.harness import ExperimentConfig, attach_composite, execute
 from tensoropt.linalg import NormOperator
 from tensoropt import methods
@@ -23,6 +24,7 @@ from tensoropt.problems import (
     QuadraticOracle,
     ZeroComposite,
     generate_shifted_logsumexp,
+    powered_chain_oracle,
 )
 from tensoropt.subsolvers import (
     StepResult,
@@ -672,6 +674,130 @@ class TestFgmFloorExit:
         assert run.records[-1].hvp_count == 820
 
 
+def _chain_subproblem_model(k, n=12):
+    """The accelerated scheme's contracted chain subproblem of outer step k
+    (A_k = k³/L₂), frozen at a random prox-center under its inner weight."""
+    chain = powered_chain_oracle(n, 3.0, 1.0)
+    L = chain.smooth.lipschitz[2]
+    rng = np.random.default_rng(k)
+    x_k, v_k = rng.normal(size=n), rng.normal(size=n)
+    A, A_next = k**3 / L, (k + 1) ** 3 / L
+    prox = PowerComposite(1.0, 3.0, np.ones(n), chain.norm)
+    sub = build_subproblem(chain, chain.smooth, x_k, v_k, A, A_next, prox)
+    H = 2.0 * (A_next - A) ** 3 / A_next**2 * L
+    return TensorModel(sub.smooth, sub.composite, v_k, H, p=2)
+
+
+class TestBacktrackingSkip:
+    """FGM's backtracking skips step sizes the curvature along its direction
+    rules out: each one it skips fails the decrease test, and the ones it
+    evaluates, and so every step, are unchanged."""
+
+    def _audit(self, monkeypatch):
+        """Decrease-test excess, m(x) − (m(y) − gn²/(2L) + slack), of every
+        step size ``_skip_ruled_out`` skips in the solves that follow."""
+        excess = []
+        rule = subsolvers._skip_ruled_out
+
+        def audited(model, y, hy, step_dir, hs, gn, f_y, L):
+            first, tries = rule(model, y, hy, step_dir, hs, gn, f_y, L)
+            assert 1 <= tries <= subsolvers.BACKTRACK_TRIES
+            while L < first:
+                f = model.value(y - step_dir / L, hy - hs / L)
+                excess.append(f - (f_y - 0.5 * gn * gn / L
+                                   + subsolvers.DECREASE_SLACK * abs(f_y)))
+                L *= 2.0
+            return first, tries
+
+        monkeypatch.setattr(subsolvers, "_skip_ruled_out", audited)
+        return excess
+
+    @pytest.mark.parametrize("norm_kind", ["identity", "dense"])
+    @pytest.mark.parametrize("composite", [None, "power"])
+    def test_every_skipped_step_size_fails_on_random_models(self, monkeypatch, norm_kind,
+                                                            composite):
+        excess = self._audit(monkeypatch)
+        rng = np.random.default_rng(40)
+        for _ in range(20):
+            model = random_cubic_model(rng, norm_kind=norm_kind)
+            n = model.center.size
+            if composite:
+                model = TensorModel(model.oracle, PowerComposite(0.5, 3.0, rng.normal(size=n),
+                                                                 model.norm),
+                                    model.center, model.H, p=2)
+            for start in (None, model.center + rng.normal(size=n)):
+                fgm_step(model, 1e-10, warm_start=start)
+        assert len(excess) > 30
+        assert min(excess) > 0.0
+
+    def test_every_skipped_step_size_fails_on_the_chain_subproblem(self, monkeypatch):
+        excess = self._audit(monkeypatch)
+        for k in (1, 5, 30, 200):
+            model = _chain_subproblem_model(k)
+            for delta in (1e-4, 1e-9):
+                fgm_step(model, delta)
+        assert len(excess) > 50
+        assert min(excess) > 0.0
+
+    def test_the_last_try_is_never_skipped(self):
+        # gn = 0 and a huge curvature: the bound rules out every one of the tries
+        model = _chain_subproblem_model(1, n=2)
+        s = np.array([1e30, 0.0])
+        first, tries = subsolvers._skip_ruled_out(model, model.center, np.zeros(2), s, s,
+                                                  0.0, model.f0, 1.0)
+        assert (first, tries) == (2.0 ** (subsolvers.BACKTRACK_TRIES - 1), 1)
+
+    def test_no_curvature_skips_nothing(self):
+        model = _chain_subproblem_model(1, n=2)
+        s = np.array([1.0, 2.0])
+        for hs, gn in ((np.zeros(2), 1.0), (s, math.sqrt(5.0))):
+            # sᵀhs <= gn²·L: the bound is negative at the first step size
+            assert subsolvers._skip_ruled_out(model, model.center, np.zeros(2), s, hs, gn,
+                                              model.f0, 1.0) == (1.0, subsolvers.BACKTRACK_TRIES)
+
+    def _count(self, monkeypatch, cfg):
+        """(model evaluations, FGM inner iterations, run) of ``execute(cfg)``."""
+        values, inner = [], []
+        value, step = TensorModel.value, subsolvers.fgm_step
+        monkeypatch.setattr(TensorModel, "value",
+                            lambda *args: values.append(1) or value(*args))
+
+        def spy(*args, **kwargs):
+            res = step(*args, **kwargs)
+            inner.append(res.inner_iterations)
+            return res
+
+        monkeypatch.setattr(subsolvers, "fgm_step", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run = execute(cfg)
+        return len(values), sum(inner), run
+
+    def test_the_accelerated_chain_makes_few_model_evaluations_per_iteration(self,
+                                                                             monkeypatch):
+        # the benchmark's accel-chain config; without the skip, 19337 evaluations
+        # for 5994 inner iterations (3.2 per iteration)
+        cfg = ExperimentConfig(
+            problem={"name": "chain", "n": 150, "q": 3, "c": 1}, method="accelerated",
+            p=2, H="fixed:1", subsolver="fgm", stop="bound", x0="ones", max_iters=1000,
+            target_gap=1e-8, zeta_policy="power:1:1", inner_policy="power:1:1")
+        values, inner, run = self._count(monkeypatch, cfg)
+        assert run.status == "target_reached" and inner == 5994
+        assert values <= 1.3 * inner
+
+    def test_the_gate_ten_instance_skips_nothing(self, monkeypatch):
+        # the adaptive:1:1 run of TestFgmFloorExit: the curvature never rules
+        # out its first step size, so it evaluates as many as without the skip
+        cfg = ExperimentConfig(
+            problem={"name": "logsumexp", "n": 100, "m": 600, "mu": 1.0},
+            method="monotone2", p=2, H="fixed:1", policy="adaptive:1:1", x0="e1",
+            subsolver="fgm", stop="bound", max_iters=2000, target_gap=1e-8, seed=1,
+        )
+        values, inner, run = self._count(monkeypatch, cfg)
+        assert run.status == "target_reached" and run.records[-1].hvp_count == 820
+        assert values == 623
+
+
 class TestMonotoneStep:
     def _lse_model(self, seed=14, H=4.0):
         prob = generate_shifted_logsumexp(6, 36, 1.0, seed=seed)
@@ -799,8 +925,9 @@ class TestResumedSolve:
         for name in ("objective_value", "certified_residual", "model_value",
                      "grad_dual_norm", "inner_iterations"):
             assert getattr(resumed, name) == getattr(array, name), name
-        # the array start costs a product and, under the exact stop, the model minimum
-        assert hvp_array - hvp_resumed == (2 if stop == "exact" else 1)
+        # the array start costs a product; the exact stop's model minimum is
+        # kept on the model, so neither solve computes it again
+        assert hvp_array - hvp_resumed == 1
 
     def test_a_line_search_doubling_reuses_the_product_but_not_the_probe(self, monkeypatch):
         prob, x = _counted_problem("identity")
@@ -851,10 +978,30 @@ class TestResumedSolve:
         res = monotone_step(prob.value(x), lambda d, w: deltas.append(d) or solve(d, w),
                             delta=1e6, floor=1e-12)
         assert len(deltas) >= 3 and minima == [model]
-        # a reweighted copy, as a line-search trial makes, needs its own minimum
+        # a reweighted copy, as a line-search trial makes, needs its own minimum,
+        # once: every later copy at that weight is the same model
         heavier = model.with_weight(8.0)
         solve_model(heavier, 1e-9, warm_start=res, stop="exact")
         assert minima == [model, heavier]
+        solve_model(model.with_weight(8.0), 1e-10, stop="exact")
+        solve_model(heavier.with_weight(8.0), 1e-11, stop="exact")
+        assert minima == [model, heavier]
+
+    def test_a_line_search_solves_each_center_and_weight_once(self, monkeypatch):
+        # its refinement retries restart the search at half the last accepted
+        # weight, so without a model per weight they solve the same pairs again
+        pairs = []
+        exact = subsolvers.exact_cubic_step
+        monkeypatch.setattr(subsolvers, "exact_cubic_step",
+                            lambda m: pairs.append((m.center.tobytes(), m.H)) or exact(m))
+        cfg = ExperimentConfig(
+            problem={"name": "logistic-synth", "n": 50, "m": 300, "l2": 1e-3},
+            method="monotone2", p=2, H="linesearch:1", subsolver="fgm", stop="exact",
+            policy="power:1:3", x0="zeros", max_iters=60)
+        run = execute(cfg)
+        assert run.status == "max_iters"
+        # 443 exact steps when every trial computed its own minimum
+        assert len(pairs) == len(set(pairs)) == 75
 
 
 class ScriptedSolve:

@@ -9,10 +9,17 @@ the benchmark measures it, against the smallest of F* and every F the
 workload's configs reach on the instance.
 
 A change that moves a row regenerates the table with
-``PYTHONPATH=src python tests/test_workload_counts.py``, which prints the new
-table and then every row that differs from ``TABLE``, field by field, and
-says in ``CHANGES.md`` which rows changed and why.
+``PYTHONPATH=src python tests/test_workload_counts.py`` and says in
+``CHANGES.md`` which rows changed and why. The script prints the new table,
+then every row that differs from ``TABLE``, field by field, and last the
+sha256 of the ``trace.csv`` that ``harness.write_trace_csv`` writes for each
+config's run: run against two checkouts' ``src``, its digest lines compare
+every workload trace byte for byte in one diff.
 """
+
+import hashlib
+import os
+import tempfile
 
 import pytest
 
@@ -71,10 +78,12 @@ def label(cfg):
     return cfg.policy if cfg.method != "accelerated" else cfg.zeta_policy
 
 
-def rows(name, seed):
-    """One row per config of the workload on the instance of ``seed``."""
+def rows(name, seed, runs=None):
+    """One row per config of the workload on the instance of ``seed``, from
+    ``runs`` of those configs when given."""
     cfgs = configs(name, seed)
-    runs = [harness.execute(cfg) for cfg in cfgs]
+    if runs is None:
+        runs = [harness.execute(cfg) for cfg in cfgs]
     fstar = runs[0].fstar
     if fstar is None:
         fstar = harness.reference_fstar(cfgs[0])[0]
@@ -85,6 +94,15 @@ def rows(name, seed):
         counts = tuple(run.counts[k] for k in COLUMNS[3:-1])
         out.append((run.status, len(run.records), iters, *counts, run.f_final))
     return out
+
+
+def trace_digest(run):
+    """sha256 of the ``trace.csv`` that ``harness.write_trace_csv`` writes for ``run``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        harness.write_trace_csv(path, run.records)
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
 
 
 # regenerated when refinement retries began to resume their subsolve
@@ -148,7 +166,9 @@ def changes(key, cfgs, got):
 
 
 if __name__ == "__main__":
-    table = {f"{name}@{seed}": rows(name, seed) for name, seed in CASES}
+    runs = {f"{name}@{seed}": [harness.execute(cfg) for cfg in configs(name, seed)]
+            for name, seed in CASES}
+    table = {f"{name}@{seed}": rows(name, seed, runs[f"{name}@{seed}"]) for name, seed in CASES}
     print("TABLE = {")
     for key, got in table.items():
         print(f"    {key!r}: [")
@@ -159,3 +179,8 @@ if __name__ == "__main__":
             for line in changes(f"{name}@{seed}", configs(name, seed), table[f"{name}@{seed}"])]
     print(f"\n{len(diff)} row(s) differ from TABLE")
     print("\n".join(diff))
+    print("\ntrace.csv sha256")
+    for name, seed in CASES:
+        key = f"{name}@{seed}"
+        for cfg, run in zip(configs(name, seed), runs[key]):
+            print(f"{key} {label(cfg)}: {trace_digest(run)}")
