@@ -230,11 +230,10 @@ def summarize(run: SolverRun, cfg: ExperimentConfig, fstar_source: str | None) -
 REFERENCE_H = "linesearch:1"
 
 
-def _reference_key(cfg: ExperimentConfig) -> str:
-    # every field the reference solve below reads, and the bytes of the data file it reads
-    fields = {"problem": cfg.problem, "composite": cfg.composite, "seed": cfg.seed,
-              "p": cfg.p, "x0": cfg.x0, "max_iters": cfg.max_iters, "H": REFERENCE_H}
-    name, params = problem_params(cfg.problem)
+def _reference_key(ref: ExperimentConfig) -> str:
+    # the reference run's whole config, and the bytes of the data file it reads
+    fields = ref.to_dict()
+    name, params = problem_params(ref.problem)
     if name == "logistic":
         with open(params["path"], "rb") as fh:
             fields["data_sha256"] = hashlib.sha256(fh.read()).hexdigest()
@@ -243,27 +242,21 @@ def _reference_key(cfg: ExperimentConfig) -> str:
 
 
 def reference_fstar(cfg: ExperimentConfig, cache_dir=None) -> tuple[float, str]:
-    """Best objective value from a long, tight reference solve (cached)."""
-    key = _reference_key(cfg)
+    """Best objective value from a long, tight ``execute`` of ``cfg``'s instance
+    and start (cached), with exact steps where the composite allows them."""
+    ref = dataclasses.replace(
+        cfg, method="monotone2", H=REFERENCE_H, policy="adaptive:1:2",
+        zeta_policy=None, inner_policy=None, stop="bound",
+        subsolver="exact" if closed_form_fits("monotone2", cfg.composite) else "fgm",
+        max_iters=10 * cfg.max_iters, target_gap=None, measure_time=False, out=None)
+    key = _reference_key(ref)
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
         cache_path = os.path.join(cache_dir, f"fstar-{key}.json")
         if os.path.exists(cache_path):
             with open(cache_path) as fh:
                 return json.load(fh)["fstar"], "reference-cached"
-    problem = attach_composite(build_problem(cfg.problem, cfg.seed), cfg.composite)
-    x0 = starting_point(cfg.x0, problem.dim, cfg.seed)
-    h_mode, h_value = parse_h_mode(REFERENCE_H)
-    ref_cfg = SolverConfig(
-        p=cfg.p,
-        h_mode=h_mode,
-        h_value=h_value,
-        policy=AccuracyPolicy.parse("adaptive:1:2"),
-        subsolver="exact",
-        stop="bound",
-        max_iters=10 * cfg.max_iters,
-    )
-    run = monotone2(problem, x0, ref_cfg)
+    run = execute(ref)
     fstar = min(r.F for r in run.records)
     if cache_dir:
         write_json(cache_path, {"fstar": fstar, "status": run.status})
@@ -273,6 +266,14 @@ def reference_fstar(cfg: ExperimentConfig, cache_dir=None) -> tuple[float, str]:
 # ---------------------------------------------------------------------------
 # run / fit / compare
 # ---------------------------------------------------------------------------
+
+def closed_form_fits(method: str, composite: str | None) -> bool:
+    """Whether ``method``'s closed-form steps fold in the ``composite`` spec: only a
+    quadratic one does; accelerated's subproblem adds a Bregman term to it, which
+    folds in only when the composite is zero."""
+    params = parse_composite(composite)
+    return params is None or (params[1] == 2 and method != "accelerated")
+
 
 def resolve(cfg: ExperimentConfig):
     """The driver and validated solver config of ``cfg``; every spec in it, the
@@ -287,13 +288,10 @@ def resolve(cfg: ExperimentConfig):
     if cfg.x0 not in X0_KINDS:
         raise ValueError(f"unknown starting point {cfg.x0!r}; expected one of "
                          f"{', '.join(X0_KINDS)}")
-    composite = parse_composite(cfg.composite)
+    fits = closed_form_fits(cfg.method, cfg.composite)
     scfg = solver_config(cfg)
     scfg.validate(cfg.method, FAMILIES[name][3](params))
-    # a closed-form step folds in only a quadratic composite; accelerated's subproblem
-    # adds a Bregman term to it, which folds in only when the composite is zero
-    if (composite and "exact" in (cfg.subsolver, cfg.stop)
-            and (composite[1] != 2 or cfg.method == "accelerated")):
+    if "exact" in (cfg.subsolver, cfg.stop) and not fits:
         raise ValueError("closed-form steps support only zero or quadratic composites")
     return method, scfg
 

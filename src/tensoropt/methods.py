@@ -44,6 +44,17 @@ class DivergenceError(RuntimeError):
     """Line search exceeded its doubling budget; the order is likely wrong."""
 
 
+# The line search's constants. Each search starts at half the weight last
+# accepted, so H halves at every center whose first weight passes: H_MIN stops
+# it there, long before it underflows to the zero weight a model refuses.
+H_MIN = 1e-12
+# F(T) and m(T) carry rounding relative to their size; the bound test forgives a
+# relative excess well above it, so a model that majorizes F is not rejected.
+BOUND_SLACK = 1e-12
+# a weight 2^MAX_DOUBLINGS times the start that still fails: no Lipschitz constant
+MAX_DOUBLINGS = 60
+
+
 @dataclass
 class SolverConfig:
     p: int = 2
@@ -97,6 +108,9 @@ class SolverConfig:
             raise ValueError("accelerated at p = 2 does not support subsolver exact; use fgm")
         if self.subsolver == "exact" and self.stop == "exact":
             raise ValueError("stop exact is never read under subsolver exact; use stop bound")
+        unread = [n for n in ("zeta_policy", "inner_policy") if getattr(self, n) is not None]
+        if unread and method in ("monotone1", "monotone2", "averaging"):
+            raise ValueError(f"{unread[0]} is never read by {method}, only by accelerated")
 
 
 @dataclass
@@ -232,10 +246,12 @@ class _Runner:
     def build_model(self, center, H) -> TensorModel:
         return TensorModel(self.oracle, self.composite, center, H, p=self.config.p)
 
-    def line_search(self, model, delta, warm=None):
+    def line_search(self, model, models, delta, warm=None):
         """Double H until F(T) <= model(T); the accepted weight lands in H_used.
 
-        Every trial weight reweights the one model frozen at the center, and
+        Each trial weight solves its copy of the model frozen at the center,
+        kept in ``models`` for the center's later searches, so a (center,
+        weight) pair has one model, and one exact minimum under stop="exact".
         ``warm`` and each rejected trial are resumed by the next trial (a
         curvature product holds under every weight). F at a trial's point is
         called only when the step does not report it (see ``fgm_step``).
@@ -243,35 +259,37 @@ class _Runner:
         search starts at the configured value, later ones at half the weight
         last accepted.
         """
-        H = max(self.H_state, 1e-12)
+        H = max(self.H_state, H_MIN)
         H_start = H
         while True:
-            res = solve_model(model.with_weight(H), delta, warm_start=warm,
+            if H not in models:
+                models[H] = model.with_weight(H)
+            res = solve_model(models[H], delta, warm_start=warm,
                               kind=self.config.subsolver, stop=self.config.stop)
             if res.objective_value is None:
                 res.objective_value = self.F(res.point)
-            if res.objective_value <= res.model_value + 1e-12 * max(1.0, abs(res.model_value)):
+            slack = BOUND_SLACK * max(1.0, abs(res.model_value))
+            if res.objective_value <= res.model_value + slack:
                 self.H_state = H / 2.0
                 self.H_used = H
                 return res
             warm = res
             H *= 2.0
-            if H > 2.0**60 * H_start:
-                raise DivergenceError(
-                    "line search exceeded 2^60 doublings; derivative order likely not Lipschitz"
-                )
+            if H > 2.0**MAX_DOUBLINGS * H_start:
+                raise DivergenceError(f"line search exceeded 2^{MAX_DOUBLINGS} doublings; "
+                                      "derivative order likely not Lipschitz")
 
     def solver(self, center):
         """``solve(delta, warm)`` at a center under the configured H mode.
 
         Each step comes back with ``objective_value`` set, and a ``warm`` step
         is resumed. The model is built once, here, for every call; a line
-        search reweights it per trial.
+        search solves a copy of it per weight, kept in a dict made here.
         """
         cfg = self.config
         if cfg.h_mode == "linesearch":
-            model = self.build_model(center, max(self.H_state, 1e-12))
-            return lambda delta, warm=None: self.line_search(model, delta, warm)
+            model, models = self.build_model(center, self.H_state), {}
+            return lambda delta, warm=None: self.line_search(model, models, delta, warm)
         # validate has checked that a lipschitz weight's constant is known
         self.H_used = float(cfg.h_value) if cfg.h_mode == "fixed" else (
             cfg.p * self.oracle.lipschitz[cfg.p])

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import copy
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +32,9 @@ class TensorModel:
     with ``LinAlgError`` and reduces it to tridiagonal form: ``reduction`` is
     (d, e, V, tau) of ``linalg.tridiagonal_form``, the T every exact step on
     this model, or on a ``with_weight`` copy, solves on; the copies share it,
-    so a center is reduced at most once. ``with_weight`` makes one copy per
-    weight, so there is one model, and one ``minimum``, per (center, weight).
+    so a center is reduced at most once. A copy has its own ``minimum``; the
+    line search, the one caller that tries several weights at a center, keeps
+    one copy per weight (see ``methods._Runner.solver``).
     The model keeps no dense Hessian; its curvature action is always the
     oracle's Hessian-vector product.
     """
@@ -53,10 +53,6 @@ class TensorModel:
         self.f0, self.g0, self._hess_state = oracle.value_gradient_state(self.center, p == 2)
         self._reduction = [] if p == 2 else [None]  # shared by with_weight copies
         self._reg_scale = self.H / math.factorial(self.p + 1)
-        # with_weight copies by weight, held here; a copy reaches them through a
-        # weak reference, so no reference cycle keeps a center's models alive
-        self._copies = {}
-        self._origin = weakref.ref(self)
         self.minimum = None
 
     @property
@@ -117,23 +113,14 @@ class TensorModel:
         return self._value(d, hd, r) + psi, self._gradient(hd, bd, r) + dpsi
 
     def with_weight(self, H: float) -> "TensorModel":
-        """The same frozen model under another regularization weight (no oracle call),
-        sharing this model's reduction: one copy per weight, returned again by
-        every later call on this model or on a copy of it, while the model
-        built at the center lives."""
+        """The same frozen model under another regularization weight (no oracle
+        call): a new model that shares this one's reduction, with no ``minimum``."""
         if H <= 0:
             raise ValueError("regularization weight H must be positive")
-        H = float(H)
-        origin = self._origin()
-        copies = {} if origin is None else origin._copies
-        other = copies.get(H)
-        if other is None:
-            other = copy.copy(self)
-            other.H = H
-            other._reg_scale = H / math.factorial(self.p + 1)
-            other._copies = None
-            other.minimum = None
-            copies[H] = other
+        other = copy.copy(self)
+        other.H = float(H)
+        other._reg_scale = other.H / math.factorial(self.p + 1)
+        other.minimum = None
         return other
 
     def uniform_convexity(self) -> float:

@@ -108,21 +108,12 @@ class AccuracyPolicy:
             return 0.0
         return self.c * progress**self.alpha
 
-    def check_validity(self, p: int) -> list[str]:
-        """Non-fatal diagnostics about guarantee coverage for order p."""
-        notes = []
-        if self.kind == "adaptive" and self.alpha == 1.0:
-            limit = adaptive_c_limit(p)
-            if self.c > limit:
-                notes.append(
-                    f"adaptive constant c={self.c:g} is above the guaranteed-rate "
-                    f"limit {limit:.6g} for order p={p}"
-                )
-        return notes
-
     def warn_if_invalid(self, p: int) -> None:
-        for note in self.check_validity(p):
-            warnings.warn(note, RuntimeWarning, stacklevel=2)
+        """Warn (non-fatal) when the schedule is outside the guarantee for order p."""
+        if self.kind == "adaptive" and self.alpha == 1.0 and self.c > adaptive_c_limit(p):
+            warnings.warn(f"adaptive constant c={self.c:g} is above the guaranteed-rate "
+                          f"limit {adaptive_c_limit(p):.6g} for order p={p}",
+                          RuntimeWarning, stacklevel=2)
 
     @staticmethod
     def parse(spec: str) -> "AccuracyPolicy":

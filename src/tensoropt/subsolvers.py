@@ -360,12 +360,12 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None,
     costs one product. A ``StepResult`` warm start, an earlier FGM step on this
     model or on a ``with_weight`` copy of it (the center is the same), resumes
     that step: it reuses the step's fresh product, and on the same model
-    object also its probe, so a retry that stops at its start spends no
-    product and no model evaluation. A step that stops at its start (zero
-    inner iterations) sets ``objective_value``: a resumed step's F, or at a
-    cold start the model value at the center, which is F there bit for bit
-    (the Taylor and regularizer terms vanish); after an array warm start it
-    stays None.
+    object (the line search keeps one per weight) also its probe, so a retry
+    that stops at its start spends no product and no model evaluation. A step
+    that stops at its start (zero inner iterations) sets ``objective_value``:
+    a resumed step's F, or at a cold start the model value at the center,
+    which is F there bit for bit (the Taylor and regularizer terms vanish);
+    after an array warm start it stays None.
 
     After a restart the next probe starts at the best point, where
     backtracking guarantees a decrease of gn²/(2L) up to rounding. So when the
@@ -486,7 +486,7 @@ def solve_model(model: TensorModel, delta: float, warm_start=None,
     Under stop = "exact", the first such solve on a model object computes the
     model's exact minimum and keeps it as ``model.minimum``, which every
     later one reads: a refinement retry, or a line-search trial at a weight
-    already tried (``with_weight`` returns the same copy).
+    already tried (the line search keeps one model per weight at a center).
     """
     if kind not in ("exact", "fgm"):
         raise ValueError(f"unknown subsolver kind {kind!r}")

@@ -7,6 +7,7 @@ import pytest
 from tensoropt import harness, problems, subsolvers
 from tensoropt.cli import main, parse_problem
 from tensoropt.harness import (
+    SUCCESS_STATUSES,
     ExperimentConfig,
     attach_composite,
     build_problem,
@@ -380,6 +381,35 @@ class TestReferenceOptimum:
         assert edited == reference_fstar(cfg)[0] and edited != first
         assert reference_fstar(cfg, cache_dir=cache) == (edited, "reference-cached")
 
+    @pytest.mark.parametrize("field, value", [
+        ("policy", "constant:1e-3"), ("method", "averaging"), ("H", "fixed:2"),
+        ("subsolver", "exact"), ("stop", "exact"), ("target_gap", 1e-6)])
+    def test_settings_the_reference_run_replaces_share_one_cache_entry(self, tmp_path,
+                                                                       field, value):
+        problem = {"name": "logistic-synth", "n": 6, "m": 30, "l2": 0.1, "scale": 0.5}
+        fstar, _ = reference_fstar(small_cfg(problem=problem), cache_dir=str(tmp_path))
+        assert reference_fstar(small_cfg(problem=problem, **{field: value}),
+                               cache_dir=str(tmp_path)) == (fstar, "reference-cached")
+        assert len(os.listdir(tmp_path)) == 1
+
+    def test_a_composite_no_closed_form_step_folds_in_takes_fgm_steps(self, tmp_path):
+        # an exact step folds in only a quadratic composite, so under q = 3 the
+        # reference run steps by FGM, and compare gets its optimum
+        cfg = small_cfg(problem={"name": "logistic-synth", "n": 6, "m": 40},
+                        composite="power:0.5:3")
+        configs = [cfg, small_cfg(problem=cfg.problem, composite=cfg.composite,
+                                  method="monotone2", policy="power:1:2")]
+        report = compare(configs, out_root=str(tmp_path))
+        fstar, src = reference_fstar(cfg, cache_dir=str(tmp_path))
+        assert src == "reference-cached" and np.isfinite(fstar)
+        assert reference_fstar(cfg) == (fstar, "reference-run")
+        (entry,) = [name for name in os.listdir(tmp_path) if name.startswith("fstar-")]
+        with open(tmp_path / entry) as fh:
+            assert json.load(fh)["status"] in SUCCESS_STATUSES
+        # no run ends below the reference optimum, so compare measures gaps from it
+        assert report["fstar"] == fstar
+        assert all(min(gaps) >= 0.0 for gaps in report["gap_by_iteration"].values())
+
     def test_line_searched_even_with_a_known_lipschitz_constant(self, monkeypatch):
         configs = []
 
@@ -387,7 +417,7 @@ class TestReferenceOptimum:
             configs.append(config)
             return monotone2(problem, x0, config)
 
-        monkeypatch.setattr(harness, "monotone2", spy)
+        monkeypatch.setitem(harness.METHOD_TABLE, "monotone2", spy)
         cfg = small_cfg()
         assert build_problem(cfg.problem, cfg.seed).smooth.lipschitz.get(cfg.p) is not None
         reference_fstar(cfg)

@@ -220,9 +220,11 @@ DRIVERS = {"monotone1": monotone1, "monotone2": monotone2, "averaging": averagin
            "accelerated": accelerated}
 
 
-def driver_config(**kw):
-    return SolverConfig(p=2, h_mode="lipschitz", policy=power(1, 3), zeta_policy=power(1, 4),
-                        inner_policy=power(1, 1), subsolver="fgm", **kw)
+def driver_config(method, **kw):
+    # the outer and inner schedules only accelerated reads, and every other driver refuses
+    if method == "accelerated":
+        kw = dict(zeta_policy=power(1, 4), inner_policy=power(1, 1), **kw)
+    return SolverConfig(p=2, h_mode="lipschitz", policy=power(1, 3), subsolver="fgm", **kw)
 
 
 @pytest.mark.parametrize("method", sorted(DRIVERS))
@@ -231,7 +233,7 @@ class TestSharedLoop:
 
     def test_start_within_the_target_costs_one_row_and_no_derivative(self, method):
         prob = small_lse(16)
-        run = DRIVERS[method](prob, prob.known_optimum[0], driver_config(target_gap=1e-6))
+        run = DRIVERS[method](prob, prob.known_optimum[0], driver_config(method, target_gap=1e-6))
         assert run.status == "target_reached"
         assert len(run.records) == 1
         assert run.counts["gradient"] == 0 and run.counts["hessian_vec"] == 0
@@ -240,7 +242,7 @@ class TestSharedLoop:
         # the first eight FGM solves run under the usual cap, later ones stop
         # after one iteration, which only a start that certifies at once passes
         prob = small_lse(0)
-        cfg = driver_config(max_iters=20)
+        cfg = driver_config(method, max_iters=20)
         full = DRIVERS[method](prob, np.ones(8), cfg)
         usual, solves = subsolvers._default_cap, itertools.count()
         monkeypatch.setattr(subsolvers, "_default_cap",
@@ -261,7 +263,7 @@ class TestSharedLoop:
             return delta(policy, k, history)
 
         monkeypatch.setattr(AccuracyPolicy, "delta", counted)
-        cfg = driver_config(max_iters=4)
+        cfg = driver_config(method, max_iters=4)
         run = DRIVERS[method](small_lse(0), np.ones(8), cfg)
         outer = cfg.zeta_policy if method == "accelerated" else cfg.policy
         assert run.status == "max_iters" and len(run.records) == 5
@@ -284,14 +286,15 @@ class TestFactorCoordinates:
                     raise AssertionError(f"dense NormOperator.{_attr} called")
                 return _raw(self, x)
             monkeypatch.setattr(NormOperator, attr, guarded)
-        cfg = replace(driver_config(max_iters=6), subsolver=subsolver)
+        cfg = replace(driver_config(method, max_iters=6), subsolver=subsolver)
         run = DRIVERS[method](prob, np.ones(8), cfg)
         assert run.status == "max_iters" and run.records[-1].F < run.records[0].F
 
     def test_points_are_reported_in_the_problem_coordinates(self, method, subsolver):
         prob = small_lse(4)
         x0 = np.linspace(-1.0, 1.0, 8)
-        run = DRIVERS[method](prob, x0, replace(driver_config(max_iters=6), subsolver=subsolver))
+        run = DRIVERS[method](prob, x0,
+                              replace(driver_config(method, max_iters=6), subsolver=subsolver))
         assert np.array_equal(run.points[0], x0)
         assert np.array_equal(run.x_final, run.points[-1])
         for rec, pt in zip(run.records, run.points):
@@ -305,7 +308,7 @@ class TestFactorCoordinates:
         # operator built apart it is wrapped, folded into exact steps all the same
         prob = small_lse(5)
         center = np.linspace(-0.5, 0.5, 8)
-        cfg = replace(driver_config(max_iters=6), subsolver=subsolver)
+        cfg = replace(driver_config(method, max_iters=6), subsolver=subsolver)
         runs = [DRIVERS[method](ProblemInstance(prob.smooth, PowerComposite(0.5, 2.0, center, n)),
                                 np.ones(8), cfg)
                 for n in (prob.norm, NormOperator.gram(prob.smooth.A))]
@@ -634,7 +637,23 @@ class TestConfigValidation:
         prob = powered_chain_oracle(4, 2.5, 1.0)  # no known L_p for q=2.5
         forbid_oracle_calls(monkeypatch, prob.smooth)
         with pytest.raises(ValueError, match="Lipschitz constant"):
-            DRIVERS[method](prob, np.ones(4), driver_config(max_iters=2))
+            DRIVERS[method](prob, np.ones(4), driver_config(method, max_iters=2))
+
+    @pytest.mark.parametrize("method", ["monotone1", "monotone2", "averaging"])
+    @pytest.mark.parametrize("name", ["zeta_policy", "inner_policy"])
+    def test_a_schedule_only_accelerated_reads_is_refused(self, monkeypatch, method, name):
+        prob = small_lse(0)
+        forbid_oracle_calls(monkeypatch, prob.smooth)
+        cfg = replace(driver_config(method, max_iters=2), **{name: power(1, 1)})
+        with pytest.raises(ValueError, match=f"{name} is never read by {method}"):
+            DRIVERS[method](prob, np.ones(8), cfg)
+
+    def test_an_inner_policy_under_monotone2_is_refused_before_any_driver_runs(self, monkeypatch):
+        monkeypatch.setattr(methods, "_Runner", None)  # no driver runs
+        cfg = ExperimentConfig(problem={"name": "chain", "n": 6}, method="monotone2",
+                               H="fixed:1", inner_policy="adaptive:1:1", max_iters=2)
+        with pytest.raises(ValueError, match="inner_policy is never read by monotone2"):
+            execute(cfg)
 
     def test_wrong_start_dimension(self):
         prob = small_lse(15)

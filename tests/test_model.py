@@ -164,16 +164,14 @@ class TestCurvatureProduct:
         with pytest.raises(ValueError):
             model.with_weight(0.0)
 
-    def test_with_weight_makes_one_copy_per_weight(self):
+    def test_with_weight_makes_a_new_model_that_shares_the_reduction(self):
         model, _ = self._model(H=2.0)
+        model.minimum = -1.0
         heavier = model.with_weight(16.0)
-        assert model.with_weight(16) is heavier
-        assert heavier.with_weight(16.0) is heavier
-        lighter = heavier.with_weight(1.0)
-        assert model.with_weight(1.0) is lighter and lighter.H == 1.0
-        # the exact minimum is kept per weight
-        heavier.minimum = -1.0
-        assert model.minimum is None and lighter.minimum is None
+        assert heavier is not model and model.with_weight(16.0) is not heavier
+        assert heavier.reduction is model.reduction
+        # the exact minimum belongs to one weight, so a copy starts without one
+        assert heavier.minimum is None and model.minimum == -1.0
 
     def test_weight_copies_keep_no_reference_cycle(self):
         # a center's models are freed as soon as the last reference goes, not
