@@ -48,7 +48,8 @@ class ScaledComposite(Composite):
 
     beta_d(v; x) = d(x) - d(v) - <grad d(v), x - v> is the Bregman divergence
     of the prox-function d at v; d(v) and grad d(v) are cached. The term is
-    uniformly convex with psi's parameter scaled by a plus d's.
+    uniformly convex with psi's parameter scaled by a plus d's. A zero psi
+    adds nothing to a value or a gradient.
     """
 
     def __init__(self, base: Composite, a: float, prox: PowerComposite, v):
@@ -64,15 +65,19 @@ class ScaledComposite(Composite):
         return d_x - self._value_v - float(self._grad_v.dot(np.asarray(x, dtype=float) - self.v))
 
     def value(self, x):
-        return self.a * self.base.value(x) + self._gap(x, self.prox.value(x))
+        gap = self._gap(x, self.prox.value(x))
+        return gap if self.base.is_zero else self.a * self.base.value(x) + gap
 
     def gradient(self, x):
-        return self.a * self.base.gradient(x) + (self.prox.gradient(x) - self._grad_v)
+        return self.value_and_gradient(x)[1]
 
     def value_and_gradient(self, x):
-        psi, dpsi = self.base.value_and_gradient(x)
         d_x, dd_x = self.prox.value_and_gradient(x)
-        return self.a * psi + self._gap(x, d_x), self.a * dpsi + (dd_x - self._grad_v)
+        gap, dgap = self._gap(x, d_x), dd_x - self._grad_v
+        if self.base.is_zero:
+            return gap, dgap
+        psi, dpsi = self.base.value_and_gradient(x)
+        return self.a * psi + gap, self.a * dpsi + dgap
 
     def uniform_convexity(self, degree):
         return self.a * self.base.uniform_convexity(degree) + self.prox.uniform_convexity(degree)

@@ -12,9 +12,9 @@ from .harness import (
     check_comparable,
     compare,
     fit_rate,
+    prepare,
     read_trace_csv,
     render_comparison,
-    resolve,
     run_experiment,
 )
 
@@ -113,10 +113,10 @@ def main(argv=None) -> int:
         try:
             cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig({})
             cfg = _apply_overrides(cfg, args)
-            resolve(cfg)
+            solve = prepare(cfg)
         except ValueError as exc:
             sp_run.error(str(exc))
-        run, summary = run_experiment(cfg)
+        run, summary = run_experiment(cfg, solve=solve)
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0 if run.status in SUCCESS_STATUSES else EXIT_RUN_FAILED
 

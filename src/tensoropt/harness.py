@@ -296,17 +296,25 @@ def resolve(cfg: ExperimentConfig):
     return method, scfg
 
 
-def execute(cfg: ExperimentConfig) -> SolverRun:
+def prepare(cfg: ExperimentConfig):
+    """``cfg``'s solve, built and checked but not started: ``resolve``'s checks, then
+    the L_p of H = p·L_p against the built instance, which only its data may lack
+    (a logistic file of all-zero features has L₂ = 0). The solve raises its own errors."""
     method, scfg = resolve(cfg)
     problem = attach_composite(build_problem(cfg.problem, cfg.seed), cfg.composite)
+    scfg.validate(cfg.method, [p for p, L in problem.smooth.lipschitz.items() if L > 0])
     x0 = starting_point(cfg.x0, problem.dim, cfg.seed)
-    return method(problem, x0, scfg)
+    return lambda: method(problem, x0, scfg)
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None) -> tuple[SolverRun, dict]:
-    """Execute a config and persist config/trace/summary into out_dir."""
+def execute(cfg: ExperimentConfig) -> SolverRun:
+    return prepare(cfg)()
+
+
+def run_experiment(cfg: ExperimentConfig, out_dir=None, solve=None) -> tuple[SolverRun, dict]:
+    """Execute a config, or its ``prepare``d ``solve``, and persist config/trace/summary."""
     out_dir = out_dir or cfg.out
-    run = execute(cfg)
+    run = execute(cfg) if solve is None else solve()
     summary = summarize(run, cfg, "known" if run.fstar is not None else None)
     if run.fstar is not None:
         try:

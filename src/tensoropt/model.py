@@ -37,6 +37,11 @@ class TensorModel:
     one copy per weight (see ``methods._Runner.solver``).
     The model keeps no dense Hessian; its curvature action is always the
     oracle's Hessian-vector product.
+
+    Under the identity norm of every solver run (``identity_norm``, read once)
+    an evaluation makes no ``NormOperator`` call: B·d is d itself, and ‖d‖ the
+    expression ``norm.primal`` or ``norm.apply_and_primal`` computes, bit for
+    bit. A zero composite adds nothing to a value or a gradient.
     """
 
     def __init__(self, oracle, composite, center, H: float, p: int = 2):
@@ -50,6 +55,8 @@ class TensorModel:
         self.oracle = oracle
         self.composite = composite
         self.norm = oracle.norm
+        self.identity_norm = self.norm.kind == "identity"
+        self._psi = None if composite.is_zero else composite
         self.f0, self.g0, self._hess_state = oracle.value_gradient_state(self.center, p == 2)
         self._reduction = [] if p == 2 else [None]  # shared by with_weight copies
         self._reg_scale = self.H / math.factorial(self.p + 1)
@@ -98,19 +105,23 @@ class TensorModel:
     def value(self, y, hd=None) -> float:
         """Model value at y; ``hd``, if given, is the curvature product H·(y − center)."""
         y, d, hd = self._at(y, hd)
-        return self._value(d, hd, self.norm.primal(d)) + self.composite.value(y)
+        m = self._value(d, hd, math.sqrt(d.dot(d)) if self.identity_norm else self.norm.primal(d))
+        return m if self._psi is None else m + self._psi.value(y)
 
     def gradient(self, y, hd=None) -> np.ndarray:
         """Model gradient at y; ``hd`` as in ``value``, computed here when omitted."""
-        y, d, hd = self._at(y, hd)
-        return self._gradient(hd, *self.norm.apply_and_primal(d)) + self.composite.gradient(y)
+        return self.value_and_gradient(y, hd)[1]
 
     def value_and_gradient(self, y, hd=None):
         """``(value(y, hd), gradient(y, hd))``, sharing one curvature product, B·d and psi."""
         y, d, hd = self._at(y, hd)
-        bd, r = self.norm.apply_and_primal(d)
-        psi, dpsi = self.composite.value_and_gradient(y)
-        return self._value(d, hd, r) + psi, self._gradient(hd, bd, r) + dpsi
+        bd, r = ((d, math.sqrt(max(0.0, float(d.dot(d))))) if self.identity_norm
+                 else self.norm.apply_and_primal(d))
+        m, g = self._value(d, hd, r), self._gradient(hd, bd, r)
+        if self._psi is None:
+            return m, g
+        psi, dpsi = self._psi.value_and_gradient(y)
+        return m + psi, g + dpsi
 
     def with_weight(self, H: float) -> "TensorModel":
         """The same frozen model under another regularization weight (no oracle

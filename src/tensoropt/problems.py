@@ -203,7 +203,7 @@ class LogisticOracle(SmoothOracle):
         return self.y * (self.X @ np.asarray(x, dtype=float))
 
     def _value(self, x, t):
-        return float(np.mean(_softplus(-t))) + 0.5 * self.l2 * float(x @ x)
+        return float(_softplus(-t).mean()) + 0.5 * self.l2 * float(x @ x)
 
     def _gradient(self, x, log_s):
         # d/dt log(1+e^{-t}) = -sigma(-t) = -exp(-log_s), overflow-free
@@ -236,7 +236,9 @@ class LogisticOracle(SmoothOracle):
     def hessian_vec(self, x, h, state=None):
         h = np.asarray(h, dtype=float)
         w = self._curvature(x) if state is None else state
-        return (self.XT @ (w * (self.X @ h))) / self.m + self.l2 * h
+        u = self.X @ h  # the m-vector temporary is scaled in place
+        u *= w
+        return (self.XT @ u) / self.m + self.l2 * h
 
     def hessian(self, x, state=None):
         """Xᵀ·diag(w)·X / m + l2·I. Dense X: SᵀS with S = √w·X, one ``syrk``, so exactly
@@ -262,6 +264,12 @@ class LogSumExpOracle(SmoothOracle):
     constants are 1/mu, 2/mu^2, 4/mu^3 for orders 1..3. A is not copied, and the
     first whitened Hessian or ``whitened`` view caches the whitened rows A L⁻ᵀ,
     so A must not change after construction.
+
+    The oracle keeps the softmax (pi, log-sum-exp) of the last point evaluated,
+    keyed on its bytes, so F at an accepted step and the next model's
+    ``value_gradient_state`` there share one; a point edited in place, a flipped
+    signed zero or a point without a finite log-sum-exp is computed afresh.
+    Callers share the returned pi and never write it.
     """
 
     def __init__(self, A, b=None, mu: float = 1.0, norm=None):
@@ -281,13 +289,22 @@ class LogSumExpOracle(SmoothOracle):
             self.norm = norm
             self.lipschitz = {}
         self._rows = None  # W = A L⁻ᵀ, built by the first whitened Hessian
+        self._last = (None, None, None)  # (bytes of x, pi, lse) of the last point
 
     def _weights(self, x):
-        z = (self.A @ np.asarray(x, dtype=float) - self.b) / self.mu
-        zmax = float(np.max(z))
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        last = self._last
+        if last[0] == key:
+            return last[1:]
+        z = (self.A @ x - self.b) / self.mu
+        zmax = float(z.max())
         e = np.exp(z - zmax)
-        total = float(np.sum(e))
-        return e / total, zmax + math.log(total)
+        total = float(e.sum())
+        pi, lse = e / total, zmax + math.log(total)
+        if math.isfinite(lse):
+            self._last = (key, pi, lse)
+        return pi, lse
 
     def value(self, x):
         _, lse = self._weights(x)
@@ -304,9 +321,10 @@ class LogSumExpOracle(SmoothOracle):
     def hessian_vec(self, x, h, state=None):
         h = np.asarray(h, dtype=float)
         pi = self._weights(x)[0] if state is None else state
-        u = self.A @ h
-        mean_u = float(pi @ u)
-        return (self.A.T @ (pi * (u - mean_u))) / self.mu
+        u = self.A @ h  # the m-vector temporary is centred and scaled in place
+        u -= float(pi @ u)
+        u *= pi
+        return (self.A.T @ u) / self.mu
 
     def hessian(self, x, state=None):
         """(Sᵀ S − g gᵀ) / mu with S = sqrt(pi)·A; numpy sends Sᵀ S to one ``syrk``,
@@ -566,15 +584,19 @@ class PowerComposite(Composite):
         self.norm = norm
 
     def value(self, x):
-        r = self.norm.primal(np.asarray(x, dtype=float) - self.center)
+        d = np.asarray(x, dtype=float) - self.center
+        r = math.sqrt(d.dot(d)) if self.norm.kind == "identity" else self.norm.primal(d)
         return self.mu * r**self.q / self.q
 
     def gradient(self, x):
         return self.value_and_gradient(x)[1]
 
     def value_and_gradient(self, x):
-        """Both from one B·d, d = x − center, which also gives the norm."""
-        bd, r = self.norm.apply_and_primal(np.asarray(x, dtype=float) - self.center)
+        """Both from one B·d, d = x − center, which also gives the norm; under the
+        identity B·d is d, and both norms are ``norm``'s expressions, with no call."""
+        d = np.asarray(x, dtype=float) - self.center
+        bd, r = ((d, math.sqrt(max(0.0, float(d.dot(d))))) if self.norm.kind == "identity"
+                 else self.norm.apply_and_primal(d))
         return self.mu * r**self.q / self.q, self.mu * r ** (self.q - 2.0) * bd
 
     def uniform_convexity(self, degree):

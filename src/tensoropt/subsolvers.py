@@ -13,15 +13,16 @@ Three ways to produce a step:
   certificate or by comparison against the exact model minimum. It carries
   the curvature products H·(x − center) next to its iterates, so an iteration
   costs one Hessian-vector product, one norm solve and, per probe, one B·d
-  shared by the model value and gradient (both copies under the identity norm
-  a solver run works in); a backtracking step size that the curvature along
-  the step direction rules out costs no model evaluation; every certificate it
-  returns is recomputed from a fresh product. When its best model value stops
-  decreasing, the tolerance is below what double precision can certify, and
-  it returns its best iterate flagged ``at_floor``. A returned step carries
-  that fresh product and its probe, so a refinement retry warm-started from
-  the step itself resumes it instead of paying for them again, and a step
-  that stops at its start reports F there without calling the objective.
+  shared by the model value and gradient (neither under the identity norm a
+  solver run works in: B·d is d, B⁻¹∇m is ∇m); a backtracking step size that
+  the curvature along the step direction rules out costs no model evaluation;
+  every certificate it returns is recomputed from a fresh product. When its
+  best model value stops decreasing, the tolerance is below what double
+  precision can certify, and it returns its best iterate flagged ``at_floor``.
+  A returned step carries that fresh product and its probe, so a refinement
+  retry warm-started from the step itself resumes it instead of paying for
+  them again, and a step that stops at its start reports F there without
+  calling the objective.
 
 The certificate comes from uniform convexity of the model: a function that is
 uniformly convex of degree q with parameter sigma satisfies
@@ -347,7 +348,9 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None,
     The curvature part of the model is linear, so the products H·(x − center)
     are carried next to the iterates and updated the way the iterates are:
     each iteration spends one Hessian-vector product, on the step direction
-    B⁻¹∇m(y), and one norm solve, which also gives the dual norm. Backtracking
+    B⁻¹∇m(y), and one norm solve, which also gives the dual norm; under the
+    model's ``identity_norm`` the direction is ∇m(y) itself, and the
+    certificate's factor and exponent are computed once per solve. Backtracking
     probes and restarts cost none, and a step size that the curvature along
     the step direction proves will fail the decrease test costs no model
     evaluation either (``_skip_ruled_out``): the step sizes evaluated, and so
@@ -378,17 +381,17 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None,
     if delta <= 0:
         raise ValueError("delta must be positive")
     cap = _default_cap(delta) if max_iters is None else max_iters
-    norm = model.norm
     center = model.center
-    sigma = model.uniform_convexity()
+    q = model.p + 1.0  # residual_bound(gn, sigma, q) is scale·gn^power, in its product order
+    scale, power = residual_bound(1.0, model.uniform_convexity(), q), q / (q - 1.0)
 
     def certificate(f, gn):
-        return residual_bound(gn, sigma, model.p + 1) if model_min is None else f - model_min
+        return scale * gn**power if model_min is None else f - model_min
 
     def probe(y, hy):
         """(step direction, dual gradient norm, model value, certificate) at y."""
         f, grad = model.value_and_gradient(y, hy)
-        step_dir = norm.solve(grad)
+        step_dir = grad if model.identity_norm else model.norm.solve(grad)
         gn = math.sqrt(max(0.0, float(grad.dot(step_dir))))
         return step_dir, gn, f, certificate(f, gn)
 

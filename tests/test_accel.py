@@ -96,6 +96,20 @@ class TestBregman:
             np.testing.assert_allclose(comp.gradient(x), fd_gradient(comp.value, x),
                                        rtol=1e-6, atol=1e-7)
 
+    def test_a_zero_base_adds_nothing_with_the_bits_of_a_zero_that_adds(self):
+        class AddedZero(ZeroComposite):
+            is_zero = False  # added like any other base
+
+        v = self.rng.normal(size=4)
+        comp = ScaledComposite(ZeroComposite(4), 0.7, self.prox, v)
+        added = ScaledComposite(AddedZero(4), 0.7, self.prox, v)
+        for _ in range(10):
+            x = self.rng.normal(size=4)
+            f, g = comp.value_and_gradient(x)
+            f_added, g_added = added.value_and_gradient(x)
+            assert f == comp.value(x) == f_added == added.value(x)
+            assert g.tobytes() == comp.gradient(x).tobytes() == g_added.tobytes()
+
     def test_order_two_gap_folds_into_a_quadratic(self):
         prox = PowerComposite(1.0, 2.0, self.anchor, self.norm)
         v = self.rng.normal(size=4)

@@ -24,7 +24,9 @@ from tensoropt.harness import (
 )
 from tensoropt.methods import SolverConfig, averaging, monotone1, monotone2
 from tensoropt.model import TensorModel, model_upper_bound_check
-from tensoropt.policies import adaptive, condition_number, power, strong_convexity_c_bound
+from tensoropt.policies import (
+    adaptive, condition_number, constant, power, strong_convexity_c_bound,
+)
 from tensoropt.problems import (
     PowerComposite,
     check_derivatives,
@@ -227,6 +229,52 @@ def test_criterion_06_superlinear_tail():
     gate(6, "superlinear tail of the progress^1.5 rule", ok,
          f"max tail ratio={max(ratios):.3f} vs K={K_theory:.1f}, {drop_detail}, "
          f"{elapsed:.1f}s")
+
+
+# ---------------------------------------------------------------------------
+# beside gate 6: the same tail under inexact steps, and only under the rule
+# ---------------------------------------------------------------------------
+
+def _inexact_tail(seed, policy):
+    """(max tail ratio, K, drop check, detail) of gate 6's checks on gate 6's
+    instance family at ``seed``, with gate 6's reference F*, but steps that are
+    inexact: FGM under the bound certificate and ``policy``. Gate 6 itself takes
+    exact steps, whose residual is zero, so it never runs the policy it names."""
+    prob = synthetic_logistic(50, 300, 1e-2, seed=seed, scale=0.2)
+    x0 = np.zeros(50)
+    ref_cfg = SolverConfig(p=2, h_mode="lipschitz", policy=adaptive(1, 2),
+                           subsolver="exact", max_iters=600)
+    fstar = min(r.F for r in monotone2(prob, x0, ref_cfg).records)
+    cfg = SolverConfig(p=2, h_mode="lipschitz", policy=policy, subsolver="fgm",
+                       stop="bound", max_iters=60)
+    gaps = np.array([r.F - fstar for r in monotone2(prob, x0, cfg).records])
+
+    K_theory = prob.smooth.lipschitz[2] / 2.0 * (2.0 / 1e-2) ** 1.5 + 1.0
+    plateau = max(1e-13, 10 * np.finfo(float).eps * abs(fstar))
+    idx = [i for i in range(len(gaps) - 2) if gaps[i] > plateau and gaps[i + 2] > plateau]
+    ratios = [gaps[i + 2] / gaps[i] ** 1.5 for i in idx[-5:]]
+    k4 = next((i for i, g in enumerate(gaps) if g <= 1e-4), None)
+    if k4 is None:
+        drop_ok = False
+    else:
+        drop_ok = (gaps[k4 + 4] if k4 + 4 < len(gaps) else gaps[-1]) < 1e-10
+    detail = f"seed {seed}: {len(gaps) - 1} iterations, max tail ratio {max(ratios):.3g}"
+    return max(ratios), K_theory, drop_ok, detail
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13, 14])
+def test_superlinear_tail_under_inexact_adaptive_steps(seed):
+    # the paper's local superlinear rate of the progress rule, with inexact steps
+    ratio, K, drop_ok, detail = _inexact_tail(seed, adaptive(1, 1.5))
+    assert ratio <= K and drop_ok, f"{detail} vs K={K:.1f}"
+
+
+@pytest.mark.parametrize("policy", [power(1, 3), constant(1e-2)], ids=["power:1:3",
+                                                                         "constant:1e-2"])
+def test_the_tail_check_tells_the_rule_from_other_schedules(policy):
+    # without the progress rule, the same check fails by orders of magnitude
+    ratio, K, _, detail = _inexact_tail(11, policy)
+    assert ratio > K, f"{detail} vs K={K:.1f}"
 
 
 # ---------------------------------------------------------------------------

@@ -481,6 +481,31 @@ class TestCli:
             main(argv + ["--policy", "constant:-1"])
         assert stop.value.code == 2
 
+    def test_a_data_file_with_no_curvature_is_a_usage_error(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # all-zero features give L₂ = 0, which only the data shows: resolve reads no
+        # file, so the built instance refuses H=lipschitz, before the solve starts
+        missing = {"name": "logistic", "path": str(tmp_path / "missing")}
+        harness.resolve(small_cfg(method="monotone2", problem=missing, H="lipschitz"))
+        path = tmp_path / "zeros.svm"
+        path.write_text("1 1:0 2:0\n-1 1:0 2:0\n1 2:0\n")
+        monkeypatch.setitem(harness.METHOD_TABLE, "monotone2",
+                            lambda *a: pytest.fail("the solve started"))
+        with pytest.raises(SystemExit) as stop:
+            main(["run", "--problem", f"logistic:path={path}", "--method", "monotone2",
+                  "--H", "lipschitz"])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert "no known Lipschitz constant of order 2" in err and "Traceback" not in err
+
+    def test_an_error_inside_the_solve_is_not_caught(self, monkeypatch):
+        def solve(*args):
+            raise ValueError("raised by the solve")
+
+        monkeypatch.setitem(harness.METHOD_TABLE, "monotone2", solve)
+        with pytest.raises(ValueError, match="raised by the solve"):
+            main(["run", "--problem", "chain:n=6", "--method", "monotone2", "--H", "fixed:1"])
+
     @pytest.mark.parametrize("argv,reason", [
         (["run", "--problem", "chain:n=6", "--policy", "constant:inf"], "must be finite"),
         (["run", "--problem", "chain:n=6", "--zeta-policy", "power:1"], "must be 2, got 1"),

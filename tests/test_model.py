@@ -217,3 +217,46 @@ class TestValueAndGradient:
                 f, g = model.value_and_gradient(y, hd)
                 assert f == model.value(y, hd)
                 assert np.array_equal(g, model.gradient(y, hd))
+
+
+class TestIdentityNorm:
+    """Under the identity norm an evaluation calls no NormOperator method and adds
+    no zero composite, and gives the bits of the path that does both."""
+
+    OPERATOR = ("apply", "apply_and_primal", "solve", "primal", "dual")
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("composite", ["zero", "power", "subproblem"])
+    def test_evaluations_match_the_operator_path_bit_for_bit(self, monkeypatch, p, composite):
+        rng = np.random.default_rng(41)
+        A = rng.normal(size=(30, 5))
+        norm = NormOperator.identity(5)
+        prob = ProblemInstance(LogSumExpOracle(A, b=rng.normal(size=30), norm=norm),
+                               ZeroComposite(5))
+        if composite == "power":
+            prob.composite = PowerComposite(0.7, 3.0, rng.normal(size=5), norm)
+        elif composite == "subproblem":
+            prob = build_subproblem(prob, prob.smooth, rng.normal(size=5), rng.normal(size=5),
+                                    1.0, 3.0, PowerComposite(1.0, p + 1.0, rng.normal(size=5), norm))
+        center = rng.normal(size=5)
+        model = TensorModel(prob.smooth, prob.composite, center, H=2.5, p=p)
+        assert model.identity_norm
+        # the operator path: every norm through NormOperator, and the composite added
+        reference = TensorModel(prob.smooth, prob.composite, center, H=2.5, p=p)
+        reference.identity_norm = False
+        reference._psi = prob.composite
+        points = [center + t * rng.normal(size=5) for t in (0.0, 1e-8, 0.3, 4.0)]
+        want = [(reference.value(y), *reference.value_and_gradient(y), reference.gradient(y))
+                for y in points]
+        calls = []
+        for name in self.OPERATOR:
+            monkeypatch.setattr(NormOperator, name, lambda *a, _n=name: calls.append(_n))
+        if composite == "zero":
+            for name in ("value", "gradient", "value_and_gradient"):
+                monkeypatch.setattr(ZeroComposite, name, lambda *a, _n=name: calls.append(_n))
+        for y, (f, f2, g2, g) in zip(points, want):
+            assert model.value(y) == f
+            got_f, got_g = model.value_and_gradient(y)
+            assert got_f == f2 and got_g.tobytes() == g2.tobytes()
+            assert model.gradient(y).tobytes() == g.tobytes()
+        assert calls == []

@@ -306,6 +306,98 @@ class TestLogSumExp:
             np.testing.assert_allclose(Hmat @ h, oracle.hessian_vec(x, h), atol=1e-12)
 
 
+class TestSoftmaxCache:
+    """The smoothed max keeps its last point's softmax, keyed on the point's bytes."""
+
+    @staticmethod
+    def _oracle(rng, n=5, m=30):
+        return LogSumExpOracle(rng.normal(size=(m, n)), b=rng.normal(size=m), mu=0.7,
+                               norm=NormOperator.identity(n))
+
+    @staticmethod
+    def _count_softmaxes(monkeypatch):
+        calls = []
+        exp = np.exp
+        monkeypatch.setattr(problems.np, "exp", lambda *a, **k: calls.append(1) or exp(*a, **k))
+        return calls
+
+    @staticmethod
+    def _assert_same_bits(got, want):
+        assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got[1:], want[1:]))
+
+    def test_a_value_and_then_the_state_share_one_softmax_with_a_fresh_oracles_bits(
+            self, monkeypatch):
+        rng = np.random.default_rng(30)
+        oracle = self._oracle(rng)
+        x = rng.normal(size=5)
+        calls = self._count_softmaxes(monkeypatch)
+        f = oracle.value(x)
+        got = oracle.value_gradient_state(x)
+        assert len(calls) == 1
+        fresh = self._oracle(np.random.default_rng(30))
+        want = fresh.value_gradient_state(x)
+        assert len(calls) == 2
+        assert f == got[0] and np.asarray(f).tobytes() == np.asarray(want[0]).tobytes()
+        self._assert_same_bits(got, want)
+        h = rng.normal(size=5)
+        assert oracle.hessian_vec(x, h).tobytes() == fresh.hessian_vec(x, h, want[2]).tobytes()
+        assert len(calls) == 2
+
+    def test_an_edited_point_a_flipped_zero_and_a_nan_point_miss(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        oracle = self._oracle(rng)
+        x = rng.normal(size=5)
+        x[2] = 0.0
+        x_edited = x + np.eye(5)[0]
+        want = self._oracle(np.random.default_rng(31)).value_gradient_state(x_edited)
+        calls = self._count_softmaxes(monkeypatch)
+        oracle.value(x)
+        x[0] += 1.0  # edited in place after the call
+        self._assert_same_bits(oracle.value_gradient_state(x), want)
+        flipped = x.copy()
+        flipped[2] = -0.0  # equal to x, with other bytes
+        oracle.value(flipped)
+        assert len(calls) == 3
+        nan = np.full(5, np.nan)
+        assert math.isnan(oracle.value(nan)) and math.isnan(oracle.value(nan))
+        assert len(calls) == 5
+
+
+class TestInPlaceProducts:
+    """The Hessian-vector products update their m-vector temporaries in place,
+    with the bits of the expressions written out of place."""
+
+    def test_smoothed_max_equals_the_out_of_place_expression(self):
+        rng = np.random.default_rng(32)
+        for m, n, mu in ((30, 5, 1.0), (600, 100, 0.3)):
+            A = rng.normal(size=(m, n))
+            oracle = LogSumExpOracle(A, b=rng.normal(size=m), mu=mu)
+            for _ in range(10):
+                x, h = rng.normal(size=n), rng.normal(size=n)
+                pi = oracle.value_gradient_state(x)[2]
+                u = A @ h
+                want = (A.T @ (pi * (u - float(pi @ u)))) / mu
+                assert oracle.hessian_vec(x, h, pi).tobytes() == want.tobytes()
+                assert oracle.hessian_vec(x, h).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_logistic_equals_the_out_of_place_expression(self, storage):
+        rng = np.random.default_rng(33)
+        X = rng.uniform(-1.0, 1.0, size=(300, 50))
+        if storage == "csr":
+            X *= rng.random(X.shape) < 0.05
+        y = np.where(rng.random(300) < 0.5, -1.0, 1.0)
+        oracle = logistic_oracle(Dataset(scipy.sparse.csr_matrix(X), y), l2=1e-3)
+        assert isinstance(oracle.X, np.ndarray) == (storage == "dense")
+        for _ in range(10):
+            x, h = rng.normal(size=oracle.dim), rng.normal(size=oracle.dim)
+            w = oracle.value_gradient_state(x)[2]
+            want = (oracle.XT @ (w * (oracle.X @ h))) / oracle.m + oracle.l2 * h
+            assert oracle.hessian_vec(x, h, w).tobytes() == want.tobytes()
+            assert oracle.hessian_vec(x, h).tobytes() == want.tobytes()
+
+
 class TestShiftedGenerator:
     def test_gradient_vanishes_at_origin_across_seeds(self):
         for seed in range(6):
@@ -481,6 +573,28 @@ class TestComposites:
         assert mu == 0.7
         cubic = PowerComposite(0.7, 3.0, np.zeros(2), norm)
         assert cubic.quadratic_coeff is None
+
+
+def test_power_composite_on_the_identity_calls_no_operator_with_its_bits(monkeypatch):
+    rng = np.random.default_rng(34)
+    norm = NormOperator.identity(5)
+    for mu, q in ((0.7, 3.0), (1.3, 2.0), (0.4, 4.5)):
+        comp = PowerComposite(mu, q, rng.normal(size=5), norm)
+        points = [comp.center + t * rng.normal(size=5) for t in (0.0, 1e-9, 0.5, 7.0)]
+        want = []
+        for x in points:
+            bd, r = norm.apply_and_primal(x - comp.center)
+            want.append((mu * norm.primal(x - comp.center) ** q / q,
+                         mu * r**q / q, mu * r ** (q - 2.0) * bd))
+        calls = []
+        monkeypatch.setattr(NormOperator, "primal", lambda *a: calls.append("primal"))
+        monkeypatch.setattr(NormOperator, "apply_and_primal", lambda *a: calls.append("apply"))
+        for x, (f, f2, g2) in zip(points, want):
+            got_f, got_g = comp.value_and_gradient(x)
+            assert comp.value(x) == f and got_f == f2
+            assert got_g.tobytes() == g2.tobytes() == comp.gradient(x).tobytes()
+        assert calls == []
+        monkeypatch.undo()
 
 
 class TestParseLibsvm:

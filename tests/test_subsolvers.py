@@ -608,10 +608,14 @@ class TestFgmProbe:
     NAMES = {NormOperator: ("apply", "primal", "solve"),
              TensorModel: ("value", "gradient", "value_and_gradient")}
 
-    def _spy(self, monkeypatch):
+    # every NormOperator method an evaluation could reach
+    OPERATOR = ("apply", "apply_and_primal", "solve", "primal", "dual", "factor_solve",
+                "factor_apply", "whiten", "whiten_rows", "unwhiten_rows", "inv_sqrt_apply")
+
+    def _spy(self, monkeypatch, names=None):
         counts = {}
-        for owner, names in self.NAMES.items():
-            for name in names:
+        for owner, owned in (names or self.NAMES).items():
+            for name in owned:
                 counts[name] = 0
 
                 def counted(*args, _name=name, _orig=getattr(owner, name), **kwargs):
@@ -625,6 +629,19 @@ class TestFgmProbe:
     @pytest.mark.parametrize("norm_kind", ["dense", "identity"])
     def test_a_probe_spends_one_b_product_and_no_primal_norm(self, monkeypatch, p, norm_kind):
         model = _counted_lse_model(p, norm_kind)
+        if norm_kind == "identity":
+            # B·d is d and B⁻¹∇m is ∇m: no probe, trial or certificate calls the operator
+            names = {NormOperator: self.OPERATOR, TensorModel: self.NAMES[TensorModel]}
+            counts = self._spy(monkeypatch, names)
+            fgm_step(model, delta=1e12)
+            assert counts == {**dict.fromkeys(self.OPERATOR, 0), "value": 0, "gradient": 0,
+                              "value_and_gradient": 1}
+            counts = self._spy(monkeypatch, names)
+            res = fgm_step(model, delta=1e-9)
+            assert res.inner_iterations > 0 and counts["gradient"] == 0
+            assert counts["value"] > 0 and counts["value_and_gradient"] > 0
+            assert not any(counts[name] for name in self.OPERATOR)
+            return
         counts = self._spy(monkeypatch)
         fgm_step(model, delta=1e12)
         assert counts == {"apply": 1, "primal": 0, "solve": 1, "value": 0, "gradient": 0,
@@ -635,6 +652,20 @@ class TestFgmProbe:
         # every probe: one B·d and one solve; every backtracking trial: one primal norm
         assert counts["apply"] == counts["solve"] == counts["value_and_gradient"]
         assert counts["primal"] == counts["value"] > 0
+
+
+class TestFgmCertificate:
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("norm_kind", ["dense", "identity"])
+    def test_equals_residual_bound_bit_for_bit(self, p, norm_kind):
+        # the factor and exponent fgm_step computes once give residual_bound's bits
+        for seed in range(20):
+            model = _counted_lse_model(p, norm_kind, seed=seed)
+            sigma = model.uniform_convexity()
+            for delta in (1e12, 1e-3, 1e-9):
+                res = fgm_step(model, delta)
+                want = residual_bound(res.grad_dual_norm, sigma, p + 1)
+                assert res.certified_residual == max(0.0, want), (seed, delta)
 
 
 class TestFgmFloorExit:

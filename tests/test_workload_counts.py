@@ -13,8 +13,9 @@ A change that moves a row regenerates the table with
 ``CHANGES.md`` which rows changed and why. The script prints the new table,
 then every row that differs from ``TABLE``, field by field, and last the
 sha256 of the ``trace.csv`` that ``harness.write_trace_csv`` writes for each
-config's run: run against two checkouts' ``src``, its digest lines compare
-every workload trace byte for byte in one diff.
+config's run and of the bytes of its final point, signed zeros included: run
+against two checkouts' ``src``, its digest lines compare every workload trace
+and final point byte for byte in one diff.
 """
 
 import hashlib
@@ -182,8 +183,9 @@ if __name__ == "__main__":
             for line in changes(f"{name}@{seed}", configs(name, seed), table[f"{name}@{seed}"])]
     print(f"\n{len(diff)} row(s) differ from TABLE")
     print("\n".join(diff))
-    print("\ntrace.csv sha256")
+    print("\ntrace.csv and x_final sha256")
     for name, seed in CASES:
         key = f"{name}@{seed}"
         for cfg, run in zip(configs(name, seed), runs[key]):
-            print(f"{key} {label(cfg)}: {trace_digest(run)}")
+            x_digest = hashlib.sha256(run.x_final.tobytes()).hexdigest()
+            print(f"{key} {label(cfg)}: {trace_digest(run)} {x_digest}")
