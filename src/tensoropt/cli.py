@@ -123,10 +123,10 @@ def main(argv=None) -> int:
     if args.command == "compare":
         try:
             configs = [ExperimentConfig.load(p) for p in args.configs]
-            check_comparable(configs)
+            solves = check_comparable(configs)
         except ValueError as exc:
             sp_cmp.error(str(exc))
-        report = compare(configs, out_root=args.out)
+        report = compare(configs, out_root=args.out, solves=solves)
         print(render_comparison(report))
         return 0
 

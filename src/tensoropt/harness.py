@@ -82,8 +82,12 @@ class ExperimentConfig:
 
     @staticmethod
     def load(path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return ExperimentConfig.from_dict(json.load(fh))
+        """The config file at ``path``; one that cannot be read raises ValueError."""
+        try:
+            with open(path) as fh:
+                return ExperimentConfig.from_dict(json.load(fh))
+        except OSError as exc:
+            raise ValueError(f"cannot read config file {path}: {exc.strerror}") from exc
 
     def save(self, path) -> None:
         write_json(path, self.to_dict())
@@ -399,8 +403,9 @@ def _cost_to_gap(records, fstar, target):
     return None, None, None
 
 
-def check_comparable(configs) -> None:
-    """Raise ValueError unless there are two or more configs, of one instance, that resolve."""
+def check_comparable(configs) -> list:
+    """Raise ValueError unless there are two or more configs, of one instance, that resolve
+    and that the built instance accepts; return each config's ``prepare``d solve."""
     if len(configs) < 2:
         raise ValueError("compare needs at least two configs")
     instances = set()
@@ -409,19 +414,21 @@ def check_comparable(configs) -> None:
         instances.add((json.dumps(cfg.problem, sort_keys=True), cfg.composite, cfg.x0, cfg.seed))
     if len(instances) > 1:
         raise ValueError("compare requires identical problem instances and seeds")
+    return [prepare(cfg) for cfg in configs]
 
 
-def compare(configs, out_root=None) -> dict:
+def compare(configs, out_root=None, solves=None) -> dict:
     """Run several configs on the same instance and tabulate cost-to-gap.
 
     All configs must agree on the problem stanza, composite, start, and seed;
-    wall-time columns are informative only and never decide a gate.
+    wall-time columns are informative only and never decide a gate. ``solves``,
+    if given, are the configs' solves from ``check_comparable``.
     """
-    check_comparable(configs)
+    solves = check_comparable(configs) if solves is None else solves
     runs = []
-    for i, cfg in enumerate(configs):
+    for i, (cfg, solve) in enumerate(zip(configs, solves)):
         out_dir = os.path.join(out_root, f"run{i:02d}") if out_root else None
-        run, summary = run_experiment(cfg, out_dir)
+        run, summary = run_experiment(cfg, out_dir, solve=solve)
         runs.append((cfg, run, summary))
 
     fstar = None

@@ -19,12 +19,13 @@ The regularization weight H is fixed, derived from a known Lipschitz constant
 (H = p * L_p), or fitted by a doubling line search on the upper-bound property
 F(T) <= model(T), restarting each search from half the previous estimate.
 
-A run under a factored norm B = L Lᵀ solves ``problem.whitened(x0)``, the
-problem in the coordinates z = Lᵀ(x − x0), from z = 0: every driver and
-subsolver then works under the identity norm, with no Gram solve, and the
-trace's points and final point are mapped back to x at the end. The
-Lipschitz constants, the known optimum's value and every F in the trace are
-those of the original problem.
+A run under a factored norm B = L Lᵀ solves ``problem.whitened(x0)``. When
+the oracle and the composite both have a view in the coordinates
+z = Lᵀ(x − x0), every driver and subsolver works there, from z = 0, under the
+identity norm, with no Gram solve, and the trace's points and final point
+are mapped back to x at the end; otherwise the run works in x under the
+problem's norm. The Lipschitz constants, the known optimum's value and every
+F in the trace are those of the original problem.
 """
 
 from __future__ import annotations
@@ -208,9 +209,9 @@ class SolverRun:
 class _Runner:
     """Shared state for one solve: counters, timing, trace, H bookkeeping.
 
-    The solve runs on ``problem.whitened(x0)``, from z = 0, so every driver and
-    subsolver works under the identity norm; ``finish`` maps the points back.
-    An identity-norm problem is its own whitened instance and runs as given.
+    The solve runs on ``problem.whitened(x0)``: from z = 0 under the identity
+    norm when the problem has a factor-coordinate view, and ``finish`` maps the
+    points back; otherwise on the problem as given, from x0, under its norm.
     """
 
     def __init__(self, problem, config: SolverConfig, x0, method: str):

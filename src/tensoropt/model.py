@@ -38,8 +38,10 @@ class TensorModel:
     The model keeps no dense Hessian; its curvature action is always the
     oracle's Hessian-vector product.
 
-    Under the identity norm of every solver run (``identity_norm``, read once)
-    an evaluation makes no ``NormOperator`` call: B·d is d itself, and ‖d‖ the
+    A run works in factor coordinates, under the identity norm, when its oracle
+    and its composite both have a view there, and otherwise in x under the
+    problem's norm. Under the identity norm (``identity_norm``, read once) an
+    evaluation makes no ``NormOperator`` call: B·d is d itself, and ‖d‖ the
     expression ``norm.primal`` or ``norm.apply_and_primal`` computes, bit for
     bit. A zero composite adds nothing to a value or a gradient.
     """

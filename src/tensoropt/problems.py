@@ -24,9 +24,10 @@ ranges, builder, and the orders whose Lipschitz constant an instance knows.
 
 ``ProblemInstance.whitened(origin)`` is the instance in the coordinates
 z = Lᵀ(x − origin) of its norm's factor B = L Lᵀ, under the identity norm,
-where solver runs work: the smoothed max over its whitened rows, any other
-oracle behind a ``WhitenedOracle``, a ``PowerComposite`` on the same norm
-recentred, any other composite behind a ``WhitenedComposite``.
+when both its parts have a view there: the smoothed max over its whitened
+rows, and a zero composite or a ``PowerComposite`` on the same norm object,
+recentred. A run works in those coordinates when the instance has them, and
+otherwise in x under the problem's norm.
 """
 
 from __future__ import annotations
@@ -441,48 +442,6 @@ class PoweredChainOracle(SmoothOracle):
         return np.diag(phi2 + np.append(self.c**2 * phi2[1:], 0.0)) + off + off.T
 
 
-class WhitenedOracle(SmoothOracle):
-    """z ↦ f(origin + L⁻ᵀz) under the identity norm, for the factor L of the base
-    oracle's norm B = L Lᵀ. A call maps z to x by one triangular solve and the
-    gradient, or a product's direction and result, by one more each; the state
-    holds x next to the base's. The Lipschitz constants carry over, since
-    ‖L⁻ᵀh‖_B = ‖h‖. The base may be any object with the oracle's methods."""
-
-    def __init__(self, base, origin):
-        self.base = base
-        self.origin = np.asarray(origin, dtype=float).copy()
-        self.dim = base.dim
-        self.factor = base.norm
-        self.norm = NormOperator.identity(self.dim)
-        self.lipschitz = dict(base.lipschitz)
-
-    def _x(self, z):
-        return self.origin + self.factor.factor_solve(z, trans=True)
-
-    def value(self, z):
-        return self.base.value(self._x(z))
-
-    def gradient(self, z):
-        return self.factor.factor_solve(self.base.gradient(self._x(z)))
-
-    def value_gradient_state(self, z, state=True):
-        x = self._x(z)
-        joint = getattr(self.base, "value_gradient_state", None)
-        f, g, s = joint(x, state) if joint else (self.base.value(x), self.base.gradient(x), None)
-        return f, self.factor.factor_solve(g), (x, s) if state else None
-
-    def hessian_vec(self, z, h, state=None):
-        x, s = (self._x(z), None) if state is None else state
-        v = self.factor.factor_solve(h, trans=True)
-        hv = self.base.hessian_vec(x, v) if s is None else self.base.hessian_vec(x, v, s)
-        return self.factor.factor_solve(hv)
-
-    def whitened_hessian(self, z, state=None):
-        # the base's whitened Hessian is this oracle's Hessian
-        x, s = (self._x(z), None) if state is None else state
-        return self.base.whitened_hessian(x, s)
-
-
 # ---------------------------------------------------------------------------
 # composite terms
 # ---------------------------------------------------------------------------
@@ -513,43 +472,10 @@ class Composite:
         """(mu, center) when the term is mu/2 ||x - center||^2, else None."""
         return None
 
-    def whitened(self, norm: NormOperator, origin) -> "Composite":
-        """z ↦ psi(origin + L⁻ᵀz) for the factor L of the problem's ``norm``."""
-        return WhitenedComposite(self, norm, origin)
-
-
-class WhitenedComposite(Composite):
-    """A composite term in the coordinates of ``Composite.whitened``, by one
-    triangular solve per value and one more per gradient. Its uniform convexity
-    and a quadratic form carry over, since ‖L⁻ᵀh‖_B = ‖h‖."""
-
-    def __init__(self, base: Composite, norm: NormOperator, origin):
-        self.base = base
-        self.factor = norm
-        self.origin = np.asarray(origin, dtype=float).copy()
-
-    def _x(self, z):
-        return self.origin + self.factor.factor_solve(z, trans=True)
-
-    def value(self, z):
-        return self.base.value(self._x(z))
-
-    def gradient(self, z):
-        return self.value_and_gradient(z)[1]
-
-    def value_and_gradient(self, z):
-        psi, dpsi = self.base.value_and_gradient(self._x(z))
-        return psi, self.factor.factor_solve(dpsi)
-
-    def uniform_convexity(self, degree):
-        return self.base.uniform_convexity(degree)
-
-    @property
-    def quadratic_coeff(self):
-        quad = self.base.quadratic_coeff
-        if quad is None:
-            return None
-        return quad[0], self.factor.factor_apply(quad[1] - self.origin)
+    def whitened(self, norm: NormOperator, origin) -> "Composite | None":
+        """z ↦ psi(origin + L⁻ᵀz) for the factor L of the problem's ``norm``, as a
+        term under the identity norm, or None when the term has no such view."""
+        return None
 
 
 class ZeroComposite(Composite):
@@ -612,9 +538,10 @@ class PowerComposite(Composite):
 
     def whitened(self, norm, origin):
         """On its own norm, the same term under the identity norm, centred at
-        Lᵀ(center − origin): ‖x − center‖_B = ‖z − Lᵀ(center − origin)‖."""
+        Lᵀ(center − origin): ‖x − center‖_B = ‖z − Lᵀ(center − origin)‖. On any
+        other norm object, None."""
         if norm is not self.norm:
-            return super().whitened(norm, origin)
+            return None
         return PowerComposite(self.mu, self.q, norm.factor_apply(self.center - origin),
                               NormOperator.identity(norm.dim))
 
@@ -663,20 +590,24 @@ class ProblemInstance:
 
     def whitened(self, origin) -> "ProblemInstance":
         """z ↦ F(origin + L⁻ᵀz) under the identity norm, for the factor L of the
-        norm B = L Lᵀ, with the known optimum mapped to (Lᵀ(x* − origin), F*);
-        under the identity norm, this instance itself. An oracle with a
-        ``whitened(origin)`` view of its own supplies it; any other is wrapped
-        in a ``WhitenedOracle``."""
+        norm B = L Lᵀ, with the known optimum mapped to (Lᵀ(x* − origin), F*),
+        when both parts have a view of their own: the oracle's
+        ``whitened(origin)`` and the composite's ``whitened(norm, origin)``.
+        Otherwise, and under the identity norm, this instance itself, which a
+        run then solves in x under its own norm. The composite is asked first,
+        so an instance that keeps its coordinates builds no oracle view."""
         norm = self.norm
         if norm.kind == "identity":
             return self
         origin = np.asarray(origin, dtype=float)
+        composite = self.composite.whitened(norm, origin)
         view = getattr(self.smooth, "whitened", None)
-        smooth = view(origin) if view is not None else WhitenedOracle(self.smooth, origin)
+        if composite is None or view is None:
+            return self
         known = self.known_optimum
         if known is not None:
             known = (norm.factor_apply(known[0] - origin), known[1])
-        return ProblemInstance(smooth, self.composite.whitened(norm, origin), self.name, known)
+        return ProblemInstance(view(origin), composite, self.name, known)
 
 
 def logistic_oracle(data: Dataset, l2: float = 0.0) -> LogisticOracle:

@@ -13,8 +13,8 @@ Three ways to produce a step:
   certificate or by comparison against the exact model minimum. It carries
   the curvature products H·(x − center) next to its iterates, so an iteration
   costs one Hessian-vector product, one norm solve and, per probe, one B·d
-  shared by the model value and gradient (neither under the identity norm a
-  solver run works in: B·d is d, B⁻¹∇m is ∇m); a backtracking step size that
+  shared by the model value and gradient (neither under the identity norm of
+  factor coordinates: B·d is d, B⁻¹∇m is ∇m); a backtracking step size that
   the curvature along the step direction rules out costs no model evaluation;
   every certificate it returns is recomputed from a fresh product. When its
   best model value stops decreasing, the tolerance is below what double
@@ -348,8 +348,10 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None,
     The curvature part of the model is linear, so the products H·(x − center)
     are carried next to the iterates and updated the way the iterates are:
     each iteration spends one Hessian-vector product, on the step direction
-    B⁻¹∇m(y), and one norm solve, which also gives the dual norm; under the
-    model's ``identity_norm`` the direction is ∇m(y) itself, and the
+    B⁻¹∇m(y), and one norm solve, which also gives the dual norm. A run works
+    in factor coordinates when both its oracle and its composite have a view
+    there, and otherwise in x under the problem's norm; under the model's
+    ``identity_norm`` the direction is ∇m(y) itself, with no solve. The
     certificate's factor and exponent are computed once per solve. Backtracking
     probes and restarts cost none, and a step size that the curvature along
     the step direction proves will fail the decrease test costs no model

@@ -540,6 +540,12 @@ class TestCli:
          "no known Lipschitz constant of order 2 for this problem"),
         (["compare", "--configs", "cubic.json", "cubic.json", "--out", "cmp"],
          "closed-form steps support only zero or quadratic"),
+        # all-zero features give L₂ = 0, which only the built instance shows
+        (["compare", "--configs", "zeros.json", "zeros.json", "--out", "cmp"],
+         "no known Lipschitz constant of order 2 for this problem"),
+        (["run", "--config", "missing.json"], "cannot read config file missing.json"),
+        (["compare", "--configs", "good.json", "missing.json", "--out", "cmp"],
+         "cannot read config file missing.json"),
         (["run", "--problem", "chain:n=6", "--method", "accelerated", "--H", "fixed:1",
           "--stop", "exact"], "accelerated does not support stop exact"),
         (["run", "--problem", "chain:n=6", "--method", "accelerated", "--H", "fixed:1",
@@ -561,6 +567,11 @@ class TestCli:
         small_cfg(problem={"name": "chain", "n": 3.7}).save("fractional.json")
         small_cfg(problem={"name": "chain", "n": 6, "q": 2.5}, H="lipschitz").save("lp.json")
         small_cfg(subsolver="exact", composite="power:1:3").save("cubic.json")
+        (tmp_path / "zeros.svm").write_text("1 1:0 2:0\n-1 1:0 2:0\n")
+        small_cfg(problem={"name": "logistic", "path": "zeros.svm"}, method="monotone2",
+                  H="lipschitz").save("zeros.json")
+        monkeypatch.setitem(harness.METHOD_TABLE, "monotone2",
+                            lambda *a: pytest.fail("the solve started"))
         with pytest.raises(SystemExit) as stop:
             main(argv)
         assert stop.value.code == 2

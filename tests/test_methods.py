@@ -305,7 +305,8 @@ class TestFactorCoordinates:
 
     def test_a_composite_on_its_own_copy_of_the_norm_runs_alike(self, method, subsolver):
         # on the problem's norm a quadratic term is recentred; on an equal
-        # operator built apart it is wrapped, folded into exact steps all the same
+        # operator built apart it has no view, so that run keeps x and the dense
+        # norm, and folds the term into exact steps all the same
         prob = small_lse(5)
         center = np.linspace(-0.5, 0.5, 8)
         cfg = replace(driver_config(method, max_iters=6), subsolver=subsolver)
@@ -315,6 +316,43 @@ class TestFactorCoordinates:
         assert runs[0].status == runs[1].status and len(runs[0].records) == len(runs[1].records)
         for a, b in zip(runs[0].records, runs[1].records):
             assert b.F == pytest.approx(a.F, rel=1e-10)
+
+    @pytest.mark.parametrize("composite", ["zero", "quadratic"])
+    def test_an_oracle_without_a_view_runs_in_x_under_its_norm(self, method, subsolver,
+                                                                composite):
+        # a quadratic has no view of its own, so its run keeps x and the dense
+        # norm; it must retrace the run on the instance whitened by hand
+        rng = np.random.default_rng(23)
+        n = 6
+        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        A = Q @ np.diag(rng.uniform(0.2, 3.0, n)) @ Q.T
+        b, c, center = rng.normal(size=n), rng.normal(size=n), rng.normal(size=n)
+        M = rng.normal(size=(n, n))
+        M = M @ M.T + n * np.eye(n)
+        norm, L = NormOperator.dense(M), np.linalg.cholesky(M)
+        Li = np.linalg.inv(L)
+        x0 = np.linspace(-1.0, 1.0, n)
+
+        def instance(A, b, c, norm, center):
+            oracle = QuadraticOracle(A, b=b, center=c, norm=norm)
+            oracle.lipschitz = {2: 1.0}  # the Hessian is constant, so any bound holds
+            psi = (ZeroComposite(n) if composite == "zero"
+                   else PowerComposite(0.5, 2.0, center, norm))
+            return ProblemInstance(oracle, psi)
+
+        prob = instance(A, b, c, norm, center)
+        assert prob.whitened(x0) is prob
+        by_hand = instance(Li @ A @ Li.T, Li @ b, L.T @ c, NormOperator.identity(n),
+                           L.T @ center)
+        cfg = replace(driver_config(method, max_iters=6), subsolver=subsolver)
+        run, ref = DRIVERS[method](prob, x0, cfg), DRIVERS[method](by_hand, L.T @ x0, cfg)
+        assert run.status == ref.status and len(run.records) == len(ref.records)
+        for a, r in zip(run.records, ref.records):
+            assert a.F == pytest.approx(r.F, rel=1e-10)
+        assert np.array_equal(run.points[0], x0)
+        for pt, z in zip(run.points, ref.points):
+            np.testing.assert_allclose(pt, Li.T @ z, rtol=1e-8, atol=1e-10)
+            assert prob.value(pt) == pytest.approx(by_hand.value(z), rel=1e-10)
 
 
 class TestOrderOne:

@@ -148,11 +148,11 @@ class TestPolicyStudyInsideTheGuarantee:
     inside the theorem, not only for the looser c = 1 gate 10 runs."""
 
     @staticmethod
-    def hvps_to_target(policy, seed):
+    def hvps_to_target(policy, seed, stop="bound"):
         cfg = ExperimentConfig(
             problem={"name": "logsumexp", "n": 100, "m": 600, "mu": 1.0},
             method="monotone2", p=2, H="fixed:1", policy=policy, x0="e1",
-            subsolver="fgm", stop="bound", max_iters=2000, target_gap=1e-8, seed=seed,
+            subsolver="fgm", stop=stop, max_iters=2000, target_gap=1e-8, seed=seed,
         )
         run = execute(cfg)
         assert run.status == "target_reached"
@@ -163,3 +163,9 @@ class TestPolicyStudyInsideTheGuarantee:
         at_limit = self.hvps_to_target(f"adaptive:{adaptive_c_limit(2)!r}:1", seed)
         assert at_limit < self.hvps_to_target("power:1:3", seed)
         assert at_limit < self.hvps_to_target("constant:1e-8", seed)
+
+    def test_adaptive_at_the_limit_beats_the_tight_constant_at_stop_exact(self):
+        # the paper's inexactness: each step's model value within delta of the
+        # model's exact minimum, not under the certificate's bound
+        at_limit = self.hvps_to_target(f"adaptive:{adaptive_c_limit(2)!r}:1", 1, stop="exact")
+        assert at_limit < self.hvps_to_target("constant:1e-8", 1, stop="exact")

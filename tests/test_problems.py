@@ -22,8 +22,6 @@ from tensoropt.problems import (
     PoweredChainOracle,
     ProblemInstance,
     QuadraticOracle,
-    WhitenedComposite,
-    WhitenedOracle,
     ZeroComposite,
     check_derivatives,
     fd_directional_hessian,
@@ -957,7 +955,7 @@ class TestWhitenedView:
     """``ProblemInstance.whitened(origin)``: z ↦ F(origin + L⁻ᵀz) under the identity
     norm, checked against L from ``np.linalg.cholesky`` of the norm's matrix."""
 
-    @pytest.mark.parametrize("kind", ["logsumexp-gram", "logsumexp-dense", "quadratic-dense"])
+    @pytest.mark.parametrize("kind", ["logsumexp-gram", "logsumexp-dense"])
     def test_matches_the_change_of_variables(self, kind):
         rng = np.random.default_rng(60)
         oracle = _whitened_family(kind, rng)
@@ -965,8 +963,7 @@ class TestWhitenedView:
         origin = 0.5 * rng.normal(size=6)
         view = ProblemInstance(oracle, ZeroComposite(6)).whitened(origin).smooth
         assert view.norm.kind == "identity" and view.lipschitz == oracle.lipschitz
-        assert isinstance(view, LogSumExpOracle if kind.startswith("logsumexp")
-                          else WhitenedOracle)
+        assert isinstance(view, LogSumExpOracle)
 
         def rel(got, ref):
             return np.abs(got - ref).max() / max(1.0, np.abs(ref).max())
@@ -1001,6 +998,24 @@ class TestWhitenedView:
         prob = make()
         assert prob.whitened(np.ones(5)) is prob
 
+    @pytest.mark.parametrize("composite", ["zero", "quadratic"])
+    def test_an_oracle_without_a_view_leaves_the_instance_as_it_is(self, composite):
+        rng = np.random.default_rng(63)
+        oracle = _whitened_family("quadratic-dense", rng)
+        psi = (ZeroComposite(6) if composite == "zero"
+               else PowerComposite(0.5, 2.0, rng.normal(size=6), oracle.norm))
+        assert psi.whitened(oracle.norm, np.ones(6)) is not None
+        prob = ProblemInstance(oracle, psi)
+        assert prob.whitened(np.ones(6)) is prob
+
+    def test_a_composite_without_a_view_leaves_the_instance_as_it_is(self):
+        # the composite is asked first, so the smoothed max whitens no rows
+        prob = generate_shifted_logsumexp(6, 36, 0.5, seed=2)
+        other = NormOperator.gram(prob.smooth.A)
+        prob = ProblemInstance(prob.smooth, PowerComposite(0.5, 2.0, np.zeros(6), other))
+        assert prob.whitened(np.ones(6)) is prob
+        assert prob.smooth._rows is None
+
     def test_smoothed_max_view_starts_at_the_value_of_the_origin_bit_for_bit(self):
         rng = np.random.default_rng(61)
         for seed in range(4):
@@ -1022,17 +1037,13 @@ class TestWhitenedView:
         assert view.smooth.A is prob.smooth._rows
 
     @pytest.mark.parametrize("q", [2.0, 3.0])
-    @pytest.mark.parametrize("own_norm", [True, False])
-    def test_power_composite_keeps_value_gradient_and_convexity(self, q, own_norm):
+    def test_power_composite_keeps_value_gradient_and_convexity(self, q):
         rng = np.random.default_rng(62)
         norm = norm_of_kind("dense", rng, 5)
-        psi_norm = norm if own_norm else norm_of_kind("dense", rng, 5)
-        psi = PowerComposite(0.7, q, rng.normal(size=5), psi_norm)
+        psi = PowerComposite(0.7, q, rng.normal(size=5), norm)
         origin = rng.normal(size=5)
         view = psi.whitened(norm, origin)
-        assert isinstance(view, PowerComposite if own_norm else WhitenedComposite)
-        if own_norm:
-            assert view.norm.kind == "identity"
+        assert isinstance(view, PowerComposite) and view.norm.kind == "identity"
         L = _factor(norm)
         for _ in range(5):
             z = rng.normal(size=5)
@@ -1048,8 +1059,16 @@ class TestWhitenedView:
         if q == 2.0:
             mu, center = view.quadratic_coeff
             assert mu == psi.mu
-            if own_norm:
-                np.testing.assert_allclose(center, L.T @ (psi.center - origin), rtol=1e-13)
+            np.testing.assert_allclose(center, L.T @ (psi.center - origin), rtol=1e-13)
         else:
             assert view.quadratic_coeff is None
-        assert ZeroComposite(5).whitened(norm, origin).is_zero
+        zero = ZeroComposite(5)
+        assert zero.whitened(norm, origin) is zero
+
+    @pytest.mark.parametrize("q", [2.0, 3.0])
+    def test_a_power_composite_on_another_norm_has_no_view(self, q):
+        # an equal operator built apart is another norm object
+        rng = np.random.default_rng(62)
+        A = rng.normal(size=(10, 5))
+        psi = PowerComposite(0.7, q, rng.normal(size=5), NormOperator.gram(A))
+        assert psi.whitened(NormOperator.gram(A), rng.normal(size=5)) is None
