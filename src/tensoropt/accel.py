@@ -116,8 +116,8 @@ class ContractedOracle(SmoothOracle):
     def gradient(self, x):
         return self.scale * self.theta * self.base.gradient(self._arg(x))
 
-    def value_gradient_state(self, x, state=True):
-        f, g, hs = self.base.value_gradient_state(self._arg(x), state)
+    def value_gradient_state(self, x):
+        f, g, hs = self.base.value_gradient_state(self._arg(x))
         return self.scale * f, self.scale * self.theta * g, hs
 
     def hessian_vec(self, x, h, state=None):

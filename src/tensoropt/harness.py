@@ -18,13 +18,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .accel import accelerated
-from .methods import SolverConfig, SolverRun, TRACE_COLUMNS, averaging, monotone1, monotone2
+from .methods import (SolverConfig, SolverRun, TRACE_COLUMNS, averaging, is_number, monotone1,
+                      monotone2)
 from .policies import AccuracyPolicy, parse_spec
 from .problems import (
     FAMILIES,
@@ -73,6 +75,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"a config must be an object of fields, got {type(d).__name__}")
         d = dict(d)
         d.pop("schema", None)
         unknown = sorted(set(d) - {f.name for f in dataclasses.fields(ExperimentConfig)})
@@ -292,6 +296,10 @@ def resolve(cfg: ExperimentConfig):
     if cfg.x0 not in X0_KINDS:
         raise ValueError(f"unknown starting point {cfg.x0!r}; expected one of "
                          f"{', '.join(X0_KINDS)}")
+    if not is_number(cfg.seed, numbers.Integral) or cfg.seed < 0:
+        raise ValueError(f"seed must be an int of at least 0, got {cfg.seed!r}")
+    if not isinstance(cfg.measure_time, bool):
+        raise ValueError(f"measure_time must be true or false, got {cfg.measure_time!r}")
     fits = closed_form_fits(cfg.method, cfg.composite)
     scfg = solver_config(cfg)
     scfg.validate(cfg.method, FAMILIES[name][3](params))

@@ -9,7 +9,7 @@ rows of a data matrix A mapped to A L⁻ᵀ, so that Aᵀ D A whitens to a produ
 of the new rows), ``factor_solve`` (L⁻¹ x and L⁻ᵀ x), ``factor_apply`` (the
 coordinates z = Lᵀ x) and ``unwhiten_rows`` (points z mapped back to L⁻ᵀ z);
 the identity uses the factor I.
-``tridiagonal_form`` reduces a whitened Hessian once to T = Qᵀ M Q, and
+``tridiagonal_form`` reduces a Hessian M, once whitened, to T = Qᵀ M Q, and
 ``apply_q`` applies Q or Qᵀ to a vector. ``inv_sqrt_apply`` applies B^{-1/2}
 from an eigendecomposition computed on first use and cached.
 """

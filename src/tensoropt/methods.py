@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -56,6 +57,11 @@ BOUND_SLACK = 1e-12
 MAX_DOUBLINGS = 60
 
 
+def is_number(val, kind=numbers.Real) -> bool:
+    """Whether ``val`` is a ``kind`` (a ``numbers`` class) and not a bool."""
+    return isinstance(val, kind) and not isinstance(val, bool)
+
+
 @dataclass
 class SolverConfig:
     p: int = 2
@@ -74,8 +80,13 @@ class SolverConfig:
         """Raise ValueError on a setting no driver can run, or ``method`` cannot, or
         cannot on a problem whose positive known Lipschitz constants have ``orders``,
         or would never read."""
-        if self.p not in (1, 2):
-            raise ValueError("order p must be 1 or 2")
+        if not is_number(self.p) or self.p not in (1, 2):
+            raise ValueError(f"order p must be 1 or 2, got {self.p!r}")
+        if not is_number(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an int of at least 1, got {self.max_iters!r}")
+        gap = self.target_gap
+        if gap is not None and not (is_number(gap) and 0 <= gap < np.inf):
+            raise ValueError(f"target_gap must be None or finite and nonnegative, got {gap!r}")
         if self.h_mode not in ("fixed", "lipschitz", "linesearch"):
             raise ValueError(f"unknown H mode {self.h_mode!r}")
         if self.h_mode == "fixed" and self.h_value is None:
@@ -136,22 +147,11 @@ class CountingOracle:
 
     def __init__(self, inner):
         self.inner = inner
+        self.dim, self.norm, self.lipschitz = inner.dim, inner.norm, inner.lipschitz
         self.n_value = 0
         self.n_grad = 0
         self.n_hvp = 0
         self.n_hess = 0
-
-    @property
-    def dim(self):
-        return self.inner.dim
-
-    @property
-    def norm(self):
-        return self.inner.norm
-
-    @property
-    def lipschitz(self):
-        return self.inner.lipschitz
 
     def value(self, x):
         self.n_value += 1
@@ -161,26 +161,20 @@ class CountingOracle:
         self.n_grad += 1
         return self.inner.gradient(x)
 
-    def value_gradient_state(self, x, state=True):
+    def value_gradient_state(self, x):
         # one value and one gradient call, as separate calls would count; the
         # state is not an oracle call (the products that use it are counted)
         self.n_value += 1
         self.n_grad += 1
-        joint = getattr(self.inner, "value_gradient_state", None)
-        if joint is not None:
-            return joint(x, state)
-        return self.inner.value(x), self.inner.gradient(x), None
+        return self.inner.value_gradient_state(x)
 
     def hessian_vec(self, x, h, state=None):
         self.n_hvp += 1
-        if state is None:
-            return self.inner.hessian_vec(x, h)
         return self.inner.hessian_vec(x, h, state)
 
-    def whitened_hessian(self, x, state=None):
-        # counted as the one dense Hessian it stands for
+    def hessian(self, x, state=None):
         self.n_hess += 1
-        return self.inner.whitened_hessian(x, state)
+        return self.inner.hessian(x, state)
 
     def counts(self) -> dict:
         return {

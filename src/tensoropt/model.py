@@ -27,9 +27,9 @@ class TensorModel:
     The oracle's center state is fetched here by ``value_gradient_state``,
     together with the value and gradient, and every Hessian-vector product
     reuses it. The first read of ``reduction`` (by an exact step, or an exact
-    stopping rule) fetches the Hessian whitened by the norm's factor,
-    ``oracle.whitened_hessian``, from the same state, rejects a non-finite one
-    with ``LinAlgError`` and reduces it to tridiagonal form: ``reduction`` is
+    stopping rule) fetches ``oracle.hessian`` from the same state, whitens it by
+    the norm's factor (``norm.whiten``, which rejects a non-finite one with
+    ``LinAlgError``) and reduces it to tridiagonal form: ``reduction`` is
     (d, e, V, tau) of ``linalg.tridiagonal_form``, the T every exact step on
     this model, or on a ``with_weight`` copy, solves on; the copies share it,
     so a center is reduced at most once. A copy has its own ``minimum``; the
@@ -59,7 +59,7 @@ class TensorModel:
         self.norm = oracle.norm
         self.identity_norm = self.norm.kind == "identity"
         self._psi = None if composite.is_zero else composite
-        self.f0, self.g0, self._hess_state = oracle.value_gradient_state(self.center, p == 2)
+        self.f0, self.g0, self._hess_state = oracle.value_gradient_state(self.center)
         self._reduction = [] if p == 2 else [None]  # shared by with_weight copies
         self._reg_scale = self.H / math.factorial(self.p + 1)
         self.minimum = None
@@ -68,8 +68,8 @@ class TensorModel:
     def reduction(self):
         """(d, e, V, tau), reduced on first read; None for an order-1 model."""
         if not self._reduction:
-            self._reduction.append(tridiagonal_form(
-                self.oracle.whitened_hessian(self.center, self._hess_state)))
+            hess = self.oracle.hessian(self.center, self._hess_state)
+            self._reduction.append(tridiagonal_form(self.norm.whiten(np.asfortranarray(hess))))
         return self._reduction[0]
 
     def hess_action(self, d) -> np.ndarray:

@@ -1,23 +1,20 @@
 """Problem oracles: smooth objectives, simple composite terms, data handling.
 
 Each smooth oracle exposes value / gradient / hessian_vec / hessian together
-with the norm operator its Lipschitz constants refer to, and
-``whitened_hessian``, the Hessian in coordinates where that norm is the
-identity, which exact steps reduce. ``value_gradient_state(x)`` returns value,
-gradient and the center state: what every Hessian-vector product at x, and the
-dense or whitened Hessian there, recomputes (curvature weights, softmax
-weights, the chain's second derivatives), all from one evaluation of what they
-share. A caller that applies the Hessian at one fixed point fetches the state
-once and passes it to ``hessian_vec``, ``hessian`` or ``whitened_hessian``. By
-default the whitened Hessian is the dense one whitened by the norm's factor;
-the smoothed max forms it from its rows whitened once, with no dense Hessian
-and no congruence. The logistic oracle keeps its own copy of the features in
-the more compact of two forms: a dense X, whose products are BLAS matvecs and
-whose Hessian is one ``syrk``, or CSR copies of X and Xᵀ built once. Either
-way a gradient or a Hessian-vector product is two matvecs and constructs no
-matrix. Composite terms are differentiable and report their uniform-convexity
-parameters where known; ``PowerComposite`` also serves as the accelerated
-scheme's prox-function.
+with the norm operator its Lipschitz constants refer to.
+``value_gradient_state(x)`` returns value, gradient and the center state: what
+every Hessian-vector product at x, and the dense Hessian there, recomputes
+(curvature weights, softmax weights, the chain's second derivatives), all from
+one evaluation of what they share. A caller that applies the Hessian at one
+fixed point fetches the state once and passes it to ``hessian_vec`` or
+``hessian``. The smoothed max forms its Hessian a block of rows at a time,
+with no m×n temporary. The logistic oracle keeps its own copy of the features
+in the more compact of two forms: a dense X, whose products are BLAS matvecs
+and whose Hessian is one ``syrk``, or CSR copies of X and Xᵀ built once.
+Either way a gradient or a Hessian-vector product is two matvecs and
+constructs no matrix. Composite terms are differentiable and report their
+uniform-convexity parameters where known; ``PowerComposite`` also serves as
+the accelerated scheme's prox-function.
 
 ``FAMILIES`` registers the problem families a config stanza names: parameters,
 ranges, builder, and the orders whose Lipschitz constant an instance knows.
@@ -104,23 +101,15 @@ class SmoothOracle:
         """Hessian at x applied to h; ``state``, if given, is ``value_gradient_state(x)[2]``."""
         raise NotImplementedError
 
-    def value_gradient_state(self, x, state: bool = True):
+    def value_gradient_state(self, x):
         """``(value(x), gradient(x), state)``: the state a Hessian-vector product at x
-        reuses, or None when there is none or ``state`` is false."""
+        reuses, or None when there is none."""
         return self.value(x), self.gradient(x), None
 
     def hessian(self, x, state=None) -> np.ndarray:
-        """Dense Hessian at x; ``state``, if given, is ``value_gradient_state(x)[2]``."""
+        """Dense Hessian at x, a matrix the caller owns; ``state``, if given, is
+        ``value_gradient_state(x)[2]``."""
         raise NotImplementedError("dense Hessian not available for this oracle")
-
-    def whitened_hessian(self, x, state=None) -> np.ndarray:
-        """L⁻¹ ∇²f(x) L⁻ᵀ for the factor L of ``norm`` (B = L Lᵀ): a Fortran-ordered
-        matrix the caller owns, of which only the lower triangle is meaningful,
-        the one ``linalg.tridiagonal_form`` reduces. ``state`` as in ``hessian``.
-        This default whitens a Fortran-ordered copy of ``hessian`` by
-        ``norm.whiten``, which rejects a non-finite Hessian."""
-        hess = self.hessian(x) if state is None else self.hessian(x, state)
-        return self.norm.whiten(np.asfortranarray(hess))
 
 
 class QuadraticOracle(SmoothOracle):
@@ -227,12 +216,11 @@ class LogisticOracle(SmoothOracle):
         x = np.asarray(x, dtype=float)
         return self._gradient(x, np.logaddexp(0.0, self._margins(x)))
 
-    def value_gradient_state(self, x, state=True):
+    def value_gradient_state(self, x):
         x = np.asarray(x, dtype=float)
         t = self._margins(x)
         log_s = np.logaddexp(0.0, t)
-        return (self._value(x, t), self._gradient(x, log_s),
-                self._state(t, log_s) if state else None)
+        return self._value(x, t), self._gradient(x, log_s), self._state(t, log_s)
 
     def hessian_vec(self, x, h, state=None):
         h = np.asarray(h, dtype=float)
@@ -263,8 +251,8 @@ class LogSumExpOracle(SmoothOracle):
     Evaluation subtracts the running max before exponentiating, so it cannot
     overflow. When the norm is the Gram operator of the rows, the Lipschitz
     constants are 1/mu, 2/mu^2, 4/mu^3 for orders 1..3. A is not copied, and the
-    first whitened Hessian or ``whitened`` view caches the whitened rows A L⁻ᵀ,
-    so A must not change after construction.
+    first ``whitened`` view caches the whitened rows A L⁻ᵀ, so A must not change
+    after construction.
 
     The oracle keeps the softmax (pi, log-sum-exp) of the last point evaluated,
     keyed on its bytes, so F at an accepted step and the next model's
@@ -289,7 +277,7 @@ class LogSumExpOracle(SmoothOracle):
         else:
             self.norm = norm
             self.lipschitz = {}
-        self._rows = None  # W = A L⁻ᵀ, built by the first whitened Hessian
+        self._rows = None  # W = A L⁻ᵀ, built by the first whitened view
         self._last = (None, None, None)  # (bytes of x, pi, lse) of the last point
 
     def _weights(self, x):
@@ -315,9 +303,9 @@ class LogSumExpOracle(SmoothOracle):
         pi, _ = self._weights(x)
         return self.A.T @ pi
 
-    def value_gradient_state(self, x, state=True):
+    def value_gradient_state(self, x):
         pi, lse = self._weights(x)
-        return self.mu * lse, self.A.T @ pi, pi if state else None
+        return self.mu * lse, self.A.T @ pi, pi
 
     def hessian_vec(self, x, h, state=None):
         h = np.asarray(h, dtype=float)
@@ -328,40 +316,26 @@ class LogSumExpOracle(SmoothOracle):
         return (self.A.T @ u) / self.mu
 
     def hessian(self, x, state=None):
-        """(Sᵀ S − g gᵀ) / mu with S = sqrt(pi)·A; numpy sends Sᵀ S to one ``syrk``,
-        which fills one triangle and mirrors it, so the result is exactly symmetric."""
+        """Aᵀ(diag pi − pi piᵀ)A / mu, Fortran-ordered: a ``dsyrk`` of S = sqrt(pi)·A
+        and one ``dsyr`` of Aᵀpi into the lower triangle, mirrored into the upper
+        one, so the result is exactly symmetric. S is formed and added a block of
+        rows at a time, so no m×n array is allocated per call."""
         pi = self._weights(x)[0] if state is None else state
-        S = self.A * np.sqrt(pi)[:, None]
-        g = self.A.T @ pi
-        hess = S.T @ S
-        hess -= np.outer(g, g)
-        hess /= self.mu
-        return hess
-
-    def whitened_hessian(self, x, state=None):
-        """Wᵀ(diag pi − pi piᵀ)W / mu for the whitened rows W = A L⁻ᵀ: a ``dsyrk`` of
-        S = sqrt(pi)·W and one ``dsyr`` of Wᵀpi, into the lower triangle, with no
-        dense Hessian and no congruence. S is formed and added a block of rows at
-        a time, so no m×n array is allocated per call. W comes from
-        ``norm.whiten_rows`` on the first call and is cached; every other
-        evaluation reads A, so no value, gradient or product depends on whether
-        W was built."""
-        pi = self._weights(x)[0] if state is None else state
-        if self._rows is None:
-            self._rows = self.norm.whiten_rows(self.A)
-        W = self._rows
         root = np.sqrt(pi)
         rows = max(1, BLOCK_ENTRIES // self.dim)
-        hess = np.zeros((self.dim, self.dim), order="F")  # BLAS leaves the upper triangle
+        hess = np.zeros((self.dim, self.dim), order="F")
         for i in range(0, self.m, rows):
-            S = W[i:i + rows] * root[i:i + rows, None]
+            S = self.A[i:i + rows] * root[i:i + rows, None]
             # Sᵀ is the Fortran-ordered view of the C-ordered S, which BLAS reads in place
             hess = dsyrk(1.0 / self.mu, S.T, beta=1.0, c=hess, lower=1, overwrite_c=1)
-        return dsyr(-1.0 / self.mu, W.T @ pi, lower=1, a=hess, overwrite_a=1)
+        hess = dsyr(-1.0 / self.mu, self.A.T @ pi, lower=1, a=hess, overwrite_a=1)
+        for j in range(self.dim - 1):  # BLAS left the upper triangle zero
+            hess[j, j + 1:] = hess[j + 1:, j]
+        return hess
 
     def whitened(self, origin) -> "LogSumExpOracle":
         """z ↦ f(origin + L⁻ᵀz) under the identity norm: the smoothed max over the
-        whitened rows W (cached as for ``whitened_hessian``) with offsets
+        whitened rows W = A L⁻ᵀ (cached on the first call) with offsets
         b − A·origin, and this oracle's Lipschitz constants, which the change of
         variables preserves. At z = 0 its arguments are those of f at origin,
         rounded alike, so its value there is f(origin) bit for bit."""
@@ -426,9 +400,9 @@ class PoweredChainOracle(SmoothOracle):
     def gradient(self, x):
         return self._gradient(self._u(x))
 
-    def value_gradient_state(self, x, state=True):
+    def value_gradient_state(self, x):
         u = self._u(x)
-        return self._value(u), self._gradient(u), self._phi2(u) if state else None
+        return self._value(u), self._gradient(u), self._phi2(u)
 
     def hessian_vec(self, x, h, state=None):
         phi2 = self._phi2(self._u(x)) if state is None else state

@@ -3,9 +3,10 @@
 Three ways to produce a step:
 
 * ``exact_cubic_step``  -- global minimizer of the order-2 model: the solve on
-  the tridiagonal form T of the whitened Hessian that the model reduces on
-  its first exact step, through a scalar secular equation whose evaluations
-  are O(n) tridiagonal solves (zero residual).
+  the tridiagonal form T of the oracle's Hessian, whitened by the norm's
+  factor, that the model reduces on its first exact step, through a scalar
+  secular equation whose evaluations are O(n) tridiagonal solves (zero
+  residual).
 * ``gradient_step``     -- closed-form order-1 step, optionally with a
   quadratic composite folded in (zero residual).
 * ``fgm_step``          -- accelerated gradient loop with backtracking step

@@ -7,6 +7,7 @@ from conftest import forbid_oracle_calls
 
 from tensoropt import accel
 from tensoropt.accel import (
+    ContractedOracle,
     ScaledComposite,
     accelerated,
     build_subproblem,
@@ -185,7 +186,14 @@ class TestSubproblem:
             assert np.array_equal(g, sub.smooth.gradient(x))
             assert np.array_equal(state,
                                   prob.smooth.value_gradient_state(sub.smooth._arg(x))[2])
-            assert sub.smooth.value_gradient_state(x, False)[2] is None
+
+    def test_contracted_hessian_over_a_counting_oracle_counts_one_hessian(self):
+        base = powered_chain_oracle(5).smooth
+        counted = CountingOracle(base)
+        x = np.linspace(-1.0, 1.0, 5)
+        hess = ContractedOracle(counted, 2.0, 0.5, np.ones(5)).hessian(x)
+        assert np.array_equal(hess, 2.0 * 0.5**2 * base.hessian(np.ones(5) + 0.5 * x))
+        assert counted.counts() == {"value": 0, "gradient": 0, "hessian_vec": 0, "hessian": 1}
 
     def test_contracted_lipschitz_bounded(self):
         prob = generate_shifted_logsumexp(5, 30, 1.0, seed=5)

@@ -24,6 +24,18 @@ from tensoropt.harness import (
 from tensoropt.methods import TRACE_COLUMNS, monotone2
 
 
+# config files whose one bad scalar field the CLI refuses as a usage error
+BAD_SCALARS = {
+    "iters-str": ({"max_iters": "10"}, "max_iters must be an int of at least 1, got '10'"),
+    "iters-frac": ({"max_iters": 2.5}, "max_iters must be an int of at least 1, got 2.5"),
+    "iters-neg": ({"max_iters": -3}, "max_iters must be an int of at least 1, got -3"),
+    "gap-str": ({"target_gap": "1e-8"}, "target_gap must be None or finite and nonnegative"),
+    "p-bool": ({"p": True}, "order p must be 1 or 2, got True"),
+    "seed-neg": ({"seed": -1}, "seed must be an int of at least 0, got -1"),
+    "time-str": ({"measure_time": "yes"}, "measure_time must be true or false, got 'yes'"),
+}
+
+
 def small_cfg(**kw):
     base = dict(
         problem={"name": "logsumexp", "n": 10, "m": 60, "mu": 1.0},
@@ -99,6 +111,17 @@ class TestBadSpecs:
          "problem 'logistic': l2 must be finite and nonnegative, got -1.0"),
         ("problem", None, "config needs a problem stanza"),
         ("x0", "bogus", "unknown starting point 'bogus'"),
+        ("max_iters", "10", "max_iters must be an int of at least 1, got '10'"),
+        ("max_iters", 2.5, r"max_iters must be an int of at least 1, got 2\.5"),
+        ("max_iters", -3, "max_iters must be an int of at least 1, got -3"),
+        ("max_iters", True, "max_iters must be an int of at least 1, got True"),
+        ("target_gap", "1e-8", "target_gap must be None or finite and nonnegative, got '1e-8'"),
+        ("target_gap", float("nan"), "target_gap must be None or finite and nonnegative"),
+        ("target_gap", -1.0, "target_gap must be None or finite and nonnegative"),
+        ("p", True, "order p must be 1 or 2, got True"),
+        ("seed", -1, "seed must be an int of at least 0, got -1"),
+        ("seed", "3", "seed must be an int of at least 0, got '3'"),
+        ("measure_time", "yes", "measure_time must be true or false, got 'yes'"),
     ])
     def test_rejected_with_reason_before_any_solve(self, monkeypatch, field, spec, reason):
         def no_instance(*args):
@@ -107,6 +130,11 @@ class TestBadSpecs:
         monkeypatch.setattr(harness, "build_problem", no_instance)
         with pytest.raises(ValueError, match=reason):
             harness.execute(small_cfg(method="accelerated", **{field: spec}))
+
+    @pytest.mark.parametrize("top", [[1, 2], "run", None])
+    def test_a_config_that_is_not_an_object_is_refused(self, top):
+        with pytest.raises(ValueError, match="a config must be an object of fields"):
+            ExperimentConfig.from_dict(top)
 
     @pytest.mark.parametrize("fields,reason", [
         ({"problem": {"name": "chain", "n": 6, "q": 2.5}, "H": "lipschitz"},
@@ -555,6 +583,9 @@ class TestCli:
         (["run", "--problem", "chain:n=6", "--method", "accelerated", "--p", "1", "--H",
           "fixed:1", "--subsolver", "exact", "--composite", "quadratic:0.5"],
          "closed-form steps support only zero or quadratic"),
+        (["run", "--config", "list.json"], "a config must be an object of fields, got list"),
+        *[(["run", "--config", f"{name}.json"], reason)
+          for name, (_, reason) in BAD_SCALARS.items()],
     ])
     def test_spec_error_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, reason):
         monkeypatch.chdir(tmp_path)
@@ -570,6 +601,9 @@ class TestCli:
         (tmp_path / "zeros.svm").write_text("1 1:0 2:0\n-1 1:0 2:0\n")
         small_cfg(problem={"name": "logistic", "path": "zeros.svm"}, method="monotone2",
                   H="lipschitz").save("zeros.json")
+        write_json("list.json", [1, 2])
+        for name, (fields, _) in BAD_SCALARS.items():
+            write_json(f"{name}.json", {**small_cfg().to_dict(), **fields})
         monkeypatch.setitem(harness.METHOD_TABLE, "monotone2",
                             lambda *a: pytest.fail("the solve started"))
         with pytest.raises(SystemExit) as stop:

@@ -1,6 +1,6 @@
-import copy
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -759,7 +759,6 @@ class TestHessianState:
             else:
                 h = rng.normal(size=6)
                 assert np.array_equal(oracle.hessian_vec(x, h, state), oracle.hessian_vec(x, h))
-            assert oracle.value_gradient_state(x, False)[2] is None
 
     @pytest.mark.parametrize("kind", FAMILIES)
     def test_counting_oracle_counts_a_joint_evaluation_as_a_value_and_a_gradient(self, kind):
@@ -767,8 +766,8 @@ class TestHessianState:
         inner = _oracle_family(kind, rng)
         oracle = CountingOracle(inner)
         x = rng.normal(size=6)
-        for state in (True, False):
-            f, g, _ = oracle.value_gradient_state(x, state)
+        for _ in range(2):
+            f, g, _ = oracle.value_gradient_state(x)
             assert f == inner.value(x) and np.array_equal(g, inner.gradient(x))
         assert oracle.counts() == {"value": 2, "gradient": 2, "hessian_vec": 0, "hessian": 0}
 
@@ -795,10 +794,9 @@ class TestHessianState:
         calls = []
         joint = oracle.value_gradient_state
 
-        def spy(x, state=True):
-            if state:
-                calls.append(1)
-            return joint(x, state)
+        def spy(x):
+            calls.append(1)
+            return joint(x)
 
         monkeypatch.setattr(oracle, "value_gradient_state", spy)
         return calls
@@ -820,22 +818,12 @@ class TestHessianState:
             assert np.array_equal(model.hess_action(d), hd)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("p, reduce", [(1, False), (1, True)])
-    def test_no_state_without_products(self, monkeypatch, p, reduce):
-        rng = np.random.default_rng(33)
-        oracle = _oracle_family("logsumexp", rng)
-        calls = self._spied(monkeypatch, oracle)
-        model = TensorModel(oracle, ZeroComposite(6), rng.normal(size=6), H=2.0, p=p)
-        if reduce:
-            assert model.reduction is None
-        assert calls == []
-
     @pytest.mark.parametrize("kind", FAMILIES)
     def test_a_dense_hessian_build_fetches_the_state_once(self, monkeypatch, kind):
         rng = np.random.default_rng(39)
         oracle = _oracle_family(kind, rng)
         center = rng.normal(size=6)
-        fresh = tridiagonal_form(oracle.whitened_hessian(center))
+        fresh = tridiagonal_form(oracle.norm.whiten(np.asfortranarray(oracle.hessian(center))))
         calls = self._spied(monkeypatch, oracle)
         model = TensorModel(CountingOracle(oracle), ZeroComposite(6), center, H=2.0, p=2)
         assert model.oracle.counts()["hessian"] == 0
@@ -887,61 +875,73 @@ def _whitened_family(kind, rng):
     return _oracle_family(kind, rng)
 
 
-class TestWhitenedHessian:
-    """``whitened_hessian`` against the congruence of the dense Hessian by the
-    norm's factor, ``norm.whiten``."""
+class TestHessian:
+    """``hessian``, the one Hessian an oracle has: what the model whitens by its
+    norm's factor and reduces."""
 
     @pytest.mark.parametrize("kind", ["logsumexp-gram", "logsumexp-dense", "logsumexp-identity",
                                       "logistic", "logistic-sparse", "chain-q3",
                                       "quadratic-dense", "contracted-logsumexp"])
-    def test_matches_the_whitened_dense_hessian(self, kind):
+    def test_whitened_by_the_norm_matches_the_congruence_by_the_cholesky_factor(self, kind):
         rng = np.random.default_rng(50)
         oracle = _whitened_family(kind, rng)
+        L = _factor(oracle.norm)
         for _ in range(5):
             x = 0.5 * rng.normal(size=6)
-            ref = np.tril(oracle.norm.whiten(np.asfortranarray(oracle.hessian(x))))
-            got = oracle.whitened_hessian(x)
-            assert got.shape == (6, 6) and got.flags.f_contiguous
-            assert np.abs(np.tril(got) - ref).max() <= 1e-13 * np.abs(ref).max()
+            hess = oracle.hessian(x)
+            ref = scipy.linalg.solve_triangular(
+                L, scipy.linalg.solve_triangular(L, hess, lower=True).T, lower=True)
+            got = oracle.norm.whiten(np.asfortranarray(hess))
+            assert np.abs(np.tril(got) - np.tril(ref)).max() <= 1e-13 * np.abs(ref).max()
             # the state gives the same matrix, and the caller owns what it gets
             state = oracle.value_gradient_state(x)[2]
-            got[:] = np.nan
-            assert np.array_equal(np.tril(oracle.whitened_hessian(x, state)),
-                                  np.tril(oracle.whitened_hessian(x)))
+            hess[:] = np.nan
+            assert np.array_equal(oracle.hessian(x, state), oracle.hessian(x))
 
-    @pytest.mark.parametrize("norm_kind", ["gram", "dense", "identity"])
-    def test_blocks_of_rows_add_up_to_one_pass(self, monkeypatch, norm_kind):
-        # 36 rows in blocks of 7 (the last one short): the triangular solves that
-        # build W and the syrk updates both run block by block
-        from tensoropt import linalg, problems
-
+    def test_smoothed_max_blocks_of_rows_add_up_to_one_pass_and_are_exactly_symmetric(
+            self, monkeypatch):
+        # 36 rows in blocks of 7 (the last one short): the syrk updates run block by block
         rng = np.random.default_rng(52)
-        oracle = _whitened_family(f"logsumexp-{norm_kind}", rng)
+        oracle = _whitened_family("logsumexp-dense", rng)
         x = 0.5 * rng.normal(size=6)
-        whole = oracle.whitened_hessian(x)
-        rows = oracle._rows
-        blocked = copy.copy(oracle)
-        blocked._rows = None
-        for module in (linalg, problems):
-            monkeypatch.setattr(module, "BLOCK_ENTRIES", 7 * 6)
-        got = blocked.whitened_hessian(x)
-        np.testing.assert_allclose(blocked._rows, rows, rtol=0, atol=1e-14 * np.abs(rows).max())
-        assert np.abs(np.tril(got) - np.tril(whole)).max() <= 1e-14 * np.abs(whole).max()
+        whole = oracle.hessian(x)
+        monkeypatch.setattr(problems, "BLOCK_ENTRIES", 7 * 6)
+        got = oracle.hessian(x)
+        assert np.abs(got - whole).max() <= 1e-14 * np.abs(whole).max()
+        assert np.array_equal(got, got.T) and np.array_equal(whole, whole.T)
+
+    def test_smoothed_max_hessian_allocates_no_array_of_its_rows(self):
+        # A is 20000 × 40, 6.4 MB; the blocks of sqrt(pi)·A take at most
+        # BLOCK_ENTRIES entries (2 MB) each
+        rng = np.random.default_rng(53)
+        A = rng.uniform(-1.0, 1.0, size=(20000, 40))
+        oracle = LogSumExpOracle(A, b=rng.uniform(-1.0, 1.0, 20000), mu=1.0,
+                                 norm=NormOperator.identity(40))
+        x = rng.normal(size=40)
+        state = oracle.value_gradient_state(x)[2]
+        tracemalloc.start()
+        try:
+            oracle.hessian(x, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < A.nbytes
 
     def test_smoothed_max_builds_the_whitened_rows_once_and_never_uses_them_elsewhere(self):
         rng = np.random.default_rng(51)
         oracle = generate_shifted_logsumexp(6, 36, 0.5, seed=5).smooth
         x, h = rng.normal(size=6), rng.normal(size=6)
-        before = (oracle.value(x), oracle.gradient(x), oracle.hessian_vec(x, h))
+        before = (oracle.value(x), oracle.gradient(x), oracle.hessian_vec(x, h),
+                  oracle.hessian(x))
         assert oracle._rows is None
-        cold = oracle.whitened_hessian(x)
+        view = oracle.whitened(x)
         rows = oracle._rows
-        assert rows is not None
+        assert view.A is rows
         # W = A L⁻ᵀ: the whitened Gram matrix of the rows is the identity
         np.testing.assert_allclose(rows.T @ rows, np.eye(6), atol=1e-13)
-        assert np.array_equal(oracle.whitened_hessian(x), cold)
-        assert oracle._rows is rows
-        after = (oracle.value(x), oracle.gradient(x), oracle.hessian_vec(x, h))
+        assert oracle.whitened(h).A is rows
+        after = (oracle.value(x), oracle.gradient(x), oracle.hessian_vec(x, h),
+                 oracle.hessian(x))
         assert before[0] == after[0]
         assert all(np.array_equal(u, v) for u, v in zip(before[1:], after[1:]))
 
@@ -980,12 +980,12 @@ class TestWhitenedView:
             assert rel(view.hessian_vec(z, h), ref_hv) <= 1e-12
             ref_wh = scipy.linalg.solve_triangular(
                 L, scipy.linalg.solve_triangular(L, hess, lower=True).T, lower=True)
-            assert rel(np.tril(view.whitened_hessian(z)), np.tril(ref_wh)) <= 1e-12
+            assert rel(view.hessian(z), ref_wh) <= 1e-12
             # the joint evaluation and its state give the same numbers
             f, g, state = view.value_gradient_state(z)
             assert f == view.value(z) and np.array_equal(g, view.gradient(z))
             assert np.array_equal(view.hessian_vec(z, h, state), view.hessian_vec(z, h))
-            assert rel(np.tril(view.whitened_hessian(z, state)), np.tril(ref_wh)) <= 1e-12
+            assert np.array_equal(view.hessian(z, state), view.hessian(z))
         assert check_derivatives(view, trials=10).passed
 
     @pytest.mark.parametrize("make", [
@@ -1033,7 +1033,7 @@ class TestWhitenedView:
         np.testing.assert_allclose(z_star, L.T @ (prob.known_optimum[0] - origin), rtol=1e-13)
         assert f_star == prob.known_optimum[1]
         assert view.value(z_star) == pytest.approx(f_star, rel=1e-14)
-        # the smoothed max reuses the rows its whitened Hessian caches
+        # the view is the smoothed max over the rows the instance's oracle caches
         assert view.smooth.A is prob.smooth._rows
 
     @pytest.mark.parametrize("q", [2.0, 3.0])
