@@ -80,7 +80,7 @@ class SolverConfig:
         """Raise ValueError on a setting no driver can run, or ``method`` cannot, or
         cannot on a problem whose positive known Lipschitz constants have ``orders``,
         or would never read."""
-        if not is_number(self.p) or self.p not in (1, 2):
+        if not is_number(self.p, numbers.Integral) or self.p not in (1, 2):
             raise ValueError(f"order p must be 1 or 2, got {self.p!r}")
         if not is_number(self.max_iters, numbers.Integral) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an int of at least 1, got {self.max_iters!r}")

@@ -28,8 +28,9 @@ class TensorModel:
     together with the value and gradient, and every Hessian-vector product
     reuses it. The first read of ``reduction`` (by an exact step, or an exact
     stopping rule) fetches ``oracle.hessian`` from the same state, whitens it by
-    the norm's factor (``norm.whiten``, which rejects a non-finite one with
-    ``LinAlgError``) and reduces it to tridiagonal form: ``reduction`` is
+    the norm's factor (``norm.whiten``; the identity norm leaves it as it is)
+    and reduces it to tridiagonal form, which rejects a non-finite one with
+    ``LinAlgError``: ``reduction`` is
     (d, e, V, tau) of ``linalg.tridiagonal_form``, the T every exact step on
     this model, or on a ``with_weight`` copy, solves on; the copies share it,
     so a center is reduced at most once. A copy has its own ``minimum``; the
@@ -68,8 +69,9 @@ class TensorModel:
     def reduction(self):
         """(d, e, V, tau), reduced on first read; None for an order-1 model."""
         if not self._reduction:
-            hess = self.oracle.hessian(self.center, self._hess_state)
-            self._reduction.append(tridiagonal_form(self.norm.whiten(np.asfortranarray(hess))))
+            hess = np.asfortranarray(self.oracle.hessian(self.center, self._hess_state))
+            self._reduction.append(tridiagonal_form(hess if self.identity_norm
+                                                    else self.norm.whiten(hess)))
         return self._reduction[0]
 
     def hess_action(self, d) -> np.ndarray:

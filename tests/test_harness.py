@@ -31,6 +31,7 @@ BAD_SCALARS = {
     "iters-neg": ({"max_iters": -3}, "max_iters must be an int of at least 1, got -3"),
     "gap-str": ({"target_gap": "1e-8"}, "target_gap must be None or finite and nonnegative"),
     "p-bool": ({"p": True}, "order p must be 1 or 2, got True"),
+    "p-float": ({"p": 2.0}, "order p must be 1 or 2, got 2.0"),
     "seed-neg": ({"seed": -1}, "seed must be an int of at least 0, got -1"),
     "time-str": ({"measure_time": "yes"}, "measure_time must be true or false, got 'yes'"),
 }
@@ -119,6 +120,7 @@ class TestBadSpecs:
         ("target_gap", float("nan"), "target_gap must be None or finite and nonnegative"),
         ("target_gap", -1.0, "target_gap must be None or finite and nonnegative"),
         ("p", True, "order p must be 1 or 2, got True"),
+        ("p", 2.0, r"order p must be 1 or 2, got 2\.0"),
         ("seed", -1, "seed must be an int of at least 0, got -1"),
         ("seed", "3", "seed must be an int of at least 0, got '3'"),
         ("measure_time", "yes", "measure_time must be true or false, got 'yes'"),

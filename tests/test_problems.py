@@ -910,6 +910,19 @@ class TestHessian:
         assert np.abs(got - whole).max() <= 1e-14 * np.abs(whole).max()
         assert np.array_equal(got, got.T) and np.array_equal(whole, whole.T)
 
+    @pytest.mark.parametrize("norm_kind", ["gram", "dense"])
+    def test_whitened_rows_in_blocks_add_up_to_one_pass(self, monkeypatch, norm_kind):
+        # 36 rows in blocks of 7 (the last one short): the triangular solves that
+        # build W for the whitened view run block by block
+        from tensoropt import linalg
+
+        rng = np.random.default_rng(52)
+        oracle = _whitened_family(f"logsumexp-{norm_kind}", rng)
+        whole = oracle.norm.whiten_rows(oracle.A)
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 7 * 6)
+        got = oracle.whitened(0.5 * rng.normal(size=6)).A
+        np.testing.assert_allclose(got, whole, rtol=0, atol=1e-14 * np.abs(whole).max())
+
     def test_smoothed_max_hessian_allocates_no_array_of_its_rows(self):
         # A is 20000 × 40, 6.4 MB; the blocks of sqrt(pi)·A take at most
         # BLOCK_ENTRIES entries (2 MB) each
