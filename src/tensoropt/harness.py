@@ -99,7 +99,7 @@ class ExperimentConfig:
 
 def parse_composite(spec: str | None) -> tuple[float, float] | None:
     """(mu, q) of ``power:MU:Q`` or ``quadratic:MU`` (q = 2); None for no composite."""
-    if not spec or spec == "none":
+    if spec is None or spec == "none":
         return None
     kind, values = parse_spec(spec, {"power": (2, 2), "quadratic": (1, 1)})
     mu, q = values if kind == "power" else (values[0], 2.0)
@@ -165,8 +165,8 @@ def solver_config(cfg: ExperimentConfig) -> SolverConfig:
         max_iters=cfg.max_iters,
         target_gap=cfg.target_gap,
         measure_time=cfg.measure_time,
-        zeta_policy=AccuracyPolicy.parse(cfg.zeta_policy) if cfg.zeta_policy else None,
-        inner_policy=AccuracyPolicy.parse(cfg.inner_policy) if cfg.inner_policy else None,
+        zeta_policy=None if cfg.zeta_policy is None else AccuracyPolicy.parse(cfg.zeta_policy),
+        inner_policy=None if cfg.inner_policy is None else AccuracyPolicy.parse(cfg.inner_policy),
     )
 
 
@@ -285,11 +285,14 @@ def closed_form_fits(method: str, composite: str | None) -> bool:
 
 def resolve(cfg: ExperimentConfig):
     """The driver and validated solver config of ``cfg``; every spec in it, the
-    problem stanza, the start, the L_p of H = p·L_p and the composite of a
-    closed-form step included, is checked without building the instance."""
-    method = METHOD_TABLE.get(cfg.method)
+    problem stanza, the start, the output path, the L_p of H = p·L_p and the
+    composite of a closed-form step included, is checked without building the
+    instance."""
+    method = METHOD_TABLE.get(cfg.method) if isinstance(cfg.method, str) else None
     if method is None:
         raise ValueError(f"unknown method {cfg.method!r}")
+    if cfg.out is not None and not (isinstance(cfg.out, (str, os.PathLike)) and os.fspath(cfg.out)):
+        raise ValueError(f"out must be None or a directory path, got {cfg.out!r}")
     if cfg.problem is None:
         raise ValueError("config needs a problem stanza")
     name, params = problem_params(cfg.problem)

@@ -4,11 +4,11 @@ The primal norm is ``<Bx, x>**0.5`` and the dual norm is ``<s, B^{-1} s>**0.5``.
 There are two kinds of operator. The identity bypasses factorization entirely;
 a dense operator caches a Cholesky factor B = L Lᵀ at construction. Solver
 runs and the exact cubic subsolver work in coordinates where B is the
-identity, through ``whiten`` (the congruence L⁻¹ A L⁻ᵀ), ``whiten_rows`` (the
-rows of a data matrix A mapped to A L⁻ᵀ, so that Aᵀ D A whitens to a product
-of the new rows), ``factor_solve`` (L⁻¹ x and L⁻ᵀ x), ``factor_apply`` (the
-coordinates z = Lᵀ x) and ``unwhiten_rows`` (points z mapped back to L⁻ᵀ z);
-the identity uses the factor I.
+identity, through ``whiten`` (the congruence L⁻¹ M L⁻ᵀ of a matrix M),
+``factor_solve`` (L⁻¹ or L⁻ᵀ applied to a vector or to each row of a matrix:
+the rows of a data matrix A become A L⁻ᵀ, so that Aᵀ D A whitens to a product
+of the new rows, and run points z map back to L⁻ᵀ z) and ``factor_apply``
+(the coordinates z = Lᵀ x); the identity uses the factor I.
 ``tridiagonal_form`` reduces a Hessian M, once whitened, to T = Qᵀ M Q, and
 ``apply_q`` applies Q or Qᵀ to a vector. ``inv_sqrt_apply`` applies B^{-1/2}
 from an eigendecomposition computed on first use and cached.
@@ -134,32 +134,26 @@ class NormOperator:
             raise np.linalg.LinAlgError(f"illegal value in argument {-info} of dsygst")
         return C
 
-    def whiten_rows(self, A) -> np.ndarray:
-        """A L⁻ᵀ for the factor L of ``whiten``: the rows aᵢ of the m×n matrix A
-        mapped to L⁻¹ aᵢ, so that L⁻¹ Aᵀ D A L⁻ᵀ = Wᵀ D W for W = A L⁻ᵀ. Returned
-        C-ordered, from triangular solves on blocks of ``BLOCK_ENTRIES`` entries;
-        the identity returns A itself."""
+    def factor_solve(self, X, trans: bool = False) -> np.ndarray:
+        """L⁻¹ x, or L⁻ᵀ x when ``trans``, for the factor L of ``whiten``; on a k×n
+        matrix, the same map on each row. The rows are solved as the columns of
+        Xᵀ, a block of ``BLOCK_ENTRIES`` entries at a time, and returned C-ordered."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim not in (1, 2) or X.shape[-1] != self.dim:
+            raise ValueError(f"expected a vector or rows of dimension {self.dim}, "
+                             f"got shape {X.shape}")
+        if not np.isfinite(X).all():
+            raise np.linalg.LinAlgError("input must not contain infs or NaNs")
         if self.kind == "identity":
-            return A
-        Wt = np.array(np.asarray(A, dtype=float).T, order="F")  # the rows as columns
+            return X.copy()
+        cols = np.array(X.reshape(-1, self.dim).T, order="F")
         step = max(1, BLOCK_ENTRIES // self.dim)
-        for i in range(0, Wt.shape[1], step):
-            _, info = dtrtrs(self._chol, Wt[:, i:i + step], lower=1, overwrite_b=1)
+        for i in range(0, cols.shape[1], step):
+            _, info = dtrtrs(self._chol, cols[:, i:i + step], lower=1, trans=int(trans),
+                             overwrite_b=1)
             if info != 0:
                 raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
-        return Wt.T
-
-    def factor_solve(self, x, trans: bool = False) -> np.ndarray:
-        """L⁻¹ x, or L⁻ᵀ x when ``trans``, for the factor L of ``whiten``."""
-        x = self._check_dim(x)
-        if not np.isfinite(x).all():
-            raise np.linalg.LinAlgError("vector must not contain infs or NaNs")
-        if self.kind == "identity":
-            return x.copy()
-        y, info = dtrtrs(self._chol, x, lower=1, trans=int(trans))
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
-        return y
+        return cols.T.reshape(X.shape)
 
     def factor_apply(self, x) -> np.ndarray:
         """Lᵀ x for the factor L of ``whiten``: the coordinates z = Lᵀ x in which
@@ -168,17 +162,6 @@ class NormOperator:
         if self.kind == "identity":
             return x.copy()
         return dtrmv(self._chol, x, lower=1, trans=1)
-
-    def unwhiten_rows(self, Z) -> np.ndarray:
-        """The rows zᵢ of the k×n matrix Z mapped to L⁻ᵀ zᵢ, the inverse of
-        ``factor_apply`` on each, by one triangular solve with k right-hand sides."""
-        Z = np.asarray(Z, dtype=float)
-        if self.kind == "identity":
-            return Z.copy()
-        Y, info = dtrtrs(self._chol, Z.T, lower=1, trans=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dtrtrs failed with info {info}")
-        return Y.T
 
     def primal(self, x) -> float:
         x = self._check_dim(x)

@@ -344,8 +344,8 @@ class _Runner:
         radius = max(self.norm.primal(pt - ref) for pt in self.points)
         points = self.points
         if self.problem is not self.source:
-            # x = origin + L⁻ᵀz for every point, in one multi-right-hand-side solve
-            X = self.source.norm.unwhiten_rows(points)
+            # x = origin + L⁻ᵀz for every point, solved as the rows of one matrix
+            X = self.source.norm.factor_solve(points, trans=True)
             X += self.origin
             points, x = list(X), X[-1]
         return SolverRun(

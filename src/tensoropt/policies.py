@@ -44,6 +44,8 @@ def parse_spec(spec: str, arity: dict) -> tuple[str, list[float]]:
 
     ``arity`` maps each accepted kind to the (min, max) number of its values.
     """
+    if not isinstance(spec, str):
+        raise ValueError(f"bad spec {spec!r}: a spec must be a string")
     kind, *fields = spec.strip().split(":")
     if kind not in arity:
         raise ValueError(f"bad spec {spec!r}: kind must be one of {', '.join(arity)}")

@@ -251,8 +251,9 @@ class LogSumExpOracle(SmoothOracle):
     Evaluation subtracts the running max before exponentiating, so it cannot
     overflow. When the norm is the Gram operator of the rows, the Lipschitz
     constants are 1/mu, 2/mu^2, 4/mu^3 for orders 1..3. A is not copied, and the
-    first ``whitened`` view caches the whitened rows A L⁻ᵀ, so A must not change
-    after construction.
+    first ``whitened`` view caches the whitened rows W = A L⁻ᵀ, which
+    ``norm.factor_solve(A)`` returns C-ordered, so A must not change after
+    construction.
 
     The oracle keeps the softmax (pi, log-sum-exp) of the last point evaluated,
     keyed on its bytes, so F at an accepted step and the next model's
@@ -340,7 +341,7 @@ class LogSumExpOracle(SmoothOracle):
         variables preserves. At z = 0 its arguments are those of f at origin,
         rounded alike, so its value there is f(origin) bit for bit."""
         if self._rows is None:
-            self._rows = self.norm.whiten_rows(self.A)
+            self._rows = self.norm.factor_solve(self.A)
         view = LogSumExpOracle(self._rows, self.b - self.A @ np.asarray(origin, dtype=float),
                                self.mu, norm=NormOperator.identity(self.dim))
         view.lipschitz = dict(self.lipschitz)
@@ -747,7 +748,7 @@ def problem_params(spec: dict) -> tuple[str, dict]:
     the stanza's first fault, a bad value before a missing one. Nothing is
     generated or read."""
     name = spec.get("name") if isinstance(spec, dict) else None
-    family = FAMILIES.get(name)
+    family = FAMILIES.get(name) if isinstance(name, str) else None
     if family is None:
         raise ValueError(f"problem stanza {spec!r} names none of {', '.join(FAMILIES)}")
     table, check, _, _ = family

@@ -34,6 +34,8 @@ BAD_SCALARS = {
     "p-float": ({"p": 2.0}, "order p must be 1 or 2, got 2.0"),
     "seed-neg": ({"seed": -1}, "seed must be an int of at least 0, got -1"),
     "time-str": ({"measure_time": "yes"}, "measure_time must be true or false, got 'yes'"),
+    "H-int": ({"H": 5}, "bad spec 5: a spec must be a string"),
+    "out-int": ({"out": 3}, "out must be None or a directory path, got 3"),
 }
 
 
@@ -124,6 +126,19 @@ class TestBadSpecs:
         ("seed", -1, "seed must be an int of at least 0, got -1"),
         ("seed", "3", "seed must be an int of at least 0, got '3'"),
         ("measure_time", "yes", "measure_time must be true or false, got 'yes'"),
+        # a spec field of the wrong type, falsy ones included, is not read as absent
+        ("H", 5, "bad spec 5: a spec must be a string"),
+        ("policy", 3, "bad spec 3: a spec must be a string"),
+        ("zeta_policy", 2, "bad spec 2: a spec must be a string"),
+        ("zeta_policy", 0, "bad spec 0: a spec must be a string"),
+        ("inner_policy", False, "bad spec False: a spec must be a string"),
+        ("composite", 7, "bad spec 7: a spec must be a string"),
+        ("composite", 0, "bad spec 0: a spec must be a string"),
+        ("method", ["a"], r"unknown method \['a'\]"),
+        ("out", 3, "out must be None or a directory path, got 3"),
+        ("out", ["runs"], r"out must be None or a directory path, got \['runs'\]"),
+        ("out", "", "out must be None or a directory path, got ''"),
+        ("problem", {"name": ["chain"]}, r"problem stanza \{'name': \['chain'\]\} names none of"),
     ])
     def test_rejected_with_reason_before_any_solve(self, monkeypatch, field, spec, reason):
         def no_instance(*args):
@@ -131,7 +146,7 @@ class TestBadSpecs:
 
         monkeypatch.setattr(harness, "build_problem", no_instance)
         with pytest.raises(ValueError, match=reason):
-            harness.execute(small_cfg(method="accelerated", **{field: spec}))
+            harness.execute(small_cfg(**{"method": "accelerated", field: spec}))
 
     @pytest.mark.parametrize("top", [[1, 2], "run", None])
     def test_a_config_that_is_not_an_object_is_refused(self, top):

@@ -177,8 +177,9 @@ class TestFactorCoordinates:
         with pytest.raises(np.linalg.LinAlgError):
             B.whiten(A)
         for trans in (False, True):
-            with pytest.raises(np.linalg.LinAlgError):
-                B.factor_solve(np.array([1.0, bad, 0.0]), trans=trans)
+            for x in (np.array([1.0, bad, 0.0]), A):  # a vector, and rows
+                with pytest.raises(np.linalg.LinAlgError):
+                    B.factor_solve(x, trans=trans)
 
     @pytest.mark.parametrize("kind", NORM_KINDS + ("gram",))
     def test_factor_apply_is_the_transposed_factor(self, kind):
@@ -197,23 +198,25 @@ class TestFactorCoordinates:
             B.factor_apply(np.ones(n + 1))
 
     @pytest.mark.parametrize("kind", NORM_KINDS)
-    def test_unwhiten_rows_solves_every_row_at_once(self, kind):
+    @pytest.mark.parametrize("trans", [False, True])
+    def test_factor_solve_maps_every_row(self, kind, trans):
         rng = np.random.default_rng(11)
         B = norm_of_kind(kind, rng, 6)
         Z = rng.normal(size=(9, 6))
         Z_before = Z.copy()
-        X = B.unwhiten_rows(Z)
-        assert X.shape == Z.shape and np.array_equal(Z, Z_before)
+        X = B.factor_solve(Z, trans=trans)
+        assert X.shape == Z.shape and X.flags.c_contiguous and np.array_equal(Z, Z_before)
         for x, z in zip(X, Z):
-            np.testing.assert_allclose(x, B.factor_solve(z, trans=True), rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(x, B.factor_solve(z, trans=trans), rtol=1e-13, atol=1e-15)
         # the zero point maps to zero exactly
-        assert np.array_equal(B.unwhiten_rows(np.zeros((2, 6))), np.zeros((2, 6)))
+        assert np.array_equal(B.factor_solve(np.zeros((2, 6)), trans=trans), np.zeros((2, 6)))
 
     def test_factor_solve_rejects_a_wrong_shape(self):
         B = NormOperator.dense(np.array([[2.0, 0.5], [0.5, 1.0]]))
-        for x in (np.ones(3), np.ones((2, 1))):
-            with pytest.raises(ValueError):
-                B.factor_solve(x)
+        for x in (np.ones(3), np.ones((2, 1)), np.ones((4, 3)), np.ones((3, 2, 2)), np.float64(1)):
+            for trans in (False, True):
+                with pytest.raises(ValueError):
+                    B.factor_solve(x, trans=trans)
 
 
 class TestSymEig:

@@ -918,10 +918,12 @@ class TestHessian:
 
         rng = np.random.default_rng(52)
         oracle = _whitened_family(f"logsumexp-{norm_kind}", rng)
-        whole = oracle.norm.whiten_rows(oracle.A)
+        whole = oracle.norm.factor_solve(oracle.A)
         monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 7 * 6)
         got = oracle.whitened(0.5 * rng.normal(size=6)).A
         np.testing.assert_allclose(got, whole, rtol=0, atol=1e-14 * np.abs(whole).max())
+        # W feeds BLAS matrix-vector products, whose summation order its layout sets
+        assert got.flags.c_contiguous and whole.flags.c_contiguous
 
     def test_smoothed_max_hessian_allocates_no_array_of_its_rows(self):
         # A is 20000 × 40, 6.4 MB; the blocks of sqrt(pi)·A take at most

@@ -610,7 +610,7 @@ class TestFgmProbe:
 
     # every NormOperator method an evaluation could reach
     OPERATOR = ("apply", "apply_and_primal", "solve", "primal", "dual", "factor_solve",
-                "factor_apply", "whiten", "whiten_rows", "unwhiten_rows", "inv_sqrt_apply")
+                "factor_apply", "whiten", "inv_sqrt_apply")
 
     def _spy(self, monkeypatch, names=None):
         counts = {}
