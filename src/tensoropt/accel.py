@@ -120,11 +120,14 @@ class ContractedOracle(SmoothOracle):
         f, g, hs = self.base.value_gradient_state(self._arg(x))
         return self.scale * f, self.scale * self.theta * g, hs
 
+    # with a state, x is not read, so the base oracle is not handed shift + theta·x
     def hessian_vec(self, x, h, state=None):
-        return self.scale * self.theta**2 * self.base.hessian_vec(self._arg(x), h, state)
+        arg = x if state is not None else self._arg(x)
+        return self.scale * self.theta**2 * self.base.hessian_vec(arg, h, state)
 
     def hessian(self, x, state=None):
-        return self.scale * self.theta**2 * self.base.hessian(self._arg(x), state)
+        arg = x if state is not None else self._arg(x)
+        return self.scale * self.theta**2 * self.base.hessian(arg, state)
 
 
 def build_subproblem(problem: ProblemInstance, oracle, x_k, v_k, A_k: float,

@@ -25,12 +25,19 @@ from scipy.linalg.lapack import dormqr, dpotrs, dsygst, dsytrd, dsytrd_lwork, dt
 
 SYM_TOL = 1e-10
 
-# Entries (2 MB) of the blocks in which a kernel over the m rows of an m×n data
-# matrix takes them. In one call over all rows, a triangular solve with m
+# Entries (2 MB) of the blocks in which ``factor_solve`` takes the rows of an
+# m×n data matrix. In one call over all rows, a triangular solve with m
 # right-hand sides left about 7.5 MB more BLAS workspace resident at m = 3000,
-# n = 500 than blocks of this size did, and a syrk of the scaled rows needs an
-# m×n temporary instead of one block.
+# n = 500 than blocks of this size did.
 BLOCK_ENTRIES = 2**18
+
+# Entries (256 KB, inside a core's L2 cache) of the one buffer into which the
+# smoothed max's Hessian scales a block of data rows before their syrk. At
+# m = 3000, n = 500 on one BLAS thread (2 vCPUs, OpenBLAS 0.3.31 Haswell
+# kernels), 12 interleaved rounds took a median of 18.1, 17.4, 17.4, 18.9 and
+# 19.9 ms per Hessian with blocks of 2**14 to 2**18 entries, against 27–29 ms
+# for a fresh 2**18-entry block per step and a mirrored upper triangle.
+SYRK_BLOCK_ENTRIES = 2**15
 
 
 class FactorizationError(RuntimeError):
@@ -116,14 +123,14 @@ class NormOperator:
     def whiten(self, A) -> np.ndarray:
         """L⁻¹ A L⁻ᵀ for the factor L of B = L Lᵀ, computed over ``A``.
 
-        ``A`` is a symmetric Fortran- or C-ordered matrix the caller owns; it is
-        overwritten. Only the lower triangle of the result is meaningful, the
-        triangle LAPACK's ``dsytrd`` reduces with ``lower=1`` from the
-        Fortran-ordered result that a Fortran-ordered ``A`` gives. Raises
-        ``LinAlgError`` on a non-finite ``A``, which LAPACK would not check.
+        ``A`` is a matrix the caller owns, and it is overwritten: a Fortran-ordered
+        one of which only the lower triangle is read, or a symmetric C-ordered
+        one. Only the lower triangle of the result is meaningful, the triangle
+        LAPACK's ``dsytrd`` reduces with ``lower=1`` from the Fortran-ordered
+        result that a Fortran-ordered ``A`` gives. Raises ``LinAlgError`` on a
+        non-finite entry in that triangle, which LAPACK would not check.
         """
-        if not np.isfinite(A).all():
-            raise np.linalg.LinAlgError("matrix must not contain infs or NaNs")
+        _check_lower_finite(A)
         if self.kind == "identity":
             return A
         # a symmetric C-ordered A is its own transpose in Fortran order, which
@@ -193,14 +200,21 @@ class NormOperator:
         return Q @ ((Q.T @ np.asarray(x, dtype=float)).T / np.sqrt(w)).T
 
 
+def _check_lower_finite(M: np.ndarray) -> None:
+    """Raise ``LinAlgError`` unless the lower triangle of M is finite."""
+    # a finite matrix, the usual case, passes the first scan and copies nothing
+    if not np.isfinite(M).all() and not np.isfinite(np.tril(M)).all():
+        raise np.linalg.LinAlgError("matrix must not contain infs or NaNs")
+
+
 def tridiagonal_form(M: np.ndarray):
     """(d, e, V, tau) of M = Q T Qᵀ, from LAPACK ``dsytrd`` on the lower triangle
     of the Fortran-ordered M, which it overwrites. T has diagonal d and
     off-diagonal e; Q = diag(1, Q'), Q' the QR factor of the reflectors (V, tau)
-    below M's subdiagonal. Raises ``LinAlgError`` on a non-finite M, which
-    LAPACK would not check."""
-    if not np.isfinite(M).all():
-        raise np.linalg.LinAlgError("matrix must not contain infs or NaNs")
+    below M's subdiagonal. The strict upper triangle of M is not read. Raises
+    ``LinAlgError`` on a non-finite entry in the lower one, which LAPACK would
+    not check."""
+    _check_lower_finite(M)
     lwork = int(dsytrd_lwork(M.shape[0], lower=1)[0])
     C, d, e, tau, info = dsytrd(M, lower=1, lwork=lwork, overwrite_a=1)
     if info != 0:

@@ -7,6 +7,10 @@ For order p in {1, 2} the model of F = f + psi around x is
 which upper-bounds F once H is at least the Lipschitz constant of the p-th
 derivative. The (p+1)! in the regularizer (6 for p = 2, not 3) is easy to get
 wrong; a dedicated unit test pins it.
+
+An exact step solves on ``TensorModel.reduction``, built from the lower
+triangle of the oracle's dense Hessian, which is all ``SmoothOracle.hessian``
+promises: whitening and the tridiagonal reduction read that triangle alone.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ class TensorModel:
     reuses it. The first read of ``reduction`` (by an exact step, or an exact
     stopping rule) fetches ``oracle.hessian`` from the same state, whitens it by
     the norm's factor (``norm.whiten``; the identity norm leaves it as it is)
-    and reduces it to tridiagonal form, which rejects a non-finite one with
-    ``LinAlgError``: ``reduction`` is
+    and reduces it to tridiagonal form, which rejects a non-finite lower
+    triangle with ``LinAlgError``: ``reduction`` is
     (d, e, V, tau) of ``linalg.tridiagonal_form``, the T every exact step on
     this model, or on a ``with_weight`` copy, solves on; the copies share it,
     so a center is reduced at most once. A copy has its own ``minimum``; the

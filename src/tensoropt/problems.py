@@ -3,14 +3,17 @@
 Each smooth oracle exposes value / gradient / hessian_vec / hessian together
 with the norm operator its Lipschitz constants refer to.
 ``value_gradient_state(x)`` returns value, gradient and the center state: what
-every Hessian-vector product at x, and the dense Hessian there, recomputes
-(curvature weights, softmax weights, the chain's second derivatives), all from
-one evaluation of what they share. A caller that applies the Hessian at one
-fixed point fetches the state once and passes it to ``hessian_vec`` or
-``hessian``. The smoothed max forms its Hessian a block of rows at a time,
-with no m×n temporary. The logistic oracle keeps its own copy of the features
-in the more compact of two forms: a dense X, whose products are BLAS matvecs
-and whose Hessian is one ``syrk``, or CSR copies of X and Xᵀ built once.
+every Hessian-vector product at x, and the dense Hessian there, would recompute
+(the logistic curvature weights, the smoothed max's softmax weights together
+with its gradient, the chain's second derivatives), all from one evaluation of
+what they share. A caller that applies the Hessian at one fixed point fetches
+the state once and passes it to ``hessian_vec`` or ``hessian``, which then do
+not read the point. ``hessian`` returns the dense Hessian in the lower triangle
+of a matrix the caller owns, and leaves the strict upper triangle unspecified;
+the smoothed max fills the lower one in one sweep over its rows through one
+cache-sized buffer. The logistic oracle keeps its own copy of the features in
+the more compact of two forms: a dense X, whose products are BLAS matvecs and
+whose Hessian is one ``syrk``, or CSR copies of X and Xᵀ built once.
 Either way a gradient or a Hessian-vector product is two matvecs and
 constructs no matrix. Composite terms are differentiable and report their
 uniform-convexity parameters where known; ``PowerComposite`` also serves as
@@ -38,7 +41,7 @@ import scipy.linalg
 import scipy.sparse
 from scipy.linalg.blas import dsyr, dsyrk
 
-from .linalg import BLOCK_ENTRIES, FactorizationError, NormOperator
+from .linalg import SYRK_BLOCK_ENTRIES, FactorizationError, NormOperator
 
 
 # ---------------------------------------------------------------------------
@@ -98,17 +101,22 @@ class SmoothOracle:
         raise NotImplementedError
 
     def hessian_vec(self, x, h, state=None) -> np.ndarray:
-        """Hessian at x applied to h; ``state``, if given, is ``value_gradient_state(x)[2]``."""
+        """Hessian at x applied to h; ``state``, if given, is ``value_gradient_state(x)[2]``,
+        and x is then not read."""
         raise NotImplementedError
 
     def value_gradient_state(self, x):
-        """``(value(x), gradient(x), state)``: the state a Hessian-vector product at x
-        reuses, or None when there is none."""
+        """``(value(x), gradient(x), state)``: the state the Hessian-vector products and
+        the dense Hessian at x reuse, or None when there is none. The smoothed max's
+        state is (pi, gradient(x)), the softmax weights and the same gradient array."""
         return self.value(x), self.gradient(x), None
 
     def hessian(self, x, state=None) -> np.ndarray:
-        """Dense Hessian at x, a matrix the caller owns; ``state``, if given, is
-        ``value_gradient_state(x)[2]``."""
+        """Dense Hessian at x in the lower triangle of a matrix the caller owns; the
+        strict upper triangle is unspecified. ``state``, if given, is
+        ``value_gradient_state(x)[2]``, and x is then not read. The smoothed max
+        returns it Fortran-ordered, the layout whose lower triangle ``dsygst`` and
+        ``dsytrd`` read in place with ``lower=1``."""
         raise NotImplementedError("dense Hessian not available for this oracle")
 
 
@@ -259,7 +267,8 @@ class LogSumExpOracle(SmoothOracle):
     keyed on its bytes, so F at an accepted step and the next model's
     ``value_gradient_state`` there share one; a point edited in place, a flipped
     signed zero or a point without a finite log-sum-exp is computed afresh.
-    Callers share the returned pi and never write it.
+    Callers share the returned pi, and the gradient with the state (pi, gradient)
+    that ``value_gradient_state`` returns, and never write either.
     """
 
     def __init__(self, A, b=None, mu: float = 1.0, norm=None):
@@ -306,33 +315,32 @@ class LogSumExpOracle(SmoothOracle):
 
     def value_gradient_state(self, x):
         pi, lse = self._weights(x)
-        return self.mu * lse, self.A.T @ pi, pi
+        g = self.A.T @ pi
+        return self.mu * lse, g, (pi, g)
 
     def hessian_vec(self, x, h, state=None):
         h = np.asarray(h, dtype=float)
-        pi = self._weights(x)[0] if state is None else state
+        pi = self._weights(x)[0] if state is None else state[0]
         u = self.A @ h  # the m-vector temporary is centred and scaled in place
         u -= float(pi @ u)
         u *= pi
         return (self.A.T @ u) / self.mu
 
     def hessian(self, x, state=None):
-        """Aᵀ(diag pi − pi piᵀ)A / mu, Fortran-ordered: a ``dsyrk`` of S = sqrt(pi)·A
-        and one ``dsyr`` of Aᵀpi into the lower triangle, mirrored into the upper
-        one, so the result is exactly symmetric. S is formed and added a block of
-        rows at a time, so no m×n array is allocated per call."""
-        pi = self._weights(x)[0] if state is None else state
-        root = np.sqrt(pi)
-        rows = max(1, BLOCK_ENTRIES // self.dim)
+        """Aᵀ(diag pi − pi piᵀ)A / mu in the lower triangle of a Fortran-ordered
+        matrix: a ``dsyrk`` of S = sqrt(pi)·A and one ``dsyr`` of the state's
+        gradient Aᵀpi. One sweep over A scales S a block of rows at a time into
+        one reused buffer of ``SYRK_BLOCK_ENTRIES``, which stays in cache."""
+        pi, g = self.value_gradient_state(x)[2] if state is None else state
+        rows = min(self.m, max(1, SYRK_BLOCK_ENTRIES // self.dim))
+        buf = np.empty((rows, self.dim))
         hess = np.zeros((self.dim, self.dim), order="F")
         for i in range(0, self.m, rows):
-            S = self.A[i:i + rows] * root[i:i + rows, None]
+            S = buf[:min(rows, self.m - i)]
+            np.multiply(self.A[i:i + rows], np.sqrt(pi[i:i + rows])[:, None], out=S)
             # Sᵀ is the Fortran-ordered view of the C-ordered S, which BLAS reads in place
             hess = dsyrk(1.0 / self.mu, S.T, beta=1.0, c=hess, lower=1, overwrite_c=1)
-        hess = dsyr(-1.0 / self.mu, self.A.T @ pi, lower=1, a=hess, overwrite_a=1)
-        for j in range(self.dim - 1):  # BLAS left the upper triangle zero
-            hess[j, j + 1:] = hess[j + 1:, j]
-        return hess
+        return dsyr(-1.0 / self.mu, g, lower=1, a=hess, overwrite_a=1)
 
     def whitened(self, origin) -> "LogSumExpOracle":
         """z ↦ f(origin + L⁻ᵀz) under the identity norm: the smoothed max over the

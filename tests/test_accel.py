@@ -120,6 +120,13 @@ class TestBregman:
         assert ScaledComposite(nonzero, 0.7, prox, v).quadratic_coeff is None
 
 
+def _same_state(got, want):
+    """Bit-identical center states, part by part: the smoothed max's is the pair
+    (pi, gradient), the chain's one array."""
+    got, want = (s if isinstance(s, tuple) else (s,) for s in (got, want))
+    return len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 class TestSubproblem:
     def _setup(self, k=3, seed=1):
         prob = generate_shifted_logsumexp(6, 36, 1.0, seed=seed)
@@ -163,8 +170,7 @@ class TestSubproblem:
         for _ in range(5):
             x = rng.normal(size=6)
             state = sub.smooth.value_gradient_state(x)[2]
-            assert np.array_equal(state,
-                                  prob.smooth.value_gradient_state(sub.smooth._arg(x))[2])
+            assert _same_state(state, prob.smooth.value_gradient_state(sub.smooth._arg(x))[2])
             h = rng.normal(size=6)
             assert np.array_equal(sub.smooth.hessian_vec(x, h, state),
                                   sub.smooth.hessian_vec(x, h))
@@ -184,8 +190,26 @@ class TestSubproblem:
             f, g, state = sub.smooth.value_gradient_state(x)
             assert f == sub.smooth.value(x)
             assert np.array_equal(g, sub.smooth.gradient(x))
-            assert np.array_equal(state,
-                                  prob.smooth.value_gradient_state(sub.smooth._arg(x))[2])
+            assert _same_state(state, prob.smooth.value_gradient_state(sub.smooth._arg(x))[2])
+
+    @pytest.mark.parametrize("base", ["logsumexp", "chain"])
+    def test_contracted_products_with_the_state_form_no_argument(self, monkeypatch, base):
+        # x is not read when a state is passed, so shift + theta·x is never built
+        prob = (powered_chain_oracle(6, 3.0, 2.0) if base == "chain"
+                else generate_shifted_logsumexp(6, 36, 1.0, seed=6))
+        rng = np.random.default_rng(9)
+        sub = build_subproblem(prob, prob.smooth, rng.normal(size=6), rng.normal(size=6),
+                               2.0, 5.0, PowerComposite(1.0, 3.0, np.ones(6), prob.norm))
+        x, h = rng.normal(size=6), rng.normal(size=6)
+        state = sub.smooth.value_gradient_state(x)[2]
+        want = sub.smooth.hessian_vec(x, h), sub.smooth.hessian(x)
+
+        def forbidden(x):
+            raise AssertionError("argument built although a state was given")
+
+        monkeypatch.setattr(sub.smooth, "_arg", forbidden)
+        assert np.array_equal(sub.smooth.hessian_vec(x, h, state), want[0])
+        assert np.array_equal(sub.smooth.hessian(x, state), want[1])
 
     def test_contracted_hessian_over_a_counting_oracle_counts_one_hessian(self):
         base = powered_chain_oracle(5).smooth

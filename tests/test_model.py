@@ -18,6 +18,7 @@ from tensoropt.problems import (
     fd_gradient,
     generate_shifted_logsumexp,
 )
+from tensoropt.subsolvers import exact_cubic_step
 
 
 def _simple_quadratic_model(H=6.0, p=2):
@@ -260,3 +261,52 @@ class TestIdentityNorm:
             assert got_f == f2 and got_g.tobytes() == g2.tobytes()
             assert model.gradient(y).tobytes() == g.tobytes()
         assert calls == []
+
+
+class _UpperNaN:
+    """An oracle whose dense Hessian has NaN in its strict upper triangle, which the
+    ``hessian`` contract leaves unspecified."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim, self.norm, self.lipschitz = inner.dim, inner.norm, inner.lipschitz
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def hessian(self, x, state=None):
+        hess = self.inner.hessian(x, state)
+        hess[np.triu_indices(self.dim, 1)] = np.nan
+        return hess
+
+
+class TestLowerTriangleContract:
+    """The model reads only the lower triangle of the oracle's Hessian: a strict upper
+    triangle of NaN changes no bit of its reduction or of an exact step."""
+
+    @staticmethod
+    def _oracle(kind):
+        rng = np.random.default_rng(70)
+        if kind == "quadratic-dense":  # a C-ordered Hessian under a dense norm
+            M = rng.normal(size=(6, 6))
+            B = rng.normal(size=(6, 6))
+            return QuadraticOracle(M @ M.T - 2.0 * np.eye(6), b=rng.normal(size=6),
+                                   norm=NormOperator.dense(B @ B.T + np.eye(6)))
+        A = rng.uniform(-1.0, 1.0, size=(36, 6))
+        norm = NormOperator.identity(6) if kind == "logsumexp-identity" else None
+        return LogSumExpOracle(A, b=rng.uniform(-1.0, 1.0, 36), mu=0.5, norm=norm)
+
+    @pytest.mark.parametrize("kind", ["logsumexp-identity", "logsumexp-gram", "quadratic-dense"])
+    def test_reduction_and_exact_step_ignore_the_upper_triangle(self, kind):
+        oracle = self._oracle(kind)
+        assert (oracle.norm.kind == "identity") == (kind == "logsumexp-identity")
+        center = 0.3 * np.random.default_rng(71).normal(size=6)
+        models = [TensorModel(o, ZeroComposite(6), center, H=3.0, p=2)
+                  for o in (oracle, _UpperNaN(oracle))]
+        (d, e, V, tau), (d2, e2, V2, tau2) = (m.reduction for m in models)
+        assert np.isnan(V2).any()  # the NaN reached dsytrd's output, above the reflectors
+        assert all(a.tobytes() == b.tobytes() for a, b in zip((d, e, tau, np.tril(V)),
+                                                             (d2, e2, tau2, np.tril(V2))))
+        want, got = (exact_cubic_step(m) for m in models)
+        assert got.point.tobytes() == want.point.tobytes()
+        assert (got.model_value, got.grad_dual_norm) == (want.model_value, want.grad_dual_norm)

@@ -349,7 +349,7 @@ class TestExactStepInFactorCoordinates:
         if where == "hessian":
             # the first exact step fetches and reduces the Hessian, so it meets the NaN
             hess = model.oracle.hessian(model.center)
-            hess[1, 2] = np.nan
+            hess[2, 1] = np.nan  # in the lower triangle, which holds the Hessian
             monkeypatch.setattr(model.oracle, "hessian", lambda x, state=None: hess.copy())
             model = TensorModel(model.oracle, model.composite, model.center, model.H, p=2)
             with pytest.raises(np.linalg.LinAlgError):

@@ -15,7 +15,8 @@ then every row that differs from ``TABLE``, field by field, and last the
 sha256 of the ``trace.csv`` that ``harness.write_trace_csv`` writes for each
 config's run and of the bytes of its final point, signed zeros included: run
 against two checkouts' ``src``, its digest lines compare every workload trace
-and final point byte for byte in one diff.
+and final point byte for byte in one diff. It exits 1 when any row differs,
+after printing all of this, and 0 otherwise.
 """
 
 import hashlib
@@ -189,3 +190,5 @@ if __name__ == "__main__":
         for cfg, run in zip(configs(name, seed), runs[key]):
             x_digest = hashlib.sha256(run.x_final.tobytes()).hexdigest()
             print(f"{key} {label(cfg)}: {trace_digest(run)} {x_digest}")
+    # a moved row fails the script, so that a build step can gate on it
+    raise SystemExit(1 if diff else 0)
