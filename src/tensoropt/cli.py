@@ -7,8 +7,10 @@ import json
 import sys
 
 from .harness import (
-    ExperimentConfig,
+    METHOD_TABLE,
     SUCCESS_STATUSES,
+    X0_KINDS,
+    ExperimentConfig,
     check_comparable,
     compare,
     fit_rate,
@@ -63,7 +65,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 def _add_run_flags(sp):
     sp.add_argument("--config", help="JSON config file; flags override its fields")
     sp.add_argument("--problem", help="problem spec, e.g. logsumexp:n=100,m=600,mu=1")
-    sp.add_argument("--method", choices=["monotone1", "monotone2", "averaging", "accelerated"])
+    sp.add_argument("--method", choices=list(METHOD_TABLE))
     sp.add_argument("--p", type=int, choices=[1, 2])
     sp.add_argument("--H", help="fixed:<v> | lipschitz | linesearch[:<v>]")
     sp.add_argument("--policy", help="constant:C | power:C:ALPHA | adaptive:C:ALPHA[:D1] "
@@ -71,7 +73,7 @@ def _add_run_flags(sp):
     sp.add_argument("--zeta-policy", dest="zeta_policy", help="outer schedule (accelerated only)")
     sp.add_argument("--inner-policy", dest="inner_policy", help="inner schedule (accelerated only)")
     sp.add_argument("--composite", help="power:MU:Q | quadratic:MU | none")
-    sp.add_argument("--x0", choices=["ones", "zeros", "e1", "gauss"])
+    sp.add_argument("--x0", choices=X0_KINDS)
     sp.add_argument("--subsolver", choices=["exact", "fgm"],
                     help="read by every driver; accelerated refuses exact at --p 2")
     sp.add_argument("--stop", choices=["bound", "exact"],

@@ -12,6 +12,8 @@ of the new rows, and run points z map back to L⁻ᵀ z) and ``factor_apply``
 ``tridiagonal_form`` reduces a Hessian M, once whitened, to T = Qᵀ M Q, and
 ``apply_q`` applies Q or Qᵀ to a vector. ``inv_sqrt_apply`` applies B^{-1/2}
 from an eigendecomposition computed on first use and cached.
+``weighted_syrk`` builds α·Aᵀ diag(w) A over the rows of a data matrix A, the
+kernel of both data oracles' dense Hessians.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dtrmv
+from scipy.linalg.blas import dsyrk, dtrmv
 from scipy.linalg.lapack import dormqr, dpotrs, dsygst, dsytrd, dsytrd_lwork, dtrtrs
 
 SYM_TOL = 1e-10
@@ -31,13 +33,30 @@ SYM_TOL = 1e-10
 # n = 500 than blocks of this size did.
 BLOCK_ENTRIES = 2**18
 
-# Entries (256 KB, inside a core's L2 cache) of the one buffer into which the
-# smoothed max's Hessian scales a block of data rows before their syrk. At
-# m = 3000, n = 500 on one BLAS thread (2 vCPUs, OpenBLAS 0.3.31 Haswell
-# kernels), 12 interleaved rounds took a median of 18.1, 17.4, 17.4, 18.9 and
-# 19.9 ms per Hessian with blocks of 2**14 to 2**18 entries, against 27–29 ms
+# Entries (256 KB, inside a core's L2 cache) of the one buffer into which
+# ``weighted_syrk`` scales a block of data rows before their syrk. At m = 3000,
+# n = 500 on one BLAS thread (2 vCPUs, OpenBLAS 0.3.31 Haswell kernels), 12
+# interleaved rounds took a median of 18.1, 17.4, 17.4, 18.9 and 19.9 ms per
+# smoothed-max Hessian with blocks of 2**14 to 2**18 entries, against 27–29 ms
 # for a fresh 2**18-entry block per step and a mirrored upper triangle.
 SYRK_BLOCK_ENTRIES = 2**15
+
+
+def weighted_syrk(A: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
+    """α·Aᵀ diag(w) A, for an m×n C-ordered A and weights w ≥ 0, in the lower triangle
+    of a new Fortran-ordered matrix whose strict upper triangle is zero. One sweep
+    over A scales a block of rows by √w at a time into one reused buffer of
+    ``SYRK_BLOCK_ENTRIES`` entries, which stays in cache, for the block's ``dsyrk``."""
+    m, n = A.shape
+    rows = min(m, max(1, SYRK_BLOCK_ENTRIES // n))
+    buf = np.empty((rows, n))
+    out = np.zeros((n, n), order="F")
+    for i in range(0, m, rows):
+        S = buf[:min(rows, m - i)]
+        np.multiply(A[i:i + rows], np.sqrt(w[i:i + rows])[:, None], out=S)
+        # Sᵀ is the Fortran-ordered view of the C-ordered S, which BLAS reads in place
+        out = dsyrk(alpha, S.T, beta=1.0, c=out, lower=1, overwrite_c=1)
+    return out
 
 
 class FactorizationError(RuntimeError):

@@ -1,4 +1,4 @@
-"""Problem oracles: smooth objectives, simple composite terms, data handling.
+"""Problem oracles: smooth objectives, simple composite terms, logistic data.
 
 Each smooth oracle exposes value / gradient / hessian_vec / hessian together
 with the norm operator its Lipschitz constants refer to.
@@ -10,14 +10,15 @@ what they share. A caller that applies the Hessian at one fixed point fetches
 the state once and passes it to ``hessian_vec`` or ``hessian``, which then do
 not read the point. ``hessian`` returns the dense Hessian in the lower triangle
 of a matrix the caller owns, and leaves the strict upper triangle unspecified;
-the smoothed max fills the lower one in one sweep over its rows through one
-cache-sized buffer. The logistic oracle keeps its own copy of the features in
-the more compact of two forms: a dense X, whose products are BLAS matvecs and
-whose Hessian is one ``syrk``, or CSR copies of X and Xᵀ built once.
-Either way a gradient or a Hessian-vector product is two matvecs and
-constructs no matrix. Composite terms are differentiable and report their
-uniform-convexity parameters where known; ``PowerComposite`` also serves as
-the accelerated scheme's prox-function.
+both data oracles build it with ``linalg.weighted_syrk``, one sweep over their
+rows through one cache-sized buffer. The logistic oracle owns logistic data: it
+checks the features and labels it is given, read or drawn, and keeps its own
+copy of the features in the more compact of two forms, a dense X, whose
+products are BLAS matvecs, or CSR copies of X and Xᵀ built once. Either way a
+gradient or a Hessian-vector product is two matvecs and constructs no matrix.
+Composite terms are differentiable and report their uniform-convexity
+parameters where known; ``PowerComposite`` also serves as the accelerated
+scheme's prox-function.
 
 ``FAMILIES`` registers the problem families a config stanza names: parameters,
 ranges, builder, and the orders whose Lipschitz constant an instance knows.
@@ -39,9 +40,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.linalg.blas import dsyr, dsyrk
+from scipy.linalg.blas import dsyr
 
-from .linalg import SYRK_BLOCK_ENTRIES, FactorizationError, NormOperator
+from .linalg import FactorizationError, NormOperator, weighted_syrk
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +239,12 @@ class LogisticOracle(SmoothOracle):
         return (self.XT @ u) / self.m + self.l2 * h
 
     def hessian(self, x, state=None):
-        """Xᵀ·diag(w)·X / m + l2·I. Dense X: SᵀS with S = √w·X, one ``syrk``, so exactly
+        """Xᵀ·diag(w)·X / m + l2·I. Dense X: ``weighted_syrk`` mirrored, so exactly
         symmetric. CSR X: Xᵀ·diag(w) by scaling a copy's values, one sparse product."""
         w = self._curvature(x) if state is None else state
         if isinstance(self.X, np.ndarray):
-            S = self.X * np.sqrt(w)[:, None]
-            H = S.T @ S
+            H = weighted_syrk(self.X, w, 1.0)
+            H += np.tril(H, -1).T  # the strict upper triangle is zero
             H /= self.m
         else:
             XTw = self.XT.copy()
@@ -327,19 +328,10 @@ class LogSumExpOracle(SmoothOracle):
         return (self.A.T @ u) / self.mu
 
     def hessian(self, x, state=None):
-        """Aᵀ(diag pi − pi piᵀ)A / mu in the lower triangle of a Fortran-ordered
-        matrix: a ``dsyrk`` of S = sqrt(pi)·A and one ``dsyr`` of the state's
-        gradient Aᵀpi. One sweep over A scales S a block of rows at a time into
-        one reused buffer of ``SYRK_BLOCK_ENTRIES``, which stays in cache."""
+        """Aᵀ(diag pi − pi piᵀ)A / mu in the lower triangle of a Fortran-ordered matrix:
+        ``weighted_syrk`` with weights pi, then one ``dsyr`` of the gradient Aᵀpi."""
         pi, g = self.value_gradient_state(x)[2] if state is None else state
-        rows = min(self.m, max(1, SYRK_BLOCK_ENTRIES // self.dim))
-        buf = np.empty((rows, self.dim))
-        hess = np.zeros((self.dim, self.dim), order="F")
-        for i in range(0, self.m, rows):
-            S = buf[:min(rows, self.m - i)]
-            np.multiply(self.A[i:i + rows], np.sqrt(pi[i:i + rows])[:, None], out=S)
-            # Sᵀ is the Fortran-ordered view of the C-ordered S, which BLAS reads in place
-            hess = dsyrk(1.0 / self.mu, S.T, beta=1.0, c=hess, lower=1, overwrite_c=1)
+        hess = weighted_syrk(self.A, pi, 1.0 / self.mu)
         return dsyr(-1.0 / self.mu, g, lower=1, a=hess, overwrite_a=1)
 
     def whitened(self, origin) -> "LogSumExpOracle":
@@ -394,7 +386,7 @@ class PoweredChainOracle(SmoothOracle):
         return out
 
     def _value(self, u):
-        return float(np.sum(np.abs(u) ** self.q))
+        return float((np.abs(u) ** self.q).sum())
 
     def _gradient(self, u):
         return self._mt(self.q * np.sign(u) * np.abs(u) ** (self.q - 1.0))
@@ -530,23 +522,8 @@ class PowerComposite(Composite):
 
 
 # ---------------------------------------------------------------------------
-# datasets and problem instances
+# problem instances
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Dataset:
-    """Sparse row-major feature matrix with two-class labels."""
-
-    features: scipy.sparse.csr_matrix
-    labels: np.ndarray
-    source: str = ""
-
-    def __post_init__(self):
-        if self.features.shape[0] != self.labels.size:
-            raise ValueError("feature/label count mismatch")
-        if np.any(~np.isfinite(self.features.data)) or np.any(~np.isfinite(self.labels)):
-            raise ValueError("dataset contains non-finite entries")
-
 
 @dataclass
 class ProblemInstance:
@@ -593,8 +570,8 @@ class ProblemInstance:
         return ProblemInstance(view(origin), composite, self.name, known)
 
 
-def logistic_oracle(data: Dataset, l2: float = 0.0) -> LogisticOracle:
-    return LogisticOracle(data.features, data.labels, l2=l2)
+def logistic_oracle(features, labels, l2: float = 0.0) -> LogisticOracle:
+    return LogisticOracle(features, labels, l2=l2)
 
 
 def check_shifted_logsumexp(n: int, m: int, mu: float) -> None:
@@ -652,20 +629,15 @@ def synthetic_logistic(n: int, m: int, l2: float, seed: int, scale: float = 1.0)
     w = rng.normal(size=n)
     margins = X @ w + 0.5 * rng.normal(size=m)
     y = np.where(margins >= 0, 1.0, -1.0)
-    data = Dataset(scipy.sparse.csr_matrix(X), y, source=f"synthetic(seed={seed})")
-    oracle = logistic_oracle(data, l2=l2)
-    return ProblemInstance(
-        smooth=oracle,
-        composite=ZeroComposite(n),
-        name=f"logistic-synth(n={n},m={m},l2={l2})",
-    )
+    return ProblemInstance(logistic_oracle(X, y, l2=l2), ZeroComposite(n),
+                           f"logistic-synth(n={n},m={m},l2={l2})")
 
 
-def parse_libsvm(path) -> Dataset:
-    """Read a sparse text file with lines ``label idx:val idx:val ...``.
+def parse_libsvm(path) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
+    """``(features, labels)``, CSR and ±1, of a text file of lines ``label idx:val ...``.
 
-    Indices are 1-based and must be strictly ascending within a line. The two
-    distinct label values are mapped, in sorted order, to -1 and +1.
+    Indices are 1-based and strictly ascending within a line, labels and values
+    finite; the two label values map, in sorted order, to -1 and +1.
     """
     labels = []
     rows = []
@@ -679,6 +651,8 @@ def parse_libsvm(path) -> Dataset:
                 continue
             try:
                 label = float(tokens[0])
+                if not math.isfinite(label):
+                    raise ValueError
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: bad label {tokens[0]!r}") from exc
             prev_idx = 0
@@ -687,6 +661,8 @@ def parse_libsvm(path) -> Dataset:
                     idx_s, val_s = tok.split(":", 1)
                     idx = int(idx_s)
                     val = float(val_s)
+                    if not math.isfinite(val):
+                        raise ValueError
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: bad entry {tok!r}") from exc
                 if idx <= prev_idx:
@@ -707,11 +683,11 @@ def parse_libsvm(path) -> Dataset:
     X = scipy.sparse.csr_matrix(
         (vals, (rows, cols)), shape=(len(labels), n_max), dtype=float
     )
-    return Dataset(X, mapped, source=str(path))
+    return X, mapped
 
 
 def libsvm_logistic(path, l2: float = 0.0) -> ProblemInstance:
-    oracle = logistic_oracle(parse_libsvm(path), l2=l2)
+    oracle = logistic_oracle(*parse_libsvm(path), l2=l2)
     return ProblemInstance(smooth=oracle, composite=ZeroComposite(oracle.dim),
                            name=f"logistic({os.path.basename(path)},l2={l2})")
 

@@ -9,13 +9,12 @@ import scipy.sparse
 
 from conftest import NORM_KINDS, forbid_oracle_calls, norm_matrix, norm_of_kind
 
-from tensoropt import problems
+from tensoropt import linalg, problems
 from tensoropt.accel import ContractedOracle, ScaledComposite
 from tensoropt.linalg import SYRK_BLOCK_ENTRIES, NormOperator, tridiagonal_form
 from tensoropt.methods import CountingOracle
 from tensoropt.model import TensorModel
 from tensoropt.problems import (
-    Dataset,
     LogisticOracle,
     LogSumExpOracle,
     PowerComposite,
@@ -38,7 +37,7 @@ MUSHROOMS = os.path.join(os.path.dirname(__file__), "data", "mushrooms")
 def _dataset(rng, m=40, n=6):
     X = rng.uniform(-1.0, 1.0, size=(m, n))
     y = np.where(rng.random(m) < 0.5, -1.0, 1.0)
-    return Dataset(scipy.sparse.csr_matrix(X), y)
+    return scipy.sparse.csr_matrix(X), y
 
 
 def _full(hess):
@@ -53,18 +52,17 @@ def _sparse_dataset(rng):
     X[:, 2] = 0.0
     X[0] = 0.0
     y = np.where(rng.random(60) < 0.5, -1.0, 1.0)
-    return Dataset(scipy.sparse.csr_matrix(X), y)
+    return scipy.sparse.csr_matrix(X), y
 
 
 class TestLogistic:
     def test_value_at_zero_is_log_two(self):
         rng = np.random.default_rng(0)
-        oracle = logistic_oracle(_dataset(rng))
+        oracle = logistic_oracle(*_dataset(rng))
         assert oracle.value(np.zeros(6)) == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_scalar_identity(self):
-        data = Dataset(scipy.sparse.csr_matrix(np.array([[1.0]])), np.array([1.0]))
-        oracle = logistic_oracle(data)
+        oracle = logistic_oracle(scipy.sparse.csr_matrix(np.array([[1.0]])), np.array([1.0]))
         for t in (-2.0, -0.3, 0.0, 1.5, 4.0):
             x = np.array([t])
             assert oracle.value(x) == pytest.approx(math.log(1.0 + math.exp(-t)), rel=1e-12)
@@ -72,13 +70,13 @@ class TestLogistic:
 
     def test_derivatives_match_finite_differences(self):
         rng = np.random.default_rng(1)
-        oracle = logistic_oracle(_dataset(rng), l2=0.1)
+        oracle = logistic_oracle(*_dataset(rng), l2=0.1)
         report = check_derivatives(oracle, trials=25, seed=2, tol=1e-5)
         assert report.passed, (report.max_gradient_error, report.max_hessian_vec_error)
 
     def test_convexity_sampled(self):
         rng = np.random.default_rng(3)
-        oracle = logistic_oracle(_dataset(rng))
+        oracle = logistic_oracle(*_dataset(rng))
         for _ in range(30):
             x = rng.normal(size=6)
             y = rng.normal(size=6)
@@ -87,7 +85,7 @@ class TestLogistic:
 
     def test_lipschitz_constant_dominates_sampled_third_derivative(self):
         rng = np.random.default_rng(4)
-        oracle = logistic_oracle(_dataset(rng, m=60, n=8))
+        oracle = logistic_oracle(*_dataset(rng, m=60, n=8))
         L2 = oracle.lipschitz[2]
         worst = 0.0
         for _ in range(100):
@@ -117,18 +115,18 @@ class TestLogistic:
 
     def test_owns_its_matrices(self):
         rng = np.random.default_rng(5)
-        data = _sparse_dataset(rng)
-        oracle = logistic_oracle(data, l2=0.1)
+        X, y = _sparse_dataset(rng)
+        oracle = logistic_oracle(X, y, l2=0.1)
         x, h = rng.normal(size=6), rng.normal(size=6)
         before = oracle.value(x), oracle.gradient(x), oracle.hessian_vec(x, h)
-        data.features.data *= -3.0
+        X.data *= -3.0
         after = oracle.value(x), oracle.gradient(x), oracle.hessian_vec(x, h)
         assert after[0] == before[0]
         assert np.array_equal(after[1], before[1]) and np.array_equal(after[2], before[2])
 
     def test_no_transpose_per_call(self, monkeypatch):
         rng = np.random.default_rng(6)
-        oracle = logistic_oracle(_sparse_dataset(rng), l2=0.1)
+        oracle = logistic_oracle(*_sparse_dataset(rng), l2=0.1)
         x, h = rng.normal(size=6), rng.normal(size=6)
 
         def forbidden(*args, **kwargs):
@@ -155,11 +153,10 @@ class TestLogistic:
             lines.append(f"{1 if rng.random() < 0.5 else 2} {entries}")
         path = tmp_path / "sparse.txt"
         path.write_text("\n".join(lines) + "\n")
-        data = parse_libsvm(path)
-        X = data.features
+        X, labels = parse_libsvm(path)
         assert X.shape == (40, 12) and X[3].nnz == 0 and X[:, 5].nnz == 0
         assert 0.05 < X.nnz / 480 < 0.15
-        oracle = logistic_oracle(data, l2=0.1)
+        oracle = logistic_oracle(X, labels, l2=0.1)
         m, y, l2 = oracle.m, oracle.y, oracle.l2
         for _ in range(5):
             x, h = rng.normal(size=12), rng.normal(size=12)
@@ -176,9 +173,9 @@ class TestLogistic:
 
     def test_storage_form_follows_the_data(self):
         rng = np.random.default_rng(8)
-        dense = logistic_oracle(_dataset(rng), l2=0.1)
+        dense = logistic_oracle(*_dataset(rng), l2=0.1)
         assert isinstance(dense.X, np.ndarray) and dense.XT.base is dense.X
-        sparse = logistic_oracle(_sparse_dataset(rng), l2=0.1)
+        sparse = logistic_oracle(*_sparse_dataset(rng), l2=0.1)
         assert scipy.sparse.isspmatrix_csr(sparse.X) and scipy.sparse.isspmatrix_csr(sparse.XT)
         assert isinstance(synthetic_logistic(50, 300, 1e-3, seed=0).smooth.X, np.ndarray)
 
@@ -186,10 +183,10 @@ class TestLogistic:
         # both forms sum the same terms in different orders: agreement within a few ulps
         # of the summed magnitudes, entry by entry
         rng = np.random.default_rng(9)
-        data = _dataset(rng, m=50, n=6)
-        oracle = logistic_oracle(data, l2=0.1)
+        X, labels = _dataset(rng, m=50, n=6)
+        oracle = logistic_oracle(X, labels, l2=0.1)
         assert isinstance(oracle.X, np.ndarray)
-        X, XT, A = data.features, data.features.T.tocsr(), abs(data.features.toarray())
+        XT, A = X.T.tocsr(), abs(X.toarray())
         m, y, eps = oracle.m, oracle.y, np.finfo(float).eps
 
         def close(got, want, scale):
@@ -403,7 +400,7 @@ class TestInPlaceProducts:
         if storage == "csr":
             X *= rng.random(X.shape) < 0.05
         y = np.where(rng.random(300) < 0.5, -1.0, 1.0)
-        oracle = logistic_oracle(Dataset(scipy.sparse.csr_matrix(X), y), l2=1e-3)
+        oracle = logistic_oracle(scipy.sparse.csr_matrix(X), y, l2=1e-3)
         assert isinstance(oracle.X, np.ndarray) == (storage == "dense")
         for _ in range(10):
             x, h = rng.normal(size=oracle.dim), rng.normal(size=oracle.dim)
@@ -616,19 +613,19 @@ class TestParseLibsvm:
     def test_basic_lines(self, tmp_path):
         path = tmp_path / "toy.txt"
         path.write_text("1 3:0.5 7:1\n-1\n")
-        data = parse_libsvm(path)
-        assert data.features.shape == (2, 7)
-        assert data.labels.tolist() == [1.0, -1.0]
-        row = data.features.getrow(0).toarray().ravel()
+        X, labels = parse_libsvm(path)
+        assert X.shape == (2, 7)
+        assert labels.tolist() == [1.0, -1.0]
+        row = X.getrow(0).toarray().ravel()
         assert row[2] == 0.5 and row[6] == 1.0
-        assert data.features.getrow(1).nnz == 0
+        assert X.getrow(1).nnz == 0
 
     def test_label_mapping_two_classes(self, tmp_path):
         path = tmp_path / "two.txt"
         path.write_text("2 1:1\n1 1:2\n2 2:1\n")
-        data = parse_libsvm(path)
-        assert sorted(set(data.labels.tolist())) == [-1.0, 1.0]
-        assert data.labels[1] == -1.0  # smaller label value maps to -1
+        _, labels = parse_libsvm(path)
+        assert sorted(set(labels.tolist())) == [-1.0, 1.0]
+        assert labels[1] == -1.0  # smaller label value maps to -1
 
     def test_malformed_entry_reports_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -642,10 +639,23 @@ class TestParseLibsvm:
         with pytest.raises(ValueError, match="ascending"):
             parse_libsvm(path)
 
+    @pytest.mark.parametrize("entry", ["2:nan", "2:inf", "2:-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, entry):
+        path = tmp_path / "nonfinite.txt"
+        path.write_text(f"1 1:0.5\n-1 1:1 {entry}\n")
+        with pytest.raises(ValueError, match=f"line 2: bad entry '{entry}'"):
+            parse_libsvm(path)
+
+    def test_non_finite_label_rejected(self, tmp_path):
+        path = tmp_path / "nanlabel.txt"
+        path.write_text("1 1:0.5\nnan 1:1\n")
+        with pytest.raises(ValueError, match="line 2: bad label"):
+            parse_libsvm(path)
+
     @pytest.mark.skipif(not os.path.exists(MUSHROOMS), reason="dataset file not present")
     def test_mushrooms_dimensions(self):
-        data = parse_libsvm(MUSHROOMS)
-        assert data.features.shape == (8124, 112)
+        X, _ = parse_libsvm(MUSHROOMS)
+        assert X.shape == (8124, 112)
 
 
 class TestFamilies:
@@ -713,11 +723,11 @@ def test_fd_directional_hessian_on_quadratic():
 
 def _oracle_family(kind, rng):
     if kind == "logistic":
-        oracle = logistic_oracle(_dataset(rng, m=50, n=6), l2=0.1)
+        oracle = logistic_oracle(*_dataset(rng, m=50, n=6), l2=0.1)
         assert isinstance(oracle.X, np.ndarray)  # the dense storage path
         return oracle
     if kind == "logistic-sparse":
-        oracle = logistic_oracle(_sparse_dataset(rng), l2=0.1)
+        oracle = logistic_oracle(*_sparse_dataset(rng), l2=0.1)
         assert scipy.sparse.isspmatrix_csr(oracle.X)  # the CSR storage path
         return oracle
     if kind == "logsumexp":
@@ -922,17 +932,27 @@ class TestHessian:
         oracle = _whitened_family("logsumexp-dense", rng)
         x = 0.5 * rng.normal(size=6)
         whole = oracle.hessian(x)
-        monkeypatch.setattr(problems, "SYRK_BLOCK_ENTRIES", 7 * 6)
+        monkeypatch.setattr(linalg, "SYRK_BLOCK_ENTRIES", 7 * 6)
         got = oracle.hessian(x)
         assert np.abs(np.tril(got - whole)).max() <= 1e-14 * np.abs(np.tril(whole)).max()
         assert got.flags.f_contiguous and whole.flags.f_contiguous
+
+    def test_dense_logistic_blocks_of_rows_add_up_to_one_pass(self, monkeypatch):
+        # 50 rows in blocks of 7 (the last one short), through the kernel the smoothed
+        # max uses; the mirrored result stays exactly symmetric
+        rng = np.random.default_rng(54)
+        oracle = _oracle_family("logistic", rng)
+        x = 0.5 * rng.normal(size=6)
+        whole = oracle.hessian(x)
+        monkeypatch.setattr(linalg, "SYRK_BLOCK_ENTRIES", 7 * 6)
+        got = oracle.hessian(x)
+        assert np.abs(got - whole).max() <= 1e-14 * np.abs(whole).max()
+        assert np.array_equal(got, got.T) and np.array_equal(whole, whole.T)
 
     @pytest.mark.parametrize("norm_kind", ["gram", "dense"])
     def test_whitened_rows_in_blocks_add_up_to_one_pass(self, monkeypatch, norm_kind):
         # 36 rows in blocks of 7 (the last one short): the triangular solves that
         # build W for the whitened view run block by block
-        from tensoropt import linalg
-
         rng = np.random.default_rng(52)
         oracle = _whitened_family(f"logsumexp-{norm_kind}", rng)
         whole = oracle.norm.factor_solve(oracle.A)
@@ -961,6 +981,24 @@ class TestHessian:
         # the buffer, the result, one block's square roots, the buffer numpy takes for
         # a broadcast product and 4 KB of Python objects: 343 KB
         assert peak <= 8 * (SYRK_BLOCK_ENTRIES + 40 * 40 + rows + np.getbufsize()) + 4096
+
+    def test_dense_logistic_hessian_allocates_no_array_of_its_rows(self):
+        # X is 20000 × 40, 6.4 MB; scaling all of it by √w at once took one more such
+        # array per call
+        rng = np.random.default_rng(55)
+        X = rng.uniform(-1.0, 1.0, size=(20000, 40))
+        oracle = LogisticOracle(X, np.where(rng.random(20000) < 0.5, -1.0, 1.0), l2=0.1)
+        assert isinstance(oracle.X, np.ndarray)
+        x = rng.normal(size=40)
+        state = oracle.value_gradient_state(x)[2]
+        tracemalloc.start()
+        try:
+            H = oracle.hessian(x, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(H, H.T)
+        assert peak < X.nbytes
 
     def test_smoothed_max_builds_the_whitened_rows_once_and_never_uses_them_elsewhere(self):
         rng = np.random.default_rng(51)
