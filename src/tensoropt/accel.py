@@ -23,6 +23,7 @@ subsolve raises ``SubsolverStall``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -32,7 +33,7 @@ from .model import TensorModel
 from .problems import Composite, PowerComposite, ProblemInstance, SmoothOracle
 from .methods import SolverConfig, SolverRun, _Runner
 from .policies import power, precision_floor
-from .subsolvers import model_solver, monotone_step, residual_bound
+from .subsolvers import monotone_step, residual_bound, solve_model
 
 # Strictly monotone inner steps per outer iteration; a subproblem whose
 # certificate is still above zeta after them ends the run "stalled". The
@@ -195,8 +196,9 @@ def accelerated(problem: ProblemInstance, x0, config: SolverConfig) -> SolverRun
                     delta_in = inner_policy.delta(j, h_values)
                 else:
                     delta_in = inner_policy.delta(k + 1)
-                res = monotone_step(h_w, model_solver(model, sub.value, kind=config.subsolver),
-                                    delta_in, floor)
+                solve = functools.partial(solve_model, model, kind=config.subsolver,
+                                          objective=sub.value)
+                res = monotone_step(h_w, solve, delta_in, floor)
                 inner_total += res.inner_iterations
                 w = res.point
                 h_w = res.objective_value

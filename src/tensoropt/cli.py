@@ -108,7 +108,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    # a spec error is a usage error; errors of the solve itself are not caught
+    # a spec or input error is a usage error; errors of the solve itself are not caught
     if args.command == "run":
         if not (args.config or args.problem):
             sp_run.error("run needs --config or --problem")
@@ -133,14 +133,19 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "fit":
-        cols = read_trace_csv(args.trace)
-        Fs = cols["F"]
-        if args.fstar == "auto":
-            fstar, source = min(Fs), "trace-minimum"
-        else:
-            fstar, source = args.fstar, "given"
-        fit = fit_rate(cols["k"], Fs, fstar, window=args.window, exponent=args.exponent,
-                       fstar_source=source)
+        try:
+            cols = read_trace_csv(args.trace)
+            ks, Fs = cols.get("k"), cols.get("F")
+            if not ks or not Fs or None in ks + Fs:
+                raise ValueError(f"trace file {args.trace} needs rows with a number as k and as F")
+            if args.fstar == "auto":
+                fstar, source = min(Fs), "trace-minimum"
+            else:
+                fstar, source = args.fstar, "given"
+            fit = fit_rate(ks, Fs, fstar, window=args.window, exponent=args.exponent,
+                           fstar_source=source)
+        except ValueError as exc:
+            sp_fit.error(str(exc))
         print(json.dumps(fit.to_dict(), indent=2, sort_keys=True))
         return 0
 

@@ -191,14 +191,21 @@ def write_trace_csv(path, records) -> None:
 
 
 def read_trace_csv(path) -> dict:
-    """Columns of a trace file as lists (floats where possible, None for blanks)."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        cols = {h: [] for h in header}
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            for h, val in zip(header, parts):
-                cols[h].append(float(val) if val else None)
+    """Columns of a trace file as lists of floats, None for blanks; a file that
+    cannot be read, or a cell that is not a number, raises ValueError."""
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            cols = {h: [] for h in header}
+            for lineno, line in enumerate(fh, start=2):
+                for h, val in zip(header, line.rstrip("\n").split(",")):
+                    try:
+                        cols[h].append(float(val) if val else None)
+                    except ValueError:
+                        raise ValueError(f"trace file {path}, line {lineno}: {h}={val!r} "
+                                         "is not a number") from None
+    except OSError as exc:
+        raise ValueError(f"cannot read trace file {path}: {exc.strerror}") from exc
     return cols
 
 

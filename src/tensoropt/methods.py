@@ -31,6 +31,7 @@ F in the trace are those of the original problem.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import numbers
 import time
@@ -40,7 +41,7 @@ import numpy as np
 
 from .model import TensorModel
 from .policies import AccuracyPolicy, power, precision_floor
-from .subsolvers import SubsolverStall, is_stationary, model_solver, monotone_step, solve_model
+from .subsolvers import SubsolverStall, is_stationary, monotone_step, solve_model
 
 class DivergenceError(RuntimeError):
     """Line search exceeded its doubling budget; the order is likely wrong."""
@@ -238,9 +239,6 @@ class _Runner:
     def F(self, x) -> float:
         return self.oracle.value(x) + self.composite.value(x)
 
-    def build_model(self, center, H) -> TensorModel:
-        return TensorModel(self.oracle, self.composite, center, H, p=self.config.p)
-
     def line_search(self, model, models, delta, warm=None):
         """Double H until F(T) <= model(T); the accepted weight lands in H_used.
 
@@ -259,10 +257,8 @@ class _Runner:
         while True:
             if H not in models:
                 models[H] = model.with_weight(H)
-            res = solve_model(models[H], delta, warm_start=warm,
-                              kind=self.config.subsolver, stop=self.config.stop)
-            if res.objective_value is None:
-                res.objective_value = self.F(res.point)
+            res = solve_model(models[H], delta, warm_start=warm, kind=self.config.subsolver,
+                              stop=self.config.stop, objective=self.F)
             slack = BOUND_SLACK * max(1.0, abs(res.model_value))
             if res.objective_value <= res.model_value + slack:
                 self.H_state = H / 2.0
@@ -283,13 +279,15 @@ class _Runner:
         """
         cfg = self.config
         if cfg.h_mode == "linesearch":
-            model, models = self.build_model(center, self.H_state), {}
+            model = TensorModel(self.oracle, self.composite, center, self.H_state, p=cfg.p)
+            models = {}
             return lambda delta, warm=None: self.line_search(model, models, delta, warm)
         # validate has checked that a lipschitz weight's constant is known
         self.H_used = float(cfg.h_value) if cfg.h_mode == "fixed" else (
             cfg.p * self.oracle.lipschitz[cfg.p])
-        return model_solver(self.build_model(center, self.H_used), self.F,
-                            kind=cfg.subsolver, stop=cfg.stop)
+        model = TensorModel(self.oracle, self.composite, center, self.H_used, p=cfg.p)
+        return functools.partial(solve_model, model, kind=cfg.subsolver, stop=cfg.stop,
+                                 objective=self.F)
 
     # -- tracing ---------------------------------------------------------------
 

@@ -10,12 +10,12 @@ what they share. A caller that applies the Hessian at one fixed point fetches
 the state once and passes it to ``hessian_vec`` or ``hessian``, which then do
 not read the point. ``hessian`` returns the dense Hessian in the lower triangle
 of a matrix the caller owns, and leaves the strict upper triangle unspecified;
-both data oracles build it with ``linalg.weighted_syrk``, one sweep over their
-rows through one cache-sized buffer. The logistic oracle owns logistic data: it
-checks the features and labels it is given, read or drawn, and keeps its own
-copy of the features in the more compact of two forms, a dense X, whose
-products are BLAS matvecs, or CSR copies of X and Xᵀ built once. Either way a
-gradient or a Hessian-vector product is two matvecs and constructs no matrix.
+both data oracles' dense Hessians are the lower triangle ``linalg.weighted_syrk``
+returns, one sweep over their rows through one cache-sized buffer. The logistic
+oracle checks the features and labels it is given and keeps its own copy of the
+features in the form they come in: dense from ``synthetic_logistic``, products
+by BLAS matvecs, or CSR from ``parse_libsvm``, with a CSR Xᵀ built once. Either
+way a gradient or a Hessian-vector product is two matvecs and builds no matrix.
 Composite terms are differentiable and report their uniform-convexity
 parameters where known; ``PowerComposite`` also serves as the accelerated
 scheme's prox-function.
@@ -161,23 +161,23 @@ class LogisticOracle(SmoothOracle):
     norm; the bound on the third derivative uses max_t |s(t)s(-t)(1-2s(t))| =
     1/(6 sqrt(3)) per example, averaged over the data.
 
-    The oracle keeps its own copy of the features, dense when 8·m·n bytes are no
-    more than the CSR pair X, Xᵀ would take (Xᵀ is then the free ``.T`` view), the
-    CSR pair otherwise. Non-finite features are rejected.
+    The oracle keeps its own copy of the features in the form they come in: a dense
+    X with Xᵀ its ``.T`` view, or CSR copies of a sparse X and of Xᵀ, built once.
+    Non-finite features, and dense ones that are not a matrix, are rejected.
     """
 
     def __init__(self, features, labels, l2: float = 0.0):
         # the oracle owns its matrices: a later edit of the caller's matrix reaches none
-        if scipy.sparse.issparse(features):
-            X = features.tocsr(copy=True)
-        else:
-            X = scipy.sparse.csr_matrix(np.asarray(features, dtype=float))
+        sparse = scipy.sparse.issparse(features)
+        X = features.tocsr(copy=True) if sparse else np.array(features, dtype=float, order="C")
+        if X.ndim != 2:
+            raise ValueError("features must be a matrix of rows")
         self.y = np.asarray(labels, dtype=float)
         if X.shape[0] == 0:
             raise ValueError("empty dataset")
         if X.shape[0] != self.y.size:
             raise ValueError("feature/label count mismatch")
-        if not np.all(np.isfinite(X.data)):
+        if not np.all(np.isfinite(X.data if sparse else X)):
             raise ValueError("features contain non-finite entries")
         if not np.all(np.isin(self.y, (-1.0, 1.0))):
             raise ValueError("labels must be in {-1, +1}")
@@ -185,18 +185,12 @@ class LogisticOracle(SmoothOracle):
         self.m, self.dim = X.shape
         self.l2 = float(l2)
         self.norm = NormOperator.identity(self.dim)
-        row_norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1)).ravel())
-        L2 = float(np.sum(row_norms**3)) / (6.0 * math.sqrt(3.0) * self.m)
+        # squared row norms, one reduceat in either form: the same bits with no zero entry
+        sq = (np.asarray(X.multiply(X).sum(axis=1)).ravel() if sparse else
+              np.add.reduceat(np.square(X).ravel(), np.arange(0, X.size, self.dim)))
+        L2 = float(np.sum(np.sqrt(sq) ** 3)) / (6.0 * math.sqrt(3.0) * self.m)
         self.lipschitz = {2: L2}
-        # X and Xᵀ in the more compact form: a dense X with its free view Xᵀ (BLAS
-        # products), or the CSR pair, Xᵀ built once so no product builds a matrix
-        XT = X.T.tocsr()
-        csr_bytes = sum(A.data.nbytes + A.indices.nbytes + A.indptr.nbytes for A in (X, XT))
-        if 8 * self.m * self.dim <= csr_bytes:
-            self.X = X.toarray()
-            self.XT = self.X.T
-        else:
-            self.X, self.XT = X, XT
+        self.X, self.XT = X, (X.T.tocsr() if sparse else X.T)
 
     def _margins(self, x):
         return self.y * (self.X @ np.asarray(x, dtype=float))
@@ -239,12 +233,11 @@ class LogisticOracle(SmoothOracle):
         return (self.XT @ u) / self.m + self.l2 * h
 
     def hessian(self, x, state=None):
-        """Xᵀ·diag(w)·X / m + l2·I. Dense X: ``weighted_syrk`` mirrored, so exactly
-        symmetric. CSR X: Xᵀ·diag(w) by scaling a copy's values, one sparse product."""
+        """Xᵀ·diag(w)·X / m + l2·I. Dense X: in the lower triangle ``weighted_syrk`` fills.
+        CSR X: whole, Xᵀ·diag(w) by scaling a copy's values, one sparse product."""
         w = self._curvature(x) if state is None else state
         if isinstance(self.X, np.ndarray):
             H = weighted_syrk(self.X, w, 1.0)
-            H += np.tril(H, -1).T  # the strict upper triangle is zero
             H /= self.m
         else:
             XTw = self.XT.copy()

@@ -486,8 +486,12 @@ def fgm_step(model: TensorModel, delta: float, warm_start=None,
 # ---------------------------------------------------------------------------
 
 def solve_model(model: TensorModel, delta: float, warm_start=None,
-                kind: str = "fgm", stop: str = "bound") -> StepResult:
-    """Run the requested subsolver on a frozen model.
+                kind: str = "fgm", stop: str = "bound", objective=None) -> StepResult:
+    """Run the requested subsolver on a frozen model; a ``warm_start`` step is
+    resumed (see ``fgm_step``). With ``objective``, the step comes back with
+    ``objective_value`` set: F at its point is called from ``objective`` only
+    when the step does not report it. So ``partial(solve_model, model, kind=...,
+    stop=..., objective=F)`` is ``monotone_step``'s ``solve(delta, warm)``.
 
     Under stop = "exact", the first such solve on a model object computes the
     model's exact minimum and keeps it as ``model.minimum``, which every
@@ -498,25 +502,15 @@ def solve_model(model: TensorModel, delta: float, warm_start=None,
         raise ValueError(f"unknown subsolver kind {kind!r}")
     closed_form = gradient_step if model.p == 1 else exact_cubic_step
     if kind == "exact":
-        return closed_form(model)
-    if stop == "exact" and model.minimum is None:
-        model.minimum = closed_form(model).model_value
-    model_min = model.minimum if stop == "exact" else None
-    return fgm_step(model, delta, warm_start=warm_start, model_min=model_min)
-
-
-def model_solver(model: TensorModel, objective, kind: str = "fgm", stop: str = "bound"):
-    """``monotone_step``'s ``solve`` callable for one frozen model and objective F.
-
-    A ``warm`` step is resumed (see ``fgm_step``); F at a step's point is
-    called from ``objective`` only when the step does not report it.
-    """
-    def solve(delta, warm=None):
-        res = solve_model(model, delta, warm_start=warm, kind=kind, stop=stop)
-        if res.objective_value is None:
-            res.objective_value = objective(res.point)
-        return res
-    return solve
+        res = closed_form(model)
+    else:
+        if stop == "exact" and model.minimum is None:
+            model.minimum = closed_form(model).model_value
+        model_min = model.minimum if stop == "exact" else None
+        res = fgm_step(model, delta, warm_start=warm_start, model_min=model_min)
+    if objective is not None and res.objective_value is None:
+        res.objective_value = objective(res.point)
+    return res
 
 
 def is_stationary(res: StepResult, f_x: float, delta: float, floor: float) -> bool:

@@ -603,6 +603,22 @@ class TestCli:
         (["run", "--config", "list.json"], "a config must be an object of fields, got list"),
         *[(["run", "--config", f"{name}.json"], reason)
           for name, (_, reason) in BAD_SCALARS.items()],
+        (["fit", "--trace", "missing.csv", "--fstar", "auto"],
+         "cannot read trace file missing.csv: No such file or directory"),
+        (["fit", "--trace", "runs", "--fstar", "auto"],
+         "cannot read trace file runs: Is a directory"),
+        (["fit", "--trace", "text.csv", "--fstar", "auto"],
+         "trace file text.csv, line 3: F='abc' is not a number"),
+        (["fit", "--trace", "no-k.csv", "--fstar", "auto"],
+         "trace file no-k.csv needs rows with a number as k and as F"),
+        (["fit", "--trace", "no-F.csv", "--fstar", "0"],
+         "trace file no-F.csv needs rows with a number as k and as F"),
+        (["fit", "--trace", "header.csv", "--fstar", "auto"],
+         "trace file header.csv needs rows with a number as k and as F"),
+        (["fit", "--trace", "blank.csv", "--fstar", "auto"],
+         "trace file blank.csv needs rows with a number as k and as F"),
+        (["fit", "--trace", "flat.csv", "--fstar", "auto"],
+         "fewer than two usable trace points in the fit window"),
     ])
     def test_spec_error_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, reason):
         monkeypatch.chdir(tmp_path)
@@ -621,6 +637,12 @@ class TestCli:
         write_json("list.json", [1, 2])
         for name, (fields, _) in BAD_SCALARS.items():
             write_json(f"{name}.json", {**small_cfg().to_dict(), **fields})
+        for name, text in {"text": "k,F\n0,1.0\n1,abc\n", "no-k": "F\n1.0\n0.5\n",
+                           "no-F": "k,gap\n0,1.0\n1,0.5\n", "header": "k,F\n",
+                           "blank": "k,F\n0,1.0\n1,\n",
+                           "flat": "k,F\n0,1.0\n1,1.0\n2,1.0\n"}.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+        os.mkdir("runs")
         monkeypatch.setitem(harness.METHOD_TABLE, "monotone2",
                             lambda *a: pytest.fail("the solve started"))
         with pytest.raises(SystemExit) as stop:

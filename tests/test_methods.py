@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from conftest import forbid_oracle_calls
 
@@ -31,6 +32,7 @@ from tensoropt.problems import (
     SmoothOracle,
     ZeroComposite,
     generate_shifted_logsumexp,
+    logistic_oracle,
     powered_chain_oracle,
 )
 from tensoropt.subsolvers import exact_cubic_step
@@ -151,6 +153,24 @@ class TestMonotone2:
                           subsolver="fgm", max_iters=3)
         run = monotone2(prob, np.ones(8), cfg)
         assert run.records[1].delta_requested == 0.125
+
+    @pytest.mark.parametrize("subsolver", ["fgm", "exact"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_csr_and_dense_logistic_data_take_the_same_run(self, subsolver, seed):
+        # the CSR products no benchmark workload runs, against the dense ones on the
+        # same data: 120 × 12 at about 30 % nonzero, with the Hessian under exact steps
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.0, 1.0, size=(120, 12)) * (rng.random((120, 12)) < 0.3)
+        y = np.where(X @ rng.normal(size=12) + 0.5 * rng.normal(size=120) >= 0, 1.0, -1.0)
+        cfg = SolverConfig(h_mode="linesearch", h_value=1.0, subsolver=subsolver, max_iters=40)
+        dense, sparse = (monotone2(ProblemInstance(logistic_oracle(A, y, l2=1e-3),
+                                                   ZeroComposite(12)), np.zeros(12), cfg)
+                         for A in (X, scipy.sparse.csr_matrix(X)))
+        assert dense.status == sparse.status == "monotone_floor"
+        assert len(dense.records) == len(sparse.records) and dense.counts == sparse.counts
+        for a, b in zip(dense.records, sparse.records):
+            assert (a.H_used, a.inner_iters, a.hvp_count) == (b.H_used, b.inner_iters, b.hvp_count)
+            assert abs(a.F - b.F) <= 1e-12 * abs(a.F)
 
     def test_progress_rule_rate_bound(self):
         prob = small_lse(9)

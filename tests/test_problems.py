@@ -37,7 +37,7 @@ MUSHROOMS = os.path.join(os.path.dirname(__file__), "data", "mushrooms")
 def _dataset(rng, m=40, n=6):
     X = rng.uniform(-1.0, 1.0, size=(m, n))
     y = np.where(rng.random(m) < 0.5, -1.0, 1.0)
-    return scipy.sparse.csr_matrix(X), y
+    return X, y
 
 
 def _full(hess):
@@ -171,13 +171,44 @@ class TestLogistic:
             assert np.array_equal(oracle.hessian_vec(x, h), hv)
             assert np.array_equal(oracle.hessian(x), H)
 
-    def test_storage_form_follows_the_data(self):
+    def test_keeps_the_form_its_data_comes_in(self):
         rng = np.random.default_rng(8)
-        dense = logistic_oracle(*_dataset(rng), l2=0.1)
+        X, y = _dataset(rng)
+        dense = logistic_oracle(X, y, l2=0.1)
         assert isinstance(dense.X, np.ndarray) and dense.XT.base is dense.X
-        sparse = logistic_oracle(*_sparse_dataset(rng), l2=0.1)
-        assert scipy.sparse.isspmatrix_csr(sparse.X) and scipy.sparse.isspmatrix_csr(sparse.XT)
+        # a CSR matrix stays CSR, even one with no zero entry
+        assert np.all(X != 0.0)
+        for data in ((scipy.sparse.csr_matrix(X), y), _sparse_dataset(rng)):
+            sparse = logistic_oracle(*data, l2=0.1)
+            assert scipy.sparse.isspmatrix_csr(sparse.X) and scipy.sparse.isspmatrix_csr(sparse.XT)
         assert isinstance(synthetic_logistic(50, 300, 1e-3, seed=0).smooth.X, np.ndarray)
+
+    @pytest.mark.parametrize("m, n", [(1, 7), (40, 6), (300, 50), (97, 1)])
+    def test_lipschitz_constant_has_the_same_bits_in_either_form(self, m, n):
+        rng = np.random.default_rng(12)
+        X = rng.uniform(-1.0, 1.0, size=(m, n))
+        y = np.where(rng.random(m) < 0.5, -1.0, 1.0)
+        assert np.all(X != 0.0)
+        dense, sparse = logistic_oracle(X, y), logistic_oracle(scipy.sparse.csr_matrix(X), y)
+        assert dense.lipschitz[2] == sparse.lipschitz[2]
+
+    def test_a_dense_input_that_is_not_a_matrix_is_rejected(self):
+        with pytest.raises(ValueError, match="features must be a matrix of rows"):
+            LogisticOracle(np.ones(3), np.ones(3))
+
+    def test_dense_construction_makes_no_csr_round_trip(self):
+        # X is 20000 × 40, 6.4 MB: the oracle's copy and the squares its row norms sum
+        # take two such arrays; a CSR pair and a dense copy back took more than four
+        rng = np.random.default_rng(13)
+        X = rng.uniform(-1.0, 1.0, size=(20000, 40))
+        y = np.where(rng.random(20000) < 0.5, -1.0, 1.0)
+        tracemalloc.start()
+        try:
+            LogisticOracle(X, y, l2=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * X.nbytes
 
     def test_dense_storage_matches_the_csr_formulas(self):
         # both forms sum the same terms in different orders: agreement within a few ulps
@@ -186,7 +217,8 @@ class TestLogistic:
         X, labels = _dataset(rng, m=50, n=6)
         oracle = logistic_oracle(X, labels, l2=0.1)
         assert isinstance(oracle.X, np.ndarray)
-        XT, A = X.T.tocsr(), abs(X.toarray())
+        Xs = scipy.sparse.csr_matrix(X)
+        XT, A = Xs.T.tocsr(), abs(X)
         m, y, eps = oracle.m, oracle.y, np.finfo(float).eps
 
         def close(got, want, scale):
@@ -202,7 +234,7 @@ class TestLogistic:
             g = -(XT @ r) / m + 0.1 * x
             XTw = XT.copy()
             XTw.data *= w[XTw.indices]
-            H = (XTw @ X).toarray() / m + 0.1 * np.eye(6)
+            H = (XTw @ Xs).toarray() / m + 0.1 * np.eye(6)
             g_scale = A.T @ np.abs(r) / m + 0.1 * np.abs(x)
             H_scale = (A.T * w) @ A / m + 0.1 * np.eye(6)
             value, joint, state = oracle.value_gradient_state(x)
@@ -212,14 +244,20 @@ class TestLogistic:
             close(joint, g, g_scale)
             close(oracle.hessian_vec(x, h, state), (XT @ (w * (X @ h))) / m + 0.1 * h,
                   H_scale @ np.abs(h))
-            close(oracle.hessian(x), H, H_scale)
+            close(_full(oracle.hessian(x)), H, H_scale)
 
-    def test_dense_hessian_is_exactly_symmetric(self):
+    def test_dense_hessian_is_a_fortran_lower_triangle(self):
         rng = np.random.default_rng(10)
         oracle = synthetic_logistic(50, 300, 1e-3, seed=0).smooth
+        X = oracle.X
         for _ in range(3):
-            H = oracle.hessian(rng.normal(size=50))
-            assert np.array_equal(H, H.T)
+            x = rng.normal(size=50)
+            H = oracle.hessian(x)
+            assert H.flags.f_contiguous
+            w = oracle.value_gradient_state(x)[2]
+            assert np.array_equal(np.tril(oracle.hessian(x, w)), np.tril(H))
+            want = (X.T * w) @ X / oracle.m + oracle.l2 * np.eye(50)
+            assert np.abs(np.tril(H - want)).max() <= 1e-14 * np.abs(want).max()
 
     def test_owns_its_dense_matrix(self):
         rng = np.random.default_rng(11)
@@ -400,7 +438,8 @@ class TestInPlaceProducts:
         if storage == "csr":
             X *= rng.random(X.shape) < 0.05
         y = np.where(rng.random(300) < 0.5, -1.0, 1.0)
-        oracle = logistic_oracle(scipy.sparse.csr_matrix(X), y, l2=1e-3)
+        oracle = logistic_oracle(X if storage == "dense" else scipy.sparse.csr_matrix(X), y,
+                                 l2=1e-3)
         assert isinstance(oracle.X, np.ndarray) == (storage == "dense")
         for _ in range(10):
             x, h = rng.normal(size=oracle.dim), rng.normal(size=oracle.dim)
@@ -939,15 +978,15 @@ class TestHessian:
 
     def test_dense_logistic_blocks_of_rows_add_up_to_one_pass(self, monkeypatch):
         # 50 rows in blocks of 7 (the last one short), through the kernel the smoothed
-        # max uses; the mirrored result stays exactly symmetric
+        # max uses
         rng = np.random.default_rng(54)
         oracle = _oracle_family("logistic", rng)
         x = 0.5 * rng.normal(size=6)
         whole = oracle.hessian(x)
         monkeypatch.setattr(linalg, "SYRK_BLOCK_ENTRIES", 7 * 6)
         got = oracle.hessian(x)
-        assert np.abs(got - whole).max() <= 1e-14 * np.abs(whole).max()
-        assert np.array_equal(got, got.T) and np.array_equal(whole, whole.T)
+        assert np.abs(np.tril(got - whole)).max() <= 1e-14 * np.abs(np.tril(whole)).max()
+        assert got.flags.f_contiguous and whole.flags.f_contiguous
 
     @pytest.mark.parametrize("norm_kind", ["gram", "dense"])
     def test_whitened_rows_in_blocks_add_up_to_one_pass(self, monkeypatch, norm_kind):
@@ -997,7 +1036,7 @@ class TestHessian:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(H, H.T)
+        assert H.flags.f_contiguous
         assert peak < X.nbytes
 
     def test_smoothed_max_builds_the_whitened_rows_once_and_never_uses_them_elsewhere(self):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from tensoropt.subsolvers import (
     exact_cubic_step,
     fgm_step,
     gradient_step,
-    model_solver,
     monotone_step,
     residual_bound,
     solve_model,
@@ -838,8 +838,8 @@ class TestMonotoneStep:
 
     @staticmethod
     def _step(prob, model, delta, floor, kind):
-        return monotone_step(prob.value(model.center), model_solver(model, prob.value, kind=kind),
-                             delta=delta, floor=floor)
+        solve = partial(solve_model, model, kind=kind, objective=prob.value)
+        return monotone_step(prob.value(model.center), solve, delta=delta, floor=floor)
 
     def test_strict_decrease_away_from_optimum(self):
         prob, model = self._lse_model()
@@ -859,7 +859,7 @@ class TestMonotoneStep:
         # a huge tolerance certifies the center itself; the loop must tighten
         # it until a strictly better point appears
         prob, model = self._lse_model()
-        solve, deltas = model_solver(model, prob.value), []
+        solve, deltas = partial(solve_model, model, objective=prob.value), []
         res = monotone_step(prob.value(model.center),
                             lambda delta, warm: deltas.append(delta) or solve(delta, warm),
                             delta=1e6, floor=1e-12)
@@ -908,7 +908,7 @@ class TestResumedSolve:
         def objective(y):
             raise AssertionError("objective called")
 
-        res = model_solver(model, objective)(1e12)
+        res = solve_model(model, 1e12, objective=objective)
         assert res.inner_iterations == 0
         assert repr(res.objective_value) == repr(prob.value(center))
 
@@ -918,7 +918,7 @@ class TestResumedSolve:
         oracle = prob.smooth
         model = TensorModel(oracle, prob.composite, x, H=4.0, p=2)
         f_x = prob.value(x)
-        solve = model_solver(model, prob.value)
+        solve = partial(solve_model, model, objective=prob.value)
         calls = []
 
         def spy(delta, warm):
@@ -943,14 +943,14 @@ class TestResumedSolve:
         prob, x = _counted_problem(norm_kind)
         oracle = prob.smooth
         model = TensorModel(oracle, prob.composite, x, H=4.0, p=2)
-        solve = model_solver(model, prob.value, stop=stop)
+        solve = partial(solve_model, model, stop=stop, objective=prob.value)
         first = solve(first_delta, None)
         assert (first.inner_iterations > 0) == (first_delta < 1.0)
         hvp = oracle.n_hvp
         resumed = solve(1e-9, first)
         hvp_resumed = oracle.n_hvp - hvp
         hvp = oracle.n_hvp
-        array = model_solver(model, prob.value, stop=stop)(1e-9, first.point.copy())
+        array = solve(1e-9, first.point.copy())
         hvp_array = oracle.n_hvp - hvp
         np.testing.assert_array_equal(resumed.point, array.point)
         for name in ("objective_value", "certified_residual", "model_value",
@@ -1005,7 +1005,7 @@ class TestResumedSolve:
         monkeypatch.setattr(subsolvers, "exact_cubic_step",
                             lambda m: minima.append(m) or exact(m))
         deltas = []
-        solve = model_solver(model, prob.value, stop="exact")
+        solve = partial(solve_model, model, stop="exact", objective=prob.value)
         res = monotone_step(prob.value(x), lambda d, w: deltas.append(d) or solve(d, w),
                             delta=1e6, floor=1e-12)
         assert len(deltas) >= 3 and minima == [model]
@@ -1122,7 +1122,7 @@ class TestMonotoneStepLoop:
         x0 = 0.5 * np.ones(6)
         f0 = prob.value(x0)
         solve = ScriptedSolve([f0 - share * precision_floor(f0), 0.0])
-        monkeypatch.setattr(methods, "model_solver", lambda *args, **kwargs: solve)
+        monkeypatch.setattr(methods._Runner, "solver", lambda self, center: solve)
         run = driver(prob, x0, SolverConfig(max_iters=5))
         assert run.status == status and len(solve.calls) == 1
         np.testing.assert_array_equal(run.x_final, x0)
