@@ -192,13 +192,18 @@ def write_trace_csv(path, records) -> None:
 
 def read_trace_csv(path) -> dict:
     """Columns of a trace file as lists of floats, None for blanks; a file that
-    cannot be read, or a cell that is not a number, raises ValueError."""
+    cannot be read, a row whose cell count is not the header's, or a cell that
+    is not a number raises ValueError."""
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
             cols = {h: [] for h in header}
             for lineno, line in enumerate(fh, start=2):
-                for h, val in zip(header, line.rstrip("\n").split(",")):
+                cells = line.rstrip("\n").split(",")
+                if len(cells) != len(header):
+                    raise ValueError(f"trace file {path}, line {lineno}: {len(cells)} cells, "
+                                     f"the header has {len(header)}")
+                for h, val in zip(header, cells):
                     try:
                         cols[h].append(float(val) if val else None)
                     except ValueError:

@@ -8,9 +8,10 @@ which upper-bounds F once H is at least the Lipschitz constant of the p-th
 derivative. The (p+1)! in the regularizer (6 for p = 2, not 3) is easy to get
 wrong; a dedicated unit test pins it.
 
-An exact step solves on ``TensorModel.reduction``, built from the lower
+An exact step reads ``TensorModel.whitened_hessian``, built from the lower
 triangle of the oracle's dense Hessian, which is all ``SmoothOracle.hessian``
-promises: whitening and the tridiagonal reduction read that triangle alone.
+promises: whitening, the Lanczos products (``dsymv``) and the tridiagonal
+reduction read that triangle alone.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,22 +28,27 @@ from .linalg import tridiagonal_form
 
 class TensorModel:
     """Order-p model frozen at a center point; immutable once built, but for
-    ``minimum``, the exact model minimum that a stop="exact" solve keeps on it.
+    ``minimum``, the exact model minimum that a stop="exact" solve keeps on it,
+    and the dense curvature of an order-2 model's center, ``dense_curvature``.
 
     The oracle's center state is fetched here by ``value_gradient_state``,
     together with the value and gradient, and every Hessian-vector product
-    reuses it. The first read of ``reduction`` (by an exact step, or an exact
-    stopping rule) fetches ``oracle.hessian`` from the same state, whitens it by
-    the norm's factor (``norm.whiten``; the identity norm leaves it as it is)
-    and reduces it to tridiagonal form, which rejects a non-finite lower
-    triangle with ``LinAlgError``: ``reduction`` is
-    (d, e, V, tau) of ``linalg.tridiagonal_form``, the T every exact step on
-    this model, or on a ``with_weight`` copy, solves on; the copies share it,
-    so a center is reduced at most once. A copy has its own ``minimum``; the
-    line search, the one caller that tries several weights at a center, keeps
-    one copy per weight (see ``methods._Runner.solver``).
-    The model keeps no dense Hessian; its curvature action is always the
-    oracle's Hessian-vector product.
+    reuses it. An exact step, or an exact stopping rule, reads
+    ``whitened_hessian``: its first read fetches ``oracle.hessian`` from the
+    same state and whitens it by the norm's factor (``norm.whiten``; the
+    identity norm leaves it as it is), and the center keeps it. A step that
+    Lanczos certifies (see ``subsolvers.exact_cubic_step``) needs nothing
+    more. Only a fallback reads ``reduction``, which reduces M to tridiagonal
+    form in place, rejecting a non-finite lower triangle with ``LinAlgError``;
+    from then on the center keeps the (d, e, V, tau) of
+    ``linalg.tridiagonal_form`` instead of M, and every exact step on it
+    solves on that T. Both live in ``dense_curvature``, which ``with_weight``
+    copies share, so a center makes at most one ``hessian`` call and is
+    reduced at most once. A copy has its own ``minimum``; the line search, the
+    one caller that tries several weights at a center, keeps one copy per
+    weight (see ``methods._Runner.solver``). Model values and gradients never
+    read the dense Hessian; their curvature action is always the oracle's
+    Hessian-vector product.
 
     A run works in factor coordinates, under the identity norm, when its oracle
     and its composite both have a view there, and otherwise in x under the
@@ -65,18 +72,35 @@ class TensorModel:
         self.identity_norm = self.norm.kind == "identity"
         self._psi = None if composite.is_zero else composite
         self.f0, self.g0, self._hess_state = oracle.value_gradient_state(self.center)
-        self._reduction = [] if p == 2 else [None]  # shared by with_weight copies
+        # shared by with_weight copies: M until its reduction overwrites it, that
+        # reduction, and the Lanczos state of exact steps on M
+        self.dense_curvature = (SimpleNamespace(hessian=None, reduction=None, lanczos=None)
+                                if p == 2 else None)
         self._reg_scale = self.H / math.factorial(self.p + 1)
         self.minimum = None
 
     @property
-    def reduction(self):
-        """(d, e, V, tau), reduced on first read; None for an order-1 model."""
-        if not self._reduction:
+    def whitened_hessian(self) -> np.ndarray:
+        """M = L⁻¹ ∇²f(center) L⁻ᵀ for the norm's factor L, Fortran-ordered, of
+        which only the lower triangle is meaningful; fetched on first read and
+        kept until ``reduction`` overwrites it."""
+        curv = self.dense_curvature
+        if curv.hessian is None:
             hess = np.asfortranarray(self.oracle.hessian(self.center, self._hess_state))
-            self._reduction.append(tridiagonal_form(hess if self.identity_norm
-                                                    else self.norm.whiten(hess)))
-        return self._reduction[0]
+            curv.hessian = hess if self.identity_norm else self.norm.whiten(hess)
+        return curv.hessian
+
+    @property
+    def reduction(self):
+        """(d, e, V, tau) of M, reduced in place on first read; None for an order-1 model."""
+        curv = self.dense_curvature
+        if curv is None:
+            return None
+        if curv.reduction is None:
+            M = self.whitened_hessian
+            curv.hessian = curv.lanczos = None
+            curv.reduction = tridiagonal_form(M)
+        return curv.reduction
 
     def hess_action(self, d) -> np.ndarray:
         """Curvature action of the frozen smooth part on a direction."""
@@ -133,7 +157,7 @@ class TensorModel:
 
     def with_weight(self, H: float) -> "TensorModel":
         """The same frozen model under another regularization weight (no oracle
-        call): a new model that shares this one's reduction, with no ``minimum``."""
+        call): a new model that shares this one's ``dense_curvature``, with no ``minimum``."""
         if H <= 0:
             raise ValueError("regularization weight H must be positive")
         other = copy.copy(self)

@@ -2,11 +2,15 @@
 
 Three ways to produce a step:
 
-* ``exact_cubic_step``  -- global minimizer of the order-2 model: the solve on
-  the tridiagonal form T of the oracle's Hessian, whitened by the norm's
-  factor, that the model reduces on its first exact step, through a scalar
-  secular equation whose evaluations are O(n) tridiagonal solves (zero
-  residual).
+* ``exact_cubic_step``  -- global minimizer of the order-2 model (zero
+  residual), from a scalar secular equation whose evaluations are tridiagonal
+  solves. From ``LANCZOS_MIN_DIM`` on it first runs Lanczos on the oracle's
+  Hessian, whitened by the norm's factor, and solves on the small T_k until
+  the model gradient |beta_k y_k| vanishes to ``LANCZOS_TOL``; the step is
+  taken only when a Cholesky factorization of the Hessian shifted by the
+  step's multiplier certifies it as the global minimizer. Otherwise, and below
+  that dimension, it solves on the full tridiagonal form T of the Hessian,
+  which the center then reduces once.
 * ``gradient_step``     -- closed-form order-1 step, optionally with a
   quadratic composite folded in (zero residual).
 * ``fgm_step``          -- accelerated gradient loop with backtracking step
@@ -38,12 +42,43 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dptsv, dpttrs
+from scipy.linalg.blas import dsymv
+from scipy.linalg.lapack import dpotrf, dptsv, dpttrs
 
 from .linalg import apply_q
 from .model import TensorModel
 
 SECULAR_REL_TOL = 1e-12
+
+# Dimension from which an exact step tries Lanczos before the full tridiagonal
+# reduction (see ``exact_cubic_step``). Per solve of logsumexp(n, 6n) from e1
+# with line-searched exact steps (instance seeds 1 and 2, median of 11
+# interleaved rounds each, one BLAS thread on 2 vCPUs), Lanczos changed the time
+# by +43 % and +46 % at n = 100, +15 % and +12 % at 150, -3 % and +1 % at 175,
+# -7 % and -11 % at 200, -10 % and -16 % at 225, and by -13 % to -23 % at 250,
+# 300, 400 and 500.
+LANCZOS_MIN_DIM = 225
+
+# Lanczos steps a center takes at most, as a fraction of the dimension, before
+# it falls back to the reduction: at n = 500, 50 steps with their subspace
+# solves took 8.6 ms, against 9.8 ms for the reduction.
+LANCZOS_STEP_FRACTION = 0.1
+
+# Checks after the first from which Lanczos extrapolates the model gradient's
+# mean decay per step so far, and stops once that predicts more steps than the
+# cap. Krylov residuals decay faster as they go, so the prediction errs long,
+# on steps that would have cost about as much as the reduction. Without it,
+# logsumexp(n, 6n) at mu = 0.05 (set up as for LANCZOS_MIN_DIM, 7 rounds)
+# solved 52 %, 30 % and 18 % slower than on the reduction alone at n = 240, 300
+# and 400, as every step near the optimum ran to the cap; with it, -7 %, +6 %
+# and -2 %, and -1 % at 500.
+LANCZOS_RATE_STEPS = 4
+
+# Model gradient norm |beta_k y_k|, relative to ||c||, at which Lanczos stops:
+# below the error that the secular root's tolerance leaves in the reduction's
+# step. On exact-n500's instance its steps took 5 to 20 Lanczos steps and came
+# within 2e-12 (relative) of the reduction's.
+LANCZOS_TOL = 1e-13
 
 # Consecutive FGM iterations without a strict decrease of the best model value
 # that end a solve at the precision floor. Windows of 3 and 5 also fired in
@@ -214,35 +249,96 @@ def _secular_root(d: np.ndarray, e: np.ndarray, c: np.ndarray, H: float,
     return max(r, r_edge)
 
 
-def exact_cubic_step(model: TensorModel) -> StepResult:
-    """Global minimizer of the cubic-regularized order-2 model.
+class _Lanczos:
+    """Lanczos on a center's whitened Hessian M from the whitened gradient c.
 
-    Works in coordinates where the norm operator is the identity: with the
-    norm's factor B = L Lᵀ, the step d = L⁻ᵀ v turns ||d||_B into ||v|| and the
-    Hessian A into M = L⁻¹ A L⁻ᵀ. The model's reduction M = Q T Qᵀ to a
-    symmetric tridiagonal T (no eigendecomposition of M), computed on its first
-    exact step, turns the model into a secular equation in the step length,
-    each of whose evaluations is an O(n) tridiagonal solve; a quadratic
-    composite shifts T's diagonal by its weight. The reduction is only read,
-    so reweighted copies of the model share it. The bottom eigenpair
-    (lam_min, z) of T, from bisection and inverse iteration on T alone,
-    settles the hard case (gradient orthogonal to z, no interior root), whose
-    boundary solution is the shifted solve with z projected out plus a
-    multiple of z. Every step with negative curvature whose coordinate along z
-    is better fixed by ||u|| = r than by a division by lam_min + H r / 2 takes
-    that form too, among them the near-hard cases whose root lies next to the
-    boundary. Every step reports its model value and its model gradient's dual
-    norm, evaluated at the step from one Hessian-vector product.
+    After k steps the rows Q[0..k] are an orthonormal basis of the Krylov space
+    K_{k+1}(M, c), and M Q_kᵀ = Q_kᵀ T_k + beta[k-1] Q[k] e_kᵀ for the
+    tridiagonal T_k with diagonal alpha[:k] and off-diagonal beta[:k-1].
     """
-    if model.p != 2:
-        raise ValueError("exact cubic step requires an order-2 model")
-    g, mu = _fold_quadratic(model)
-    H = model.H
-    norm = model.norm
 
+    def __init__(self, c, c_norm: float):
+        self.cap = int(LANCZOS_STEP_FRACTION * c.size)
+        self.Q = np.empty((self.cap + 1, c.size))
+        self.Q[0] = c / c_norm
+        self.alpha = np.empty(self.cap)
+        self.beta = np.empty(self.cap)
+        self.k = 0
+        self.c_norm = c_norm
+
+    def extend(self, M) -> bool:
+        """One more step, from one ``dsymv`` on M's lower triangle and two
+        classical Gram–Schmidt passes against the whole basis; False at the cap,
+        after a zero residual, or when the step meets a non-finite number."""
+        j, Q = self.k, self.Q
+        if j == self.cap or (j and not 0.0 < self.beta[j - 1] < math.inf):
+            return False
+        w = dsymv(1.0, M, Q[j], lower=1)
+        a = float(Q[j].dot(w))
+        for _ in range(2):
+            w -= (Q[:j + 1] @ w) @ Q[:j + 1]
+        b = math.sqrt(float(w.dot(w)))
+        self.alpha[j], self.beta[j], self.k = a, b, j + 1
+        if 0.0 < b < math.inf:
+            Q[j + 1] = w / b
+        return math.isfinite(b)
+
+
+def _lanczos_step(model: TensorModel, c: np.ndarray, mu: float):
+    """Q_kᵀ y, the whitened step that minimizes the model over the center's
+    Krylov space, once it is certified as the global minimizer; None when it is
+    not (see ``exact_cubic_step``)."""
+    M = model.whitened_hessian
+    curv = model.dense_curvature
+    lz = curv.lanczos
+    if lz is None:
+        c_norm = math.sqrt(float(c.dot(c)))
+        if c_norm == 0.0:
+            return None
+        lz = curv.lanczos = _Lanczos(c, c_norm)
+    H = model.H
+    if lz.k == 0 and not lz.extend(M):
+        return None
+    first = None
+    while True:
+        k = lz.k
+        d, e = lz.alpha[:k] + mu, lz.beta[:k - 1]
+        rhs = np.zeros(k)
+        rhs[0] = lz.c_norm
+        try:  # T_k is positive definite, which r_edge = 0 below assumes
+            _shifted_solve(d, e, 0.0, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        r = _secular_root(d, e, rhs, H, 0.0)
+        y = -_shifted_solve(d, e, 0.5 * H * r, rhs)[0]
+        # the model gradient at Q_kᵀ y is beta[k-1] y[-1] Q[k]
+        res = abs(lz.beta[k - 1] * y[-1]) / lz.c_norm
+        if res <= LANCZOS_TOL:
+            break
+        if first is None:
+            first = (k, res)
+        elif k - first[0] >= LANCZOS_RATE_STEPS:
+            # the residual's mean decay per step since the first check, extrapolated
+            rate = (res / first[1]) ** (1.0 / (k - first[0]))
+            if rate >= 1.0 or k + math.log(LANCZOS_TOL / res) / math.log(rate) > lz.cap:
+                return None
+        if not lz.extend(M):
+            return None
+    # M + (mu + H r/2)·I positive definite certifies Q_kᵀ y as the global minimizer
+    S = np.array(M, order="F")
+    S.flat[::S.shape[0] + 1] += mu + 0.5 * H * r
+    if dpotrf(S, lower=1, clean=0, overwrite_a=1)[1] != 0:
+        return None
+    return y @ lz.Q[:k]
+
+
+def _reduced_step(model: TensorModel, c: np.ndarray, mu: float) -> np.ndarray:
+    """The whitened step Q u from the secular equation on the center's full
+    tridiagonal reduction M = Q T Qᵀ (see ``exact_cubic_step``)."""
+    H = model.H
     d, e, V, tau = model.reduction
     d = d + mu
-    c = apply_q(V, tau, norm.factor_solve(g), trans=True)
+    c = apply_q(V, tau, c, trans=True)
     lam, z = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
     lam_min, z = float(lam[0]), z[:, 0]
     r_edge = max(0.0, -2.0 * lam_min / H)
@@ -278,8 +374,51 @@ def exact_cubic_step(model: TensorModel) -> StepResult:
             u += (-slack if gamma > 0 else slack) * z
         else:
             u = -_shifted_solve(d, e, 0.5 * H * r, c)[0]
+    return apply_q(V, tau, u, trans=False)
 
-    T = model.center + norm.factor_solve(apply_q(V, tau, u, trans=False), trans=True)
+
+def exact_cubic_step(model: TensorModel) -> StepResult:
+    """Global minimizer of the cubic-regularized order-2 model.
+
+    Works where the norm is the identity: with B = L Lᵀ, the step d = L⁻ᵀ v
+    turns ||d||_B into ||v||, the Hessian A into M = L⁻¹ A L⁻ᵀ (the model's
+    ``whitened_hessian``) and the gradient g into c = L⁻¹ g; a quadratic
+    composite is folded into g and shifts M by its weight mu.
+
+    From ``LANCZOS_MIN_DIM`` on, ``_lanczos_step`` runs Lanczos on M from c and
+    solves the secular equation on its tridiagonal T_k until the model
+    gradient |beta_k y_k| is at most ``LANCZOS_TOL``·||c||. It takes the step
+    only when T_k is positive definite and a Cholesky factorization of
+    M + (mu + H r/2)·I succeeds, which certifies the step as the global
+    minimizer (Cartis, Gould & Toint 2011, Thm 3.1). The center keeps the
+    basis, which a reweighted copy of the model reuses and extends.
+
+    Every other case (an indefinite T_k, the hard case, a zero gradient, a
+    breakdown, no convergence within the cap, or a decay too slow to converge
+    there) and every smaller model solves on the center's ``reduction``
+    M = Q T Qᵀ (``_reduced_step``), which the first fallback at a center
+    computes in place; a quadratic composite shifts T's diagonal. The bottom eigenpair (lam_min, z) of T, from bisection and
+    inverse iteration on T alone, settles the hard case (gradient orthogonal
+    to z, no interior root), whose boundary solution is the shifted solve with
+    z projected out plus a multiple of z. Every step with negative curvature
+    whose coordinate along z is better fixed by ||u|| = r than by a division
+    by lam_min + H r / 2 takes that form too, among them the near-hard cases
+    whose root lies next to the boundary. Either way the center makes one
+    ``hessian`` call. Every step reports its model value and its model
+    gradient's dual norm, evaluated at the step from one Hessian-vector
+    product.
+    """
+    if model.p != 2:
+        raise ValueError("exact cubic step requires an order-2 model")
+    g, mu = _fold_quadratic(model)
+    norm = model.norm
+    c = norm.factor_solve(g)
+    u = None
+    if c.size >= LANCZOS_MIN_DIM and model.dense_curvature.reduction is None:
+        u = _lanczos_step(model, c, mu)
+    if u is None:
+        u = _reduced_step(model, c, mu)
+    T = model.center + norm.factor_solve(u, trans=True)
     f_T, g_T = model.value_and_gradient(T)
     return StepResult(
         point=T,

@@ -619,6 +619,10 @@ class TestCli:
          "trace file blank.csv needs rows with a number as k and as F"),
         (["fit", "--trace", "flat.csv", "--fstar", "auto"],
          "fewer than two usable trace points in the fit window"),
+        (["fit", "--trace", "short.csv", "--fstar", "0"],
+         "trace file short.csv, line 3: 1 cells, the header has 2"),
+        (["fit", "--trace", "long.csv", "--fstar", "auto"],
+         "trace file long.csv, line 2: 3 cells, the header has 2"),
     ])
     def test_spec_error_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, reason):
         monkeypatch.chdir(tmp_path)
@@ -640,7 +644,9 @@ class TestCli:
         for name, text in {"text": "k,F\n0,1.0\n1,abc\n", "no-k": "F\n1.0\n0.5\n",
                            "no-F": "k,gap\n0,1.0\n1,0.5\n", "header": "k,F\n",
                            "blank": "k,F\n0,1.0\n1,\n",
-                           "flat": "k,F\n0,1.0\n1,1.0\n2,1.0\n"}.items():
+                           "flat": "k,F\n0,1.0\n1,1.0\n2,1.0\n",
+                           "short": "k,F\n0,1.0\n1\n2,0.5\n",
+                           "long": "k,F\n0,1.0,7\n1,0.5\n2,0.25\n"}.items():
             (tmp_path / f"{name}.csv").write_text(text)
         os.mkdir("runs")
         monkeypatch.setitem(harness.METHOD_TABLE, "monotone2",

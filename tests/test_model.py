@@ -18,6 +18,7 @@ from tensoropt.problems import (
     fd_gradient,
     generate_shifted_logsumexp,
 )
+from tensoropt import subsolvers
 from tensoropt.subsolvers import exact_cubic_step
 
 
@@ -170,6 +171,7 @@ class TestCurvatureProduct:
         model.minimum = -1.0
         heavier = model.with_weight(16.0)
         assert heavier is not model and model.with_weight(16.0) is not heavier
+        assert heavier.dense_curvature is model.dense_curvature
         assert heavier.reduction is model.reduction
         # the exact minimum belongs to one weight, so a copy starts without one
         assert heavier.minimum is None and model.minimum == -1.0
@@ -308,5 +310,24 @@ class TestLowerTriangleContract:
         assert all(a.tobytes() == b.tobytes() for a, b in zip((d, e, tau, np.tril(V)),
                                                              (d2, e2, tau2, np.tril(V2))))
         want, got = (exact_cubic_step(m) for m in models)
+        assert got.point.tobytes() == want.point.tobytes()
+        assert (got.model_value, got.grad_dual_norm) == (want.model_value, want.grad_dual_norm)
+
+    @pytest.mark.parametrize("norm_kind", ["identity", "dense"])
+    def test_lanczos_steps_ignore_the_upper_triangle(self, monkeypatch, norm_kind):
+        n = subsolvers.LANCZOS_MIN_DIM
+        rng = np.random.default_rng(72)
+        G, B = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+        norm = (NormOperator.identity(n) if norm_kind == "identity"
+                else NormOperator.dense(B @ B.T / n + np.eye(n)))
+        oracle = QuadraticOracle(G @ G.T / n, b=rng.normal(size=n), norm=norm)
+        center = rng.normal(size=n)
+        certified = []
+        lanczos = subsolvers._lanczos_step
+        monkeypatch.setattr(subsolvers, "_lanczos_step", lambda model, c, mu: (
+            certified.append(lanczos(model, c, mu)) or certified[-1]))
+        want, got = (exact_cubic_step(TensorModel(o, ZeroComposite(n), center, H=3.0, p=2))
+                     for o in (oracle, _UpperNaN(oracle)))
+        assert len(certified) == 2 and all(u is not None for u in certified)
         assert got.point.tobytes() == want.point.tobytes()
         assert (got.model_value, got.grad_dual_norm) == (want.model_value, want.grad_dual_norm)

@@ -16,7 +16,7 @@ from tensoropt.harness import ExperimentConfig, attach_composite, execute
 from tensoropt.linalg import NormOperator
 from tensoropt import methods
 from tensoropt.methods import CountingOracle, SolverConfig, monotone1, monotone2
-from tensoropt.policies import precision_floor
+from tensoropt.policies import constant, precision_floor
 from tensoropt.model import TensorModel
 from tensoropt.problems import (
     LogSumExpOracle,
@@ -416,6 +416,148 @@ class TestExactStepOnTheModelsReduction:
             solve_model(model.with_weight(H), 1e-6, kind="fgm", stop="exact")
             exact_cubic_step(model.with_weight(H))
         assert len(reductions) == 1
+
+
+def _lanczos_spy(monkeypatch):
+    """What each call of ``subsolvers._lanczos_step`` returns (None: a fallback)."""
+    returned = []
+    lanczos = subsolvers._lanczos_step
+
+    def spy(model, c, mu):
+        returned.append(lanczos(model, c, mu))
+        return returned[-1]
+
+    monkeypatch.setattr(subsolvers, "_lanczos_step", spy)
+    return returned
+
+
+def _reduction_step(monkeypatch, model):
+    """The exact step of a fresh copy of ``model`` on the full reduction alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(subsolvers, "LANCZOS_MIN_DIM", math.inf)
+        return exact_cubic_step(TensorModel(model.oracle, model.composite, model.center,
+                                            model.H, p=2))
+
+
+class TestLanczosExactStep:
+    """From ``LANCZOS_MIN_DIM`` on, an exact step certified on Lanczos's T_k equals
+    the full reduction's step, and every step it cannot certify is that step."""
+
+    @pytest.mark.parametrize("norm_kind", ["identity", "dense"])
+    @pytest.mark.parametrize("composite", ["zero", "quadratic"])
+    def test_agrees_with_the_reduction(self, monkeypatch, norm_kind, composite):
+        rng = np.random.default_rng(90)
+        for _ in range(2):
+            model = random_cubic_model(rng, n=300, norm_kind=norm_kind)
+            if composite == "quadratic":
+                comp = PowerComposite(rng.uniform(0.1, 2.0), 2.0, rng.normal(size=300),
+                                      model.norm)
+                model = TensorModel(model.oracle, comp, model.center, model.H, p=2)
+            returned = _lanczos_spy(monkeypatch)
+            res = exact_cubic_step(model)
+            assert len(returned) == 1 and returned[0] is not None
+            ref = _reduction_step(monkeypatch, model)
+            assert res.model_value == pytest.approx(ref.model_value, rel=1e-14)
+            d, d_ref = res.point - model.center, ref.point - model.center
+            assert np.linalg.norm(d - d_ref) <= 1e-10 * np.linalg.norm(d_ref)
+            assert res.grad_dual_norm <= 1e-10 * model.norm.dual(model.g0)
+
+    @pytest.mark.parametrize("case", ["indefinite", "hard", "zero-gradient", "cap", "slow"])
+    def test_a_step_it_cannot_certify_is_the_reductions_bit_for_bit(self, monkeypatch, case):
+        rng = np.random.default_rng(91)
+        n = 300
+        lam, c = rng.uniform(0.5, 3.0, n), rng.normal(size=n)
+        if case == "indefinite":
+            lam[:n // 3] = -rng.uniform(0.2, 2.0, n // 3)
+        elif case == "zero-gradient":
+            lam[0], c[:] = -1.0, 0.0
+        elif case == "cap":
+            monkeypatch.setattr(subsolvers, "LANCZOS_STEP_FRACTION", 0.01)  # 3 steps
+        elif case == "slow":
+            # a wide spectrum under a small shift: the residual's decay rate
+            # predicts far more steps than the cap of 30, so Lanczos stops early
+            lam, c = rng.uniform(1e-3, 3.0, n), 1e-3 * c
+        if case == "hard":
+            # no interior root, as ||c|| is too small to reach r_edge; under a
+            # diagonal Hessian the zero coordinate of c stays exactly zero in
+            # every Lanczos vector, so rounding never brings in the bottom one,
+            # and a narrow spectrum above it lets Lanczos converge within its cap
+            lam[0], lam[1:], c[0], c[1:] = -2.0, rng.uniform(0.9, 1.1, n - 1), 0.0, 1e-3 * c[1:]
+            model = TensorModel(QuadraticOracle(np.diag(lam), b=c), ZeroComposite(n),
+                                np.zeros(n), 1.5, p=2)
+        else:
+            model = _whitened_model("dense", rng, lam, c)
+        steps = []
+        extend = subsolvers._Lanczos.extend
+        monkeypatch.setattr(subsolvers._Lanczos, "extend",
+                            lambda lz, M: steps.append(1) or extend(lz, M))
+        factorizations = []
+        dpotrf = subsolvers.dpotrf
+        monkeypatch.setattr(subsolvers, "dpotrf", lambda *args, **kwargs: (
+            factorizations.append(dpotrf(*args, **kwargs)[1]) or (None, factorizations[-1])))
+        returned = _lanczos_spy(monkeypatch)
+        res = exact_cubic_step(model)
+        assert returned == [None]
+        # T_k certifies the hard case's Krylov space, whose model the factorization
+        # then shows is not globally minimized there
+        assert len(factorizations) == (case == "hard") and all(factorizations)
+        if case == "slow":
+            assert subsolvers.LANCZOS_RATE_STEPS < len(steps) < 10
+        ref = _reduction_step(monkeypatch, model)
+        assert res.point.tobytes() == ref.point.tobytes()
+        assert (res.model_value, res.grad_dual_norm) == (ref.model_value, ref.grad_dual_norm)
+
+    @pytest.mark.parametrize("norm_kind", ["identity", "dense"])
+    def test_reweighted_copies_extend_one_basis_from_one_hessian(self, monkeypatch, norm_kind):
+        rng = np.random.default_rng(94)
+        model = random_cubic_model(rng, n=300, norm_kind=norm_kind)
+        model = TensorModel(CountingOracle(model.oracle), model.composite, model.center, 4.0,
+                            p=2)
+        returned = _lanczos_spy(monkeypatch)
+        exact_cubic_step(model)
+        k = model.dense_curvature.lanczos.k
+        # a lighter weight has a smaller shift, and its step needs more steps
+        lighter = model.with_weight(0.25)
+        res = exact_cubic_step(lighter)
+        assert len(returned) == 2 and all(u is not None for u in returned)
+        assert lighter.dense_curvature.lanczos.k > k
+        assert model.oracle.n_hess == 1
+        ref = _reduction_step(monkeypatch, lighter)
+        assert res.model_value == pytest.approx(ref.model_value, rel=1e-14)
+
+    def test_a_line_search_makes_one_hessian_call(self, monkeypatch):
+        # Lanczos gives up at the first weight, and the later ones solve on the
+        # reduction that its fallback made
+        assert 240 >= subsolvers.LANCZOS_MIN_DIM
+        prob = generate_shifted_logsumexp(240, 1440, 0.05, seed=1)
+        x0 = np.zeros(240)
+        x0[0] = 1.0
+        returned = _lanczos_spy(monkeypatch)
+        cfg = SolverConfig(p=2, h_mode="linesearch", h_value=0.01, policy=constant(1e-3),
+                           subsolver="exact", max_iters=1)
+        run = monotone2(prob, x0, cfg)
+        assert run.records[-1].H_used == 0.04
+        assert returned == [None]
+        assert run.counts["hessian"] == 1
+
+    def test_below_the_rule_it_never_runs(self, monkeypatch):
+        rng = np.random.default_rng(92)
+        returned = _lanczos_spy(monkeypatch)
+        for n in (2, subsolvers.LANCZOS_MIN_DIM - 1, subsolvers.LANCZOS_MIN_DIM):
+            exact_cubic_step(random_cubic_model(rng, n=n, norm_kind="identity"))
+            assert len(returned) == (n == subsolvers.LANCZOS_MIN_DIM)
+
+    def test_a_non_finite_hessian_raises(self, monkeypatch):
+        rng = np.random.default_rng(93)
+        model = random_cubic_model(rng, n=300, norm_kind="identity")
+        hess = model.oracle.hessian(model.center)
+        hess[7, 3] = np.nan
+        monkeypatch.setattr(model.oracle, "hessian", lambda x, state=None: hess.copy())
+        model = TensorModel(model.oracle, model.composite, model.center, model.H, p=2)
+        returned = _lanczos_spy(monkeypatch)
+        with pytest.raises(np.linalg.LinAlgError):
+            exact_cubic_step(model)
+        assert returned == [None]
 
 
 class TestGradientStep:
