@@ -10,7 +10,8 @@ Three ways to produce a step:
   taken only when a Cholesky factorization of the Hessian shifted by the
   step's multiplier certifies it as the global minimizer. Otherwise, and below
   that dimension, it solves on the full tridiagonal form T of the Hessian,
-  which the center then reduces once.
+  which the center then reduces once. Only an indefinite T computes its
+  bottom eigenpair; a definite T or T_k goes straight to the secular equation.
 * ``gradient_step``     -- closed-form order-1 step, optionally with a
   quadratic composite folded in (zero residual).
 * ``fgm_step``          -- accelerated gradient loop with backtracking step
@@ -56,7 +57,11 @@ SECULAR_REL_TOL = 1e-12
 # interleaved rounds each, one BLAS thread on 2 vCPUs), Lanczos changed the time
 # by +43 % and +46 % at n = 100, +15 % and +12 % at 150, -3 % and +1 % at 175,
 # -7 % and -11 % at 200, -10 % and -16 % at 225, and by -13 % to -23 % at 250,
-# 300, 400 and 500.
+# 300, 400 and 500. Since a positive definite T skips its bottom eigenpair, the
+# reduction costs less, and the same protocol read -1 % and -2 % at 200, -7 % and
+# -6 % at 225, and -9 % and +3 % at 250 (over 21 rounds, twice: -1/-4 and +2/-0,
+# -7/-10 and -12/-9, -13/-13 and -12/-11): the crossover moved from about 175
+# to about 200, still below this dimension.
 LANCZOS_MIN_DIM = 225
 
 # Lanczos steps a center takes at most, as a fraction of the dimension, before
@@ -204,7 +209,8 @@ def _secular_root(d: np.ndarray, e: np.ndarray, c: np.ndarray, H: float,
     """Solve ||(T + (H r/2) I)⁻¹ c|| = r for the step length r.
 
     T is the symmetric tridiagonal matrix with diagonal d, off-diagonal e and
-    smallest eigenvalue lam_min; a diagonal T (e = 0) is its own spectrum.
+    smallest eigenvalue lam_min, for which 0.0 serves when T is positive
+    definite; a diagonal T (e = 0) is its own spectrum.
     Safeguarded Newton with a bisection bracket whose left endpoint
     max(0, -2 lam_min / H) is where T + (H r/2) I becomes singular. An
     evaluation is one LDLᵀ factorization and two solves: s = ||w|| for
@@ -247,6 +253,20 @@ def _secular_root(d: np.ndarray, e: np.ndarray, c: np.ndarray, H: float,
             r_new = 0.5 * (lo + hi)
         r = r_new
     return max(r, r_edge)
+
+
+def _definite_step(d: np.ndarray, e: np.ndarray, c: np.ndarray, H: float):
+    """(u, r): the minimizer u = -(T + (H r/2) I)⁻¹ c of the cubic on the
+    tridiagonal T (diagonal d, off-diagonal e) and its length r, when the LDLᵀ
+    factorization of T itself certifies T positive definite; None when it
+    fails. A definite T has no pole right of r = 0 and no hard case (Moré &
+    Sorensen's easy case), so the secular root needs no eigenpair of T."""
+    try:
+        _shifted_solve(d, e, 0.0, c)
+    except np.linalg.LinAlgError:
+        return None
+    r = _secular_root(d, e, c, H, 0.0)
+    return -_shifted_solve(d, e, 0.5 * H * r, c)[0], r
 
 
 class _Lanczos:
@@ -302,15 +322,12 @@ def _lanczos_step(model: TensorModel, c: np.ndarray, mu: float):
     first = None
     while True:
         k = lz.k
-        d, e = lz.alpha[:k] + mu, lz.beta[:k - 1]
         rhs = np.zeros(k)
         rhs[0] = lz.c_norm
-        try:  # T_k is positive definite, which r_edge = 0 below assumes
-            _shifted_solve(d, e, 0.0, rhs)
-        except np.linalg.LinAlgError:
+        step = _definite_step(lz.alpha[:k] + mu, lz.beta[:k - 1], rhs, H)
+        if step is None:
             return None
-        r = _secular_root(d, e, rhs, H, 0.0)
-        y = -_shifted_solve(d, e, 0.5 * H * r, rhs)[0]
+        y, r = step
         # the model gradient at Q_kᵀ y is beta[k-1] y[-1] Q[k]
         res = abs(lz.beta[k - 1] * y[-1]) / lz.c_norm
         if res <= LANCZOS_TOL:
@@ -334,11 +351,15 @@ def _lanczos_step(model: TensorModel, c: np.ndarray, mu: float):
 
 def _reduced_step(model: TensorModel, c: np.ndarray, mu: float) -> np.ndarray:
     """The whitened step Q u from the secular equation on the center's full
-    tridiagonal reduction M = Q T Qᵀ (see ``exact_cubic_step``)."""
+    tridiagonal reduction M = Q T Qᵀ (see ``exact_cubic_step``); T's bottom
+    eigenpair is computed only when T is not positive definite."""
     H = model.H
     d, e, V, tau = model.reduction
     d = d + mu
     c = apply_q(V, tau, c, trans=True)
+    step = _definite_step(d, e, c, H)
+    if step is not None:
+        return apply_q(V, tau, step[0], trans=False)
     lam, z = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
     lam_min, z = float(lam[0]), z[:, 0]
     r_edge = max(0.0, -2.0 * lam_min / H)
@@ -397,16 +418,20 @@ def exact_cubic_step(model: TensorModel) -> StepResult:
     breakdown, no convergence within the cap, or a decay too slow to converge
     there) and every smaller model solves on the center's ``reduction``
     M = Q T Qᵀ (``_reduced_step``), which the first fallback at a center
-    computes in place; a quadratic composite shifts T's diagonal. The bottom eigenpair (lam_min, z) of T, from bisection and
-    inverse iteration on T alone, settles the hard case (gradient orthogonal
-    to z, no interior root), whose boundary solution is the shifted solve with
-    z projected out plus a multiple of z. Every step with negative curvature
-    whose coordinate along z is better fixed by ||u|| = r than by a division
-    by lam_min + H r / 2 takes that form too, among them the near-hard cases
-    whose root lies next to the boundary. Either way the center makes one
-    ``hessian`` call. Every step reports its model value and its model
-    gradient's dual norm, evaluated at the step from one Hessian-vector
-    product.
+    computes in place; a quadratic composite shifts T's diagonal. When the
+    LDLᵀ factorization of T succeeds, T is positive definite, and the step
+    is the shifted solve at the secular root right of r = 0, as on T_k
+    (``_definite_step``, Moré & Sorensen's easy case). Only an indefinite T
+    needs its bottom eigenpair (lam_min, z), from bisection and inverse
+    iteration on T alone: lam_min places the pole, and z settles the hard case
+    (gradient orthogonal to z, no interior root), whose boundary solution is
+    the shifted solve with z projected out plus a multiple of z. Every step
+    with negative curvature whose coordinate along z is better fixed by
+    ||u|| = r than by a division by lam_min + H r / 2 takes that form too,
+    among them the near-hard cases whose root lies next to the boundary.
+    Either way the center makes one ``hessian`` call. Every step reports its
+    model value and its model gradient's dual norm, evaluated at the step from
+    one Hessian-vector product.
     """
     if model.p != 2:
         raise ValueError("exact cubic step requires an order-2 model")

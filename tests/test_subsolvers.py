@@ -560,6 +560,103 @@ class TestLanczosExactStep:
         assert returned == [None]
 
 
+def _eigenpair_spy(monkeypatch):
+    """One entry per call of ``subsolvers.eigh_tridiagonal``, T's bottom eigenpair."""
+    calls = []
+    eigh = subsolvers.eigh_tridiagonal
+    monkeypatch.setattr(subsolvers, "eigh_tridiagonal",
+                        lambda *args, **kwargs: calls.append(1) or eigh(*args, **kwargs))
+    return calls
+
+
+def _with_quadratic_composite(model, mu, c0):
+    return TensorModel(model.oracle, PowerComposite(mu, 2.0, c0, model.norm), model.center,
+                       model.H, p=2)
+
+
+class TestDefiniteExactStep:
+    """On a positive definite T, the full reduction's or Lanczos's T_k, the exact
+    step solves the secular equation right of r = 0 without T's bottom
+    eigenpair; only an indefinite T computes it, once per step."""
+
+    SIZES = (2, 3, 17, 90, subsolvers.LANCZOS_MIN_DIM - 1)
+
+    @staticmethod
+    def _definite_models(rng, n, norm_kind, composite):
+        """A cold definite model, then a reweighted copy that shares its reduction."""
+        model = _whitened_model(norm_kind, rng, rng.uniform(0.5, 3.0, n), rng.normal(size=n))
+        if composite == "quadratic":
+            model = _with_quadratic_composite(model, rng.uniform(0.1, 2.0), rng.normal(size=n))
+        return model, model.with_weight(3.0 * model.H)
+
+    @pytest.mark.parametrize("norm_kind", ["identity", "dense"])
+    @pytest.mark.parametrize("composite", ["zero", "quadratic"])
+    def test_a_definite_model_computes_no_eigenpair(self, monkeypatch, norm_kind, composite):
+        rng = np.random.default_rng(95)
+        calls = _eigenpair_spy(monkeypatch)
+        for n in self.SIZES:
+            for model in self._definite_models(rng, n, norm_kind, composite):
+                _assert_matches_reference(model, exact_cubic_step(model))
+        assert calls == []
+
+    @pytest.mark.parametrize("norm_kind", ["identity", "dense"])
+    @pytest.mark.parametrize("composite", ["zero", "quadratic"])
+    def test_its_step_is_the_eigenpair_paths_bit_for_bit(self, monkeypatch, norm_kind,
+                                                          composite):
+        # there lam_min > 0 puts the pole max(0, -2 lam_min / H) at 0.0, and the
+        # step is the same shifted solve at the same root
+        rng = np.random.default_rng(96)
+        for n in self.SIZES:
+            for model in self._definite_models(rng, n, norm_kind, composite):
+                res = exact_cubic_step(model)
+                with monkeypatch.context() as patch:
+                    patch.setattr(subsolvers, "_definite_step", lambda *args: None)
+                    calls = _eigenpair_spy(patch)
+                    ref = exact_cubic_step(model)
+                assert calls == [1]
+                assert res.point.tobytes() == ref.point.tobytes()
+                assert (res.model_value, res.grad_dual_norm) == (ref.model_value,
+                                                                 ref.grad_dual_norm)
+
+    @pytest.mark.parametrize("case", ["indefinite", "hard", "near-hard", "zero-gradient"])
+    def test_only_an_indefinite_T_computes_its_eigenpair(self, monkeypatch, case):
+        rng = np.random.default_rng(97)
+        lam, c = np.array([-2.0, 0.5, 1.0, 3.0]), rng.normal(size=4)
+        if case == "hard":
+            c[0], c[1:] = 0.0, 1e-3 * c[1:]
+        elif case == "near-hard":
+            lam, c = np.array([-1.0, 0.5, 2.0]), 1e-14 * np.ones(3)
+        elif case == "zero-gradient":
+            c[:] = 0.0
+        model = _whitened_model("dense", rng, lam, c)
+        # centred at the center, a quadratic composite of weight 3 leaves the
+        # gradient alone and shifts the whitened spectrum past zero
+        definite = _with_quadratic_composite(model, 3.0, model.center)
+        calls = _eigenpair_spy(monkeypatch)
+        per_step = []
+        for m in (model, definite, model.with_weight(4.0 * model.H)):
+            before = len(calls)
+            res = exact_cubic_step(m)
+            per_step.append(len(calls) - before)
+            _, d_rest, d_bottom = _reference_step(m)
+            assert res.model_value == pytest.approx(m.value(m.center + d_rest + d_bottom),
+                                                    rel=1e-12, abs=1e-12)
+            if m is definite and case == "zero-gradient":
+                assert np.array_equal(res.point, m.center)
+        assert per_step == [1, 0, 1]
+
+    def test_a_lanczos_fallback_on_a_definite_T_computes_no_eigenpair(self, monkeypatch):
+        rng = np.random.default_rng(98)
+        n = 300
+        model = _whitened_model("dense", rng, rng.uniform(0.5, 3.0, n), rng.normal(size=n))
+        monkeypatch.setattr(subsolvers, "LANCZOS_STEP_FRACTION", 0.01)  # 3 steps
+        returned = _lanczos_spy(monkeypatch)
+        calls = _eigenpair_spy(monkeypatch)
+        res = exact_cubic_step(model)
+        assert returned == [None] and calls == []
+        _assert_matches_reference(model, res)
+
+
 class TestGradientStep:
     def test_fixed_point(self):
         oracle = QuadraticOracle(np.eye(2))

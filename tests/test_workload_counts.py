@@ -13,16 +13,25 @@ A change that moves a row regenerates the table with
 ``CHANGES.md`` which rows changed and why. The script prints the new table,
 then every row that differs from ``TABLE``, field by field, and last the
 sha256 of the ``trace.csv`` that ``harness.write_trace_csv`` writes for each
-config's run and of the bytes of its final point, signed zeros included: run
-against two checkouts' ``src``, its digest lines compare every workload trace
-and final point byte for byte in one diff. It exits 1 when any row differs,
-after printing all of this, and 0 otherwise.
+config's run and of the bytes of its final point, signed zeros included, and
+the ``float.hex`` of the reference F* of each instance without a known optimum
+(``logistic-floor``'s, from exact steps at n = 50): run against two checkouts'
+``src``, these lines compare every workload trace, final point and reference
+optimum bit for bit in one diff. As a script it pins the BLAS thread count to
+one, as ``benchmarks/run.py`` does, since multithreaded BLAS sums in another
+order and so moves the digests; under pytest the environment is left alone.
+It exits 1 when any row differs, after printing all of this, and 0 otherwise.
 """
 
 import hashlib
 import os
 import tempfile
 import warnings
+
+if __name__ == "__main__":
+    # read when numpy loads BLAS, so set before tensoropt (and numpy) is imported
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
 
 import pytest
 
@@ -190,5 +199,10 @@ if __name__ == "__main__":
         for cfg, run in zip(configs(name, seed), runs[key]):
             x_digest = hashlib.sha256(run.x_final.tobytes()).hexdigest()
             print(f"{key} {label(cfg)}: {trace_digest(run)} {x_digest}")
+    print("\nreference F* (float.hex) of the instances without a known optimum")
+    for name, seed in CASES:
+        key = f"{name}@{seed}"
+        if runs[key][0].fstar is None:
+            print(f"{key}: {harness.reference_fstar(configs(name, seed)[0])[0].hex()}")
     # a moved row fails the script, so that a build step can gate on it
     raise SystemExit(1 if diff else 0)
