@@ -11,7 +11,9 @@ wrong; a dedicated unit test pins it.
 An exact step reads ``TensorModel.whitened_hessian``, built from the lower
 triangle of the oracle's dense Hessian, which is all ``SmoothOracle.hessian``
 promises: whitening, the Lanczos products (``dsymv``) and the tridiagonal
-reduction read that triangle alone.
+reduction read that triangle alone. It assumes a convex model, a positive
+semidefinite Hessian and a composite weight >= 0, as every oracle of the
+library gives (see ``subsolvers.exact_cubic_step``).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class TensorModel:
     ``whitened_hessian``: its first read fetches ``oracle.hessian`` from the
     same state and whitens it by the norm's factor (``norm.whiten``; the
     identity norm leaves it as it is), and the center keeps it. A step that
-    Lanczos certifies (see ``subsolvers.exact_cubic_step``) needs nothing
+    Lanczos converges on (see ``subsolvers.exact_cubic_step``) needs nothing
     more. Only a fallback reads ``reduction``, which reduces M to tridiagonal
     form in place, rejecting a non-finite lower triangle with ``LinAlgError``;
     from then on the center keeps the (d, e, V, tau) of

@@ -2,16 +2,16 @@
 
 Three ways to produce a step:
 
-* ``exact_cubic_step``  -- global minimizer of the order-2 model (zero
+* ``exact_cubic_step``  -- global minimizer of a convex order-2 model (zero
   residual), from a scalar secular equation whose evaluations are tridiagonal
   solves. From ``LANCZOS_MIN_DIM`` on it first runs Lanczos on the oracle's
   Hessian, whitened by the norm's factor, and solves on the small T_k until
-  the model gradient |beta_k y_k| vanishes to ``LANCZOS_TOL``; the step is
-  taken only when a Cholesky factorization of the Hessian shifted by the
-  step's multiplier certifies it as the global minimizer. Otherwise, and below
-  that dimension, it solves on the full tridiagonal form T of the Hessian,
-  which the center then reduces once. Only an indefinite T computes its
-  bottom eigenpair; a definite T or T_k goes straight to the secular equation.
+  the model gradient |beta_k y_k| vanishes to ``LANCZOS_TOL``; otherwise, and
+  below that dimension, it solves on the full tridiagonal form T of the
+  Hessian, which the center then reduces once. Exact steps assume a convex
+  model, as every oracle of the library is. A nonconvex one is refused only
+  when the tridiagonal form solved on makes its step miss its secular root,
+  as in the hard case; Lanczos, on T_k, may return a wrong step instead.
 * ``gradient_step``     -- closed-form order-1 step, optionally with a
   quadratic composite folded in (zero residual).
 * ``fgm_step``          -- accelerated gradient loop with backtracking step
@@ -42,27 +42,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import dsymv
-from scipy.linalg.lapack import dpotrf, dptsv, dpttrs
+from scipy.linalg.lapack import dptsv, dpttrs
 
 from .linalg import apply_q
 from .model import TensorModel
 
 SECULAR_REL_TOL = 1e-12
 
+# Relative backward error that ``_secular_step`` grants the rounding of T and
+# of its shifted solves before it refuses a step.
+ROUNDING = 16.0 * np.finfo(float).eps
+
 # Dimension from which an exact step tries Lanczos before the full tridiagonal
-# reduction (see ``exact_cubic_step``). Per solve of logsumexp(n, 6n) from e1
-# with line-searched exact steps (instance seeds 1 and 2, median of 11
-# interleaved rounds each, one BLAS thread on 2 vCPUs), Lanczos changed the time
-# by +43 % and +46 % at n = 100, +15 % and +12 % at 150, -3 % and +1 % at 175,
-# -7 % and -11 % at 200, -10 % and -16 % at 225, and by -13 % to -23 % at 250,
-# 300, 400 and 500. Since a positive definite T skips its bottom eigenpair, the
-# reduction costs less, and the same protocol read -1 % and -2 % at 200, -7 % and
-# -6 % at 225, and -9 % and +3 % at 250 (over 21 rounds, twice: -1/-4 and +2/-0,
-# -7/-10 and -12/-9, -13/-13 and -12/-11): the crossover moved from about 175
-# to about 200, still below this dimension.
-LANCZOS_MIN_DIM = 225
+# reduction (see ``exact_cubic_step``); the crossover's measurements are in the
+# CHANGES.md entry "Exact steps take convexity as their contract".
+LANCZOS_MIN_DIM = 200
 
 # Lanczos steps a center takes at most, as a fraction of the dimension, before
 # it falls back to the reduction: at n = 500, 50 steps with their subspace
@@ -204,69 +199,80 @@ def _shifted_solve(d, e, shift, b):
     return x, (df, ef)
 
 
-def _secular_root(d: np.ndarray, e: np.ndarray, c: np.ndarray, H: float,
-                  lam_min: float) -> float:
-    """Solve ||(T + (H r/2) I)⁻¹ c|| = r for the step length r.
+def _secular_step(d: np.ndarray, e: np.ndarray, c: np.ndarray, H: float) -> np.ndarray:
+    """The minimizer u = -(T + (H r/2) I)⁻¹ c, of length r, of the cubic
+    cᵀu + uᵀTu/2 + H‖u‖³/6 on the tridiagonal T (diagonal d, off-diagonal e).
 
-    T is the symmetric tridiagonal matrix with diagonal d, off-diagonal e and
-    smallest eigenvalue lam_min, for which 0.0 serves when T is positive
-    definite; a diagonal T (e = 0) is its own spectrum.
-    Safeguarded Newton with a bisection bracket whose left endpoint
-    max(0, -2 lam_min / H) is where T + (H r/2) I becomes singular. An
-    evaluation is one LDLᵀ factorization and two solves: s = ||w|| for
-    w = (T + σI)⁻¹c, and ds/dr = -(H/2) wᵀ(T + σI)⁻¹w / s. Next to that
-    endpoint rounding can leave the shifted matrix indefinite; such an r lies
-    left of the root, and the step from it bisects.
+    T must be positive semidefinite. Then T + (H r/2) I is positive definite
+    for every r > 0, and the stationary point at the root r of
+    ‖(T + (H r/2) I)⁻¹ c‖ = r is the global minimizer (Nesterov & Polyak
+    2006); a zero c gives the zero step. Safeguarded Newton with a bisection
+    bracket from [0, hi], where doubling hi from 1 brackets the root. An
+    evaluation is one LDLᵀ factorization and two solves: s = ‖w‖ for
+    w = (T + σI)⁻¹c, and ds/dr = -(H/2) wᵀz / s for z = (T + σI)⁻¹w. One whose
+    factorization fails counts as s = ∞, left of the root. The step is -w
+    from the last evaluation.
+
+    A T that breaks the contract is refused with ``ValueError`` only on
+    evidence that rounding cannot explain. A factorization failing at a shift
+    above ``ROUNDING``·n·‖T‖ shows negative curvature; the step is then refused
+    when the factorization fails at the root or its length misses r by more
+    than the root's tolerance, as in the hard case. Otherwise the length may
+    also miss r by ``ROUNDING``·‖T + σI‖·‖z‖, the first-order change of s under
+    that backward error (s is a staircase in r where T + σI is ill-conditioned),
+    and a bracket whose left end failed puts the root anywhere in [0, hi],
+    whose step is taken.
     """
-    r_edge = max(0.0, -2.0 * lam_min / H)
+    def t_norm():
+        return float(np.abs(d).max() + 2.0 * np.abs(e).max(initial=0.0))
+
+    curved = False  # a factorization failed at a shift above ROUNDING·n·‖T‖
 
     def evaluate(r):
-        """(s, wᵀ(T + σI)⁻¹w) at σ = H r / 2; s is infinite left of the pole."""
+        """(s, w, z) at σ = H r / 2; s is infinite where T + σI is not definite."""
+        nonlocal curved
         try:
             w, factor = _shifted_solve(d, e, 0.5 * H * r, c)
         except np.linalg.LinAlgError:
-            return math.inf, math.inf
-        return math.sqrt(float(w.dot(w))), float(w.dot(dpttrs(*factor, w)[0]))
+            curved = curved or 0.5 * H * r > ROUNDING * d.size * t_norm()
+            return math.inf, None, None
+        return math.sqrt(float(w.dot(w))), w, dpttrs(*factor, w)[0]
 
-    lo = r_edge
-    hi = max(1.0, 2.0 * r_edge)
+    lo, hi = 0.0, 1.0
     for _ in range(400):
-        if evaluate(hi)[0] <= hi:
+        s_hi, w_hi, _ = evaluate(hi)
+        if s_hi <= hi:
             break
         hi *= 2.0
     else:
         raise RuntimeError("failed to bracket the secular root")
 
-    r = 0.5 * (lo + hi) if lo > 0 else min(hi, max(evaluate(hi)[0], 1e-16))
+    r, lo_failed = max(s_hi, 1e-16), False
     for _ in range(300):
-        s, s3 = evaluate(r)
+        s, w, z = evaluate(r)
         f = s - r
         if f > 0:
-            lo = max(lo, r)
+            lo, lo_failed = max(lo, r), w is None
         else:
-            hi = min(hi, r)
+            hi, w_hi = r, w
         if hi - lo <= SECULAR_REL_TOL * max(1.0, hi):
-            break
-        # Newton with ds/dr = -(H/2) s3 / s
-        r_new = r + f / (1.0 + 0.5 * H * s3 / max(s, 1e-300)) if s < math.inf else hi
+            if lo_failed and not curved:
+                return -w_hi
+            # on a convex model |d(s - r)/dr| <= 1 + s/r, so s misses r by
+            # about twice the bracket's width, plus rounding, at most
+            miss = abs(f) - 4.0 * SECULAR_REL_TOL * max(1.0, r)
+            if w is None or miss > 0.0 and (curved or miss > ROUNDING * (
+                    t_norm() + 0.5 * H * r) * math.sqrt(float(z.dot(z)))):
+                raise ValueError("exact cubic steps assume a convex model (positive "
+                                 "semidefinite Hessian, composite weight >= 0): this "
+                                 "one's step misses its secular root")
+            return -w
+        # Newton with ds/dr = -(H/2) wᵀz / s
+        r_new = r + f / (1.0 + 0.5 * H * float(w.dot(z)) / max(s, 1e-300)) if s < math.inf else hi
         if not (lo < r_new < hi):
             r_new = 0.5 * (lo + hi)
         r = r_new
-    return max(r, r_edge)
-
-
-def _definite_step(d: np.ndarray, e: np.ndarray, c: np.ndarray, H: float):
-    """(u, r): the minimizer u = -(T + (H r/2) I)⁻¹ c of the cubic on the
-    tridiagonal T (diagonal d, off-diagonal e) and its length r, when the LDLᵀ
-    factorization of T itself certifies T positive definite; None when it
-    fails. A definite T has no pole right of r = 0 and no hard case (Moré &
-    Sorensen's easy case), so the secular root needs no eigenpair of T."""
-    try:
-        _shifted_solve(d, e, 0.0, c)
-    except np.linalg.LinAlgError:
-        return None
-    r = _secular_root(d, e, c, H, 0.0)
-    return -_shifted_solve(d, e, 0.5 * H * r, c)[0], r
+    raise RuntimeError("the secular iteration did not converge")
 
 
 class _Lanczos:
@@ -306,8 +312,8 @@ class _Lanczos:
 
 def _lanczos_step(model: TensorModel, c: np.ndarray, mu: float):
     """Q_kᵀ y, the whitened step that minimizes the model over the center's
-    Krylov space, once it is certified as the global minimizer; None when it is
-    not (see ``exact_cubic_step``)."""
+    Krylov space, once the model gradient there is at most ``LANCZOS_TOL``·‖c‖;
+    None when Lanczos gives up (see ``exact_cubic_step``)."""
     M = model.whitened_hessian
     curv = model.dense_curvature
     lz = curv.lanczos
@@ -316,7 +322,6 @@ def _lanczos_step(model: TensorModel, c: np.ndarray, mu: float):
         if c_norm == 0.0:
             return None
         lz = curv.lanczos = _Lanczos(c, c_norm)
-    H = model.H
     if lz.k == 0 and not lz.extend(M):
         return None
     first = None
@@ -324,14 +329,11 @@ def _lanczos_step(model: TensorModel, c: np.ndarray, mu: float):
         k = lz.k
         rhs = np.zeros(k)
         rhs[0] = lz.c_norm
-        step = _definite_step(lz.alpha[:k] + mu, lz.beta[:k - 1], rhs, H)
-        if step is None:
-            return None
-        y, r = step
+        y = _secular_step(lz.alpha[:k] + mu, lz.beta[:k - 1], rhs, model.H)
         # the model gradient at Q_kᵀ y is beta[k-1] y[-1] Q[k]
         res = abs(lz.beta[k - 1] * y[-1]) / lz.c_norm
         if res <= LANCZOS_TOL:
-            break
+            return y @ lz.Q[:k]
         if first is None:
             first = (k, res)
         elif k - first[0] >= LANCZOS_RATE_STEPS:
@@ -341,97 +343,42 @@ def _lanczos_step(model: TensorModel, c: np.ndarray, mu: float):
                 return None
         if not lz.extend(M):
             return None
-    # M + (mu + H r/2)·I positive definite certifies Q_kᵀ y as the global minimizer
-    S = np.array(M, order="F")
-    S.flat[::S.shape[0] + 1] += mu + 0.5 * H * r
-    if dpotrf(S, lower=1, clean=0, overwrite_a=1)[1] != 0:
-        return None
-    return y @ lz.Q[:k]
 
 
 def _reduced_step(model: TensorModel, c: np.ndarray, mu: float) -> np.ndarray:
     """The whitened step Q u from the secular equation on the center's full
-    tridiagonal reduction M = Q T Qᵀ (see ``exact_cubic_step``); T's bottom
-    eigenpair is computed only when T is not positive definite."""
-    H = model.H
+    tridiagonal reduction M = Q T Qᵀ (see ``exact_cubic_step``)."""
     d, e, V, tau = model.reduction
-    d = d + mu
-    c = apply_q(V, tau, c, trans=True)
-    step = _definite_step(d, e, c, H)
-    if step is not None:
-        return apply_q(V, tau, step[0], trans=False)
-    lam, z = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
-    lam_min, z = float(lam[0]), z[:, 0]
-    r_edge = max(0.0, -2.0 * lam_min / H)
-    c_norm = float(np.linalg.norm(c))
-    gamma = float(z.dot(c))
-    # T + shift·I stays positive definite for shifts this far past -lam_min:
-    # the eigenvalue and the factorization are both good to a few ulps of ||T||
-    t_norm = float(np.abs(d).max() + 2.0 * np.abs(e).max(initial=0.0))
-    edge_shift = -lam_min + 1e-14 * t_norm
-
-    def off_bottom(shift):
-        """-(T + shift·I)⁻¹ c with z's part projected out of c and of the result."""
-        w = -_shifted_solve(d, e, max(shift, edge_shift), c - gamma * z)[0]
-        return w - float(z.dot(w)) * z
-
-    hard = False
-    if lam_min < 0 and gamma**2 <= 1e-28 * c_norm**2:
-        hard = float(np.linalg.norm(off_bottom(-lam_min))) <= r_edge
-
-    if c_norm == 0.0:
-        u = r_edge * z  # boundary solution along the bottom eigenvector
-    else:
-        r = r_edge if hard else _secular_root(d, e, c, H, lam_min)
-        excess = lam_min + 0.5 * H * r  # bottom eigenvalue of T + (H r/2) I
-        # With the root good to dr, z's coordinate t = -gamma/excess is off by
-        # about t² (H/2) dr / |gamma|, and the slack sqrt(r² - ||rest||²) of
-        # ||u|| = r by about r dr / |t|. The slack is the better one when
-        # (H/2) |t|³ >= r |gamma|, as it is in a near-hard case, where excess
-        # is at the level of rounding; the hard case has no such t.
-        if hard or (lam_min < 0 and 0.5 * H * gamma**2 >= r * excess**3):
-            u = off_bottom(0.5 * H * r)
-            slack = math.sqrt(max(0.0, r**2 - float(u.dot(u))))
-            u += (-slack if gamma > 0 else slack) * z
-        else:
-            u = -_shifted_solve(d, e, 0.5 * H * r, c)[0]
+    u = _secular_step(d + mu, e, apply_q(V, tau, c, trans=True), model.H)
     return apply_q(V, tau, u, trans=False)
 
 
 def exact_cubic_step(model: TensorModel) -> StepResult:
-    """Global minimizer of the cubic-regularized order-2 model.
+    """Global minimizer of the cubic-regularized order-2 model, which must be
+    convex: a positive semidefinite Hessian and a quadratic composite of
+    weight mu >= 0.
 
     Works where the norm is the identity: with B = L Lᵀ, the step d = L⁻ᵀ v
     turns ||d||_B into ||v||, the Hessian A into M = L⁻¹ A L⁻ᵀ (the model's
     ``whitened_hessian``) and the gradient g into c = L⁻¹ g; a quadratic
-    composite is folded into g and shifts M by its weight mu.
+    composite is folded into g and shifts M by mu. Every step is the
+    stationary point that ``_secular_step`` finds on a tridiagonal T, which a
+    convex model makes the global minimizer. A model it finds to break the
+    contract is refused with ``ValueError``, but the check sees only the T it
+    solves on: a nonconvex model whose bottom eigenvector stays outside
+    Lanczos's Krylov space may get a wrong step instead.
 
     From ``LANCZOS_MIN_DIM`` on, ``_lanczos_step`` runs Lanczos on M from c and
-    solves the secular equation on its tridiagonal T_k until the model
-    gradient |beta_k y_k| is at most ``LANCZOS_TOL``·||c||. It takes the step
-    only when T_k is positive definite and a Cholesky factorization of
-    M + (mu + H r/2)·I succeeds, which certifies the step as the global
-    minimizer (Cartis, Gould & Toint 2011, Thm 3.1). The center keeps the
-    basis, which a reweighted copy of the model reuses and extends.
-
-    Every other case (an indefinite T_k, the hard case, a zero gradient, a
-    breakdown, no convergence within the cap, or a decay too slow to converge
-    there) and every smaller model solves on the center's ``reduction``
-    M = Q T Qᵀ (``_reduced_step``), which the first fallback at a center
-    computes in place; a quadratic composite shifts T's diagonal. When the
-    LDLᵀ factorization of T succeeds, T is positive definite, and the step
-    is the shifted solve at the secular root right of r = 0, as on T_k
-    (``_definite_step``, Moré & Sorensen's easy case). Only an indefinite T
-    needs its bottom eigenpair (lam_min, z), from bisection and inverse
-    iteration on T alone: lam_min places the pole, and z settles the hard case
-    (gradient orthogonal to z, no interior root), whose boundary solution is
-    the shifted solve with z projected out plus a multiple of z. Every step
-    with negative curvature whose coordinate along z is better fixed by
-    ||u|| = r than by a division by lam_min + H r / 2 takes that form too,
-    among them the near-hard cases whose root lies next to the boundary.
-    Either way the center makes one ``hessian`` call. Every step reports its
-    model value and its model gradient's dual norm, evaluated at the step from
-    one Hessian-vector product.
+    solves on its tridiagonal T_k until the model gradient |beta_k y_k| is at
+    most ``LANCZOS_TOL``·||c||. The center keeps the basis, which a reweighted
+    copy of the model reuses and extends. A zero gradient, a breakdown, no
+    convergence within the cap, or a decay too slow to converge there, and
+    every smaller model, solve on the center's ``reduction`` M = Q T Qᵀ
+    (``_reduced_step``), which the first fallback at a center computes in
+    place; a quadratic composite shifts T's diagonal. Either way the center
+    makes one ``hessian`` call. Every step reports its model value and its
+    model gradient's dual norm, evaluated at the step from one
+    Hessian-vector product.
     """
     if model.p != 2:
         raise ValueError("exact cubic step requires an order-2 model")
