@@ -269,10 +269,9 @@ def reference_fstar(cfg: ExperimentConfig, cache_dir=None) -> tuple[float, str]:
         zeta_policy=None, inner_policy=None, stop="bound",
         subsolver="exact" if closed_form_fits("monotone2", cfg.composite) else "fgm",
         max_iters=10 * cfg.max_iters, target_gap=None, measure_time=False, out=None)
-    key = _reference_key(ref)
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
-        cache_path = os.path.join(cache_dir, f"fstar-{key}.json")
+        cache_path = os.path.join(cache_dir, f"fstar-{_reference_key(ref)}.json")
         if os.path.exists(cache_path):
             with open(cache_path) as fh:
                 return json.load(fh)["fstar"], "reference-cached"

@@ -18,25 +18,10 @@ def adaptive_c_limit(p: int) -> float:
     return 1.0 / ((p + 2) * 3 ** (p + 1) - 1)
 
 
-def condition_number(p: int, lipschitz: float, sigma: float) -> float:
-    """Degree-p condition number max{(p+1)^2 L_p / (p! sigma_{p+1}), 1}."""
-    if sigma <= 0:
-        raise ValueError("uniform convexity parameter must be positive")
-    return max((p + 1) ** 2 * lipschitz / (math.factorial(p) * sigma), 1.0)
-
-
 def precision_floor(f: float) -> float:
     """Smallest inner tolerance worth requesting around objective value f, and
     the least change of f that a monotone driver counts as a decrease."""
     return 1e-14 * max(1.0, abs(f))
-
-
-def strong_convexity_c_bound(p: int, omega: float) -> tuple[float, float]:
-    """(supremum, recommended value) of c for a linear rate at condition number omega."""
-    if omega < 1:
-        raise ValueError("condition number must be at least 1")
-    sup = p / (p + 1.0) * omega ** (-1.0 / p)
-    return sup, 0.5 * sup
 
 
 def parse_spec(spec: str, arity: dict) -> tuple[str, list[float]]:

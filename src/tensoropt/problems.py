@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -758,73 +758,3 @@ def build_problem(spec: dict, seed: int) -> ProblemInstance:
     name, params = problem_params(spec)
     return FAMILIES[name][2](seed, **params)
 
-
-# ---------------------------------------------------------------------------
-# derivative verification
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DerivativeReport:
-    max_gradient_error: float
-    max_hessian_vec_error: float
-    tolerance: float
-    trials: int
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.max_gradient_error <= self.tolerance
-            and self.max_hessian_vec_error <= self.tolerance
-        )
-
-
-def fd_step(x) -> float:
-    """Central-difference step balancing truncation against rounding."""
-    eps = np.finfo(float).eps
-    return eps ** (1.0 / 3.0) * (1.0 + float(np.linalg.norm(x)))
-
-
-def fd_gradient(fn, x, step=None) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    t = fd_step(x) if step is None else step
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = t
-        g[i] = (fn(x + e) - fn(x - e)) / (2.0 * t)
-    return g
-
-
-def fd_directional_hessian(grad_fn, x, h, step=None) -> np.ndarray:
-    """Central differences of the gradient along h, approximating H(x) h."""
-    x = np.asarray(x, dtype=float)
-    h = np.asarray(h, dtype=float)
-    t = fd_step(x) if step is None else step
-    return (grad_fn(x + t * h) - grad_fn(x - t * h)) / (2.0 * t)
-
-
-def check_derivatives(oracle: SmoothOracle, trials: int = 50, seed: int = 0,
-                      tol: float = 1e-4, scale: float = 0.5) -> DerivativeReport:
-    """Compare analytic gradient / hessian_vec against central differences."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    rng = np.random.default_rng(seed)
-    max_g = 0.0
-    max_h = 0.0
-    failures = []
-    for t in range(trials):
-        x = rng.normal(size=oracle.dim) * scale
-        h = rng.normal(size=oracle.dim)
-        h /= np.linalg.norm(h)
-        g_fd = fd_gradient(oracle.value, x)
-        g_an = oracle.gradient(x)
-        err_g = float(np.linalg.norm(g_fd - g_an) / (1.0 + np.linalg.norm(g_an)))
-        hv_fd = fd_directional_hessian(oracle.gradient, x, h)
-        hv_an = oracle.hessian_vec(x, h)
-        err_h = float(np.linalg.norm(hv_fd - hv_an) / (1.0 + np.linalg.norm(hv_an)))
-        max_g = max(max_g, err_g)
-        max_h = max(max_h, err_h)
-        if err_g > tol or err_h > tol:
-            failures.append((t, err_g, err_h))
-    return DerivativeReport(max_g, max_h, tol, trials, failures)

@@ -8,10 +8,12 @@ Three ways to produce a step:
   Hessian, whitened by the norm's factor, and solves on the small T_k until
   the model gradient |beta_k y_k| vanishes to ``LANCZOS_TOL``; otherwise, and
   below that dimension, it solves on the full tridiagonal form T of the
-  Hessian, which the center then reduces once. Exact steps assume a convex
-  model, as every oracle of the library is. A nonconvex one is refused only
-  when the tridiagonal form solved on makes its step miss its secular root,
-  as in the hard case; Lanczos, on T_k, may return a wrong step instead.
+  Hessian, which the center then reduces once; the model's ``dense_curvature``
+  keeps what it has of that curvature (``whitened_hessian``, ``reduction``).
+  Exact steps assume a convex model, as every oracle of the library is. A
+  nonconvex one is refused only when the tridiagonal form solved on makes its
+  step miss its secular root, as in the hard case; Lanczos, on T_k, may
+  return a wrong step instead.
 * ``gradient_step``     -- closed-form order-1 step, optionally with a
   quadratic composite folded in (zero residual).
 * ``fgm_step``          -- accelerated gradient loop with backtracking step
@@ -45,7 +47,7 @@ import numpy as np
 from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dptsv, dpttrs
 
-from .linalg import apply_q
+from .linalg import apply_q, tridiagonal_form
 from .model import TensorModel
 
 SECULAR_REL_TOL = 1e-12
@@ -185,8 +187,34 @@ def gradient_step(model: TensorModel) -> StepResult:
 
 
 # ---------------------------------------------------------------------------
-# exact order-2 step: tridiagonal reduction + secular equation
+# exact order-2 step: the center's dense curvature + secular equation
 # ---------------------------------------------------------------------------
+
+def whitened_hessian(model: TensorModel) -> np.ndarray:
+    """M = L⁻¹ ∇²f(center) L⁻ᵀ for the norm's factor L, Fortran-ordered, of
+    which only the lower triangle is meaningful. The first read fetches
+    ``oracle.hessian`` from the model's center state and whitens it
+    (``norm.whiten``; the identity norm leaves it as it is); the model's
+    ``dense_curvature`` keeps it until ``reduction`` overwrites it."""
+    curv = model.dense_curvature
+    if "hessian" not in curv:
+        hess = np.asfortranarray(model.oracle.hessian(model.center, model.center_state))
+        curv["hessian"] = hess if model.identity_norm else model.norm.whiten(hess)
+    return curv["hessian"]
+
+
+def reduction(model: TensorModel):
+    """(d, e, V, tau) of ``linalg.tridiagonal_form`` of M, which reduces M in
+    place on the first read and rejects a non-finite lower triangle with
+    ``LinAlgError``; from then on the model's ``dense_curvature`` keeps the
+    reduction alone, and every exact step at the center solves on its T."""
+    curv = model.dense_curvature
+    if "reduction" not in curv:
+        M = whitened_hessian(model)
+        curv.clear()
+        curv["reduction"] = tridiagonal_form(M)
+    return curv["reduction"]
+
 
 def _shifted_solve(d, e, shift, b):
     """(x, factor): (T + shift·I) x = b by LAPACK ``dptsv``, whose LDLᵀ factor
@@ -314,14 +342,14 @@ def _lanczos_step(model: TensorModel, c: np.ndarray, mu: float):
     """Q_kᵀ y, the whitened step that minimizes the model over the center's
     Krylov space, once the model gradient there is at most ``LANCZOS_TOL``·‖c‖;
     None when Lanczos gives up (see ``exact_cubic_step``)."""
-    M = model.whitened_hessian
+    M = whitened_hessian(model)
     curv = model.dense_curvature
-    lz = curv.lanczos
+    lz = curv.get("lanczos")
     if lz is None:
         c_norm = math.sqrt(float(c.dot(c)))
         if c_norm == 0.0:
             return None
-        lz = curv.lanczos = _Lanczos(c, c_norm)
+        lz = curv["lanczos"] = _Lanczos(c, c_norm)
     if lz.k == 0 and not lz.extend(M):
         return None
     first = None
@@ -348,7 +376,7 @@ def _lanczos_step(model: TensorModel, c: np.ndarray, mu: float):
 def _reduced_step(model: TensorModel, c: np.ndarray, mu: float) -> np.ndarray:
     """The whitened step Q u from the secular equation on the center's full
     tridiagonal reduction M = Q T Qᵀ (see ``exact_cubic_step``)."""
-    d, e, V, tau = model.reduction
+    d, e, V, tau = reduction(model)
     u = _secular_step(d + mu, e, apply_q(V, tau, c, trans=True), model.H)
     return apply_q(V, tau, u, trans=False)
 
@@ -359,8 +387,8 @@ def exact_cubic_step(model: TensorModel) -> StepResult:
     weight mu >= 0.
 
     Works where the norm is the identity: with B = L Lᵀ, the step d = L⁻ᵀ v
-    turns ||d||_B into ||v||, the Hessian A into M = L⁻¹ A L⁻ᵀ (the model's
-    ``whitened_hessian``) and the gradient g into c = L⁻¹ g; a quadratic
+    turns ||d||_B into ||v||, the Hessian A into M = L⁻¹ A L⁻ᵀ
+    (``whitened_hessian``) and the gradient g into c = L⁻¹ g; a quadratic
     composite is folded into g and shifts M by mu. Every step is the
     stationary point that ``_secular_step`` finds on a tridiagonal T, which a
     convex model makes the global minimizer. A model it finds to break the
@@ -376,9 +404,10 @@ def exact_cubic_step(model: TensorModel) -> StepResult:
     every smaller model, solve on the center's ``reduction`` M = Q T Qᵀ
     (``_reduced_step``), which the first fallback at a center computes in
     place; a quadratic composite shifts T's diagonal. Either way the center
-    makes one ``hessian`` call. Every step reports its model value and its
-    model gradient's dual norm, evaluated at the step from one
-    Hessian-vector product.
+    makes one ``hessian`` call: the model's ``dense_curvature``, which its
+    ``with_weight`` copies share, keeps M and the basis, or the reduction.
+    Every step reports its model value and its model gradient's dual norm,
+    evaluated at the step from one Hessian-vector product.
     """
     if model.p != 2:
         raise ValueError("exact cubic step requires an order-2 model")
@@ -386,7 +415,7 @@ def exact_cubic_step(model: TensorModel) -> StepResult:
     norm = model.norm
     c = norm.factor_solve(g)
     u = None
-    if c.size >= LANCZOS_MIN_DIM and model.dense_curvature.reduction is None:
+    if c.size >= LANCZOS_MIN_DIM and "reduction" not in model.dense_curvature:
         u = _lanczos_step(model, c, mu)
     if u is None:
         u = _reduced_step(model, c, mu)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import forbid_oracle_calls
+from instruments import check_derivatives, fd_gradient
 
 from tensoropt import accel
 from tensoropt.accel import (
@@ -19,8 +20,6 @@ from tensoropt.policies import adaptive, power
 from tensoropt.problems import (
     PowerComposite,
     ZeroComposite,
-    check_derivatives,
-    fd_gradient,
     generate_shifted_logsumexp,
     powered_chain_oracle,
 )

@@ -13,6 +13,13 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_model_min, random_cubic_model
+from instruments import (
+    check_derivatives,
+    condition_number,
+    fd_gradient,
+    model_upper_bound_check,
+    strong_convexity_c_bound,
+)
 
 from tensoropt.accel import accelerated, build_subproblem
 from tensoropt.harness import (
@@ -23,14 +30,10 @@ from tensoropt.harness import (
     run_experiment,
 )
 from tensoropt.methods import SolverConfig, averaging, monotone1, monotone2
-from tensoropt.model import TensorModel, model_upper_bound_check
-from tensoropt.policies import (
-    adaptive, condition_number, constant, power, strong_convexity_c_bound,
-)
+from tensoropt.model import TensorModel
+from tensoropt.policies import adaptive, constant, power
 from tensoropt.problems import (
     PowerComposite,
-    check_derivatives,
-    fd_gradient,
     generate_shifted_logsumexp,
     powered_chain_oracle,
     synthetic_logistic,

@@ -426,6 +426,20 @@ class TestReferenceOptimum:
         assert edited == reference_fstar(cfg)[0] and edited != first
         assert reference_fstar(cfg, cache_dir=cache) == (edited, "reference-cached")
 
+    def test_an_uncached_solve_computes_no_key(self, tmp_path, monkeypatch):
+        # the key hashes the config and a logistic stanza's whole data file,
+        # which only a cache entry's name reads
+        path = tmp_path / "four.svm"
+        path.write_text("1 1:1.0 2:0.5\n-1 1:-0.5 2:1.0\n1 2:-1.0\n-1 1:2.0\n")
+        cfg = small_cfg(problem={"name": "logistic", "path": str(path), "l2": 0.1})
+        keys = []
+        key = harness._reference_key
+        monkeypatch.setattr(harness, "_reference_key", lambda ref: keys.append(1) or key(ref))
+        fstar, src = reference_fstar(cfg)
+        assert src == "reference-run" and np.isfinite(fstar) and keys == []
+        assert reference_fstar(cfg, cache_dir=str(tmp_path / "cache")) == (fstar, "reference-run")
+        assert keys == [1]
+
     @pytest.mark.parametrize("field, value", [
         ("policy", "constant:1e-3"), ("method", "averaging"), ("H", "fixed:2"),
         ("subsolver", "exact"), ("stop", "exact"), ("target_gap", 1e-6)])

@@ -463,11 +463,9 @@ class TestLineSearch:
 
     @pytest.mark.parametrize("subsolver, stop", [("exact", "bound"), ("fgm", "exact")])
     def test_one_hessian_and_one_reduction_per_model_build(self, monkeypatch, subsolver, stop):
-        from tensoropt import model as model_module
-
         reductions = []
-        reduce = model_module.tridiagonal_form
-        monkeypatch.setattr(model_module, "tridiagonal_form",
+        reduce = subsolvers.tridiagonal_form
+        monkeypatch.setattr(subsolvers, "tridiagonal_form",
                             lambda M: reductions.append(1) or reduce(M))
         prob = powered_chain_oracle(8, 3.0, 1.0)
         cfg = SolverConfig(p=2, h_mode="linesearch", h_value=1e-4, policy=constant(1e-3),

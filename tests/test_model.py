@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from instruments import fd_gradient, model_upper_bound_check
+
 from tensoropt.accel import build_subproblem
 from tensoropt.linalg import NormOperator
 from tensoropt.methods import CountingOracle
-from tensoropt.model import TensorModel, model_upper_bound_check
+from tensoropt.model import TensorModel
 from tensoropt.problems import (
     LogSumExpOracle,
     PowerComposite,
     ProblemInstance,
     QuadraticOracle,
     ZeroComposite,
-    fd_gradient,
     generate_shifted_logsumexp,
 )
 from tensoropt import subsolvers
@@ -172,16 +173,29 @@ class TestCurvatureProduct:
         heavier = model.with_weight(16.0)
         assert heavier is not model and model.with_weight(16.0) is not heavier
         assert heavier.dense_curvature is model.dense_curvature
-        assert heavier.reduction is model.reduction
+        assert subsolvers.reduction(heavier) is subsolvers.reduction(model)
         # the exact minimum belongs to one weight, so a copy starts without one
         assert heavier.minimum is None and model.minimum == -1.0
 
-    def test_weight_copies_keep_no_reference_cycle(self):
+    @pytest.mark.parametrize("curvature", [None, "lanczos", "reduction"])
+    def test_weight_copies_keep_no_reference_cycle(self, monkeypatch, curvature):
         # a center's models are freed as soon as the last reference goes, not
-        # at a later garbage collection
+        # at a later garbage collection, whatever its exact steps keep in their
+        # shared dense curvature: M and a Lanczos basis, or a fallback's reduction
         gc.disable()
         try:
-            model, _ = self._model(H=2.0)
+            if curvature is None:
+                model, _ = self._model(H=2.0)
+            else:
+                n = subsolvers.LANCZOS_MIN_DIM
+                prob = generate_shifted_logsumexp(n, 6 * n, 1.0, seed=6)
+                center = np.random.default_rng(6).normal(size=n)
+                model = TensorModel(prob.smooth, prob.composite, center, H=2.0, p=2)
+                if curvature == "reduction":
+                    monkeypatch.setattr(subsolvers, "LANCZOS_STEP_FRACTION", 0.01)  # 2 steps
+                exact_cubic_step(model)
+                kept = {"hessian", "lanczos"} if curvature == "lanczos" else {"reduction"}
+                assert set(model.dense_curvature) == kept
             refs = [weakref.ref(m) for m in (model, model.with_weight(4.0),
                                              model.with_weight(8.0).with_weight(0.5))]
             del model
@@ -305,7 +319,7 @@ class TestLowerTriangleContract:
         center = 0.3 * np.random.default_rng(71).normal(size=6)
         models = [TensorModel(o, ZeroComposite(6), center, H=3.0, p=2)
                   for o in (oracle, _UpperNaN(oracle))]
-        (d, e, V, tau), (d2, e2, V2, tau2) = (m.reduction for m in models)
+        (d, e, V, tau), (d2, e2, V2, tau2) = (subsolvers.reduction(m) for m in models)
         assert np.isnan(V2).any()  # the NaN reached dsytrd's output, above the reflectors
         assert all(a.tobytes() == b.tobytes() for a, b in zip((d, e, tau, np.tril(V)),
                                                              (d2, e2, tau2, np.tril(V2))))

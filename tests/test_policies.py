@@ -2,15 +2,15 @@ import math
 
 import pytest
 
+from instruments import condition_number, strong_convexity_c_bound
+
 from tensoropt.harness import ExperimentConfig, execute
 from tensoropt.policies import (
     AccuracyPolicy,
     adaptive,
     adaptive_c_limit,
-    condition_number,
     constant,
     power,
-    strong_convexity_c_bound,
 )
 
 

@@ -8,8 +8,9 @@ import scipy.linalg
 import scipy.sparse
 
 from conftest import NORM_KINDS, forbid_oracle_calls, norm_matrix, norm_of_kind
+from instruments import check_derivatives, fd_directional_hessian
 
-from tensoropt import linalg, problems
+from tensoropt import linalg, problems, subsolvers
 from tensoropt.accel import ContractedOracle, ScaledComposite
 from tensoropt.linalg import SYRK_BLOCK_ENTRIES, NormOperator, tridiagonal_form
 from tensoropt.methods import CountingOracle
@@ -22,8 +23,6 @@ from tensoropt.problems import (
     ProblemInstance,
     QuadraticOracle,
     ZeroComposite,
-    check_derivatives,
-    fd_directional_hessian,
     generate_shifted_logsumexp,
     logistic_oracle,
     parse_libsvm,
@@ -849,7 +848,7 @@ class TestHessianState:
         model = TensorModel(CountingOracle(oracle), ZeroComposite(6), rng.normal(size=6),
                             H=2.0, p=2)
         if reduce:
-            assert model.reduction is not None
+            assert subsolvers.reduction(model) is not None
         # the dense Hessian reuses the center state
         assert len(calls) == 1
         assert model.oracle.counts()["value"] == model.oracle.counts()["gradient"] == 1
@@ -893,7 +892,7 @@ class TestHessianState:
         calls = self._spied(monkeypatch, oracle)
         model = TensorModel(CountingOracle(oracle), ZeroComposite(6), center, H=2.0, p=2)
         assert model.oracle.counts()["hessian"] == 0
-        assert all(np.array_equal(a, b) for a, b in zip(model.reduction, fresh))
+        assert all(np.array_equal(a, b) for a, b in zip(subsolvers.reduction(model), fresh))
         assert len(calls) == 1
         assert model.oracle.counts() == {"value": 1, "gradient": 1, "hessian_vec": 0,
                                          "hessian": 1}

@@ -416,19 +416,17 @@ class TestExactStepOnTheModelsReduction:
 
     def test_reweighted_copies_share_the_reduction_and_never_write_it(self):
         for model in self._gate4_models(count=6):
-            before = [a.copy() for a in model.reduction]
+            before = [a.copy() for a in subsolvers.reduction(model)]
             for H in (0.5 * model.H, model.H, 4.0 * model.H):
                 heavier = model.with_weight(H)
-                assert heavier.reduction is model.reduction
+                assert subsolvers.reduction(heavier) is subsolvers.reduction(model)
                 exact_cubic_step(heavier)
-            assert all(np.array_equal(a, b) for a, b in zip(model.reduction, before))
+            assert all(np.array_equal(a, b) for a, b in zip(subsolvers.reduction(model), before))
 
     def test_the_model_reduces_once_and_keeps_no_dense_hessian(self, monkeypatch):
-        from tensoropt import model as model_module
-
         reductions = []
-        reduce = model_module.tridiagonal_form
-        monkeypatch.setattr(model_module, "tridiagonal_form",
+        reduce = subsolvers.tridiagonal_form
+        monkeypatch.setattr(subsolvers, "tridiagonal_form",
                             lambda M: reductions.append(1) or reduce(M))
         rng = np.random.default_rng(9)
         model = random_cubic_model(rng, n=6)
@@ -519,12 +517,12 @@ class TestLanczosExactStep:
                             p=2)
         returned = _lanczos_spy(monkeypatch)
         exact_cubic_step(model)
-        k = model.dense_curvature.lanczos.k
+        k = model.dense_curvature["lanczos"].k
         # a lighter weight has a smaller shift, and its step needs more steps
         lighter = model.with_weight(0.25)
         res = exact_cubic_step(lighter)
         assert len(returned) == 2 and all(u is not None for u in returned)
-        assert lighter.dense_curvature.lanczos.k > k
+        assert lighter.dense_curvature["lanczos"].k > k
         assert model.oracle.n_hess == 1
         ref = _reduction_step(monkeypatch, lighter)
         assert res.model_value == pytest.approx(ref.model_value, rel=1e-14)
@@ -654,18 +652,16 @@ class TestConvexContract:
         assert res.grad_dual_norm <= 1e-10 * model.norm.dual(model.g0)
 
     def test_a_converged_lanczos_step_factors_and_copies_no_dense_matrix(self, monkeypatch):
-        from tensoropt import model as model_module
-
         def forbidden(*args, **kwargs):
             raise AssertionError("the Lanczos step factored or reduced the whitened Hessian")
 
         for module, name in ((scipy.linalg.lapack, "dpotrf"), (scipy.linalg, "cholesky"),
-                             (np.linalg, "cholesky"), (model_module, "tridiagonal_form")):
+                             (np.linalg, "cholesky"), (subsolvers, "tridiagonal_form")):
             monkeypatch.setattr(module, name, forbidden)
         rng = np.random.default_rng(103)
         n = 300
         model = random_cubic_model(rng, n=n, norm_kind="dense")
-        model.whitened_hessian  # fetched and whitened before the trace
+        subsolvers.whitened_hessian(model)  # fetched and whitened before the trace
         returned = _lanczos_spy(monkeypatch)
         tracemalloc.start()
         try:
@@ -673,7 +669,7 @@ class TestConvexContract:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert returned[0] is not None and model.dense_curvature.reduction is None
+        assert returned[0] is not None and model.dense_curvature.get("reduction") is None
         # a copy of M would take n² doubles; the basis takes 0.1 n of n
         assert peak < 0.25 * n * n * 8
         assert res.grad_dual_norm <= 1e-10 * model.norm.dual(model.g0)

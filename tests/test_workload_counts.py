@@ -9,7 +9,7 @@ the benchmark measures it, against the smallest of F* and every F the
 workload's configs reach on the instance.
 
 A change that moves a row regenerates the table with
-``PYTHONPATH=src python tests/test_workload_counts.py`` and says in
+``python tests/test_workload_counts.py`` and says in
 ``CHANGES.md`` which rows changed and why. The script prints the new table,
 then every row that differs from ``TABLE``, field by field, and last the
 sha256 of the ``trace.csv`` that ``harness.write_trace_csv`` writes for each
@@ -20,7 +20,10 @@ the ``float.hex`` of the reference F* of each instance without a known optimum
 optimum bit for bit in one diff. As a script it pins the BLAS thread count to
 one, as ``benchmarks/run.py`` does, since multithreaded BLAS sums in another
 order and so moves the digests; under pytest the environment is left alone.
-It exits 1 when any row differs, after printing all of this, and 0 otherwise.
+As a script it also imports ``tensoropt`` from the ``src`` of the checkout it
+sits in, whatever ``PYTHONPATH`` says, and exits 2 if the package came from
+anywhere else (``tests/_own_checkout.py``). It exits 1 when any row differs,
+after printing all of this, and 0 otherwise.
 """
 
 import hashlib
@@ -32,6 +35,7 @@ if __name__ == "__main__":
     # read when numpy loads BLAS, so set before tensoropt (and numpy) is imported
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
+    import _own_checkout  # noqa: F401
 
 import pytest
 
